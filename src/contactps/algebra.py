@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class DimensionError(ValueError):

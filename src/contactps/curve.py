@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
-    ZERO,
     CPolynomial,
     DimensionError,
     GaussianRational,

@@ -28,7 +28,6 @@ from .algebra import (
     GaussianRational,
     I_UNIT,
     ONE,
-    key_sort,
 )
 from .curve import CurveJet
 

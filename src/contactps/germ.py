@@ -20,7 +20,6 @@ from .algebra import (
     GaussianRational,
     key_degree,
     key_is_pure,
-    key_sort,
 )
 from .curve import CurveJet, PSTestResult, ps_test_single
 from .search import (
@@ -147,13 +146,8 @@ class GraphForm:
     transform: tuple[CPolynomial, ...]
     residual_flag: bool
 
-    @property
-    def nvars_total(self) -> int:
-        return self.g.nvars + 1
-
     def lift_curve(self, eta: CurveJet) -> CurveJet:
         """Map a curve in the zeta-frame (z_n = 0) back to original coordinates."""
-        n = self.nvars_total
         comps = list(eta.components) + [CPolynomial.zero(1, eta.truncation)]
         lifted = [im.substitute(comps, 1) for im in self.transform]
         return CurveJet(tuple(lifted))
@@ -180,8 +174,7 @@ def _linear_normalize(r: DefiningFunction) -> tuple[CPolynomial, list[CPolynomia
     for new_idx, old_idx in enumerate(others):
         expr = expr - CPolynomial.variable(n, new_idx).scale(a[old_idx])
     images[pivot] = expr.scale(ONE / a[pivot])
-    imgs = [im for im in images]
-    return r.r.substitute(imgs, n), imgs
+    return r.r.substitute(images, n), images
 
 
 def normalize_to_graph(r: DefiningFunction, K: int) -> GraphForm:

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .algebra import CPolynomial, GaussianRational, Order
-from .curve import CurveJet, contact_order, laplacian_power, ps_test_single, pullback
+from .curve import CurveJet, contact_order, laplacian_power, pullback
 from .expr import (
     ExprSyntaxError,
     format_curve,
@@ -29,7 +29,6 @@ from .expr import (
 from .fdb import (
     expansion_table,
     laplacian_power_forms,
-    filtered_expansion,
     random_real_polynomial,
 )
 from .germ import (
@@ -160,16 +159,19 @@ def _curve_for_entry(text: str, entry: CPolynomial) -> CurveJet:
 
 
 # ---------------------------------------------------------------------------
-# Command execution: each command maps (source, options) -> (claims, exit code)
+# Command execution: each command maps (source, options) -> (claims, exit code).
+# `report --all` runs each stage once and reuses the commands' section builders.
+
+
+def _order_section(entry: CPolynomial) -> dict:
+    return {
+        "expression": format_polynomial(entry),
+        "order": _order(entry.order_of_vanishing()),
+    }
 
 
 def _cmd_order(source, options):
-    problem = _load_problem(source)
-    order = problem.entry.order_of_vanishing()
-    return {
-        "expression": format_polynomial(problem.entry),
-        "order": _order(order),
-    }, 0
+    return _order_section(_load_problem(source).entry), 0
 
 
 def _cmd_pullback(source, options):
@@ -234,6 +236,10 @@ def _cert_claims(cert) -> dict:
     return out
 
 
+def _cert_section(gf: GraphForm, cert) -> dict:
+    return {"g": format_polynomial(gf.g), "certificate": _cert_claims(cert)}
+
+
 def _cmd_ps_check(source, options):
     problem = _load_problem(source)
     K = max(4, problem.entry.total_degree())
@@ -241,36 +247,32 @@ def _cmd_ps_check(source, options):
     cert = gram_certificate(gf.g)
     if cert.verdict != "certified":
         cert = ps_search(gf.g, _make_budget(options))
-    claims = {"g": format_polynomial(gf.g), "certificate": _cert_claims(cert)}
-    return claims, 1 if cert.is_violation else 0
+    return _cert_section(gf, cert), 1 if cert.is_violation else 0
 
 
 def _cmd_gram(source, options):
     problem = _load_problem(source)
     K = max(4, problem.entry.total_degree())
     gf = _graph_form(problem.entry, K)
-    cert = gram_certificate(gf.g)
-    return {"g": format_polynomial(gf.g), "certificate": _cert_claims(cert)}, 0
+    return _cert_section(gf, gram_certificate(gf.g)), 0
 
 
-def _cmd_germ_ps(source, options):
-    problem = _load_problem(source)
-    r = _defining_function(problem.entry)
+def _germ_ps(r: DefiningFunction, options):
     k_min = options.get("kmin", 2)
-    k_max = options.get("kmax", max(k_min, problem.entry.total_degree()))
+    k_max = options.get("kmax", max(k_min, r.r.total_degree()))
     budget = _make_budget(options)
     try:
-        rep = germ_ps_check(r, k_min, k_max, budget)
+        return germ_ps_check(r, k_min, k_max, budget)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    entries = []
-    for e in rep.entries:
-        item = {"k": e.k, "certificate": _cert_claims(e.certificate)}
-        entries.append(item)
+
+
+def _germ_ps_section(rep) -> tuple[dict, int]:
     claims = {
         "k_min": rep.k_min,
         "k_max": rep.k_max,
-        "entries": entries,
+        "entries": [{"k": e.k, "certificate": _cert_claims(e.certificate)}
+                    for e in rep.entries],
         "k0": rep.k0,
         "note": rep.note,
         "bounds": _budget(rep.bounds),
@@ -278,20 +280,24 @@ def _cmd_germ_ps(source, options):
     return claims, 1 if rep.k0 is None else 0
 
 
+def _cmd_germ_ps(source, options):
+    problem = _load_problem(source)
+    return _germ_ps_section(_germ_ps(_defining_function(problem.entry), options))
+
+
+def _reg_section(gf: GraphForm, claim) -> dict:
+    return {"g": format_polynomial(gf.g), "reg_type": _claim(claim)}
+
+
 def _cmd_reg_type(source, options):
     problem = _load_problem(source)
     N = options.get("max", 8)
     K = max(N, problem.entry.total_degree())
     gf = _graph_form(problem.entry, K)
-    claim = reg_type(gf, N)
-    return {"g": format_polynomial(gf.g), "reg_type": _claim(claim)}, 0
+    return _reg_section(gf, reg_type(gf, N)), 0
 
 
-def _cmd_sing_search(source, options):
-    problem = _load_problem(source)
-    K = max(8, problem.entry.total_degree())
-    gf = _graph_form(problem.entry, K)
-    res = sing_type_search(gf, _make_budget(options))
+def _sing_section(gf: GraphForm, res) -> dict:
     claims = {
         "g": format_polynomial(gf.g),
         "result": _claim(res.claim),
@@ -300,7 +306,14 @@ def _cmd_sing_search(source, options):
     }
     if res.witness is not None:
         claims["witness_in_original_frame"] = format_curve(gf.lift_curve(res.witness))
-    return claims, 0
+    return claims
+
+
+def _cmd_sing_search(source, options):
+    problem = _load_problem(source)
+    K = max(8, problem.entry.total_degree())
+    gf = _graph_form(problem.entry, K)
+    return _sing_section(gf, sing_type_search(gf, _make_budget(options))), 0
 
 
 def _cmd_desingularize(source, options):
@@ -364,36 +377,42 @@ def _cmd_fdb_verify(source, options):
 
 
 def _cmd_report_all(source, options):
-    problem = _load_problem(source)
-    entry = problem.entry
+    """Every analysis on one input, each stage run once.
+
+    The gram, ps-check, reg-type and inference evidence use the frame
+    K = max(--max, deg); the sing-search section is the one `sing-search`
+    prints, on K = max(8, deg), so it takes a second graph form and search
+    only when the two frames differ.
+    """
+    entry = _load_problem(source).entry
     N = options.get("max", 8)
     K = max(N, entry.total_degree())
     gf = _graph_form(entry, K)
     budget = _make_budget(options)
-    sections = {}
-    worst = 0
-    sections["order"], _code = _cmd_order(source, options)
+    sections = {"order": _order_section(entry)}
     gram = gram_certificate(gf.g)
-    sections["gram"] = {"g": format_polynomial(gf.g), "certificate": _cert_claims(gram)}
+    sections["gram"] = _cert_section(gf, gram)
     cert = gram if gram.verdict == "certified" else ps_search(gf.g, budget)
-    sections["ps_check"] = {"g": format_polynomial(gf.g),
-                            "certificate": _cert_claims(cert)}
-    worst = max(worst, 1 if cert.is_violation else 0)
+    sections["ps_check"] = _cert_section(gf, cert)
+    worst = 1 if cert.is_violation else 0
     ps_evidence = None
     df = None
     if not entry.homogeneous_slice(1).is_zero():
         df = _defining_function(entry)
-        sections["germ_ps"], code = _cmd_germ_ps(source, options)
+        ps_evidence = _germ_ps(df, options)
+        sections["germ_ps"], code = _germ_ps_section(ps_evidence)
         worst = max(worst, code)
-        k_min = options.get("kmin", 2)
-        k_max = options.get("kmax", max(k_min, entry.total_degree()))
-        ps_evidence = germ_ps_check(df, k_min, k_max, budget)
     elif cert.verdict == "certified":
         ps_evidence = cert
     reg_claim = reg_type(gf, N)
-    sections["reg_type"] = {"g": format_polynomial(gf.g), "reg_type": _claim(reg_claim)}
+    sections["reg_type"] = _reg_section(gf, reg_claim)
     sing_res = sing_type_search(gf, budget)
-    sections["sing_search"], _code = _cmd_sing_search(source, options)
+    K_sing = max(8, entry.total_degree())
+    if K_sing == K:
+        sections["sing_search"] = _sing_section(gf, sing_res)
+    else:
+        sing_gf = _graph_form(entry, K_sing)
+        sections["sing_search"] = _sing_section(sing_gf, sing_type_search(sing_gf, budget))
     rep = infer_type(df, Evidence(reg=reg_claim, sing=sing_res, ps=ps_evidence))
     sections["inference"] = {
         "reg_type": _claim(rep.reg_type) if rep.reg_type else None,

@@ -2,8 +2,12 @@
 
 All enumerations are deterministic: exponent tuples in graded-lex order,
 coefficients in a fixed seed order, randomized candidates driven by an
-explicit seed.  Searches that evaluate candidates in parallel must merge by
-this enumeration order, so the first witness is reproducible.
+explicit seed.  The regular and singular type searches read one stream
+(monomial curves, then cancellation scans, then random curves; see
+typecalc._candidates) and filter it by multiplicity.  germ.ps_search keeps its
+own order, with Gram-derived seeds between the monomial curves and the scans
+and no random part.  Every search keeps the first witness its order reaches,
+so witnesses are reproducible.
 """
 
 from __future__ import annotations

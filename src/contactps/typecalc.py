@@ -60,13 +60,7 @@ class TypeClaim:
     kind: str  # "exact" | "at_least" | "infinite"
     value: Fraction | int | None = None
     witness: CurveJet | None = None
-    exact_backed: bool = True
     transcript: tuple[str, ...] = ()
-
-    def lower_bound(self) -> Fraction:
-        if self.kind == "infinite":
-            return Fraction(10**9)
-        return Fraction(self.value)
 
     def __str__(self) -> str:
         if self.kind == "infinite":
@@ -182,17 +176,11 @@ def _shift_series(f, prefix: dict[int, GaussianRational]):
     powers = {0: {0: ONE}}
     for e in range(1, max_b + 1):
         powers[e] = _poly1_mul(powers[e - 1], prefix) if prefix else {}
-        if not prefix:
-            powers[e] = {}
     out: dict[tuple[int, int], GaussianRational] = {}
     for (a, b), c in f.items():
         for k in range(b + 1):  # choose k factors of s
             binom = GaussianRational.of(comb(b, k))
-            if b - k == 0:
-                base = {0: ONE}
-            else:
-                base = powers[b - k]
-            for pd, pc in base.items():
+            for pd, pc in powers[b - k].items():
                 key = (a + pd, k)
                 v = c * binom * pc
                 out[key] = out[key] + v if key in out else v
@@ -212,8 +200,6 @@ def _ideal_contact_pivot(
 
     def rec(prefix: dict[int, GaussianRational], depth: int) -> _IdealContact:
         shifted = [_shift_series(f, prefix) for f in fs]
-        if all(all(a > 0 or b > 0 for (a, b) in g) or not g for g in shifted):
-            pass  # no constant terms expected; generators vanish at 0
         if all(not any(b == 0 for (_a, b) in g) for g in shifted):
             # Every generator vanishes identically along the zero-tail curve.
             return _IdealContact(cap, True, (0, dict(prefix)), infinite=True,
@@ -325,8 +311,6 @@ def _regular_contact_ideal(
         if best is None or res.infinite or res.value > best.value or (
             res.value == best.value and res.exact and not best.exact
         ):
-            if best is not None and not best.exact and res.value <= best.value:
-                res.exact = res.exact and best.exact is not False or res.exact
             best, best_pivot = res, pivot
         if best.infinite:
             break
@@ -364,7 +348,7 @@ def _hermitian_quadratic_definite(g: CPolynomial) -> bool:
     return False
 
 
-def reg_type(gf: GraphForm, N: int, budget: SearchBudget | None = None) -> TypeClaim:
+def reg_type(gf: GraphForm, N: int) -> TypeClaim:
     """Max order of contact of regular curves in the z_n = 0 frame, capped at N.
 
     Exact values pair an exhibited curve (re-verified by pullback) with a
@@ -397,14 +381,16 @@ def reg_type(gf: GraphForm, N: int, budget: SearchBudget | None = None) -> TypeC
         if witness is not None:
             _verify_contact(g, witness, value if res.exact else None, at_least=value)
         kind = "exact" if res.exact and res.value < cap_t else "at_least"
-        return TypeClaim(kind, value, witness, exact_backed=res.exact,
+        return TypeClaim(kind, value, witness,
                          transcript=tuple(
                              ["sum-of-squares route: contact of the holomorphic "
                               "generator ideal, doubled"] + res.transcript))
     # Indefinite or high-dimensional: bounded lower-bound search only.
-    budget = budget or SearchBudget(max_degree=max(4, N), random_trials=200)
+    budget = SearchBudget(max_degree=max(4, N), random_trials=200)
     best_val, best_witness = 2, None
-    for z in _regular_candidates(g.nvars, budget):
+    for z in _candidates(g.nvars, budget):
+        if z.multiplicity() != 1:
+            continue
         u = pullback(g, z)
         order = u.order_of_vanishing()
         if order.kind == "zero":
@@ -413,21 +399,18 @@ def reg_type(gf: GraphForm, N: int, budget: SearchBudget | None = None) -> TypeC
                                          "identically zero pullback",))
         if order.kind == "exact" and order.value > best_val:
             best_val, best_witness = order.value, z
-    return TypeClaim("at_least", best_val, best_witness, exact_backed=best_witness is not None,
+    return TypeClaim("at_least", best_val, best_witness,
                      transcript=("bounded regular-curve search; no obstruction "
                                  "transcript, so only a lower bound is claimed",))
 
 
-def _regular_candidates(nvars: int, budget: SearchBudget):
-    for z in monomial_curves(nvars, budget.max_degree):
-        if z.multiplicity() == 1:
-            yield z
-    for z in cancellation_scan_curves(nvars, budget.max_degree, budget.coeff_height):
-        if z.multiplicity() == 1:
-            yield z
-    for z in random_curves(nvars, budget):
-        if z.multiplicity() == 1:
-            yield z
+def _candidates(nvars: int, budget: SearchBudget):
+    """The candidate stream of the type searches: monomial curves, then
+    cancellation scans, then seeded random curves.  Each search filters it by
+    multiplicity; the order fixes which witness wins a tie."""
+    yield from monomial_curves(nvars, budget.max_degree)
+    yield from cancellation_scan_curves(nvars, budget.max_degree, budget.coeff_height)
+    yield from random_curves(nvars, budget)
 
 
 def _first_order2_witness(g: CPolynomial) -> CurveJet:
@@ -505,17 +488,12 @@ def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:
                 best_ratio, best_witness, best_order = ratio, z, order
         return None
 
-    for gen in (
-        monomial_curves(g.nvars, budget.max_degree),
-        cancellation_scan_curves(g.nvars, budget.max_degree, budget.coeff_height),
-        random_curves(g.nvars, budget),
-    ):
-        for z in gen:
-            if z.multiplicity() > budget.max_multiplicity:
-                continue
-            hit = consider(z)
-            if hit is not None:
-                return hit
+    for z in _candidates(g.nvars, budget):
+        if z.multiplicity() > budget.max_multiplicity:
+            continue
+        hit = consider(z)
+        if hit is not None:
+            return hit
     return SingSearchResult("lower_bound", best_ratio, best_witness, best_order,
                             tested, budget)
 
@@ -726,7 +704,7 @@ def infer_type(r: DefiningFunction | None, evidence: Evidence) -> TypeReport:
         if reg is not None and reg.value is not None:
             candidates.append(TypeClaim("at_least", Fraction(reg.value), reg.witness))
         if candidates:
-            sing = max(candidates, key=lambda c: c.lower_bound())
+            sing = max(candidates, key=lambda c: Fraction(c.value))
             trail.append("rule (iv): singular type left as the best exhibited "
                          "lower bound")
         else:

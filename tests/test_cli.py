@@ -177,3 +177,18 @@ def test_report_all_inference_trail(runner, tmp_path):
     assert claims["inference"]["sing_type"]["kind"] == "exact"
     assert claims["inference"]["sing_type"]["value"] == "4/1"
     assert any("rule (iii)" in s for s in claims["inference"]["trail"])
+
+
+def test_report_all_runs_each_stage_once(runner, tmp_path, monkeypatch):
+    import contactps.report as report
+
+    stages = ("parse_problem", "normalize_to_graph", "germ_ps_check", "sing_type_search")
+    calls = dict.fromkeys(stages, 0)
+    for name in stages:
+        def counted(*args, _fn=getattr(report, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(report, name, counted)
+    res = _invoke(runner, tmp_path, CANCEL_SQUARE, ["report", "--all", "--json"])
+    assert res.exit_code == 0
+    assert calls == dict.fromkeys(stages, 1)
