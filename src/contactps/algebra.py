@@ -94,18 +94,9 @@ class GaussianRational:
         return self.im == 0
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re}{sign}{imag})"
+        from .expr import format_coefficient
+
+        return format_coefficient(self)
 
 
 ZERO = GaussianRational()
@@ -155,11 +146,6 @@ class Order:
     @staticmethod
     def zero() -> "Order":
         return Order("zero")
-
-    def lower_bound(self) -> int | float:
-        if self.kind == "zero":
-            return float("inf")
-        return self.value
 
     def __str__(self) -> str:
         if self.kind == "exact":
@@ -437,15 +423,15 @@ class CPolynomial:
         if self.truncation is not None:
             # Unknown terms of self (degree > truncation) may involve any
             # variable, so the bound must use the min order over all images.
-            orders = [im.order_of_vanishing().lower_bound() for im in images]
-            dmin = min(orders, default=float("inf"))
+            orders = [im.order_of_vanishing() for im in images]
+            dmin = min((o.value for o in orders if o.kind != "zero"), default=None)
             if dmin == 0:
                 raise TruncationError(
                     "cannot soundly substitute images with constant terms "
                     "into a jet-truncated polynomial"
                 )
-            if dmin != float("inf"):
-                limit = (self.truncation + 1) * int(dmin) - 1
+            if dmin is not None:
+                limit = (self.truncation + 1) * dmin - 1
         for i, im in enumerate(images):
             if used[i] and im.truncation is not None:
                 limit = _min_trunc(limit, im.truncation)

@@ -176,9 +176,6 @@ class LowestTermProfile:
     is_even: bool
     ck: Fraction | None
 
-    def angular_average_positive(self) -> bool:
-        return self.is_even and self.ck is not None and self.ck > 0
-
 
 def lowest_term_profile(u: CPolynomial) -> LowestTermProfile:
     if u.nvars != 1:

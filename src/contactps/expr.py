@@ -214,25 +214,21 @@ def parse_curve(text: str, nvars: int | None = None) -> CurveJet:
 # Printing
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def format_coefficient(c: GaussianRational) -> str:
     """Parseable canonical form of a Gaussian rational scalar."""
     if c.im == 0:
-        return _format_rational(c.re)
+        return str(c.re)
     if c.re == 0:
         if c.im == 1:
             return "i"
         if c.im == -1:
             return "-i"
-        return f"{_format_rational(c.im)}*i"
+        return f"{c.im}*i"
     im = c.im
     sign = "+" if im > 0 else "-"
     mag = abs(im)
-    imag = "i" if mag == 1 else f"{_format_rational(mag)}*i"
-    return f"({_format_rational(c.re)}{sign}{imag})"
+    imag = "i" if mag == 1 else f"{mag}*i"
+    return f"({c.re}{sign}{imag})"
 
 
 def _format_monomial(key, var_mode: str) -> str:

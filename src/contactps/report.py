@@ -203,13 +203,16 @@ def _cmd_contact(source, options):
 
 
 def _make_budget(options) -> SearchBudget:
-    return SearchBudget(
-        max_multiplicity=options.get("max_mult", 4),
-        max_degree=options.get("max_deg", 6),
-        coeff_height=options.get("coeff_height", 2),
-        random_trials=options.get("trials", 200),
-        seed=options.get("seed", 0),
-    )
+    try:
+        return SearchBudget(
+            max_multiplicity=options.get("max_mult", 4),
+            max_degree=options.get("max_deg", 6),
+            coeff_height=options.get("coeff_height", 2),
+            random_trials=options.get("trials", 200),
+            seed=options.get("seed", 0),
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _cert_claims(cert) -> dict:

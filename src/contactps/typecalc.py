@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import ONE, ZERO, CPolynomial, GaussianRational, Order
+from .algebra import ONE, ZERO, CPolynomial, GaussianRational
 from .curve import CurveJet, pullback, ps_test_single
 from .germ import (
     DefiningFunction,
@@ -141,11 +141,28 @@ def gaussian_common_roots(
 
 @dataclass
 class _IdealContact:
-    value: int  # min over generators of the t-order, maximized over curves
+    # min over generators of the t-order, maximized over curves; None if infinite
+    value: int | None
     exact: bool
-    witness: tuple[int, dict[int, GaussianRational]] | None  # (pivot, tail coeffs)
+    witness: dict[int, GaussianRational] | None  # tail coefficients
     infinite: bool = False
     transcript: list[str] = field(default_factory=list)
+
+
+def _merge(best: _IdealContact | None, sub: _IdealContact) -> _IdealContact:
+    """The larger of two explored results.  It is exact only if both are: a
+    maximum over branches is known only when every branch is.  An infinite
+    result wins outright."""
+    if best is None or sub.infinite:
+        return sub
+    exact = best.exact and sub.exact
+    if sub.value > best.value:
+        best = sub
+    if best.exact and not exact:
+        best.exact = False
+        best.transcript.append("another explored branch gives only a lower "
+                               "bound; claim degraded to a lower bound")
+    return best
 
 
 def _bivariate(f: CPolynomial, pivot: int) -> dict[tuple[int, int], GaussianRational]:
@@ -202,7 +219,7 @@ def _ideal_contact_pivot(
         shifted = [_shift_series(f, prefix) for f in fs]
         if all(not any(b == 0 for (_a, b) in g) for g in shifted):
             # Every generator vanishes identically along the zero-tail curve.
-            return _IdealContact(cap, True, (0, dict(prefix)), infinite=True,
+            return _IdealContact(None, True, dict(prefix), infinite=True,
                                  transcript=[f"curve with tail {sorted(prefix.items())} "
                                              "annihilates every generator"])
         weights = [
@@ -210,7 +227,7 @@ def _ideal_contact_pivot(
         ]
         mstar = min(w for w in weights if w is not None)
         if mstar >= cap:
-            return _IdealContact(cap, False, (0, dict(prefix)),
+            return _IdealContact(cap, False, dict(prefix),
                                  transcript=[f"order bound {mstar} reached the cap {cap}"])
         conditions: list[dict[int, GaussianRational]] = []
         for g, w in zip(shifted, weights):
@@ -226,7 +243,7 @@ def _ideal_contact_pivot(
         forced = any(set(phi) == {0} for phi in conditions)
         if forced:
             return _IdealContact(
-                mstar, True, (0, dict(prefix)),
+                mstar, True, dict(prefix),
                 transcript=[f"tail degree {depth}: the t^{mstar} coefficient is "
                             "independent of the remaining tail and nonzero"])
         roots, complete = gaussian_common_roots(conditions)
@@ -235,7 +252,7 @@ def _ideal_contact_pivot(
             if all(_eval_univariate(phi, x).is_zero() for phi in conditions)
         ]
         best = _IdealContact(
-            mstar, True, (0, dict(prefix)),
+            mstar, True, dict(prefix),
             transcript=[f"tail degree {depth}: cancellation at t^{mstar} forces the "
                         f"coefficient into {len(roots)} exact root(s)"])
         for x in roots:
@@ -244,10 +261,7 @@ def _ideal_contact_pivot(
                 nxt[depth] = x
             sub = rec(nxt, depth + 1)
             sub.transcript = best.transcript + sub.transcript
-            if sub.infinite or sub.value > best.value:
-                best = sub
-            elif sub.value == best.value and not sub.exact:
-                best.exact = False
+            best = _merge(best, sub)
             if best.infinite:
                 return best
         if not complete:
@@ -262,7 +276,7 @@ def _ideal_contact_pivot(
                     nxt = dict(prefix)
                     if not cand.is_zero():
                         nxt[depth] = cand
-                    best.witness = (0, nxt)
+                    best.witness = nxt
                     break
         return best
 
@@ -290,7 +304,7 @@ def _regular_contact_ideal(
     nonzero = [f for f in fs if not f.is_zero()]
     if not nonzero:
         witness = CurveJet.monomial(fs[0].nvars if fs else 1, [1], [ONE])
-        return _IdealContact(cap, True, None, infinite=True,
+        return _IdealContact(None, True, None, infinite=True,
                              transcript=["ideal is zero"]), witness
     d = nonzero[0].nvars
     if d == 1:
@@ -308,20 +322,16 @@ def _regular_contact_ideal(
         biv = [_bivariate(f, pivot) for f in nonzero]
         res = _ideal_contact_pivot(biv, cap)
         res.transcript = [f"pivot variable z{pivot + 1} = t"] + res.transcript
-        if best is None or res.infinite or res.value > best.value or (
-            res.value == best.value and res.exact and not best.exact
-        ):
-            best, best_pivot = res, pivot
+        best = _merge(best, res)
+        if best is res:
+            best_pivot = pivot
         if best.infinite:
             break
-        if not res.exact and res.value >= best.value:
-            best.exact = False
     witness = None
     if best.witness is not None:
-        _p, tail = best.witness
         comps: list[dict[int, GaussianRational]] = [dict() for _ in range(2)]
         comps[best_pivot][1] = ONE
-        for deg, c in tail.items():
+        for deg, c in best.witness.items():
             comps[1 - best_pivot][deg] = c
         witness = CurveJet.from_coeffs(comps)
     return best, witness
@@ -453,7 +463,6 @@ class SingSearchResult:
     kind: str  # "infinite" | "lower_bound"
     ratio: Fraction | None
     witness: CurveJet | None
-    pullback_order: Order | None
     candidates_tested: int
     budget: SearchBudget
 
@@ -472,20 +481,19 @@ def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:
     g = gf.g
     best_ratio: Fraction | None = None
     best_witness: CurveJet | None = None
-    best_order: Order | None = None
     tested = 0
 
     def consider(z: CurveJet):
-        nonlocal best_ratio, best_witness, best_order, tested
+        nonlocal best_ratio, best_witness, tested
         tested += 1
         u = pullback(g, z)
         order = u.order_of_vanishing()
         if order.kind == "zero":
-            return SingSearchResult("infinite", None, z, order, tested, budget)
+            return SingSearchResult("infinite", None, z, tested, budget)
         if order.kind == "exact":
             ratio = Fraction(order.value, z.multiplicity())
             if best_ratio is None or ratio > best_ratio:
-                best_ratio, best_witness, best_order = ratio, z, order
+                best_ratio, best_witness = ratio, z
         return None
 
     for z in _candidates(g.nvars, budget):
@@ -494,8 +502,7 @@ def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:
         hit = consider(z)
         if hit is not None:
             return hit
-    return SingSearchResult("lower_bound", best_ratio, best_witness, best_order,
-                            tested, budget)
+    return SingSearchResult("lower_bound", best_ratio, best_witness, tested, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +590,6 @@ class Evidence:
     reg: TypeClaim | None = None
     sing: SingSearchResult | None = None
     ps: PSCertificate | StabilizationReport | None = None
-    assume_ps_from_search: bool = False
 
 
 @dataclass(frozen=True)
@@ -594,39 +600,21 @@ class TypeReport:
     notes: tuple[str, ...] = ()
 
 
-def _ps_is_certified(r: DefiningFunction | None, ev: Evidence) -> tuple[bool, str | None]:
+def _ps_proof(r: DefiningFunction | None, ev: Evidence) -> str | None:
+    """How the evidence proves positivity, or None when it does not."""
     ps = ev.ps
-    if ps is None:
-        return False, None
-    if isinstance(ps, PSCertificate):
-        if ps.verdict == "certified":
-            return True, "structural sum-of-squares certificate"
-        if ps.verdict == "no_violation_up_to_bounds" and ev.assume_ps_from_search:
-            return True, ("ASSUMED from a bounded search at the user's explicit "
-                          "request; not a proof")
-        return False, None
-    if isinstance(ps, StabilizationReport):
-        if ps.k0 is None:
-            return False, None
+    if isinstance(ps, PSCertificate) and ps.verdict == "certified":
+        return "structural sum-of-squares certificate"
+    if isinstance(ps, StabilizationReport) and ps.k0 is not None:
         tail = [e for e in ps.entries if e.k >= ps.k0]
-        tail_certified = all(e.certificate.verdict == "certified" for e in tail)
-        if not tail_certified:
-            if ev.assume_ps_from_search:
-                return True, ("ASSUMED from bounded per-order searches at the "
-                              "user's explicit request; not a proof")
-            return False, None
         # For a polynomial r the truncations repeat once k reaches deg r, so
         # structural certificates from k0 through k_max >= deg r cover every
         # higher order too.
-        if r is not None and ps.k_max >= r.r.total_degree():
-            return True, ("structural certificates from the stabilization "
-                          "order through the degree of r; higher truncations "
-                          "repeat the last")
-        if ev.assume_ps_from_search:
-            return True, ("certified through k_max only; extension beyond "
-                          "ASSUMED at the user's explicit request")
-        return False, None
-    return False, None
+        if (all(e.certificate.verdict == "certified" for e in tail)
+                and r is not None and ps.k_max >= r.r.total_degree()):
+            return ("structural certificates from the stabilization order "
+                    "through the degree of r; higher truncations repeat the last")
+    return None
 
 
 def infer_type(r: DefiningFunction | None, evidence: Evidence) -> TypeReport:
@@ -660,18 +648,16 @@ def infer_type(r: DefiningFunction | None, evidence: Evidence) -> TypeReport:
             notes.append("the regular-type-3 implication is asserted in the "
                          "literature without a written proof; flagged here")
     elif reg is not None and reg.kind == "exact" and reg.value == 4:
-        certified, how = _ps_is_certified(r, evidence)
-        if certified:
+        how = _ps_proof(r, evidence)
+        if how is not None:
             forced = TypeClaim("exact", Fraction(4), reg.witness,
                                transcript=("multiplicity-reduction theorem",))
             forced_rule = ("rule (iii): regular type 4 plus certified "
                            "positivity implies singular type 4")
-            if how:
-                notes.append(f"positivity evidence: {how}")
+            notes.append(f"positivity evidence: {how}")
         else:
             trail.append("rule (iii) not applied: positivity is not certified "
-                         "(bounded-search evidence requires an explicit "
-                         "assumption flag)")
+                         "(a bounded search is not a proof)")
 
     if forced is not None:
         if sing_infinite is not None:

@@ -192,3 +192,13 @@ def test_report_all_runs_each_stage_once(runner, tmp_path, monkeypatch):
     res = _invoke(runner, tmp_path, CANCEL_SQUARE, ["report", "--all", "--json"])
     assert res.exit_code == 0
     assert calls == dict.fromkeys(stages, 1)
+
+
+@pytest.mark.parametrize("args", [
+    ["sing-search", "--trials", "0"],
+    ["report", "--all", "--max-deg", "0"],
+])
+def test_bad_budget_exits_two(runner, tmp_path, args):
+    res = _invoke(runner, tmp_path, CUBIC_SQUARE, args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "input error" in res.stderr and "Traceback" not in res.stderr

@@ -1,8 +1,11 @@
-"""Source hygiene: no module in src/contactps imports a name it never uses.
+"""Source hygiene for src/contactps, checked with the stdlib `ast` rather
+than an external linter.
 
-A stdlib `ast` check rather than an external linter.  A name counts as used
-when the module reads it anywhere or lists it in `__all__` (the re-exports of
-`__init__.py`).
+- No module imports a name it never uses.  A name counts as used when the
+  module reads it anywhere or lists it in `__all__` (the re-exports of
+  `__init__.py`).
+- No float infinity (`float("inf")`, `math.inf`) stands in for an infinite
+  order or type: infinite claims are a kind of their own, never a value.
 """
 
 import ast
@@ -36,4 +39,28 @@ def test_no_unused_imports():
         unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
         if unused:
             found[path.name] = unused
+    assert found == {}
+
+
+def _float_infinities(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+                and node.args[0].value.strip().lower().lstrip("+-") in ("inf", "infinity")):
+            found.append(f"float({node.args[0].value!r}) (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute) and node.attr == "inf"
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.append(f"math.inf (line {node.lineno})")
+    return found
+
+
+def test_no_float_infinity_sentinels():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        hits = _float_infinities(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
     assert found == {}

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactps.curve import CurveJet, pullback
 from contactps.expr import format_curve, parse_curve, parse_expression
@@ -83,6 +85,45 @@ class TestRegType:
         gf = _graph("2*Re(z3) + abs2(z1)^2 + abs2(z2)^2", K=4)
         with pytest.raises(ValueError):
             reg_type(gf, 8)
+
+    @pytest.mark.parametrize("text", [
+        "2*Re(z3) + abs2(z1*(z2^2 - 2*z1^4)) + abs2(z2^6)",
+        "2*Re(z3) + abs2(z2*(z1^2 - 2*z2^4)) + abs2(z1^6)",
+    ])
+    def test_irrational_branch_is_not_exact(self, text):
+        # Along (t, sqrt(2)*t^2) (or its mirror) the first generator vanishes
+        # and the pullback is 64|t|^24, so 12 is only a lower bound.
+        claim = reg_type(_graph(text, 16), 16)
+        assert claim.kind == "at_least" and claim.value == 12
+
+
+def _planted_germ(swap, q, k, e, m):
+    a, b = ("z2", "z1") if swap else ("z1", "z2")
+    return f"2*Re(z3) + abs2({a}^{e}*({b}^2 - {q}*{a}^{2 * k})) + abs2({b}^{m})"
+
+
+def _planted_branch_order(q, k, e, m):
+    """Order of |f1|^2 + |f2|^2 along (a, b) = (t, sqrt(q)*t^k), by sympy."""
+    import sympy
+
+    t = sympy.Symbol("t", positive=True)
+    a, b = t, sympy.sqrt(q) * t**k
+    f1 = a**e * (b**2 - q * a**(2 * k))
+    f2 = b**m
+    h = sympy.expand(f1 * sympy.conjugate(f1) + f2 * sympy.conjugate(f2))
+    return min(sympy.Poly(h, t).monoms())[0]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(swap=st.booleans(), q=st.sampled_from([2, 3, 5]), k=st.sampled_from([1, 2]),
+       e=st.sampled_from([1, 2]), m=st.sampled_from([3, 4, 6]))
+def test_exact_reg_type_never_below_planted_branch(swap, q, k, e, m):
+    """The planted branch b = sqrt(q)*a^k is irrational over Q(i); the
+    regular type is at least the order along it, so no exact claim may be
+    smaller."""
+    claim = reg_type(_graph(_planted_germ(swap, q, k, e, m), 32), 32)
+    if claim.kind == "exact":
+        assert claim.value >= _planted_branch_order(q, k, e, m)
 
 
 class TestSingTypeSearch:
@@ -196,9 +237,6 @@ class TestInferType:
         ps = PSCertificate("no_violation_up_to_bounds", "search")
         rep = infer_type(None, Evidence(reg=reg, ps=ps))
         assert rep.sing_type.kind == "at_least"
-        rep2 = infer_type(None, Evidence(reg=reg, ps=ps, assume_ps_from_search=True))
-        assert rep2.sing_type.kind == "exact" and rep2.sing_type.value == 4
-        assert any("ASSUMED" in note for note in rep2.notes)
 
     def test_contradiction_surfaced(self):
         from contactps.germ import PSCertificate
