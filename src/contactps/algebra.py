@@ -1,8 +1,12 @@
 """Exact arithmetic on polynomials in conjugate variable pairs.
 
-Coefficients are Gaussian rationals (exact rational real and imaginary
-parts), so no rounding ever occurs.  A polynomial in n complex variables
-is a sparse map from exponent pairs to coefficients:
+Coefficients are Gaussian rationals, so no rounding ever occurs.  A
+GaussianRational holds three Python ints (a, b, d) and stands for
+(a + b*i)/d, kept canonical with d > 0 and gcd(a, b, d) = 1 (zero is
+(0, 0, 1)); its arithmetic is integer arithmetic with one gcd per result,
+and its exact real and imaginary parts are read as Fractions through the
+``re`` and ``im`` properties.  A polynomial in n complex variables is a
+sparse map from exponent pairs to coefficients:
 
     key   = (holo, anti)        two length-n tuples of non-negative ints
     value = GaussianRational    never zero in canonical form
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 
@@ -33,40 +38,87 @@ class TruncationError(ValueError):
     """An operation cannot be performed soundly on jet-truncated data."""
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex scalar with rational real and imaginary parts."""
+    """Exact complex scalar (a + b*i)/d with Python ints a, b, d.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The representation is canonical: d > 0 and gcd(a, b, d) = 1, so zero is
+    (0, 0, 1) and equal values have equal fields.  Arithmetic runs on the
+    ints with one gcd normalisation per result.  The fields are private to
+    this module; everything else reads the exact parts through the ``re``
+    and ``im`` properties, which are Fractions.  Instances are immutable.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            dr, di = re.denominator, im.denominator
+            d = dr * di // gcd(dr, di)
+            # Both parts are in lowest terms, so gcd(a, b, d) = 1 already.
+            a, b = re.numerator * (d // dr), im.numerator * (d // di)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("GaussianRational is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _normal(self._a + other._a, self._b + other._b, d1)
+        return _normal(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        return _normal(a, b, self._d * other._d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.norm2()
+        a2, b2 = other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a1, b1, d2 = self._a, self._b, other._d
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        return _normal((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
@@ -81,22 +133,47 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
         """|q|^2 as an exact non-negative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __str__(self) -> str:
         from .expr import format_coefficient
 
         return format_coefficient(self)
+
+
+# The slot setters write the fields past the __setattr__ guard.
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d from fields that are already canonical."""
+    x = _new(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _normal(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d for d > 0, reduced by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
 
 
 ZERO = GaussianRational()

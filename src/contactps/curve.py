@@ -146,6 +146,36 @@ def pullback(p: CPolynomial, z: CurveJet) -> CPolynomial:
     return p.substitute(list(z.components), 1)
 
 
+def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
+    """A pullback of p along z with the same order of vanishing and the same
+    lowest homogeneous slice as pullback(p, z); higher terms may be cut off.
+
+    Soundness.  Let z' be z with every component marked as a jet of order
+    L = 4*mult(z) + 1.  A term of degree > L that z' drops from a component
+    only reaches terms of degree > L of the pullback, and substitute records
+    a truncation T <= L for pullback(p, z') when p involves a variable (and
+    none for a constant p); z(0) = 0 keeps that sound when p is itself a jet.
+    So every term of pullback(p, z') of degree <= T is the term of
+    pullback(p, z).  Hence if pullback(p, z') has a term, its lowest one is
+    the lowest term of pullback(p, z): the order and lowest slice are exact.
+    If it has none, the exact pullback vanishes to order > T and this
+    returns pullback(p, z) itself, so "zero" and "at_least" orders come out
+    as that call gives them.
+
+    Cost.  The cap sits just above order 4*mult(z), contact ratio 4, which
+    the type searches probe; almost every candidate meets it below the cap
+    and skips the terms up to degree deg(p)*deg(z) of the exact pullback.
+    """
+    cap = 4 * z.multiplicity() + 1
+    capped = CurveJet(tuple(
+        CPolynomial(1, c.terms, _min_trunc(c.truncation, cap)) for c in z.components
+    ))
+    u = pullback(p, capped)
+    if u.terms:
+        return u
+    return pullback(p, z)
+
+
 def contact_order(
     r: CPolynomial, z: CurveJet
 ) -> tuple[Order, Fraction | None]:
@@ -154,8 +184,7 @@ def contact_order(
     The ratio is None unless the order is exact; an identically zero exact
     pullback gives (Order.zero(), None) meaning infinite contact.
     """
-    u = pullback(r, z)
-    order = u.order_of_vanishing()
+    order = pullback_lowest(r, z).order_of_vanishing()
     ratio = None
     if order.kind == "exact":
         ratio = Fraction(order.value, z.multiplicity())
@@ -221,7 +250,7 @@ class PSTestResult:
 
 def ps_test_single(g: CPolynomial, z: CurveJet) -> PSTestResult:
     """Pull g back along z and test for even order with positive balanced term."""
-    u = pullback(g, z)
+    u = pullback_lowest(g, z)
     order = u.order_of_vanishing()
     if order.kind == "zero":
         return PSTestResult("infinite", order)

@@ -215,6 +215,15 @@ def _make_budget(options) -> SearchBudget:
         raise InputError(str(exc)) from exc
 
 
+def _type_cap(options) -> int:
+    """The --max cap of the regular-type search.  Every regular type is at
+    least 2, so a smaller cap bounds nothing and is an input error."""
+    N = options.get("max", 8)
+    if N < 2:
+        raise InputError(f"--max must be at least 2, got {N}")
+    return N
+
+
 def _cert_claims(cert) -> dict:
     out = {"verdict": cert.verdict, "method": cert.method}
     if cert.witness is not None:
@@ -294,7 +303,7 @@ def _reg_section(gf: GraphForm, claim) -> dict:
 
 def _cmd_reg_type(source, options):
     problem = _load_problem(source)
-    N = options.get("max", 8)
+    N = _type_cap(options)
     K = max(N, problem.entry.total_degree())
     gf = _graph_form(problem.entry, K)
     return _reg_section(gf, reg_type(gf, N)), 0
@@ -347,6 +356,10 @@ def _cmd_fdb_verify(source, options):
     k = options.get("k", 3)
     trials = options.get("trials", 20)
     seed = options.get("seed", 0)
+    if k < 1:
+        raise InputError(f"--k must be at least 1, got {k}")
+    if trials < 1:
+        raise InputError(f"--trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     matched = 0
     for _ in range(trials):
@@ -388,7 +401,7 @@ def _cmd_report_all(source, options):
     only when the two frames differ.
     """
     entry = _load_problem(source).entry
-    N = options.get("max", 8)
+    N = _type_cap(options)
     K = max(N, entry.total_degree())
     gf = _graph_form(entry, K)
     budget = _make_budget(options)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ONE, ZERO, CPolynomial, GaussianRational
-from .curve import CurveJet, pullback, ps_test_single
+from .curve import CurveJet, pullback, pullback_lowest, ps_test_single
 from .germ import (
     DefiningFunction,
     GraphForm,
@@ -401,8 +401,7 @@ def reg_type(gf: GraphForm, N: int) -> TypeClaim:
     for z in _candidates(g.nvars, budget):
         if z.multiplicity() != 1:
             continue
-        u = pullback(g, z)
-        order = u.order_of_vanishing()
+        order = pullback_lowest(g, z).order_of_vanishing()
         if order.kind == "zero":
             return TypeClaim("infinite", witness=z,
                              transcript=("search found a regular curve with "
@@ -486,8 +485,7 @@ def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:
     def consider(z: CurveJet):
         nonlocal best_ratio, best_witness, tested
         tested += 1
-        u = pullback(g, z)
-        order = u.order_of_vanishing()
+        order = pullback_lowest(g, z).order_of_vanishing()
         if order.kind == "zero":
             return SingSearchResult("infinite", None, z, tested, budget)
         if order.kind == "exact":

@@ -202,3 +202,28 @@ def test_bad_budget_exits_two(runner, tmp_path, args):
     res = _invoke(runner, tmp_path, CUBIC_SQUARE, args)
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert "input error" in res.stderr and "Traceback" not in res.stderr
+
+
+def _assert_input_error(res):
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "input error" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["reg-type", "--max", "-3"],
+    ["reg-type", "--max", "0"],
+    ["reg-type", "--max", "1"],
+    ["report", "--all", "--max", "-1"],
+])
+def test_type_cap_below_two_exits_two(runner, tmp_path, args):
+    _assert_input_error(_invoke(runner, tmp_path, CUBIC_SQUARE, args))
+
+
+@pytest.mark.parametrize("args", [
+    ["--k", "0"],
+    ["--k", "-2"],
+    ["--trials", "0"],
+    ["--trials", "-1"],
+])
+def test_fdb_verify_empty_check_exits_two(runner, args):
+    _assert_input_error(runner.invoke(main, ["fdb-verify", *args]))

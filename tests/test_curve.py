@@ -4,7 +4,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contactps import curve
 from contactps.algebra import CPolynomial, GaussianRational, ONE
 from contactps.curve import (
     ConstantCurveError,
@@ -15,8 +18,9 @@ from contactps.curve import (
     lowest_term_profile,
     ps_test_single,
     pullback,
+    pullback_lowest,
 )
-from contactps.expr import parse_curve, parse_expression
+from contactps.expr import parse_curve, parse_expression, parse_problem
 
 from conftest import gr, random_poly
 
@@ -148,3 +152,102 @@ class TestLaplacianPower:
         u = parse_expression("abs2(z1)", 1).truncate(1)
         with pytest.raises(InsufficientJetError):
             laplacian_power(u, 1)
+
+
+# ---------------------------------------------------------------------------
+# pullback_lowest: the order and lowest slice of pullback, at capped cost
+
+scalars = st.builds(
+    lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+).filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def germs(draw, nvars):
+    """A random polynomial in nvars paired variables, sometimes a jet (the
+    restricted graph functions of germ-ps carry a truncation)."""
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = draw(st.dictionaries(st.tuples(exps, exps), scalars, min_size=1, max_size=6))
+    truncation = draw(st.one_of(st.none(), st.integers(2, 12)))
+    return CPolynomial(nvars, terms, truncation)
+
+
+@st.composite
+def curves(draw, nvars):
+    """A curve of multiplicity m in 1..4; its other components start at
+    orders up to m + 8, so that pullbacks often vanish beyond 4m + 1."""
+    m = draw(st.integers(1, 4))
+    lead = draw(st.integers(0, nvars - 1))
+    comps = []
+    for i in range(nvars):
+        if i != lead and draw(st.integers(0, 3)) == 0:
+            comps.append(CPolynomial.zero(1))
+            continue
+        low = m if i == lead else draw(st.integers(m, m + 8))
+        coeffs = draw(st.lists(scalars, min_size=1, max_size=4))
+        terms = {((low + j,), (0,)): c for j, c in enumerate(coeffs)}
+        comps.append(CPolynomial(1, terms))
+    z = CurveJet(tuple(comps))
+    assert z.multiplicity() == m
+    return z
+
+
+def _same_lowest(fast: CPolynomial, exact: CPolynomial) -> None:
+    order = exact.order_of_vanishing()
+    assert fast.order_of_vanishing() == order
+    if order.kind == "exact":
+        d = order.value
+        assert fast.homogeneous_slice(d).terms == exact.homogeneous_slice(d).terms
+
+
+def _count_pullbacks(monkeypatch) -> list:
+    calls = []
+
+    def counted(p, z):
+        calls.append(z)
+        return pullback(p, z)
+
+    monkeypatch.setattr(curve, "pullback", counted)
+    return calls
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_pullback_lowest_matches_pullback(data, nvars):
+    g = data.draw(germs(nvars))
+    z = data.draw(curves(nvars))
+    _same_lowest(pullback_lowest(g, z), pullback(g, z))
+
+
+class TestPullbackLowest:
+    def test_zero_pullback_takes_the_fallback(self, monkeypatch):
+        r = parse_problem("n = 3\nr = 2*Re(z3) + abs2(z1^2 - z2^3)\n").entry
+        z = parse_curve("(t^3, t^2, 0)")
+        calls = _count_pullbacks(monkeypatch)
+        u = pullback_lowest(r, z)
+        assert u.order_of_vanishing().kind == "zero"
+        assert calls[-1] is z and len(calls) == 2
+
+    def test_order_beyond_the_cap_takes_the_fallback(self, monkeypatch):
+        g = parse_expression("abs2(z2)", 2)
+        z = parse_curve("(t, t^6)")  # order 12 > 4*1 + 1
+        calls = _count_pullbacks(monkeypatch)
+        u = pullback_lowest(g, z)
+        assert len(calls) == 2 and u == pullback(g, z)
+        assert str(u.order_of_vanishing()) == "12"
+
+    def test_jet_germ_vanishing_below_its_truncation_takes_the_fallback(self, monkeypatch):
+        g = parse_expression("abs2(z1)^2", 1).truncate(3)
+        z = parse_curve("(t)")
+        calls = _count_pullbacks(monkeypatch)
+        assert str(pullback_lowest(g, z).order_of_vanishing()) == ">=4"
+        assert len(calls) == 2
+
+    def test_order_below_the_cap_needs_one_capped_pullback(self, monkeypatch):
+        g = parse_expression("abs2(z1 + z2^2) + abs2(z2)^2", 2)
+        z = parse_curve("(-t^2 + t^9, t)")
+        calls = _count_pullbacks(monkeypatch)
+        u = pullback_lowest(g, z)
+        assert len(calls) == 1 and u.truncation == 5
+        _same_lowest(u, pullback(g, z))

@@ -6,12 +6,18 @@ than an external linter.
   `__init__.py`).
 - No float infinity (`float("inf")`, `math.inf`) stands in for an infinite
   order or type: infinite claims are a kind of their own, never a value.
+- No module but `algebra.py` reads the private int fields `_a`, `_b`, `_d`
+  of `GaussianRational`: there is one scalar type behind one public API
+  (`re`, `im` and the operators).  The kernel's property test is the one
+  exception, because the invariants it checks are statements about those
+  fields.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "contactps"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "contactps"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -63,4 +69,33 @@ def test_no_float_infinity_sentinels():
         hits = _float_infinities(ast.parse(path.read_text(encoding="utf-8")))
         if hits:
             found[path.name] = hits
+    assert found == {}
+
+
+SCALAR_FIELDS = {"_a", "_b", "_d"}
+SCALAR_FIELD_READERS = {SRC / "algebra.py", ROOT / "tests" / "test_scalar_kernel.py"}
+
+
+def _scalar_field_reads(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SCALAR_FIELDS:
+            found.append(f".{node.attr} (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in SCALAR_FIELDS):
+            found.append(f"{node.func.id}(..., {node.args[1].value!r}) (line {node.lineno})")
+    return found
+
+
+def test_scalar_fields_stay_private_to_algebra():
+    found = {}
+    paths = [*SRC.rglob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    for path in sorted(paths):
+        if path in SCALAR_FIELD_READERS:
+            continue
+        hits = _scalar_field_reads(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[str(path.relative_to(ROOT))] = hits
     assert found == {}
