@@ -130,6 +130,8 @@ class _Parser:
         if kind == "number":
             if "/" in value:
                 num, den = value.split("/")
+                if int(den) == 0:
+                    raise ExprSyntaxError(f"zero denominator in {value!r}", pos)
                 q = Fraction(int(num), int(den))
             else:
                 q = Fraction(int(value))

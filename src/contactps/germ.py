@@ -399,15 +399,15 @@ def _gram_seed_curves(g: CPolynomial, direction) -> list[CurveJet]:
     return out
 
 
-def ps_search(g: CPolynomial, bounds: SearchBudget) -> PSCertificate:
+def ps_search(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate) -> PSCertificate:
     """Bounded search for a curve violating positivity.
 
-    Candidates in deterministic order: monomial curves over the seed
-    coefficients, Gram-indefinite-direction seeds, then one-unknown
-    coefficient scans.  The first violation wins; its witness is
-    canonicalized by reparametrization and re-verified.
+    gram is the caller's `gram_certificate(g)`.  Candidates in deterministic
+    order: monomial curves over the seed coefficients, seeds from its
+    indefinite direction, then one-unknown coefficient scans.  The first
+    violation wins; its witness is canonicalized by reparametrization and
+    re-verified.
     """
-    gram = gram_certificate(g)
 
     def candidates():
         yield from monomial_curves(g.nvars, bounds.max_degree)
@@ -485,9 +485,8 @@ def germ_ps_check(
         work = 2 * k
         phi = solve_graph(h, work)
         gres = restrict(gk, phi, work)
-        cert = gram_certificate(gres)
-        if cert.verdict != "certified":
-            cert = ps_search(gres, bounds)
+        gram = gram_certificate(gres)
+        cert = gram if gram.verdict == "certified" else ps_search(gres, bounds, gram)
         entries.append(StabilizationEntry(k, gres, cert))
     k0 = None
     for entry in reversed(entries):

@@ -256,9 +256,9 @@ def _cmd_ps_check(source, options):
     problem = _load_problem(source)
     K = max(4, problem.entry.total_degree())
     gf = _graph_form(problem.entry, K)
-    cert = gram_certificate(gf.g)
-    if cert.verdict != "certified":
-        cert = ps_search(gf.g, _make_budget(options))
+    budget = _make_budget(options)
+    gram = gram_certificate(gf.g)
+    cert = gram if gram.verdict == "certified" else ps_search(gf.g, budget, gram)
     return _cert_section(gf, cert), 1 if cert.is_violation else 0
 
 
@@ -408,7 +408,7 @@ def _cmd_report_all(source, options):
     sections = {"order": _order_section(entry)}
     gram = gram_certificate(gf.g)
     sections["gram"] = _cert_section(gf, gram)
-    cert = gram if gram.verdict == "certified" else ps_search(gf.g, budget)
+    cert = gram if gram.verdict == "certified" else ps_search(gf.g, budget, gram)
     sections["ps_check"] = _cert_section(gf, cert)
     worst = 1 if cert.is_violation else 0
     ps_evidence = None

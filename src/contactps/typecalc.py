@@ -73,35 +73,6 @@ class TypeClaim:
 # Gaussian-rational root extraction (exact, via factorization over Q(i))
 
 
-def _to_sympy_scalar(c: GaussianRational):
-    import sympy
-
-    return (
-        sympy.Rational(c.re.numerator, c.re.denominator)
-        + sympy.Rational(c.im.numerator, c.im.denominator) * sympy.I
-    )
-
-
-def _from_sympy_scalar(v) -> GaussianRational:
-    import sympy
-
-    re = sympy.nsimplify(sympy.re(v), rational=True)
-    im = sympy.nsimplify(sympy.im(v), rational=True)
-    if not (re.is_Rational and im.is_Rational):
-        raise ValueError(f"not a Gaussian rational: {v}")
-    return GaussianRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
-
-
-def _univariate_to_sympy(coeffs: dict[int, GaussianRational]):
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sympy.Integer(0)
-    for e, c in coeffs.items():
-        expr += _to_sympy_scalar(c) * x**e
-    return sympy.Poly(expr, x, domain="QQ_I"), x
-
-
 def gaussian_common_roots(
     polys: list[dict[int, GaussianRational]],
 ) -> tuple[list[GaussianRational], bool]:
@@ -112,13 +83,15 @@ def gaussian_common_roots(
     roots exist outside the Gaussian rationals and the enumeration is only a
     partial list.
     """
-    import sympy
+    from sympy import Poly, QQ_I, Symbol
 
-    sym = [_univariate_to_sympy(p) for p in polys if p]
+    x = Symbol("x")
+    sym = [Poly.from_dict({(e,): QQ_I(c.re, c.im) for e, c in p.items()}, x, domain=QQ_I)
+           for p in polys if p]
     if not sym:
         return [], True
-    g, x = sym[0]
-    for p, _x in sym[1:]:
+    g = sym[0]
+    for p in sym[1:]:
         g = g.gcd(p)
     if g.degree() == 0:
         return [], True
@@ -126,9 +99,9 @@ def gaussian_common_roots(
     roots: list[GaussianRational] = []
     for factor, _mult in g.factor_list()[1]:
         if factor.degree() == 1:
-            a1, a0 = factor.all_coeffs()
-            root = -sympy.sympify(a0) / sympy.sympify(a1)
-            roots.append(_from_sympy_scalar(sympy.expand(root)))
+            c = factor.monic().rep.TC()  # the factor is x + c
+            re, im = (Fraction(q.numerator, q.denominator) for q in (c.x, c.y))
+            roots.append(-GaussianRational(re, im))
         elif factor.degree() > 1:
             complete = False
     roots.sort(key=lambda c: (c.re, c.im))
@@ -165,81 +138,43 @@ def _merge(best: _IdealContact | None, sub: _IdealContact) -> _IdealContact:
     return best
 
 
-def _bivariate(f: CPolynomial, pivot: int) -> dict[tuple[int, int], GaussianRational]:
-    """Holomorphic 2-variable polynomial as {(t_exp, w_exp): coeff} with the
-    pivot variable playing t."""
-    other = 1 - pivot
-    out = {}
-    for (holo, _anti), c in f.terms.items():
-        out[(holo[pivot], holo[other])] = c
-    return out
+def _ideal_contact_pivot(fs: list[CPolynomial], pivot: int, cap: int) -> _IdealContact:
+    """Max over curves z_pivot = t, z_other = w(t) of the min t-order of the
+    holomorphic generators fs.
 
-
-def _poly1_mul(p, q):
-    out: dict[int, GaussianRational] = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            k = a + b
-            v = ca * cb
-            out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _shift_series(f, prefix: dict[int, GaussianRational]):
-    """f(t, prefix(t) + s) as {(t_exp, s_exp): coeff}."""
-    from math import comb
-
-    max_b = max((b for (_a, b) in f), default=0)
-    powers = {0: {0: ONE}}
-    for e in range(1, max_b + 1):
-        powers[e] = _poly1_mul(powers[e - 1], prefix) if prefix else {}
-    out: dict[tuple[int, int], GaussianRational] = {}
-    for (a, b), c in f.items():
-        for k in range(b + 1):  # choose k factors of s
-            binom = GaussianRational.of(comb(b, k))
-            for pd, pc in powers[b - k].items():
-                key = (a + pd, k)
-                v = c * binom * pc
-                out[key] = out[key] + v if key in out else v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _ideal_contact_pivot(
-    fs: list[dict[tuple[int, int], GaussianRational]], cap: int
-) -> _IdealContact:
-    """Max over curves (t, w(t)) of the min t-order of the generators.
-
-    Depth-first jet extension: at each tail degree the coefficients that kill
-    the next t-coefficient solve a univariate system, whose Gaussian-rational
-    roots are extracted exactly; missed irrational roots degrade the claim to
-    a lower bound, never to a wrong exact value.
+    Depth-first jet extension.  A node at tail degree d carries the
+    generators already shifted, f(t, w(t) + s) with t the pivot variable, s
+    the other one and w the tail fixed so far (degrees below d), so a term
+    t^a s^b weighs a + b*d.  The t^mstar coefficients of the generators of
+    least weight mstar are univariate polynomials in the next tail
+    coefficient x; their Gaussian-rational common roots are extracted
+    exactly, and each root x shifts the children once more, s -> s + x*t^d.
+    Missed irrational roots degrade the claim to a lower bound, never to a
+    wrong exact value.
     """
+    other = 1 - pivot
+    t = CPolynomial.variable(2, pivot)
+    s = CPolynomial.variable(2, other)
 
-    def rec(prefix: dict[int, GaussianRational], depth: int) -> _IdealContact:
-        shifted = [_shift_series(f, prefix) for f in fs]
-        if all(not any(b == 0 for (_a, b) in g) for g in shifted):
+    def rec(gs: list[CPolynomial], prefix: dict[int, GaussianRational],
+            depth: int) -> _IdealContact:
+        # (t_exp, s_exp, coeff) of every term of every shifted generator
+        terms = [[(h[pivot], h[other], c) for (h, _anti), c in g.terms.items()]
+                 for g in gs]
+        if all(b for g in terms for (_a, b, _c) in g):
             # Every generator vanishes identically along the zero-tail curve.
             return _IdealContact(None, True, dict(prefix), infinite=True,
                                  transcript=[f"curve with tail {sorted(prefix.items())} "
                                              "annihilates every generator"])
-        weights = [
-            min((a + b * depth for (a, b) in g), default=None) for g in shifted
-        ]
-        mstar = min(w for w in weights if w is not None)
+        weights = [min(a + b * depth for (a, b, _c) in g) for g in terms]
+        mstar = min(weights)
         if mstar >= cap:
             return _IdealContact(cap, False, dict(prefix),
                                  transcript=[f"order bound {mstar} reached the cap {cap}"])
-        conditions: list[dict[int, GaussianRational]] = []
-        for g, w in zip(shifted, weights):
-            if w != mstar:
-                continue
-            phi: dict[int, GaussianRational] = {}
-            for (a, b), c in g.items():
-                if a + b * depth == mstar:
-                    phi[b] = phi[b] + c if b in phi else c
-            phi = {b: c for b, c in phi.items() if not c.is_zero()}
-            if phi:
-                conditions.append(phi)
+        # One term per s-exponent has weight mstar, so each condition is a
+        # univariate polynomial with nonzero coefficients.
+        conditions = [{b: c for (a, b, c) in g if a + b * depth == mstar}
+                      for g, w in zip(terms, weights) if w == mstar]
         forced = any(set(phi) == {0} for phi in conditions)
         if forced:
             return _IdealContact(
@@ -257,9 +192,13 @@ def _ideal_contact_pivot(
                         f"coefficient into {len(roots)} exact root(s)"])
         for x in roots:
             nxt = dict(prefix)
-            if not x.is_zero():
+            if x.is_zero():
+                sub = rec(gs, nxt, depth + 1)
+            else:
                 nxt[depth] = x
-            sub = rec(nxt, depth + 1)
+                tail = s + (t ** depth).scale(x)
+                images = [t, tail] if pivot == 0 else [tail, t]
+                sub = rec([g.substitute(images, 2) for g in gs], nxt, depth + 1)
             sub.transcript = best.transcript + sub.transcript
             best = _merge(best, sub)
             if best.infinite:
@@ -280,7 +219,7 @@ def _ideal_contact_pivot(
                     break
         return best
 
-    return rec({}, 1)
+    return rec(fs, {}, 1)
 
 
 _WITNESS_TRIALS = tuple(
@@ -319,8 +258,7 @@ def _regular_contact_ideal(
     best: _IdealContact | None = None
     best_pivot = 0
     for pivot in (0, 1):
-        biv = [_bivariate(f, pivot) for f in nonzero]
-        res = _ideal_contact_pivot(biv, cap)
+        res = _ideal_contact_pivot(nonzero, pivot, cap)
         res.transcript = [f"pivot variable z{pivot + 1} = t"] + res.transcript
         best = _merge(best, res)
         if best is res:

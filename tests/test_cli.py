@@ -197,6 +197,8 @@ def test_report_all_runs_each_stage_once(runner, tmp_path, monkeypatch):
 @pytest.mark.parametrize("args", [
     ["sing-search", "--trials", "0"],
     ["report", "--all", "--max-deg", "0"],
+    # Gram certifies this germ, so the budget must be checked before Gram.
+    ["ps-check", "--max-deg", "0"],
 ])
 def test_bad_budget_exits_two(runner, tmp_path, args):
     res = _invoke(runner, tmp_path, CUBIC_SQUARE, args)
@@ -207,6 +209,14 @@ def test_bad_budget_exits_two(runner, tmp_path, args):
 def _assert_input_error(res):
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert "input error" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("source, args", [
+    ("n = 3\nr = 2*Re(z3) + 1/0*abs2(z1)\n", ["order"]),
+    (FOURTH_POWERS, ["pullback", "--curve", "(1/0*t, 0, 0)"]),
+])
+def test_zero_denominator_exits_two(runner, tmp_path, source, args):
+    _assert_input_error(_invoke(runner, tmp_path, source, args))
 
 
 @pytest.mark.parametrize("args", [

@@ -134,7 +134,7 @@ class TestGramCertificate:
 class TestPSSearch:
     def test_finds_violation_with_canonical_witness(self):
         g = parse_expression("abs2(z1) + z1*conj(z2)^2 + z2^2*conj(z1)", 2)
-        cert = ps_search(g, SearchBudget(max_degree=4))
+        cert = ps_search(g, SearchBudget(max_degree=4), gram_certificate(g))
         assert cert.verdict == "violation"
         assert format_curve(cert.witness) == "(-t^2, t)"
         assert cert.witness_result.profile.ck == -1
@@ -143,7 +143,7 @@ class TestPSSearch:
 
     def test_no_violation_within_bounds(self):
         g = parse_expression("abs2(z1)^2 + abs2(z2)^2", 2)
-        cert = ps_search(g, SearchBudget(max_degree=3, random_trials=20))
+        cert = ps_search(g, SearchBudget(max_degree=3, random_trials=20), gram_certificate(g))
         assert cert.verdict == "no_violation_up_to_bounds"
         assert cert.bounds is not None
 

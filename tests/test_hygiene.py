@@ -11,9 +11,13 @@ than an external linter.
   (`re`, `im` and the operators).  The kernel's property test is the one
   exception, because the invariants it checks are statements about those
   fields.
+- Every `(module, attr)` that the traced benchmark (`bench/spans.py`)
+  wraps resolves to a callable, so a refactor that drops one of those
+  imports fails here and not only in `bench/run.py --trace 1`.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -99,3 +103,21 @@ def test_scalar_fields_stay_private_to_algebra():
         if hits:
             found[str(path.relative_to(ROOT))] = hits
     assert found == {}
+
+
+def _span_sites() -> list[tuple[str, str]]:
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    sites = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("WRAP_SITES", "GENERATOR_SITES"):
+                sites[name] = ast.literal_eval(node.value)
+    assert set(sites) == {"WRAP_SITES", "GENERATOR_SITES"}
+    return [site[:2] for entries in sites.values() for site in entries]
+
+
+def test_traced_benchmark_sites_resolve():
+    missing = [f"{mod}.{attr}" for mod, attr in _span_sites()
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert missing == []

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from contactps.algebra import CPolynomial
 from contactps.curve import CurveJet, pullback
 from contactps.expr import format_curve, parse_curve, parse_expression
 from contactps.germ import germ_ps_check, gram_certificate, normalize_to_graph, validate
@@ -17,6 +18,7 @@ from contactps.typecalc import (
     Evidence,
     PSViolationError,
     TypeClaim,
+    _regular_contact_ideal,
     desingularize,
     gaussian_common_roots,
     infer_type,
@@ -48,6 +50,96 @@ class TestGaussianRoots:
         p2 = {2: gr(1), 1: gr(2), 0: gr(-3)}
         roots, complete = gaussian_common_roots([p1, p2])
         assert complete and [(c.re, c.im) for c in roots] == [(1, 0)]
+
+
+_ROOT_POOL = [gr(re, im) for re in (-2, Fraction(-1, 2), 0, 1, Fraction(3, 2))
+              for im in (-1, 0, Fraction(1, 3), 2)]
+_X = CPolynomial.variable(1, 0)
+# Irreducible over Q(i): their roots are +-sqrt(2), +-i*sqrt(2), (-1 +- i*sqrt(3))/2.
+_IRREDUCIBLE = [_X ** 2 - CPolynomial.constant(1, gr(2)),
+                _X ** 2 + CPolynomial.constant(1, gr(2)),
+                _X ** 2 + _X + CPolynomial.one(1)]
+
+
+@st.composite
+def _planted_root_systems(draw):
+    """1-3 polynomials with planted Gaussian-rational roots and
+    multiplicities, some times one shared factor irreducible over Q(i).
+    Returns (polys, common roots, whether every poly carries the factor)."""
+    roots_of = st.lists(st.sampled_from(_ROOT_POOL), max_size=3, unique=True)
+    shared = draw(roots_of)
+    irreducible = draw(st.sampled_from(_IRREDUCIBLE))
+    carry_all = draw(st.booleans())
+    polys, root_sets, carried = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        roots = set(shared) | set(draw(roots_of))
+        unit = draw(st.sampled_from([gr(1), gr(-3), gr(Fraction(1, 2), 1)]))
+        p = CPolynomial.constant(1, unit)
+        for x in sorted(roots, key=lambda c: (c.re, c.im)):
+            p = p * (_X - CPolynomial.constant(1, x)) ** draw(st.integers(1, 3))
+        carries = carry_all or draw(st.booleans())
+        if carries:
+            p = p * irreducible
+        polys.append({h[0]: c for (h, _anti), c in p.terms.items()})
+        root_sets.append(roots)
+        carried.append(carries)
+    return polys, set.intersection(*root_sets), all(carried)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(system=_planted_root_systems())
+def test_gaussian_common_roots_recovers_planted_roots(system):
+    polys, common, all_carry = system
+    roots, complete = gaussian_common_roots(polys)
+    assert roots == sorted(common, key=lambda c: (c.re, c.im))
+    assert complete == (not all_carry)
+
+
+_Z = (CPolynomial.variable(2, 0), CPolynomial.variable(2, 1))
+_BRANCH_COEFFS = [gr(1), gr(-1), gr(2), gr(0, 1), gr(Fraction(1, 2), -1)]
+
+
+@st.composite
+def _ideal_factor(draw):
+    """A factor of a 2-variable generator: a Gaussian-rational branch
+    z_q = c*z_p^k, an irrational one z_q^2 = r*z_p^(2k), or a binomial."""
+    p = draw(st.sampled_from([0, 1]))
+    zp, zq = _Z[p], _Z[1 - p]
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["branch", "irrational", "binomial"]))
+    if kind == "branch":
+        return zq - (zp ** k).scale(draw(st.sampled_from(_BRANCH_COEFFS)))
+    if kind == "irrational":
+        return zq ** 2 - (zp ** (2 * k)).scale(gr(draw(st.sampled_from([2, -2, 3]))))
+    e = [draw(st.integers(0, 3)) for _ in range(4)]
+    return (_Z[0] ** e[0] * _Z[1] ** e[1]
+            + (_Z[0] ** e[2] * _Z[1] ** e[3]).scale(draw(st.sampled_from(_BRANCH_COEFFS))))
+
+
+@st.composite
+def _generator(draw):
+    f = CPolynomial.one(2)
+    for factor in draw(st.lists(_ideal_factor(), min_size=1, max_size=3)):
+        f = f * factor
+    # Generators vanish at the origin, so drop the constant term.
+    return CPolynomial(2, {key: c for key, c in f.terms.items() if any(key[0])})
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(fs=st.lists(_generator(), min_size=1, max_size=3),
+       cap=st.sampled_from([6, 8, 12]))
+def test_dfs_witness_matches_exact_pullback(fs, cap):
+    """The DFS witness is checked against the exact pullback: it annihilates
+    every generator when the result is infinite, and otherwise its least
+    generator order is the value (exact) or at least the value (bound)."""
+    assume(any(not f.is_zero() for f in fs))
+    res, witness = _regular_contact_ideal(fs, cap)
+    pulled = [pullback(f, witness) for f in fs]
+    if res.infinite:
+        assert all(u.is_zero() for u in pulled)
+        return
+    order = min(u.order_of_vanishing().value for u in pulled if not u.is_zero())
+    assert order == res.value if res.exact else order >= res.value
 
 
 class TestRegType:
