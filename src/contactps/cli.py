@@ -87,30 +87,27 @@ def order(file, as_json):
 @_file_arg
 @_curve_opt
 @_json_flag
-def pullback(file, curve, as_json):
+def pullback(file, as_json, **options):
     """Pull the defining expression back along a curve."""
-    _execute("pullback", file, {"curve": curve}, as_json)
+    _execute("pullback", file, options, as_json)
 
 
 @main.command()
 @_file_arg
 @_curve_opt
 @_json_flag
-def contact(file, curve, as_json):
+def contact(file, as_json, **options):
     """Order of contact (pullback order over multiplicity) of a curve."""
-    _execute("contact", file, {"curve": curve}, as_json)
+    _execute("contact", file, options, as_json)
 
 
 @main.command(name="ps-check")
 @_file_arg
 @_budget_options
 @_json_flag
-def ps_check(file, max_mult, max_deg, coeff_height, trials, seed, as_json):
+def ps_check(file, as_json, **options):
     """Certify positivity structurally or search for a violating curve."""
-    _execute("ps-check", file, {
-        "max_mult": max_mult, "max_deg": max_deg, "coeff_height": coeff_height,
-        "trials": trials, "seed": seed,
-    }, as_json)
+    _execute("ps-check", file, options, as_json)
 
 
 @main.command()
@@ -127,43 +124,37 @@ def gram(file, as_json):
 @click.option("--kmax", type=int, required=True)
 @_budget_options
 @_json_flag
-def germ_ps(file, kmin, kmax, max_mult, max_deg, coeff_height, trials, seed, as_json):
+def germ_ps(file, as_json, **options):
     """Per-jet-order positivity verdicts and the stabilization order."""
-    _execute("germ-ps", file, {
-        "kmin": kmin, "kmax": kmax, "max_mult": max_mult, "max_deg": max_deg,
-        "coeff_height": coeff_height, "trials": trials, "seed": seed,
-    }, as_json)
+    _execute("germ-ps", file, options, as_json)
 
 
 @main.command(name="reg-type")
 @_file_arg
-@click.option("--max", "max_", type=int, default=8, show_default=True,
+@click.option("--max", "max", type=int, default=8, show_default=True,
               help="cap for the regular-type computation")
 @_json_flag
-def reg_type_cmd(file, max_, as_json):
+def reg_type_cmd(file, as_json, **options):
     """Max order of contact of regular curves, with certificate."""
-    _execute("reg-type", file, {"max": max_}, as_json)
+    _execute("reg-type", file, options, as_json)
 
 
 @main.command(name="sing-search")
 @_file_arg
 @_budget_options
 @_json_flag
-def sing_search(file, max_mult, max_deg, coeff_height, trials, seed, as_json):
+def sing_search(file, as_json, **options):
     """Bounded search for high-contact singular curves."""
-    _execute("sing-search", file, {
-        "max_mult": max_mult, "max_deg": max_deg, "coeff_height": coeff_height,
-        "trials": trials, "seed": seed,
-    }, as_json)
+    _execute("sing-search", file, options, as_json)
 
 
 @main.command()
 @_file_arg
 @_curve_opt
 @_json_flag
-def desingularize(file, curve, as_json):
+def desingularize(file, as_json, **options):
     """Construct a regular contact-4 curve from a contact-4m singular one."""
-    _execute("desingularize", file, {"curve": curve}, as_json)
+    _execute("desingularize", file, options, as_json)
 
 
 @main.command(name="fdb-verify")
@@ -171,24 +162,21 @@ def desingularize(file, curve, as_json):
 @click.option("--trials", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_json_flag
-def fdb_verify(k, trials, seed, as_json):
+def fdb_verify(as_json, **options):
     """Cross-check the partition expansion against the operator oracle."""
-    _execute("fdb-verify", None, {"k": k, "trials": trials, "seed": seed}, as_json)
+    _execute("fdb-verify", None, options, as_json)
 
 
 @main.command()
 @_file_arg
 @click.option("--all", "all_", is_flag=True, required=True,
               help="run every analysis on the problem file")
-@click.option("--max", "max_", type=int, default=8, show_default=True)
+@click.option("--max", "max", type=int, default=8, show_default=True)
 @_budget_options
 @_json_flag
-def report(file, all_, max_, max_mult, max_deg, coeff_height, trials, seed, as_json):
+def report(file, all_, as_json, **options):
     """Full analysis: order, positivity, types, and the inference trail."""
-    _execute("report", file, {
-        "max": max_, "max_mult": max_mult, "max_deg": max_deg,
-        "coeff_height": coeff_height, "trials": trials, "seed": seed,
-    }, as_json)
+    _execute("report", file, options, as_json)
 
 
 @main.command(name="verify-report")

@@ -17,7 +17,6 @@ from .algebra import (
     DimensionError,
     GaussianRational,
     Order,
-    _min_trunc,
 )
 
 
@@ -87,10 +86,8 @@ class CurveJet:
 
     @property
     def truncation(self) -> int | None:
-        t = None
-        for c in self.components:
-            t = _min_trunc(t, c.truncation)
-        return t
+        return min((c.truncation for c in self.components
+                    if c.truncation is not None), default=None)
 
     def multiplicity(self) -> int:
         """Min order of vanishing across components; 1 means regular."""
@@ -167,10 +164,7 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
     and skips the terms up to degree deg(p)*deg(z) of the exact pullback.
     """
     cap = 4 * z.multiplicity() + 1
-    capped = CurveJet(tuple(
-        CPolynomial(1, c.terms, _min_trunc(c.truncation, cap)) for c in z.components
-    ))
-    u = pullback(p, capped)
+    u = pullback(p, CurveJet(tuple(c.truncate(cap) for c in z.components)))
     if u.terms:
         return u
     return pullback(p, z)

@@ -306,7 +306,7 @@ def _cmd_reg_type(source, options):
     N = _type_cap(options)
     K = max(N, problem.entry.total_degree())
     gf = _graph_form(problem.entry, K)
-    return _reg_section(gf, reg_type(gf, N)), 0
+    return _reg_section(gf, reg_type(gf, N, gram_certificate(gf.g))), 0
 
 
 def _sing_section(gf: GraphForm, res) -> dict:
@@ -420,7 +420,7 @@ def _cmd_report_all(source, options):
         worst = max(worst, code)
     elif cert.verdict == "certified":
         ps_evidence = cert
-    reg_claim = reg_type(gf, N)
+    reg_claim = reg_type(gf, N, gram)
     sections["reg_type"] = _reg_section(gf, reg_claim)
     sing_res = sing_type_search(gf, budget)
     K_sing = max(8, entry.total_degree())

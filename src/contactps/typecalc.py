@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ONE, ZERO, CPolynomial, GaussianRational
-from .curve import CurveJet, pullback, pullback_lowest, ps_test_single
+from .curve import CurveJet, contact_order, pullback, pullback_lowest, ps_test_single
 from .germ import (
     DefiningFunction,
     GraphForm,
@@ -280,28 +280,23 @@ def _regular_contact_ideal(
 
 
 def _hermitian_quadratic_definite(g: CPolynomial) -> bool:
-    """Exact test: the degree-2 Hermitian part has no null direction."""
-    from .germ import _psd_decompose
-
-    n = g.nvars
-    def unit(i):
-        return tuple(1 if j == i else 0 for j in range(n))
-
-    H = [[g.coeff((unit(i), unit(j))) for j in range(n)] for i in range(n)]
-    mon = [unit(i) for i in range(n)]
-    for M in (H, [[-e for e in row] for row in H]):
-        status, data = _psd_decompose(mon, M)
-        if status == "psd" and len(data) == n:
+    """Exact test: the degree-2 Hermitian part has no null direction, i.e.
+    it or its negative is a Gram sum of g.nvars independent squares."""
+    q = g.homogeneous_slice(2)
+    for form in (q, -q):
+        cert = gram_certificate(form)
+        if cert.verdict == "certified" and len(cert.squares) == g.nvars:
             return True
     return False
 
 
-def reg_type(gf: GraphForm, N: int) -> TypeClaim:
+def reg_type(gf: GraphForm, N: int, gram: PSCertificate) -> TypeClaim:
     """Max order of contact of regular curves in the z_n = 0 frame, capped at N.
 
     Exact values pair an exhibited curve (re-verified by pullback) with a
     jet-extension obstruction transcript; otherwise the best exhibited lower
-    bound is returned.
+    bound is returned.  gram is gram_certificate(gf.g), computed once by
+    the caller.
     """
     if gf.pure_order_bound < N:
         raise ValueError("graph form was not normalized far enough for this cap")
@@ -316,7 +311,6 @@ def reg_type(gf: GraphForm, N: int) -> TypeClaim:
         return TypeClaim("exact", 2, witness,
                          transcript=("degree-2 Hermitian form is definite: every "
                                      "regular direction meets order exactly 2",))
-    gram = gram_certificate(g)
     if gram.verdict == "certified" and g.nvars <= 2:
         fs = [f for _w, f in gram.squares]
         cap_t = max(2, N)
@@ -419,25 +413,15 @@ def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:
     best_ratio: Fraction | None = None
     best_witness: CurveJet | None = None
     tested = 0
-
-    def consider(z: CurveJet):
-        nonlocal best_ratio, best_witness, tested
-        tested += 1
-        order = pullback_lowest(g, z).order_of_vanishing()
-        if order.kind == "zero":
-            return SingSearchResult("infinite", None, z, tested, budget)
-        if order.kind == "exact":
-            ratio = Fraction(order.value, z.multiplicity())
-            if best_ratio is None or ratio > best_ratio:
-                best_ratio, best_witness = ratio, z
-        return None
-
     for z in _candidates(g.nvars, budget):
         if z.multiplicity() > budget.max_multiplicity:
             continue
-        hit = consider(z)
-        if hit is not None:
-            return hit
+        tested += 1
+        order, ratio = contact_order(g, z)
+        if order.kind == "zero":
+            return SingSearchResult("infinite", None, z, tested, budget)
+        if ratio is not None and (best_ratio is None or ratio > best_ratio):
+            best_ratio, best_witness = ratio, z
     return SingSearchResult("lower_bound", best_ratio, best_witness, tested, budget)
 
 

@@ -88,7 +88,7 @@ def test_criterion_4_cubic_square_types():
     """reg type exactly 6 and an infinite singular certificate, under 10s."""
     start = time.monotonic()
     gf = _graph("2*Re(z3) + abs2(z1^2 - z2^3)")
-    reg = reg_type(gf, 8)
+    reg = reg_type(gf, 8, gram_certificate(gf.g))
     assert reg.kind == "exact" and reg.value == 6
     order = pullback(gf.g, reg.witness).order_of_vanishing()
     assert order.kind == "exact" and order.value == 6
@@ -170,7 +170,7 @@ def test_criterion_7_falsification_harness():
     for text in _CORPUS_TYPE4:
         gf = _graph(text)
         assert gram_certificate(gf.g).verdict == "certified", text
-        claim = reg_type(gf, 8)
+        claim = reg_type(gf, 8, gram_certificate(gf.g))
         assert claim.kind == "exact" and claim.value == 4, (text, claim)
         res = sing_type_search(gf, budget)
         assert res.candidates_tested >= 10_000, (text, res.candidates_tested)

@@ -10,6 +10,7 @@ from contactps.cli import main
 CUBIC_SQUARE = "n = 3\nr = 2*Re(z3) + abs2(z1^2 - z2^3)\n"
 CANCEL_SQUARE = "n = 3\nr = 2*Re(z3) + abs2(z1 + z2^2)\n"
 FOURTH_POWERS = "n = 3\nr = 2*Re(z3) + abs2(z1)^2 + abs2(z2)^2\n"
+CANCEL_QUARTIC = "n = 3\nr = 2*Re(z3) + abs2(z1 + z2^2) + abs2(z2)^2\n"
 INDEFINITE = "n = 2\nr = abs2(z1)^2 - abs2(z2)^2\n"
 
 
@@ -237,3 +238,61 @@ def test_type_cap_below_two_exits_two(runner, tmp_path, args):
 ])
 def test_fdb_verify_empty_check_exits_two(runner, args):
     _assert_input_error(runner.invoke(main, ["fdb-verify", *args]))
+
+
+_BUDGET_ARGS = ["--max-mult", "2", "--max-deg", "3", "--coeff-height", "1",
+                "--trials", "3", "--seed", "5"]
+_BUDGET_OPTIONS = {"max_mult": 2, "max_deg": 3, "coeff_height": 1, "trials": 3,
+                   "seed": 5}
+
+
+@pytest.mark.parametrize("command, args, options", [
+    ("order", [], {}),
+    ("pullback", ["--curve", "(t, t, 0)"], {"curve": "(t, t, 0)"}),
+    ("contact", ["--curve", "(-t^2, t, 0)"], {"curve": "(-t^2, t, 0)"}),
+    ("ps-check", _BUDGET_ARGS, _BUDGET_OPTIONS),
+    ("gram", [], {}),
+    ("germ-ps", ["--kmin", "3", "--kmax", "4", *_BUDGET_ARGS],
+     {"kmin": 3, "kmax": 4, **_BUDGET_OPTIONS}),
+    ("reg-type", ["--max", "6"], {"max": 6}),
+    ("sing-search", _BUDGET_ARGS, _BUDGET_OPTIONS),
+    ("desingularize", ["--curve", "(-t^4, t^2)"], {"curve": "(-t^4, t^2)"}),
+    ("fdb-verify", ["--k", "2", "--trials", "2", "--seed", "5"],
+     {"k": 2, "trials": 2, "seed": 5}),
+    ("report", ["--all", "--max", "6", *_BUDGET_ARGS], {"max": 6, **_BUDGET_OPTIONS}),
+])
+def test_machine_section_records_every_option(runner, tmp_path, command, args, options):
+    """Each option a command takes, set away from its default, lands in the
+    machine section under its own name, and nothing else does."""
+    if command == "fdb-verify":
+        res = runner.invoke(main, [command, *args, "--json"])
+    else:
+        res = _invoke(runner, tmp_path, CANCEL_QUARTIC, [command, *args, "--json"])
+    assert res.exit_code in (0, 1), res.output
+    assert _machine(res)["options"] == options
+
+
+@pytest.mark.parametrize("args", [["report", "--all"], ["reg-type"]])
+def test_gram_certificate_runs_once_per_frame(runner, tmp_path, monkeypatch, args):
+    """The frame's Gram certificate is computed once and handed on, whether
+    it is reached through report, typecalc or germ."""
+    import contactps.germ as germ
+    import contactps.report as report
+    import contactps.typecalc as typecalc
+
+    frames, gram_args = [], []
+
+    def frame_of(gf, *rest, _fn=report.reg_type):
+        frames.append(gf.g)
+        return _fn(gf, *rest)
+
+    monkeypatch.setattr(report, "reg_type", frame_of)
+    for module in (report, typecalc, germ):
+        def recorded(g, _fn=module.gram_certificate):
+            gram_args.append(g)
+            return _fn(g)
+        monkeypatch.setattr(module, "gram_certificate", recorded)
+    res = _invoke(runner, tmp_path, CANCEL_QUARTIC, [*args, "--json"])
+    assert res.exit_code == 0, res.output
+    [g] = frames
+    assert sum(arg is g for arg in gram_args) == 1

@@ -4,6 +4,9 @@ than an external linter.
 - No module imports a name it never uses.  A name counts as used when the
   module reads it anywhere or lists it in `__all__` (the re-exports of
   `__init__.py`).
+- No module imports a leading-underscore name from another `contactps`
+  module, nested imports included: a module reaches another only through
+  its public API.
 - No float infinity (`float("inf")`, `math.inf`) stands in for an infinite
   order or type: infinite claims are a kind of their own, never a value.
 - No module but `algebra.py` reads the private int fields `_a`, `_b`, `_d`
@@ -49,6 +52,26 @@ def test_no_unused_imports():
         unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
         if unused:
             found[path.name] = unused
+    assert found == {}
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "contactps"
+        ):
+            found += [f"{node.module}.{alias.name} (line {node.lineno})"
+                      for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_private_names_imported_across_modules():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        hits = _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
     assert found == {}
 
 

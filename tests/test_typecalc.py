@@ -18,6 +18,7 @@ from contactps.typecalc import (
     Evidence,
     PSViolationError,
     TypeClaim,
+    _hermitian_quadratic_definite,
     _regular_contact_ideal,
     desingularize,
     gaussian_common_roots,
@@ -142,13 +143,33 @@ def test_dfs_witness_matches_exact_pullback(fs, cap):
     assert order == res.value if res.exact else order >= res.value
 
 
+@pytest.mark.parametrize("text, n, definite", [
+    ("abs2(z1) + 2*abs2(z2) + z1*conj(z2) + z2*conj(z1)", 2, True),
+    ("-abs2(z1) - abs2(z2) + abs2(z1)^2", 2, True),
+    ("abs2(z1 + z2)", 2, False),
+    ("abs2(z1) - abs2(z2)", 2, False),
+    ("abs2(z1) + abs2(z2)^2", 2, False),
+    ("z1*conj(z2) + z2*conj(z1)", 2, False),
+    ("abs2(z1) + abs2(z2) + abs2(z3) + 1/2*i*z1*conj(z3) - 1/2*i*z3*conj(z1)", 3, True),
+    ("abs2(z1 + z2) + abs2(z2 - z3) + abs2(z1 - z3)", 3, True),
+    ("abs2(z1 + z2) + abs2(z2 - z3) + abs2(z1 + z3)", 3, False),
+])
+def test_hermitian_quadratic_definite(text, n, definite):
+    """Positive or negative definite degree-2 parts only; a null direction,
+    an indefinite form, a variable missing from the quadratic part or a
+    zero diagonal all fail.  Terms of other degrees are ignored."""
+    assert _hermitian_quadratic_definite(parse_expression(text, n)) is definite
+
+
 class TestRegType:
     def test_definite_quadratic_gives_two(self):
-        claim = reg_type(_graph("2*Re(z2) + abs2(z1)", 8, 2), 8)
+        gf = _graph("2*Re(z2) + abs2(z1)", 8, 2)
+        claim = reg_type(gf, 8, gram_certificate(gf.g))
         assert claim.kind == "exact" and claim.value == 2
 
     def test_cubic_square_difference_gives_six(self):
-        claim = reg_type(_graph("2*Re(z3) + abs2(z1^2 - z2^3)"), 8)
+        gf = _graph("2*Re(z3) + abs2(z1^2 - z2^3)")
+        claim = reg_type(gf, 8, gram_certificate(gf.g))
         assert claim.kind == "exact" and claim.value == 6
         assert claim.witness is not None
         g = _graph("2*Re(z3) + abs2(z1^2 - z2^3)").g
@@ -156,11 +177,13 @@ class TestRegType:
         assert order.kind == "exact" and order.value == 6
 
     def test_cancelling_square_gives_four(self):
-        claim = reg_type(_graph("2*Re(z3) + abs2(z1 + z2^2) + abs2(z2)^2"), 8)
+        gf = _graph("2*Re(z3) + abs2(z1 + z2^2) + abs2(z2)^2")
+        claim = reg_type(gf, 8, gram_certificate(gf.g))
         assert claim.kind == "exact" and claim.value == 4
 
     def test_fourth_powers_give_four(self):
-        claim = reg_type(_graph("2*Re(z3) + abs2(z1)^2 + abs2(z2)^2"), 8)
+        gf = _graph("2*Re(z3) + abs2(z1)^2 + abs2(z2)^2")
+        claim = reg_type(gf, 8, gram_certificate(gf.g))
         assert claim.kind == "exact" and claim.value == 4
 
     def test_witness_always_reverifies(self):
@@ -169,14 +192,14 @@ class TestRegType:
             "2*Re(z3) + abs2(z1^2 + z2^2) + abs2(z1*z2)",
         ):
             gf = _graph(text)
-            claim = reg_type(gf, 8)
+            claim = reg_type(gf, 8, gram_certificate(gf.g))
             order = pullback(gf.g, claim.witness).order_of_vanishing()
             assert order.kind == "exact" and order.value == claim.value
 
     def test_cap_enforced_by_normalization_bound(self):
         gf = _graph("2*Re(z3) + abs2(z1)^2 + abs2(z2)^2", K=4)
         with pytest.raises(ValueError):
-            reg_type(gf, 8)
+            reg_type(gf, 8, gram_certificate(gf.g))
 
     @pytest.mark.parametrize("text", [
         "2*Re(z3) + abs2(z1*(z2^2 - 2*z1^4)) + abs2(z2^6)",
@@ -185,7 +208,8 @@ class TestRegType:
     def test_irrational_branch_is_not_exact(self, text):
         # Along (t, sqrt(2)*t^2) (or its mirror) the first generator vanishes
         # and the pullback is 64|t|^24, so 12 is only a lower bound.
-        claim = reg_type(_graph(text, 16), 16)
+        gf = _graph(text, 16)
+        claim = reg_type(gf, 16, gram_certificate(gf.g))
         assert claim.kind == "at_least" and claim.value == 12
 
 
@@ -213,7 +237,8 @@ def test_exact_reg_type_never_below_planted_branch(swap, q, k, e, m):
     """The planted branch b = sqrt(q)*a^k is irrational over Q(i); the
     regular type is at least the order along it, so no exact claim may be
     smaller."""
-    claim = reg_type(_graph(_planted_germ(swap, q, k, e, m), 32), 32)
+    gf = _graph(_planted_germ(swap, q, k, e, m), 32)
+    claim = reg_type(gf, 32, gram_certificate(gf.g))
     if claim.kind == "exact":
         assert claim.value >= _planted_branch_order(q, k, e, m)
 
@@ -300,7 +325,7 @@ class TestInferType:
         r = validate(parse_expression(text, n))
         gf = normalize_to_graph(r, 8)
         budget = SearchBudget(max_degree=4, random_trials=50)
-        reg = reg_type(gf, 8)
+        reg = reg_type(gf, 8, gram_certificate(gf.g))
         sing = sing_type_search(gf, budget)
         ps = germ_ps_check(r, 2, kmax, budget)
         return r, Evidence(reg=reg, sing=sing, ps=ps)
