@@ -63,10 +63,6 @@ class GaussianRational:
         _set_b(self, b)
         _set_d(self, d)
 
-    @staticmethod
-    def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(re, im)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -439,7 +435,7 @@ class CPolynomial:
             exp = list(key[side])
             exp[index] = e - 1
             new_key = (key[0], tuple(exp)) if anti else (tuple(exp), key[1])
-            out[new_key] = coeff * GaussianRational.of(e)
+            out[new_key] = coeff * GaussianRational(e)
         trunc = None if self.truncation is None else max(self.truncation - 1, 0)
         return CPolynomial(self.nvars, out, trunc)
 

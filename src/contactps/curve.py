@@ -115,7 +115,7 @@ class CurveJet:
         fact = 1
         for s in range(2, j + 1):
             fact *= s
-        f = GaussianRational.of(fact)
+        f = GaussianRational(fact)
         return tuple(c * f for c in self.coefficient_vector(j))
 
     def reparametrize(self, lam: GaussianRational) -> "CurveJet":

@@ -82,7 +82,7 @@ def derive_forms(g: CPolynomial, max_order: int) -> dict[tuple[int, int], Multil
             scale *= factorial(e)
             idx_a.extend([i] * e)
         key = (tuple(idx_h), tuple(idx_a))
-        buckets.setdefault((a, b), {})[key] = coeff * GaussianRational.of(scale)
+        buckets.setdefault((a, b), {})[key] = coeff * GaussianRational(scale)
     return {
         (a, b): MultilinearForm(a, b, g.nvars, tuple(sorted(entries.items())))
         for (a, b), entries in buckets.items()
@@ -191,7 +191,7 @@ def laplacian_power_forms(g: CPolynomial, z: CurveJet, k: int) -> GaussianRation
         value = form.apply(holo_vecs, anti_vecs)
         if value.is_zero():
             continue
-        total = total + value * GaussianRational.of(term.count)
+        total = total + value * GaussianRational(term.count)
     return total
 
 
@@ -291,7 +291,7 @@ def filtered_expansion(g: CPolynomial, z: CurveJet, m: int | None = None) -> Fil
             if form is not None:
                 value = form.apply([dvec[s] for s in mu], [dvec[s] for s in sigma])
             terms.append((term, value))
-            total = total + value * GaussianRational.of(term.count)
+            total = total + value * GaussianRational(term.count)
     oracle = laplacian_power(pullback(g, z), k)
     if total != oracle:
         raise AssertionError(

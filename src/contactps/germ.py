@@ -1,10 +1,13 @@
 """Hypersurface germ representation and positivity certification.
 
-The pipeline implemented here: validate a real-valued defining function,
-truncate to a jet, split it as 2Re(h) + (mixed part), solve the graph
-equation h = 0 for the last variable, restrict the mixed part to that graph,
-then certify positivity either structurally (an exact Hermitian sum-of-squares
-decomposition) or refute it by a bounded curve search.
+Every command reads a germ in one graph frame, built by one pipeline: a
+linear change makes the linear part of r exactly 2Re(z_n), solve_graph
+solves h = 0 for z_n, where h is the holomorphic half of r, and r is
+restricted to that graph, where 2Re(h) vanishes and the mixed part g is left.
+normalize_to_graph does this once through a degree bound; germ_ps_check
+does it for each jet order.  Positivity of g is then certified structurally
+(an exact Hermitian sum-of-squares decomposition) or refuted by a bounded
+curve search.
 """
 
 from __future__ import annotations
@@ -13,14 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import (
-    ONE,
-    ZERO,
-    CPolynomial,
-    GaussianRational,
-    key_degree,
-    key_is_pure,
-)
+from .algebra import ONE, ZERO, CPolynomial, GaussianRational
 from .curve import CurveJet, PSTestResult, ps_test_single
 from .search import (
     SEED_COEFFS,
@@ -93,8 +89,10 @@ def decompose_pure_mixed(jk: CPolynomial) -> tuple[CPolynomial, CPolynomial]:
 def solve_graph(h: CPolynomial, order: int) -> CPolynomial:
     """Formal series phi(zeta) with phi(0) = 0 and h(zeta, phi) = 0 mod degree order+1.
 
-    Solves for the last variable by iterated jet refinement; each pass fixes
-    one more degree.  The postcondition is machine-checked on every call.
+    Write h = c*z_n + rest.  When rest is free of z_n and has degree at most
+    order, phi = -rest/c is the exact graph.  Otherwise phi is found by
+    iterated jet refinement; each pass fixes one more degree.  The
+    postcondition is machine-checked on every call.
     """
     n = h.nvars
     if n < 2:
@@ -108,10 +106,13 @@ def solve_graph(h: CPolynomial, order: int) -> CPolynomial:
     rest = h - CPolynomial(n, {lin_key: c})
     inv_c = ONE / c
     zeta = [CPolynomial.variable(n - 1, j) for j in range(n - 1)]
-    phi = CPolynomial.zero(n - 1, truncation=order)
-    for _ in range(order):
-        composed = rest.substitute(zeta + [phi], n - 1)
-        phi = (-composed.scale(inv_c)).truncate(order)
+    if rest.total_degree() <= order and not any(a[n - 1] or b[n - 1] for a, b in rest.terms):
+        phi = -rest.substitute(zeta + [CPolynomial.zero(n - 1)], n - 1).scale(inv_c)
+    else:
+        phi = CPolynomial.zero(n - 1, truncation=order)
+        for _ in range(order):
+            composed = rest.substitute(zeta + [phi], n - 1)
+            phi = (-composed.scale(inv_c)).truncate(order)
     check = h.substitute(zeta + [phi], n - 1)
     if not check.truncate(order).is_zero():
         raise SolveGraphError("graph series does not annihilate h to the required order")
@@ -133,32 +134,26 @@ def restrict(g: CPolynomial, phi: CPolynomial, order: int) -> CPolynomial:
 
 @dataclass(frozen=True)
 class GraphForm:
-    """A germ in the frame 2Re(z_n) + g(zeta) with g mixed-only through a bound.
+    """A germ in the graph frame r = 2Re(w) + g(zeta) + O(w).
 
-    transform records the original variables as polynomials in the new ones,
-    so certificates found in the graph frame map back exactly.
-    residual_flag marks that mixed terms involving z_n were discarded; all
-    curve work in this frame sets z_n identically zero.
+    g is r restricted to the complex graph h = 0 of its holomorphic half, so
+    it is mixed-only through degree pure_order_bound.  lift gives the
+    original variables as polynomials in zeta along w = 0, so curves found
+    in the graph frame map back exactly.
     """
 
     g: CPolynomial
     pure_order_bound: int
-    transform: tuple[CPolynomial, ...]
-    residual_flag: bool
+    lift: tuple[CPolynomial, ...]
 
     def lift_curve(self, eta: CurveJet) -> CurveJet:
-        """Map a curve in the zeta-frame (z_n = 0) back to original coordinates."""
-        comps = list(eta.components) + [CPolynomial.zero(1, eta.truncation)]
-        lifted = [im.substitute(comps, 1) for im in self.transform]
-        return CurveJet(tuple(lifted))
+        """Map a curve in the zeta-frame (w = 0) back to original coordinates."""
+        return CurveJet(tuple(x.substitute(eta.components, 1) for x in self.lift))
 
 
-def _linear_normalize(r: DefiningFunction) -> tuple[CPolynomial, list[CPolynomial]]:
-    """Linear change making the linear part exactly 2Re(z_n).
-
-    Returns the transformed polynomial and the original variables expressed
-    in the new coordinates.
-    """
+def _linear_images(r: DefiningFunction) -> list[CPolynomial]:
+    """The original variables in new coordinates where the linear part of r
+    is exactly 2Re(z_n)."""
     n = r.nvars
     lin = r.r.homogeneous_slice(1)
     a = [
@@ -174,59 +169,24 @@ def _linear_normalize(r: DefiningFunction) -> tuple[CPolynomial, list[CPolynomia
     for new_idx, old_idx in enumerate(others):
         expr = expr - CPolynomial.variable(n, new_idx).scale(a[old_idx])
     images[pivot] = expr.scale(ONE / a[pivot])
-    return r.r.substitute(images, n), images
+    return images
 
 
 def normalize_to_graph(r: DefiningFunction, K: int) -> GraphForm:
-    """Choose coordinates with linear part 2Re(z_n), then absorb pure terms of
-    degree <= K into the holomorphic coordinate; return the mixed part with
-    z_n set to zero."""
-    n = r.nvars
-    cur, acc = _linear_normalize(r)
-    zn = CPolynomial.variable(n, n - 1)
-    for _ in range(K + 2):
-        pure, _mixed = cur.pure_mixed_split()
-        h = pure.holomorphic_part()
-        p = (h - zn).truncate(K)
-        p = CPolynomial(n, p.terms)  # forget the truncation marker
-        if p.is_zero():
-            break
-        depends_on_zn = any(key[0][n - 1] for key in p.terms)
-        if not depends_on_zn:
-            images = [CPolynomial.variable(n, j) for j in range(n - 1)] + [zn - p]
-        else:
-            # Triangular change: invert z_n -> z_n + p formally to degree K.
-            e = zn
-            zeta = [CPolynomial.variable(n, j) for j in range(n - 1)]
-            for _ in range(K):
-                e = (zn - p.substitute(zeta + [e], n)).truncate(K)
-            images = zeta + [e]
-        cur = cur.substitute(images, n)
-        acc = [im.substitute(images, n) for im in acc]
+    """The graph frame of r through degree K.
 
-    residual = False
-    g_terms: dict = {}
-    truncated = cur.truncation
-    for key, coeff in cur.terms.items():
-        h, anti = key
-        deg = key_degree(key)
-        if key_is_pure(key):
-            if deg <= K and deg != 1:
-                raise SolveGraphError("pure-term absorption failed below the bound")
-            continue  # the 2Re(z_n) part, or unabsorbed pure terms beyond K
-        if h[n - 1] or anti[n - 1]:
-            residual = True
-            continue
-        g_terms[(h[: n - 1], anti[: n - 1])] = coeff
-    leftover_pure = any(
-        key_degree(key) > K and key_is_pure(key) and key_degree(key) != 1
-        for key in cur.terms
-    )
-    g_trunc = truncated
-    if leftover_pure:
-        g_trunc = K if g_trunc is None else min(g_trunc, K)
-    g = CPolynomial(n - 1, g_terms, g_trunc)
-    return GraphForm(g, K, tuple(acc), residual)
+    The same pipeline as germ_ps_check: a linear change makes the linear part
+    2Re(z_n), solve_graph solves h = 0 for z_n, where h is the holomorphic
+    half of r in the new coordinates, and r is restricted to that graph.
+    There 2Re(h) vanishes, so the restriction is the mixed part g.
+    """
+    n = r.nvars
+    images = _linear_images(r)
+    normalized = r.r.substitute(images, n)
+    phi = solve_graph(normalized.holomorphic_part(), K)
+    graph = [CPolynomial.variable(n - 1, j) for j in range(n - 1)] + [phi]
+    lift = tuple(im.substitute(graph, n - 1) for im in images)
+    return GraphForm(normalized.substitute(graph, n - 1), K, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +349,9 @@ def _gram_seed_curves(g: CPolynomial, direction) -> list[CurveJet]:
                 root = c
                 break
         solved[i] = root if root is not None else v
-    out = []
-    try:
-        out.append(CurveJet.monomial(n, exps, solved))
-        if solved != raw:
-            out.append(CurveJet.monomial(n, exps, raw))
-    except ValueError:
-        pass
+    out = [CurveJet.monomial(n, exps, solved)]
+    if solved != raw:
+        out.append(CurveJet.monomial(n, exps, raw))
     return out
 
 
@@ -475,7 +431,7 @@ def germ_ps_check(
     order and combine the positivity verdicts."""
     if not (2 <= k_min <= k_max):
         raise ValueError("need 2 <= k_min <= k_max")
-    normalized, _images = _linear_normalize(r)
+    normalized = r.r.substitute(_linear_images(r), r.nvars)
     entries = []
     for k in range(k_min, k_max + 1):
         # The k-jet is an exact polynomial in its own right; drop the jet

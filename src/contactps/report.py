@@ -34,7 +34,6 @@ from .fdb import (
 from .germ import (
     DefiningFunction,
     GraphForm,
-    NotRealError,
     germ_ps_check,
     gram_certificate,
     normalize_to_graph,
@@ -117,7 +116,7 @@ def _graph_form(entry: CPolynomial, K: int) -> GraphForm:
     if not entry.homogeneous_slice(1).is_zero():
         try:
             return normalize_to_graph(validate(entry), K)
-        except (NotRealError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError(str(exc)) from exc
     if not entry.is_real_valued():
         raise InputError("function must be real-valued")
@@ -126,9 +125,9 @@ def _graph_form(entry: CPolynomial, K: int) -> GraphForm:
         raise InputError(
             "function must either have a linear part or be mixed-only"
         )
-    n = entry.nvars + 1
-    transform = tuple(CPolynomial.variable(n, i) for i in range(n))
-    return GraphForm(entry, K, transform, False)
+    m = entry.nvars
+    lift = tuple(CPolynomial.variable(m, i) for i in range(m)) + (CPolynomial.zero(m),)
+    return GraphForm(entry, K, lift)
 
 
 def _defining_function(entry: CPolynomial) -> DefiningFunction:
@@ -141,7 +140,7 @@ def _defining_function(entry: CPolynomial) -> DefiningFunction:
 def _parse_curve_arg(text: str, nvars: int | None = None) -> CurveJet:
     try:
         return parse_curve(text, nvars)
-    except (ExprSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 

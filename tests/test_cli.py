@@ -220,6 +220,13 @@ def test_zero_denominator_exits_two(runner, tmp_path, source, args):
     _assert_input_error(_invoke(runner, tmp_path, source, args))
 
 
+@pytest.mark.parametrize("args", [["gram"], ["report", "--all"]])
+def test_one_variable_germ_exits_two(runner, tmp_path, args):
+    res = _invoke(runner, tmp_path, "n = 1\nr = 2*Re(z1) + abs2(z1)^2\n", args)
+    _assert_input_error(res)
+    assert "need at least two variables" in res.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["reg-type", "--max", "-3"],
     ["reg-type", "--max", "0"],

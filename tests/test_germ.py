@@ -1,9 +1,11 @@
 """Germ validation, graph normal form, and positivity certification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactps.algebra import CPolynomial
-from contactps.curve import ps_test_single, pullback
+from contactps.curve import CurveJet, ps_test_single, pullback
 from contactps.expr import format_curve, parse_curve, parse_expression
 from contactps.germ import (
     DegenerateLinearPartError,
@@ -70,6 +72,12 @@ class TestSolveGraph:
         expect = parse_expression("0 - z1^2 - z2^3", 2)
         assert phi.truncate(6) == expect.truncate(6)
 
+    def test_exact_graph_when_rest_is_free_of_last_variable(self):
+        h = parse_expression("z3 + z1^2 + z2^3", 3)
+        phi = solve_graph(h, 6)
+        assert phi == parse_expression("0 - z1^2 - z2^3", 2)
+        assert phi.truncation is None
+
     def test_nonlinear_self_reference(self):
         # h = z2 + z1^2 + z2^2 needs iteration: phi = -z1^2 - z1^4 - ...
         h = parse_expression("z2 + z1^2 + z2^2", 2)
@@ -88,7 +96,6 @@ class TestNormalizeToGraph:
     def test_already_normal(self):
         gf = normalize_to_graph(_germ("2*Re(z3) + abs2(z1)^2 + abs2(z2)^2"), 6)
         assert gf.g == parse_expression("abs2(z1)^2 + abs2(z2)^2", 2)
-        assert not gf.residual_flag
 
     def test_absorbs_pure_terms(self):
         gf = normalize_to_graph(_germ("2*Re(z3) + 2*Re(z1^2) + abs2(z1)^2"), 6)
@@ -106,6 +113,67 @@ class TestNormalizeToGraph:
         lifted = gf.lift_curve(eta)
         assert lifted.nvars == 3
         assert pullback(r.r, lifted).is_zero()
+
+
+_COEFFS = [gr(1), gr(-1), gr(2), gr(0, 1), gr(1, -1), gr(-1, 2)]
+
+
+@st.composite
+def _germs(draw):
+    """A real germ in 2-3 variables: random linear part, pure terms that
+    involve z_n, mixed terms; with a bound K in [deg, deg + 3]."""
+    n = draw(st.integers(2, 3))
+    zero = (0,) * n
+
+    def monomial():
+        e = [draw(st.integers(0, 2)) for _ in range(n)]
+        if not any(e):
+            e[draw(st.integers(0, n - 1))] = 1
+        return tuple(e)
+
+    lin = [draw(st.sampled_from([gr(0)] + _COEFFS)) for _ in range(n)]
+    if all(c.is_zero() for c in lin):
+        lin[-1] = gr(1)
+    holo = {}
+    for i, c in enumerate(lin):
+        holo[tuple(int(j == i) for j in range(n))] = c
+    for _ in range(draw(st.integers(0, 3))):
+        e = list(monomial())
+        e[-1] += draw(st.integers(0, 1))
+        if sum(e) >= 2:
+            holo[tuple(e)] = draw(st.sampled_from(_COEFFS))
+    terms = {}
+    for e, c in holo.items():
+        terms[(e, zero)] = c
+        terms[(zero, e)] = c.conjugate()
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = monomial(), monomial()
+        c = draw(st.sampled_from(_COEFFS))
+        if a == b:
+            terms[(a, a)] = gr(c.re)
+        else:
+            terms[(a, b)] = c
+            terms[(b, a)] = c.conjugate()
+    r = CPolynomial(n, terms)
+    return validate(r), r.total_degree() + draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(germ=_germs(), exps=st.lists(st.integers(1, 3), min_size=2, max_size=2),
+       coeffs=st.lists(st.sampled_from(_COEFFS), min_size=2, max_size=2))
+def test_graph_frame_restricts_r_to_the_graph(germ, exps, coeffs):
+    r, K = germ
+    gf = normalize_to_graph(r, K)
+    assert gf.g.pure_mixed_split()[0].is_zero()
+    m = r.nvars - 1
+    eta = CurveJet.monomial(m, exps[:m], coeffs[:m])
+    u = pullback(r.r, gf.lift_curve(eta))
+    v = pullback(gf.g, eta)
+    caps = [p.truncation for p in (u, v) if p.truncation is not None]
+    if caps:
+        assert u.truncate(min(caps)).terms == v.truncate(min(caps)).terms
+    else:
+        assert u == v
 
 
 class TestGramCertificate:
