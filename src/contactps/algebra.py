@@ -173,8 +173,8 @@ def _normal(a: int, b: int, d: int) -> GaussianRational:
 
 
 ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
+ONE = GaussianRational(1)
+I_UNIT = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -70,15 +70,14 @@ class CurveJet:
 
     @staticmethod
     def monomial(
-        nvars: int,
         exponents: Sequence[int],
         coeffs: Sequence[GaussianRational],
     ) -> "CurveJet":
         """Curve with components coeffs[i] * t^exponents[i] (0 exponent = zero)."""
-        data = []
-        for e, c in zip(exponents, coeffs):
-            data.append({e: c} if e > 0 and not c.is_zero() else {})
-        return CurveJet.from_coeffs(data)
+        return CurveJet.from_coeffs([
+            {e: c} if e > 0 and not c.is_zero() else {}
+            for e, c in zip(exponents, coeffs, strict=True)
+        ])
 
     @property
     def nvars(self) -> int:
@@ -100,9 +99,6 @@ class CurveJet:
 
     def is_regular(self) -> bool:
         return self.multiplicity() == 1
-
-    def degree(self) -> int:
-        return max(c.total_degree() for c in self.components)
 
     def coefficient(self, comp: int, degree: int) -> GaussianRational:
         return self.components[comp].coeff((((degree,), (0,))))

@@ -338,8 +338,8 @@ def _gram_seed_curves(g: CPolynomial, direction) -> list[CurveJet]:
     for _, e, _v in entries:
         lcm = lcm * e // gcd(lcm, e)
     exps = [0] * n
-    solved = [GaussianRational(Fraction(0))] * n
-    raw = [GaussianRational(Fraction(0))] * n
+    solved = [ZERO] * n
+    raw = [ZERO] * n
     for i, e, v in entries:
         exps[i] = lcm // e
         raw[i] = v
@@ -349,9 +349,9 @@ def _gram_seed_curves(g: CPolynomial, direction) -> list[CurveJet]:
                 root = c
                 break
         solved[i] = root if root is not None else v
-    out = [CurveJet.monomial(n, exps, solved)]
+    out = [CurveJet.monomial(exps, solved)]
     if solved != raw:
-        out.append(CurveJet.monomial(n, exps, raw))
+        out.append(CurveJet.monomial(exps, raw))
     return out
 
 

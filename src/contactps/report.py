@@ -110,9 +110,11 @@ def _load_problem(source: str):
     return problem
 
 
-def _graph_form(entry: CPolynomial, K: int) -> GraphForm:
+def _graph_form(entry: CPolynomial, floor: int) -> GraphForm:
     """Accept either a full defining function (with a linear part) or a
-    mixed-only positivity candidate already in the z_n = 0 frame."""
+    mixed-only positivity candidate already in the z_n = 0 frame; the frame
+    is mixed-only through K = max(floor, deg entry)."""
+    K = max(floor, entry.total_degree())
     if not entry.homogeneous_slice(1).is_zero():
         try:
             return normalize_to_graph(validate(entry), K)
@@ -252,9 +254,7 @@ def _cert_section(gf: GraphForm, cert) -> dict:
 
 
 def _cmd_ps_check(source, options):
-    problem = _load_problem(source)
-    K = max(4, problem.entry.total_degree())
-    gf = _graph_form(problem.entry, K)
+    gf = _graph_form(_load_problem(source).entry, 4)
     budget = _make_budget(options)
     gram = gram_certificate(gf.g)
     cert = gram if gram.verdict == "certified" else ps_search(gf.g, budget, gram)
@@ -262,9 +262,7 @@ def _cmd_ps_check(source, options):
 
 
 def _cmd_gram(source, options):
-    problem = _load_problem(source)
-    K = max(4, problem.entry.total_degree())
-    gf = _graph_form(problem.entry, K)
+    gf = _graph_form(_load_problem(source).entry, 4)
     return _cert_section(gf, gram_certificate(gf.g)), 0
 
 
@@ -301,10 +299,9 @@ def _reg_section(gf: GraphForm, claim) -> dict:
 
 
 def _cmd_reg_type(source, options):
-    problem = _load_problem(source)
+    entry = _load_problem(source).entry
     N = _type_cap(options)
-    K = max(N, problem.entry.total_degree())
-    gf = _graph_form(problem.entry, K)
+    gf = _graph_form(entry, N)
     return _reg_section(gf, reg_type(gf, N, gram_certificate(gf.g))), 0
 
 
@@ -321,16 +318,12 @@ def _sing_section(gf: GraphForm, res) -> dict:
 
 
 def _cmd_sing_search(source, options):
-    problem = _load_problem(source)
-    K = max(8, problem.entry.total_degree())
-    gf = _graph_form(problem.entry, K)
+    gf = _graph_form(_load_problem(source).entry, 8)
     return _sing_section(gf, sing_type_search(gf, _make_budget(options))), 0
 
 
 def _cmd_desingularize(source, options):
-    problem = _load_problem(source)
-    K = max(8, problem.entry.total_degree())
-    gf = _graph_form(problem.entry, K)
+    gf = _graph_form(_load_problem(source).entry, 8)
     z = _parse_curve_arg(options["curve"])
     try:
         res = desingularize(gf, z)
@@ -401,8 +394,7 @@ def _cmd_report_all(source, options):
     """
     entry = _load_problem(source).entry
     N = _type_cap(options)
-    K = max(N, entry.total_degree())
-    gf = _graph_form(entry, K)
+    gf = _graph_form(entry, N)
     budget = _make_budget(options)
     sections = {"order": _order_section(entry)}
     gram = gram_certificate(gf.g)
@@ -422,11 +414,10 @@ def _cmd_report_all(source, options):
     reg_claim = reg_type(gf, N, gram)
     sections["reg_type"] = _reg_section(gf, reg_claim)
     sing_res = sing_type_search(gf, budget)
-    K_sing = max(8, entry.total_degree())
-    if K_sing == K:
+    if max(8, entry.total_degree()) == gf.pure_order_bound:
         sections["sing_search"] = _sing_section(gf, sing_res)
     else:
-        sing_gf = _graph_form(entry, K_sing)
+        sing_gf = _graph_form(entry, 8)
         sections["sing_search"] = _sing_section(sing_gf, sing_type_search(sing_gf, budget))
     rep = infer_type(df, Evidence(reg=reg_claim, sing=sing_res, ps=ps_evidence))
     sections["inference"] = {

@@ -4,7 +4,9 @@ All enumerations are deterministic: exponent tuples in graded-lex order,
 coefficients in a fixed seed order, randomized candidates driven by an
 explicit seed.  The regular and singular type searches read one stream
 (monomial curves, then cancellation scans, then random curves; see
-typecalc._candidates) and filter it by multiplicity.  germ.ps_search keeps its
+typecalc._candidates) through one loop (typecalc._best_contact) that filters
+it by multiplicity: 1 for the regular type, up to max_multiplicity for the
+singular type.  germ.ps_search keeps its
 own order, with Gram-derived seeds between the monomial curves and the scans
 and no random part.  Every search keeps the first witness its order reaches,
 so witnesses are reproducible.
@@ -17,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GaussianRational, ONE
+from .algebra import ONE, ZERO, GaussianRational
 from .curve import CurveJet
 
 
@@ -37,20 +39,16 @@ class SearchBudget:
                 raise ValueError(f"{name} must be positive")
 
 
-def _gr(re, im=0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
 # Seed coefficients for exact searches, in canonical order.
 SEED_COEFFS: tuple[GaussianRational, ...] = (
-    _gr(1),
-    _gr(-1),
-    _gr(0, 1),
-    _gr(0, -1),
-    _gr(Fraction(1, 2)),
-    _gr(Fraction(-1, 2)),
-    _gr(2),
-    _gr(-2),
+    GaussianRational(1),
+    GaussianRational(-1),
+    GaussianRational(0, 1),
+    GaussianRational(0, -1),
+    GaussianRational(Fraction(1, 2)),
+    GaussianRational(Fraction(-1, 2)),
+    GaussianRational(2),
+    GaussianRational(-2),
 )
 
 
@@ -90,12 +88,10 @@ def monomial_curves(nvars: int, max_degree: int, coeffs=SEED_COEFFS):
     for exps in exponent_tuples(nvars, max_degree):
         slots = [i for i, e in enumerate(exps) if e]
         for choice in itertools.product(coeffs, repeat=len(slots)):
-            full = [None] * nvars
+            full = [ZERO] * nvars
             for i, c in zip(slots, choice):
                 full[i] = c
-            yield CurveJet.monomial(
-                nvars, exps, [full[i] if full[i] is not None else _gr(0) for i in range(nvars)]
-            )
+            yield CurveJet.monomial(exps, full)
 
 
 def cancellation_scan_curves(nvars: int, max_degree: int, coeff_height: int):
@@ -107,15 +103,15 @@ def cancellation_scan_curves(nvars: int, max_degree: int, coeff_height: int):
         slots = [i for i, e in enumerate(exps) if e]
         for unknown in slots:
             for value in grid:
-                coeffs = [ONE if i in slots else _gr(0) for i in range(nvars)]
+                coeffs = [ONE if i in slots else ZERO for i in range(nvars)]
                 coeffs[unknown] = value
-                yield CurveJet.monomial(nvars, exps, coeffs)
+                yield CurveJet.monomial(exps, coeffs)
 
 
 _RANDOM_POOL = tuple(
-    _gr(v)
+    GaussianRational(v)
     for v in (0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3)
-) + (_gr(0, 1), _gr(0, -1), _gr(1, 1), _gr(-1, 1))
+) + tuple(GaussianRational(a, b) for a, b in ((0, 1), (0, -1), (1, 1), (-1, 1)))
 
 
 def random_curves(nvars: int, budget: SearchBudget):
@@ -138,14 +134,14 @@ def random_curves(nvars: int, budget: SearchBudget):
         lead = [cd.get(mult) for cd in coeffs]
         if all(c is None for c in lead):
             # Force the intended multiplicity.
-            coeffs[rng.randrange(nvars)][mult] = _gr(rng.choice((1, -1)))
+            coeffs[rng.randrange(nvars)][mult] = GaussianRational(rng.choice((1, -1)))
         if all(not cd for cd in coeffs):
             continue
         produced += 1
         yield CurveJet.from_coeffs(coeffs)
 
 
-_CANON_SCALES = SEED_COEFFS + (_gr(1, 1), _gr(1, -1), _gr(-1, 1), _gr(-1, -1))
+_CANON_SCALES = SEED_COEFFS + tuple(GaussianRational(a, b) for a in (1, -1) for b in (1, -1))
 
 
 def canonicalize_curve(z: CurveJet) -> CurveJet:

@@ -5,6 +5,9 @@ the inference rules combining positivity evidence with type facts.
 All exact claims are backed by re-verifiable certificates: an exhibited
 curve checked by exact pullback, or a jet-extension obstruction transcript.
 Bounded searches only ever produce lower bounds, never wrong exact values.
+Both types take their bounded lower bound from one contact search,
+_best_contact, which reads the stream _candidates through one loop and keeps
+curves of multiplicity 1 (regular type) or up to max_multiplicity (singular).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ONE, ZERO, CPolynomial, GaussianRational
-from .curve import CurveJet, contact_order, pullback, pullback_lowest, ps_test_single
+from .curve import CurveJet, contact_order, pullback, ps_test_single
 from .germ import (
     DefiningFunction,
     GraphForm,
@@ -223,7 +226,7 @@ def _ideal_contact_pivot(fs: list[CPolynomial], pivot: int, cap: int) -> _IdealC
 
 
 _WITNESS_TRIALS = tuple(
-    GaussianRational(Fraction(a), Fraction(b))
+    GaussianRational(a, b)
     for a, b in ((0, 0), (1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (0, -1), (3, 0))
 )
 
@@ -238,21 +241,15 @@ def _eval_univariate(phi: dict[int, GaussianRational], x: GaussianRational) -> G
 def _regular_contact_ideal(
     fs: list[CPolynomial], cap: int
 ) -> tuple[_IdealContact, CurveJet | None]:
-    """Max over regular curves of the min order of vanishing of the pullbacks
-    of the holomorphic generators; two variables, complete up to the cap."""
+    """Max over regular curves of the min pullback order of the holomorphic
+    generators, not all zero; two variables, complete up to the cap."""
     nonzero = [f for f in fs if not f.is_zero()]
-    if not nonzero:
-        witness = CurveJet.monomial(fs[0].nvars if fs else 1, [1], [ONE])
-        return _IdealContact(None, True, None, infinite=True,
-                             transcript=["ideal is zero"]), witness
     d = nonzero[0].nvars
     if d == 1:
-        orders = [f.order_of_vanishing().value for f in nonzero]
-        t = min(orders)
-        witness = CurveJet.monomial(1, [1], [ONE])
+        t = min(f.order_of_vanishing().value for f in nonzero)
         return _IdealContact(t, True, None,
                              transcript=["single variable: order is parametrization-"
-                                         "invariant"]), witness
+                                         "invariant"]), _first_axis(1)
     if d != 2:
         raise ValueError("exact jet-extension contact is implemented for <= 2 variables")
     best: _IdealContact | None = None
@@ -302,12 +299,14 @@ def reg_type(gf: GraphForm, N: int, gram: PSCertificate) -> TypeClaim:
         raise ValueError("graph form was not normalized far enough for this cap")
     g = gf.g
     if g.is_zero():
-        witness = CurveJet.monomial(g.nvars, [1] + [0] * (g.nvars - 1), [ONE] * g.nvars)
-        return TypeClaim("infinite", witness=witness,
+        return TypeClaim("infinite", witness=_first_axis(g.nvars),
                          transcript=("g vanishes identically; every curve has "
                                      "infinite contact",))
     if _hermitian_quadratic_definite(g):
-        witness = _first_order2_witness(g)
+        # q(e1) != 0 for the definite quadratic part q, and the mixed-only g
+        # has no terms below degree 2, so the first axis has contact exactly 2.
+        witness = _first_axis(g.nvars)
+        _verify_contact(g, witness, 2, at_least=2)
         return TypeClaim("exact", 2, witness,
                          transcript=("degree-2 Hermitian form is definite: every "
                                      "regular direction meets order exactly 2",))
@@ -328,44 +327,22 @@ def reg_type(gf: GraphForm, N: int, gram: PSCertificate) -> TypeClaim:
                              ["sum-of-squares route: contact of the holomorphic "
                               "generator ideal, doubled"] + res.transcript))
     # Indefinite or high-dimensional: bounded lower-bound search only.
-    budget = SearchBudget(max_degree=max(4, N), random_trials=200)
+    found = _best_contact(g, SearchBudget(max_degree=max(4, N), random_trials=200), 1)
+    if found.kind == "infinite":
+        return TypeClaim("infinite", witness=found.witness,
+                         transcript=("search found a regular curve with "
+                                     "identically zero pullback",))
     best_val, best_witness = 2, None
-    for z in _candidates(g.nvars, budget):
-        if z.multiplicity() != 1:
-            continue
-        order = pullback_lowest(g, z).order_of_vanishing()
-        if order.kind == "zero":
-            return TypeClaim("infinite", witness=z,
-                             transcript=("search found a regular curve with "
-                                         "identically zero pullback",))
-        if order.kind == "exact" and order.value > best_val:
-            best_val, best_witness = order.value, z
+    if found.ratio is not None and found.ratio > 2:
+        best_val, best_witness = int(found.ratio), found.witness
     return TypeClaim("at_least", best_val, best_witness,
                      transcript=("bounded regular-curve search; no obstruction "
                                  "transcript, so only a lower bound is claimed",))
 
 
-def _candidates(nvars: int, budget: SearchBudget):
-    """The candidate stream of the type searches: monomial curves, then
-    cancellation scans, then seeded random curves.  Each search filters it by
-    multiplicity; the order fixes which witness wins a tie."""
-    yield from monomial_curves(nvars, budget.max_degree)
-    yield from cancellation_scan_curves(nvars, budget.max_degree, budget.coeff_height)
-    yield from random_curves(nvars, budget)
-
-
-def _first_order2_witness(g: CPolynomial) -> CurveJet:
-    n = g.nvars
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = 1
-        coeffs = [ZERO] * n
-        coeffs[i] = ONE
-        z = CurveJet.monomial(n, exps, coeffs)
-        order = pullback(g, z).order_of_vanishing()
-        if order.kind == "exact" and order.value == 2:
-            return z
-    raise VerificationFailedError("definite quadratic part but no order-2 direction")
+def _first_axis(n: int) -> CurveJet:
+    """The regular curve (t, 0, ..., 0) in n variables."""
+    return CurveJet.monomial([1] + [0] * (n - 1), [ONE] + [ZERO] * (n - 1))
 
 
 def _verify_contact(g, z, exact_value, at_least):
@@ -384,7 +361,16 @@ def _verify_zero_pullback(g, z):
 
 
 # ---------------------------------------------------------------------------
-# Singular type search
+# Contact search: the bounded lower bound of both types
+
+
+def _candidates(nvars: int, budget: SearchBudget):
+    """The candidate stream of the type searches: monomial curves, then
+    cancellation scans, then seeded random curves.  Each search filters it by
+    multiplicity; the order fixes which witness wins a tie."""
+    yield from monomial_curves(nvars, budget.max_degree)
+    yield from cancellation_scan_curves(nvars, budget.max_degree, budget.coeff_height)
+    yield from random_curves(nvars, budget)
 
 
 @dataclass(frozen=True)
@@ -406,15 +392,15 @@ class SingSearchResult:
                          transcript=("bounded singular search",))
 
 
-def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:
-    """Enumerate singular candidates in the z_n = 0 frame and keep the best
-    exact ratio; an identically zero exact pullback certifies infinite type."""
-    g = gf.g
+def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSearchResult:
+    """The best exact ratio ord/mult over the candidates of multiplicity at
+    most max_mult; the first best wins a tie, and the first identically zero
+    pullback certifies infinite contact."""
     best_ratio: Fraction | None = None
     best_witness: CurveJet | None = None
     tested = 0
     for z in _candidates(g.nvars, budget):
-        if z.multiplicity() > budget.max_multiplicity:
+        if z.multiplicity() > max_mult:
             continue
         tested += 1
         order, ratio = contact_order(g, z)
@@ -423,6 +409,12 @@ def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:
         if ratio is not None and (best_ratio is None or ratio > best_ratio):
             best_ratio, best_witness = ratio, z
     return SingSearchResult("lower_bound", best_ratio, best_witness, tested, budget)
+
+
+def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:
+    """Enumerate singular candidates in the z_n = 0 frame and keep the best
+    exact ratio; an identically zero exact pullback certifies infinite type."""
+    return _best_contact(gf.g, budget, budget.max_multiplicity)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ CANCEL_SQUARE = "n = 3\nr = 2*Re(z3) + abs2(z1 + z2^2)\n"
 FOURTH_POWERS = "n = 3\nr = 2*Re(z3) + abs2(z1)^2 + abs2(z2)^2\n"
 CANCEL_QUARTIC = "n = 3\nr = 2*Re(z3) + abs2(z1 + z2^2) + abs2(z2)^2\n"
 INDEFINITE = "n = 2\nr = abs2(z1)^2 - abs2(z2)^2\n"
+# Only the Gram-seed stage of ps_search finds this violation.
+GRAM_SEED_ONLY = "n = 2\nr = 24*abs2(z2) - 5*z2*conj(z1) - 5*z1*conj(z2) + abs2(z1)\n"
 
 
 @pytest.fixture
@@ -59,6 +61,15 @@ def test_ps_check_violation_exits_one(runner, tmp_path):
     cert = _machine(res)["claims"]["certificate"]
     assert cert["verdict"] == "violation"
     assert cert["balanced_coefficient"] == "-1/1"
+
+
+def test_ps_check_violation_from_gram_seed(runner, tmp_path):
+    res = _invoke(runner, tmp_path, GRAM_SEED_ONLY, ["ps-check", "--json"])
+    assert res.exit_code == 1
+    cert = _machine(res)["claims"]["certificate"]
+    assert cert["verdict"] == "violation"
+    assert cert["witness"] == "(t, 5/24*t)"
+    assert cert["balanced_coefficient"] == "-1/24"
 
 
 def test_gram_certified(runner, tmp_path):

@@ -30,6 +30,12 @@ def test_constant_curve_rejected():
         CurveJet.from_coeffs([{}, {}])
 
 
+def test_monomial_curve_needs_one_coefficient_per_exponent():
+    assert CurveJet.monomial([2, 0], [ONE, ONE]).nvars == 2
+    with pytest.raises(ValueError):
+        CurveJet.monomial([1, 1], [ONE])
+
+
 def test_components_must_be_holomorphic_and_vanish():
     bad = CPolynomial.monomial(1, (0,), (1,))
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """Germ validation, graph normal form, and positivity certification."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactps import germ
 from contactps.algebra import CPolynomial
 from contactps.curve import CurveJet, ps_test_single, pullback
 from contactps.expr import format_curve, parse_curve, parse_expression
@@ -166,7 +169,7 @@ def test_graph_frame_restricts_r_to_the_graph(germ, exps, coeffs):
     gf = normalize_to_graph(r, K)
     assert gf.g.pure_mixed_split()[0].is_zero()
     m = r.nvars - 1
-    eta = CurveJet.monomial(m, exps[:m], coeffs[:m])
+    eta = CurveJet.monomial(exps[:m], coeffs[:m])
     u = pullback(r.r, gf.lift_curve(eta))
     v = pullback(gf.g, eta)
     caps = [p.truncation for p in (u, v) if p.truncation is not None]
@@ -208,6 +211,21 @@ class TestPSSearch:
         assert cert.witness_result.profile.ck == -1
         # re-verification from the certificate alone
         assert ps_test_single(g, cert.witness).is_violation
+
+    @pytest.mark.parametrize("max_degree", [4, 6])
+    def test_gram_seed_stage_finds_violation(self, monkeypatch, max_degree):
+        # The null direction (5/24, 1) of the indefinite Gram matrix is out
+        # of reach of the seed coefficients and the scan grid, so only the
+        # Gram-seed stage finds the violation.
+        g = parse_expression(
+            "24*abs2(z2) - 5*z2*conj(z1) - 5*z1*conj(z2) + abs2(z1)", 2)
+        budget, gram = SearchBudget(max_degree=max_degree), gram_certificate(g)
+        cert = ps_search(g, budget, gram)
+        assert cert.verdict == "violation"
+        assert format_curve(cert.witness) == "(t, 5/24*t)"
+        assert cert.witness_result.profile.ck == Fraction(-1, 24)
+        monkeypatch.setattr(germ, "_gram_seed_curves", lambda g, direction: [])
+        assert ps_search(g, budget, gram).verdict == "no_violation_up_to_bounds"
 
     def test_no_violation_within_bounds(self):
         g = parse_expression("abs2(z1)^2 + abs2(z2)^2", 2)

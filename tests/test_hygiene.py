@@ -14,6 +14,10 @@ than an external linter.
   (`re`, `im` and the operators).  The kernel's property test is the one
   exception, because the invariants it checks are statements about those
   fields.
+- Every function parameter is read in the function's body.  Dunder
+  methods, the command handlers in `report._COMMANDS` (they share one
+  `(source, options)` signature) and the click callbacks of `cli.py` (click
+  passes every declared option) are exempt.
 - Every `(module, attr)` that the traced benchmark (`bench/spans.py`)
   wraps resolves to a callable, so a refactor that drops one of those
   imports fails here and not only in `bench/run.py --trace 1`.
@@ -144,3 +148,50 @@ def test_traced_benchmark_sites_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in _span_sites()
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def _command_handlers(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_COMMANDS" for t in node.targets
+        ):
+            return {v.id for v in node.value.values}
+    return set()
+
+
+def _is_click_callback(fn: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in fn.decorator_list)
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    exempt = _command_handlers(tree)
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{owner}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")
+                        or name in exempt or _is_click_callback(child)):
+                    a = child.args
+                    params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                              a.vararg, a.kwarg) if p is not None]
+                    read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                    found.extend(f"{owner}{name}: {p}" for p in params if p not in read)
+                visit(child, f"{owner}{name}.")
+
+    visit(tree, "")
+    return found
+
+
+def test_every_parameter_is_read():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        hits = _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
