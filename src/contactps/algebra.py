@@ -20,6 +20,16 @@ A polynomial may be exact or a jet: ``truncation=None`` means exact,
 degree > N.  Truncation is a property of the value: every arithmetic result
 carries the weakest truncation of its inputs, so "order at least" answers
 stay sound by construction.
+
+Every CPolynomial keeps one invariant: no coefficient is zero, every key
+has two tuples of length nvars, and no key has total degree above the
+truncation.  The public constructor establishes it by checking and
+filtering its input.  Results of the type's own arithmetic are built by the
+private ``_from_terms``, which checks nothing: each operation drops the
+zeros its arithmetic can create and the keys above the result's truncation
+itself, so the invariant holds for them by construction.  Term products go
+through one helper, ``_mul_terms``, shared by ``__mul__`` and
+``substitute``.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Mapping, Sequence
 
 
@@ -338,16 +349,18 @@ class CPolynomial:
 
     def __add__(self, other: "CPolynomial") -> "CPolynomial":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, ZERO) + coeff
-        return CPolynomial(self.nvars, out, _min_trunc(self.truncation, other.truncation))
+        limit = _min_trunc(self.truncation, other.truncation)
+        out = dict(_within(self, limit))
+        for key, coeff in _within(other, limit).items():
+            old = out.get(key)
+            out[key] = coeff if old is None else old + coeff
+        return _from_terms(self.nvars, _nonzero(out), limit)
 
     def __sub__(self, other: "CPolynomial") -> "CPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "CPolynomial":
-        return CPolynomial(
+        return _from_terms(
             self.nvars, {k: -c for k, c in self.terms.items()}, self.truncation
         )
 
@@ -355,33 +368,18 @@ class CPolynomial:
         self._check_compatible(other)
         limit = _min_trunc(self.truncation, other.truncation)
         out: dict = {}
-        for (h1, a1), c1 in self.terms.items():
-            d1 = sum(h1) + sum(a1)
-            for (h2, a2), c2 in other.terms.items():
-                if limit is not None and d1 + sum(h2) + sum(a2) > limit:
-                    continue
-                key = (
-                    tuple(x + y for x, y in zip(h1, h2)),
-                    tuple(x + y for x, y in zip(a1, a2)),
-                )
-                prod = c1 * c2
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return CPolynomial(self.nvars, out, limit)
+        _mul_terms(out, self.terms, other.terms, limit)
+        return _from_terms(self.nvars, _nonzero(out), limit)
 
     def scale(self, c: GaussianRational) -> "CPolynomial":
-        return CPolynomial(
-            self.nvars, {k: v * c for k, v in self.terms.items()}, self.truncation
-        )
+        terms = {} if c.is_zero() else {k: v * c for k, v in self.terms.items()}
+        return _from_terms(self.nvars, terms, self.truncation)
 
     def __pow__(self, k: int) -> "CPolynomial":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = CPolynomial.one(self.nvars)
-        if self.truncation is not None:
-            out = CPolynomial(self.nvars, out.terms, self.truncation)
+        zero = (0,) * self.nvars
+        out = CPolynomial(self.nvars, {(zero, zero): ONE}, self.truncation)
         base = self
         while k:
             if k & 1:
@@ -413,7 +411,7 @@ class CPolynomial:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> "CPolynomial":
-        return CPolynomial(
+        return _from_terms(
             self.nvars,
             {key_conjugate(k): c.conjugate() for k, c in self.terms.items()},
             self.truncation,
@@ -464,11 +462,11 @@ class CPolynomial:
         if k < 0:
             raise ValueError("truncation order must be non-negative")
         out = {key: c for key, c in self.terms.items() if key_degree(key) <= k}
-        return CPolynomial(self.nvars, out, _min_trunc(self.truncation, k))
+        return _from_terms(self.nvars, out, _min_trunc(self.truncation, k))
 
     def homogeneous_slice(self, d: int) -> "CPolynomial":
         out = {key: c for key, c in self.terms.items() if key_degree(key) == d}
-        return CPolynomial(self.nvars, out, self.truncation)
+        return _from_terms(self.nvars, out, self.truncation)
 
     def substitute(
         self, images: Sequence["CPolynomial"], nvars_out: int
@@ -477,6 +475,17 @@ class CPolynomial:
 
         The antiholomorphic part of the result is the conjugate of the
         substitution by construction, so real-valued inputs stay real-valued.
+
+        The result is a jet of order ``limit``: for a jet self, its
+        truncation scaled by the least order of the images, lowered to the
+        truncation of every jet image that self involves (None when all of
+        them are exact).  With H_e the product of images[i]^e[i], one
+        accumulator collects coeff * H_h * conj(H_a) for every term
+        coeff * z^h * conj(z)^a of self.  Each image power is computed once
+        per (i, e), each product H_e once per exponent vector e, and each
+        conjugate conj(H_a) once per a, however many terms share them.
+        Products above ``limit`` are never formed, and coefficients that
+        cancel are dropped once, at the end.
         """
         if len(images) != self.nvars:
             raise DimensionError(
@@ -509,29 +518,88 @@ class CPolynomial:
             if used[i] and im.truncation is not None:
                 limit = _min_trunc(limit, im.truncation)
 
-        power_cache: dict[tuple[int, int], CPolynomial] = {}
+        powers: dict[tuple[int, int], CPolynomial] = {}
+        products: dict[tuple[int, ...], dict] = {}
+        conjugates: dict[tuple[int, ...], dict] = {}
+        one = {((0,) * nvars_out, (0,) * nvars_out): ONE}
 
         def image_power(i: int, e: int) -> CPolynomial:
-            key = (i, e)
-            if key not in power_cache:
+            p = powers.get((i, e))
+            if p is None:
                 p = images[i] ** e
-                if limit is not None:
-                    p = p.truncate(limit) if p.truncation is None or p.truncation > limit else p
-                power_cache[key] = p
-            return power_cache[key]
+                if limit is not None and (p.truncation is None or p.truncation > limit):
+                    p = p.truncate(limit)
+                powers[(i, e)] = p
+            return p
 
-        total = CPolynomial.zero(nvars_out, limit)
+        def image_product(exps: tuple[int, ...]) -> dict:
+            terms = products.get(exps)
+            if terms is None:
+                prod = None
+                for i, e in enumerate(exps):
+                    if e:
+                        p = image_power(i, e)
+                        prod = p if prod is None else prod * p
+                terms = products[exps] = one if prod is None else prod.terms
+            return terms
+
+        def conjugate_product(exps: tuple[int, ...]) -> dict:
+            terms = conjugates.get(exps)
+            if terms is None:
+                terms = conjugates[exps] = {
+                    (k[1], k[0]): c.conjugate() for k, c in image_product(exps).items()
+                }
+            return terms
+
+        out: dict = {}
         for (h, a), coeff in self.terms.items():
-            term = CPolynomial.constant(nvars_out, coeff)
-            if limit is not None:
-                term = CPolynomial(nvars_out, term.terms, limit)
-            for i in range(self.nvars):
-                if h[i]:
-                    term = term * image_power(i, h[i])
-                if a[i]:
-                    term = term * image_power(i, a[i]).conjugate()
-            total = total + term
-        return total
+            scaled = {k: c * coeff for k, c in image_product(h).items()}
+            _mul_terms(out, scaled, conjugate_product(a), limit)
+        return _from_terms(nvars_out, _nonzero(out), limit)
+
+
+_set_nvars = CPolynomial.nvars.__set__
+_set_terms = CPolynomial.terms.__set__
+_set_truncation = CPolynomial.truncation.__set__
+
+
+def _from_terms(nvars: int, terms: dict, truncation: int | None) -> CPolynomial:
+    """A CPolynomial over terms that already hold its invariant: no zero
+    coefficient, keys of length nvars, no key of degree above truncation.
+    Nothing is checked; only the type's own arithmetic may call this."""
+    p = _new(CPolynomial)
+    _set_nvars(p, nvars)
+    _set_terms(p, terms)
+    _set_truncation(p, truncation)
+    return p
+
+
+def _mul_terms(out: dict, left: Mapping, right: Mapping, limit: int | None) -> None:
+    """Add the product of every left and right term of degree <= limit (all
+    of them if limit is None) into out.  Coefficients that cancel stay in
+    out as zeros for the caller to drop."""
+    rows = [(h, a, sum(h) + sum(a), c) for (h, a), c in right.items()]
+    for (h1, a1), c1 in left.items():
+        room = None if limit is None else limit - sum(h1) - sum(a1)
+        for h2, a2, d2, c2 in rows:
+            if room is not None and d2 > room:
+                continue
+            key = (tuple(map(add, h1, h2)), tuple(map(add, a1, a2)))
+            prod = c1 * c2
+            old = out.get(key)
+            out[key] = prod if old is None else old + prod
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c._a or c._b}
+
+
+def _within(p: CPolynomial, limit: int | None) -> Mapping:
+    """The terms of p of degree <= limit, for a limit that is p's truncation
+    or lower (so None only when p is exact)."""
+    if p.truncation == limit:
+        return p.terms
+    return {k: c for k, c in p.terms.items() if key_degree(k) <= limit}
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:

@@ -100,7 +100,9 @@ def gaussian_common_roots(
         return [], True
     complete = True
     roots: list[GaussianRational] = []
-    for factor, _mult in g.factor_list()[1]:
+    # A linear gcd is its own only irreducible factor.
+    factors = [(g, 1)] if g.degree() == 1 else g.factor_list()[1]
+    for factor, _mult in factors:
         if factor.degree() == 1:
             c = factor.monic().rep.TC()  # the factor is x + c
             re, im = (Fraction(q.numerator, q.denominator) for q in (c.x, c.y))

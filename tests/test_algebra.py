@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactps.algebra import (
     CPolynomial,
@@ -196,3 +198,117 @@ def test_pure_mixed_split_partition(rng):
 def test_key_conjugate_involution():
     key = ((2, 0), (1, 3))
     assert key_conjugate(key_conjugate(key)) == key
+
+
+# ---------------------------------------------------------------------------
+# Properties over random operands in 1 to 3 variables, exact and jet
+
+scalars = st.builds(
+    lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+)
+
+
+@st.composite
+def keys(draw, nvars, max_deg):
+    """An exponent key of total degree at most max_deg."""
+    holo, anti = [0] * nvars, [0] * nvars
+    for _ in range(draw(st.integers(0, max_deg))):
+        side = anti if draw(st.booleans()) else holo
+        side[draw(st.integers(0, nvars - 1))] += 1
+    return tuple(holo), tuple(anti)
+
+
+@st.composite
+def polys(draw, nvars, max_deg=4, max_terms=4):
+    """A polynomial with conjugate terms, sometimes zero, sometimes a jet."""
+    terms = draw(st.dictionaries(keys(nvars, max_deg), scalars, max_size=max_terms))
+    truncation = draw(st.one_of(st.none(), st.integers(0, 6)))
+    return CPolynomial(nvars, terms, truncation)
+
+
+def image_lists(nvars, nvars_out):
+    return st.lists(polys(nvars_out, max_deg=3, max_terms=3), min_size=nvars, max_size=nvars)
+
+
+def reference_substitute(p, images, nvars_out):
+    """The term-by-term composition that CPolynomial.substitute replaced: a
+    constant polynomial per term of p, multiplied by cached image powers (and
+    their conjugates) and added to a running total."""
+    used = [any(h[i] or a[i] for (h, a) in p.terms) for i in range(p.nvars)]
+    limit = None
+    if p.truncation is not None:
+        orders = [im.order_of_vanishing() for im in images]
+        dmin = min((o.value for o in orders if o.kind != "zero"), default=None)
+        if dmin == 0:
+            raise TruncationError(
+                "cannot soundly substitute images with constant terms "
+                "into a jet-truncated polynomial"
+            )
+        if dmin is not None:
+            limit = (p.truncation + 1) * dmin - 1
+    for i, im in enumerate(images):
+        if used[i] and im.truncation is not None:
+            limit = im.truncation if limit is None else min(limit, im.truncation)
+
+    power_cache = {}
+
+    def image_power(i, e):
+        if (i, e) not in power_cache:
+            q = images[i] ** e
+            if limit is not None and (q.truncation is None or q.truncation > limit):
+                q = q.truncate(limit)
+            power_cache[(i, e)] = q
+        return power_cache[(i, e)]
+
+    total = CPolynomial.zero(nvars_out, limit)
+    for (h, a), coeff in p.terms.items():
+        term = CPolynomial.constant(nvars_out, coeff)
+        if limit is not None:
+            term = CPolynomial(nvars_out, term.terms, limit)
+        for i in range(p.nvars):
+            if h[i]:
+                term = term * image_power(i, h[i])
+            if a[i]:
+                term = term * image_power(i, a[i]).conjugate()
+        total = total + term
+    return total
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3), nvars_out=st.integers(1, 3))
+def test_substitute_matches_term_by_term_reference(data, nvars, nvars_out):
+    p = data.draw(polys(nvars))
+    ims = data.draw(image_lists(nvars, nvars_out))
+    try:
+        expected = reference_substitute(p, ims, nvars_out)
+    except TruncationError as exc:
+        with pytest.raises(TruncationError) as raised:
+            p.substitute(ims, nvars_out)
+        assert str(raised.value) == str(exc)
+        return
+    out = p.substitute(ims, nvars_out)
+    assert out.terms == expected.terms
+    assert out.truncation == expected.truncation
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3), nvars_out=st.integers(1, 3))
+def test_results_hold_the_constructor_invariant(data, nvars, nvars_out):
+    """Every result equals its own rebuild by the validating constructor: no
+    zero coefficient, every key of length nvars (the rebuild raises
+    otherwise), no term above the truncation."""
+    p, q = data.draw(polys(nvars)), data.draw(polys(nvars))
+    c = data.draw(scalars)
+    k = data.draw(st.integers(0, 6))
+    results = [
+        p + q, p - q, p - p, p * q, (p + q) * (p - q), p ** (k % 4), -p,
+        p.scale(c), p.scale(ZERO), p.conjugate(), p.truncate(k),
+        p.homogeneous_slice(k), p.wirtinger(k % nvars, anti=bool(k % 2)),
+    ]
+    try:
+        results.append(p.substitute(data.draw(image_lists(nvars, nvars_out)), nvars_out))
+    except TruncationError:
+        pass
+    for r in results:
+        assert r == CPolynomial(r.nvars, dict(r.terms), r.truncation)

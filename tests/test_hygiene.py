@@ -14,6 +14,13 @@ than an external linter.
   (`re`, `im` and the operators).  The kernel's property test is the one
   exception, because the invariants it checks are statements about those
   fields.
+- No file but `algebra.py` names `_from_terms` or `_mul_terms`: the
+  unchecked constructor and the term-product loop serve only the
+  polynomial type's own arithmetic, whose results hold the invariant they
+  rely on.
+- Every `hypothesis` `settings(...)` under `tests/` passes
+  `derandomize=True` and `database=None`, and every `@given` test carries
+  one, so the suite draws the same examples on every run.
 - Every function parameter is read in the function's body.  Dunder
   methods, the command handlers in `report._COMMANDS` (they share one
   `(source, options)` signature) and the click callbacks of `cli.py` (click
@@ -130,6 +137,77 @@ def test_scalar_fields_stay_private_to_algebra():
         if hits:
             found[str(path.relative_to(ROOT))] = hits
     assert found == {}
+
+
+ALGEBRA_INTERNALS = {"_from_terms", "_mul_terms"}
+
+
+def _algebra_internal_names(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in ALGEBRA_INTERNALS:
+            found.append(f"{node.id} (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr in ALGEBRA_INTERNALS:
+            found.append(f".{node.attr} (line {node.lineno})")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"import {alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.rpartition(".")[2] in ALGEBRA_INTERNALS]
+    return found
+
+
+def test_unchecked_constructor_stays_inside_algebra():
+    found = {}
+    paths = [*SRC.rglob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    for path in sorted(paths):
+        if path == SRC / "algebra.py":
+            continue
+        hits = _algebra_internal_names(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[str(path.relative_to(ROOT))] = hits
+    assert found == {}
+    algebra = ast.parse((SRC / "algebra.py").read_text(encoding="utf-8"))
+    assert ALGEBRA_INTERNALS <= {n.name for n in algebra.body if isinstance(n, ast.FunctionDef)}
+
+
+def _is_call_to(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+
+
+def _nondeterministic_hypothesis(tree: ast.Module) -> tuple[list[str], int]:
+    """Settings calls without derandomize=True and database=None, and @given
+    tests without a settings decorator; plus the number of settings calls."""
+    found, count = [], 0
+    settings_names = {"settings"}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _is_call_to(node.value, "settings"):
+            settings_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    for node in ast.walk(tree):
+        if _is_call_to(node, "settings"):
+            count += 1
+            kw = {k.arg: k.value for k in node.keywords}
+            if not all(isinstance(kw.get(arg), ast.Constant) and kw[arg].value is value
+                       for arg, value in (("derandomize", True), ("database", None))):
+                found.append(f"settings(...) (line {node.lineno})")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            decorators = node.decorator_list
+            if (any(_is_call_to(d, "given") for d in decorators)
+                    and not any(_is_call_to(d, "settings")
+                                or isinstance(d, ast.Name) and d.id in settings_names
+                                for d in decorators)):
+                found.append(f"@given without settings: {node.name} (line {node.lineno})")
+    return found, count
+
+
+def test_hypothesis_runs_are_deterministic():
+    found, count = {}, 0
+    for path in sorted((ROOT / "tests").rglob("test_*.py")):
+        hits, n = _nondeterministic_hypothesis(ast.parse(path.read_text(encoding="utf-8")))
+        count += n
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+    assert count > 0
 
 
 def _span_sites() -> list[tuple[str, str]]:
