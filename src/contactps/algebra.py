@@ -30,6 +30,12 @@ zeros its arithmetic can create and the keys above the result's truncation
 itself, so the invariant holds for them by construction.  Term products go
 through one helper, ``_mul_terms``, shared by ``__mul__`` and
 ``substitute``.
+
+``substitute`` composes with images in full.  ``leading_substitution``
+reads only the lowest slice of that composite off the leading terms of
+one-variable images, one scalar product per term of least weighted degree,
+and returns None where that reading is not exact.  Both take the
+truncation of the composite from one helper, ``_substitution_limit``.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
 from typing import Mapping, Sequence
 
 
@@ -476,10 +482,9 @@ class CPolynomial:
         The antiholomorphic part of the result is the conjugate of the
         substitution by construction, so real-valued inputs stay real-valued.
 
-        The result is a jet of order ``limit``: for a jet self, its
-        truncation scaled by the least order of the images, lowered to the
-        truncation of every jet image that self involves (None when all of
-        them are exact).  With H_e the product of images[i]^e[i], one
+        The result is a jet of order ``limit``, given by
+        ``_substitution_limit`` (None when self and every image it involves
+        are exact).  With H_e the product of images[i]^e[i], one
         accumulator collects coeff * H_h * conj(H_a) for every term
         coeff * z^h * conj(z)^a of self.  Each image power is computed once
         per (i, e), each product H_e once per exponent vector e, and each
@@ -495,28 +500,7 @@ class CPolynomial:
             if im.nvars != nvars_out:
                 raise DimensionError("image variable counts disagree")
 
-        used = [False] * self.nvars
-        for (h, a) in self.terms:
-            for i in range(self.nvars):
-                if h[i] or a[i]:
-                    used[i] = True
-
-        limit: int | None = None
-        if self.truncation is not None:
-            # Unknown terms of self (degree > truncation) may involve any
-            # variable, so the bound must use the min order over all images.
-            orders = [im.order_of_vanishing() for im in images]
-            dmin = min((o.value for o in orders if o.kind != "zero"), default=None)
-            if dmin == 0:
-                raise TruncationError(
-                    "cannot soundly substitute images with constant terms "
-                    "into a jet-truncated polynomial"
-                )
-            if dmin is not None:
-                limit = (self.truncation + 1) * dmin - 1
-        for i, im in enumerate(images):
-            if used[i] and im.truncation is not None:
-                limit = _min_trunc(limit, im.truncation)
+        limit = _substitution_limit(self, images)
 
         powers: dict[tuple[int, int], CPolynomial] = {}
         products: dict[tuple[int, ...], dict] = {}
@@ -557,6 +541,87 @@ class CPolynomial:
             _mul_terms(out, scaled, conjugate_product(a), limit)
         return _from_terms(nvars_out, _nonzero(out), limit)
 
+    def leading_substitution(
+        self, images: Sequence["CPolynomial"]
+    ) -> "CPolynomial | None":
+        """The lowest homogeneous slice of self.substitute(images, 1), read
+        off the leading terms of one-variable images, or None when that
+        reading is not exact.
+
+        Let image i have the single lowest term c_i * t^j_i * conj(t)^k_i,
+        of degree mu_i = j_i + k_i.  A term coeff * z^h * conj(z)^a of self
+        then substitutes to coeff * prod c_i^h_i * conj(c_i)^a_i at
+        bidegree (h.j + a.k, h.k + a.j), plus terms of higher degree; its
+        weighted degree is (h + a).mu.  Terms that involve an image with no
+        terms are skipped: an exact zero contributes nothing, and a jet zero
+        contributes only above its truncation, which bounds the limit.  The
+        sum S of the terms of least weighted degree d is the degree-d slice
+        of the substitution, and nothing lies below d.  So when S is nonzero
+        and d is at most the substitution's truncation
+        (``_substitution_limit``), S is its exact lowest slice, and the
+        result is S as a jet of order d.  None is returned when S cancels,
+        when d lies above that truncation, when self has no term left, or
+        when an image's lowest slice has more than one term.
+        """
+        if len(images) != self.nvars:
+            raise DimensionError(
+                f"expected {self.nvars} images, got {len(images)}"
+            )
+        if any(im.nvars != 1 for im in images):
+            raise DimensionError("leading substitution takes one-variable images")
+        # The lowest term of image i is cs[i] * t^js[i] * conj(t)^ks[i];
+        # images with no term are listed in dead.
+        js, ks, cs, dead = [], [], [], []
+        for i, im in enumerate(images):
+            low = None
+            for (h, a), c in im.terms.items():
+                deg = h[0] + a[0]
+                if low is None or deg < low:
+                    low, lead = deg, (h[0], a[0], c)
+                elif deg == low:
+                    return None
+            if low is None:
+                dead.append(i)
+                lead = (0, 0, ZERO)
+            js.append(lead[0])
+            ks.append(lead[1])
+            cs.append(lead[2])
+
+        best: int | None = None
+        rows: list = []
+        for (h, a), coeff in self.terms.items():
+            if dead and any(h[i] or a[i] for i in dead):
+                continue
+            hj, hk = sum(map(mul, h, js)), sum(map(mul, h, ks))
+            aj, ak = sum(map(mul, a, js)), sum(map(mul, a, ks))
+            deg = hj + hk + aj + ak
+            if best is None or deg < best:
+                best, rows = deg, [(h, a, coeff, hj + ak, hk + aj)]
+            elif deg == best:
+                rows.append((h, a, coeff, hj + ak, hk + aj))
+        if best is None:
+            return None
+        limit = _substitution_limit(self, images)
+        if limit is not None and best > limit:
+            return None
+
+        conjs = [c.conjugate() for c in cs]
+        out: dict = {}
+        for h, a, coeff, hol, anti in rows:
+            c = coeff
+            for e, f, ci, cj in zip(h, a, cs, conjs):
+                if e:
+                    c = c * (ci if e == 1 else ci ** e)
+                if f:
+                    c = c * (cj if f == 1 else cj ** f)
+            key = ((hol,), (anti,))
+            old = out.get(key)
+            out[key] = c if old is None else old + c
+        out = _nonzero(out)
+        if not out:
+            return None
+        return _from_terms(1, out, best)
+
 
 _set_nvars = CPolynomial.nvars.__set__
 _set_terms = CPolynomial.terms.__set__
@@ -572,6 +637,34 @@ def _from_terms(nvars: int, terms: dict, truncation: int | None) -> CPolynomial:
     _set_terms(p, terms)
     _set_truncation(p, truncation)
     return p
+
+
+def _substitution_limit(p: CPolynomial, images: Sequence[CPolynomial]) -> int | None:
+    """The truncation of p.substitute(images, ...): for a jet p, its
+    truncation scaled by the least order of the images, lowered to the
+    truncation of every jet image that p involves; None when p and every
+    image it involves are exact."""
+    limit: int | None = None
+    if p.truncation is not None:
+        # Unknown terms of p (degree > truncation) may involve any
+        # variable, so the bound must use the min order over all images.
+        orders = [im.order_of_vanishing() for im in images]
+        dmin = min((o.value for o in orders if o.kind != "zero"), default=None)
+        if dmin == 0:
+            raise TruncationError(
+                "cannot soundly substitute images with constant terms "
+                "into a jet-truncated polynomial"
+            )
+        if dmin is not None:
+            limit = (p.truncation + 1) * dmin - 1
+    jets = [i for i, im in enumerate(images) if im.truncation is not None]
+    if jets:
+        used = set()
+        for (h, a) in p.terms:
+            used.update(i for i in jets if h[i] or a[i])
+        for i in used:
+            limit = _min_trunc(limit, images[i].truncation)
+    return limit
 
 
 def _mul_terms(out: dict, left: Mapping, right: Mapping, limit: int | None) -> None:

@@ -8,7 +8,7 @@ non-holomorphic curves are unrepresentable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,14 +48,19 @@ class CurveJet:
     """A nonconstant holomorphic map germ (C,0) -> (C^n,0)."""
 
     components: tuple[CPolynomial, ...]
+    _multiplicity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
             raise ConstantCurveError("curve must have at least one component")
+        orders = []
         for c in self.components:
             _as_component(c)
-        if all(c.is_zero() for c in self.components):
+            if c.terms:
+                orders.append(min(h[0] for (h, _a) in c.terms))
+        if not orders:
             raise ConstantCurveError("curve is identically zero")
+        object.__setattr__(self, "_multiplicity", min(orders))
 
     @staticmethod
     def from_coeffs(
@@ -90,12 +95,7 @@ class CurveJet:
 
     def multiplicity(self) -> int:
         """Min order of vanishing across components; 1 means regular."""
-        orders = [
-            c.order_of_vanishing().value
-            for c in self.components
-            if not c.is_zero()
-        ]
-        return min(orders)
+        return self._multiplicity
 
     def is_regular(self) -> bool:
         return self.multiplicity() == 1
@@ -143,22 +143,96 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
     """A pullback of p along z with the same order of vanishing and the same
     lowest homogeneous slice as pullback(p, z); higher terms may be cut off.
 
-    Soundness.  Let z' be z with every component marked as a jet of order
-    L = 4*mult(z) + 1.  A term of degree > L that z' drops from a component
-    only reaches terms of degree > L of the pullback, and substitute records
-    a truncation T <= L for pullback(p, z') when p involves a variable (and
-    none for a constant p); z(0) = 0 keeps that sound when p is itself a jet.
-    So every term of pullback(p, z') of degree <= T is the term of
-    pullback(p, z).  Hence if pullback(p, z') has a term, its lowest one is
-    the lowest term of pullback(p, z): the order and lowest slice are exact.
-    If it has none, the exact pullback vanishes to order > T and this
-    returns pullback(p, z) itself, so "zero" and "at_least" orders come out
-    as that call gives them.
+    Leading slice.  Let component i of z start with c_i * t^mu_i.  A term
+    c * z^h * conj(z)^a of p pulls back to c * prod c_i^h_i * conj(c_i)^a_i
+    * t^(h.mu) * conj(t)^(a.mu) plus terms of higher degree; a term that
+    involves a zero component pulls back to zero and is left out.  So the
+    pullback vanishes to at least the least weighted degree d of a term of
+    p under the weights mu, and its degree-d slice is the sum S of the
+    leading products of the terms of weighted degree d: the weighted order
+    of contact of D'Angelo (Ann. Math. 115, 1982).  When S is nonzero it is
+    the lowest slice of the pullback and d is its order.  For jets this
+    holds only up to the truncation L that substitute gives pullback(p, z),
+    since terms of p above its truncation, and terms of a jet component
+    above its own, reach only degrees above L.  So S is accepted only when
+    d <= L (L is None when p and z are exact), and it is returned as a jet
+    of order d (CPolynomial.leading_substitution).
 
-    Cost.  The cap sits just above order 4*mult(z), contact ratio 4, which
-    the type searches probe; almost every candidate meets it below the cap
-    and skips the terms up to degree deg(p)*deg(z) of the exact pullback.
+    Capped pullback.  When S cancels, the lowest surviving terms come from
+    the later terms of the components, which only a substitution carries;
+    when d > L, pullback(p, z) knows no term at degree d.  Both cases take
+    this path.  Let z' be z with every component marked as a jet of order
+    C = 4*mult(z) + 1.  A term of degree > C that z' drops from a component
+    only reaches terms of degree > C of the pullback, and substitute records
+    a truncation T <= C for pullback(p, z') when p involves a variable (and
+    none for a constant p); z(0) = 0 keeps that sound when p is itself a
+    jet.  So every term of pullback(p, z') of degree <= T is the term of
+    pullback(p, z).  Hence if pullback(p, z') has a term, its lowest one is
+    the lowest term of pullback(p, z).  If it has none, the exact pullback
+    vanishes to order > T and this returns pullback(p, z) itself, so "zero"
+    and "at_least" orders come out as that call gives them.
+
+    Cost.  The leading slice costs integer work per term of p and scalar
+    products only for the terms of weighted degree d; it decides almost
+    every candidate of the type searches.  The cap sits just above order
+    4*mult(z), contact ratio 4, which the type searches probe, so a
+    cancelling candidate that meets it below the cap skips the terms up to
+    degree deg(p)*deg(z) of the exact pullback.
     """
+    if p.nvars != z.nvars:
+        raise DimensionError(
+            f"polynomial has {p.nvars} variables, curve has {z.nvars}"
+        )
+    return p.substitute(list(z.components), 1)
+
+
+def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
+    """A pullback of p along z with the same order of vanishing and the same
+    lowest homogeneous slice as pullback(p, z); higher terms may be cut off.
+
+    Leading slice.  Let component i of z start with c_i * t^mu_i.  A term
+    c * z^h * conj(z)^a of p pulls back to c * prod c_i^h_i * conj(c_i)^a_i
+    * t^(h.mu) * conj(t)^(a.mu) plus terms of higher degree, so the pullback
+    vanishes to at least the least weighted degree d of a term of p under
+    the weights mu, and its degree-d slice is the sum S of the leading
+    products of the terms of weighted degree d (D'Angelo's weighted order
+    of contact); a term that involves a zero component pulls back to zero
+    and is left out.  When S is nonzero it is the lowest slice of the pullback
+    and d is its order.  For jets that holds only up to the truncation L
+    that substitute gives pullback(p, z): terms of p above its truncation,
+    and terms of a jet component above its own, reach only degrees above L.
+    So S is accepted only when d <= L, and is returned as a jet of order d
+    (CPolynomial.leading_substitution).
+
+    Capped pullback.  When S cancels, or d > L, the leading terms do not
+    give the order: where S cancels, the lowest surviving terms come from
+    the later terms of the components, which only a substitution carries.
+    Let z' be z with every component marked
+    as a jet of order C = 4*mult(z) + 1.  A term of degree > C that z' drops
+    from a component only reaches terms of degree > C of the pullback, and
+    substitute records a truncation T <= C for pullback(p, z') when p
+    involves a variable (and none for a constant p); z(0) = 0 keeps that
+    sound when p is itself a jet.  So every term of pullback(p, z') of
+    degree <= T is the term of pullback(p, z).  Hence if pullback(p, z') has
+    a term, its lowest one is the lowest term of pullback(p, z).  If it has
+    none, the exact pullback vanishes to order > T and this returns
+    pullback(p, z) itself, so "zero" and "at_least" orders come out as that
+    call gives them.
+
+    Cost.  The leading slice costs one scalar product per term of p of
+    least weighted degree and decides almost every candidate of the type
+    searches.  The cap sits just above order 4*mult(z), contact ratio 4,
+    which the type searches probe; a cancelling candidate that meets it
+    below the cap skips the terms up to degree deg(p)*deg(z) of the exact
+    pullback.
+    """
+    if p.nvars != z.nvars:
+        raise DimensionError(
+            f"polynomial has {p.nvars} variables, curve has {z.nvars}"
+        )
+    u = p.leading_substitution(z.components)
+    if u is not None:
+        return u
     cap = 4 * z.multiplicity() + 1
     u = pullback(p, CurveJet(tuple(c.truncate(cap) for c in z.components)))
     if u.terms:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .algebra import ONE, ZERO, CPolynomial, GaussianRational
 from .curve import CurveJet, contact_order, pullback, ps_test_single
@@ -76,6 +77,14 @@ class TypeClaim:
 # Gaussian-rational root extraction (exact, via factorization over Q(i))
 
 
+@cache
+def _gaussian_field():
+    """Q(i) as sympy's algebraic field Q<I>, built once per process."""
+    from sympy import QQ_I
+
+    return QQ_I.as_AlgebraicField()
+
+
 def gaussian_common_roots(
     polys: list[dict[int, GaussianRational]],
 ) -> tuple[list[GaussianRational], bool]:
@@ -100,11 +109,14 @@ def gaussian_common_roots(
         return [], True
     complete = True
     roots: list[GaussianRational] = []
-    # A linear gcd is its own only irreducible factor.
-    factors = [(g, 1)] if g.degree() == 1 else g.factor_list()[1]
+    # A linear gcd is its own only irreducible factor.  Higher degree is
+    # factored over Q<I>, which is what QQ_I factoring does internally,
+    # without rebuilding that field on every call.
+    factors = [(g, 1)] if g.degree() == 1 else g.set_domain(_gaussian_field()).factor_list()[1]
     for factor, _mult in factors:
         if factor.degree() == 1:
-            c = factor.monic().rep.TC()  # the factor is x + c
+            # The factor is x + c.
+            c = QQ_I.convert_from(factor.monic().rep.TC(), factor.domain)
             re, im = (Fraction(q.numerator, q.denominator) for q in (c.x, c.y))
             roots.append(-GaussianRational(re, im))
         elif factor.degree() > 1:

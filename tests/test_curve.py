@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactps import curve
@@ -180,9 +180,9 @@ def germs(draw, nvars):
 
 
 @st.composite
-def curves(draw, nvars):
+def curves(draw, nvars, spread=8):
     """A curve of multiplicity m in 1..4; its other components start at
-    orders up to m + 8, so that pullbacks often vanish beyond 4m + 1."""
+    orders up to m + spread, so that pullbacks often vanish beyond 4m + 1."""
     m = draw(st.integers(1, 4))
     lead = draw(st.integers(0, nvars - 1))
     comps = []
@@ -190,7 +190,7 @@ def curves(draw, nvars):
         if i != lead and draw(st.integers(0, 3)) == 0:
             comps.append(CPolynomial.zero(1))
             continue
-        low = m if i == lead else draw(st.integers(m, m + 8))
+        low = m if i == lead else draw(st.integers(m, m + spread))
         coeffs = draw(st.lists(scalars, min_size=1, max_size=4))
         terms = {((low + j,), (0,)): c for j, c in enumerate(coeffs)}
         comps.append(CPolynomial(1, terms))
@@ -236,12 +236,15 @@ class TestPullbackLowest:
         assert calls[-1] is z and len(calls) == 2
 
     def test_order_beyond_the_cap_takes_the_fallback(self, monkeypatch):
-        g = parse_expression("abs2(z2)", 2)
-        z = parse_curve("(t, t^6)")  # order 12 > 4*1 + 1
+        # The weight-4 slice cancels, and the exact order 18 lies above the
+        # cap 4*1 + 1: the capped pullback finds nothing.
+        g = parse_expression("abs2(z1 + z2^2)", 2)
+        z = parse_curve("(-t^2 + t^9, t)")
+        assert g.leading_substitution(z.components) is None
         calls = _count_pullbacks(monkeypatch)
         u = pullback_lowest(g, z)
-        assert len(calls) == 2 and u == pullback(g, z)
-        assert str(u.order_of_vanishing()) == "12"
+        assert len(calls) == 2 and calls[-1] is z and u == pullback(g, z)
+        assert str(u.order_of_vanishing()) == "18"
 
     def test_jet_germ_vanishing_below_its_truncation_takes_the_fallback(self, monkeypatch):
         g = parse_expression("abs2(z1)^2", 1).truncate(3)
@@ -251,9 +254,75 @@ class TestPullbackLowest:
         assert len(calls) == 2
 
     def test_order_below_the_cap_needs_one_capped_pullback(self, monkeypatch):
-        g = parse_expression("abs2(z1 + z2^2) + abs2(z2)^2", 2)
+        # The weight-4 slice of abs2(z1 + z2^2) cancels; the added term
+        # gives the pullback order 5, which the cap 4*1 + 1 reaches.
+        g = parse_expression("abs2(z1 + z2^2) + 2*Re(z1*conj(z2)^3)", 2)
         z = parse_curve("(-t^2 + t^9, t)")
+        assert g.leading_substitution(z.components) is None
         calls = _count_pullbacks(monkeypatch)
         u = pullback_lowest(g, z)
         assert len(calls) == 1 and u.truncation == 5
+        assert str(u.order_of_vanishing()) == "5"
         _same_lowest(u, pullback(g, z))
+
+    @pytest.mark.parametrize("g, z", [
+        ("abs2(z2)", "(t, t^6)"),
+        ("abs2(z1 + z2^2) + abs2(z2)^2", "(-t^2 + t^9, t)"),
+        ("2*Re(z3) + abs2(z1 + i*z2^2) + abs2(z2)^2", "(t^3, 0, 0)"),
+    ])
+    def test_leading_slice_needs_no_pullback(self, monkeypatch, g, z):
+        g = parse_expression(g, 3 if "z3" in g else 2)
+        z = parse_curve(z)
+        calls = _count_pullbacks(monkeypatch)
+        u = pullback_lowest(g, z)
+        assert calls == []
+        d = u.order_of_vanishing().value
+        assert u.truncation == d and u.terms == u.homogeneous_slice(d).terms
+        _same_lowest(u, pullback(g, z))
+
+    @pytest.mark.parametrize("g, z", [
+        # A jet germ: its unknown terms of degree 3 reach t^3 along z1 = t,
+        # below the weight-4 slice of abs2(z2).
+        (parse_expression("abs2(z2)", 2).truncate(2), parse_curve("(t, t^2)")),
+        # A jet component: substitute knows abs2(z1) only to degree 2.
+        (parse_expression("abs2(z1)", 1),
+         CurveJet.from_coeffs([{2: ONE}], truncation=2)),
+    ])
+    def test_leading_slice_above_the_jet_order_is_not_accepted(self, g, z):
+        assert g.leading_substitution(z.components) is None
+        exact = pullback(g, z)
+        assert exact.order_of_vanishing().kind == "at_least"
+        assert pullback_lowest(g, z).order_of_vanishing() == exact.order_of_vanishing()
+
+
+@st.composite
+def cancelling_germs(draw, z):
+    """(f * h, f) where f = C_b * z_i^mu_j - C_a * z_j^mu_i for two nonzero
+    components z_i = c_i t^mu_i + ..., z_j = c_j t^mu_j + ... of z, with
+    C_a = c_i^mu_j and C_b = c_j^mu_i.  Both monomials of f have weighted
+    degree mu_i * mu_j and their leading products cancel, so f vanishes on
+    the leading terms of z, and so does f * h for any h: the leading slice
+    of every such germ cancels by construction."""
+    leads = [(min((k[0][0] for k in c.terms), default=0), c) for c in z.components]
+    nonzero = [i for i, (_mu, c) in enumerate(leads) if c.terms]
+    i, j = draw(st.lists(st.sampled_from(nonzero), min_size=2, max_size=2, unique=True))
+    (mu_i, zi), (mu_j, zj) = leads[i], leads[j]
+    c_i, c_j = zi.coeff(((mu_i,), (0,))), zj.coeff(((mu_j,), (0,)))
+    n = z.nvars
+    zi_pow = CPolynomial.variable(n, i) ** mu_j
+    zj_pow = CPolynomial.variable(n, j) ** mu_i
+    f = zi_pow.scale(c_j ** mu_i) - zj_pow.scale(c_i ** mu_j)
+    if draw(st.booleans()):
+        f = f.conjugate()
+    return f * draw(germs(n)), f
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), nvars=st.integers(2, 3))
+def test_pullback_lowest_matches_pullback_when_the_leading_slice_cancels(data, nvars):
+    z = data.draw(curves(nvars, spread=3))
+    assume(sum(1 for c in z.components if c.terms) >= 2)
+    g, f = data.draw(cancelling_germs(z))
+    assert f.leading_substitution(z.components) is None
+    assert g.leading_substitution(z.components) is None
+    _same_lowest(pullback_lowest(g, z), pullback(g, z))

@@ -1,5 +1,6 @@
 """Regular/singular type computation, desingularization, and inference rules."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactps.algebra import CPolynomial
-from contactps.curve import CurveJet, pullback
+from contactps.curve import CurveJet, pullback, pullback_lowest
 from contactps.expr import format_curve, parse_curve, parse_expression
 from contactps.germ import germ_ps_check, gram_certificate, normalize_to_graph, validate
 from contactps.search import SearchBudget
@@ -18,6 +19,7 @@ from contactps.typecalc import (
     Evidence,
     PSViolationError,
     TypeClaim,
+    _candidates,
     _hermitian_quadratic_definite,
     _regular_contact_ideal,
     desingularize,
@@ -51,6 +53,18 @@ class TestGaussianRoots:
         p2 = {2: gr(1), 1: gr(2), 0: gr(-3)}
         roots, complete = gaussian_common_roots([p1, p2])
         assert complete and [(c.re, c.im) for c in roots] == [(1, 0)]
+
+
+@pytest.mark.parametrize("coeffs, roots, complete", [
+    ({2: gr(1), 0: gr(-2)}, [], False),  # x^2 - 2
+    ({2: gr(1), 1: gr(0, -3), 0: gr(-2)}, [gr(0, 1), gr(0, 2)], True),  # (x - i)(x - 2i)
+    ({2: gr(1), 1: gr(1), 0: gr(1)}, [], False),  # x^2 + x + 1
+    ({4: gr(1), 2: gr(-2), 0: gr(9)}, [], False),  # two quadratic factors over Q(i)
+    # (x - 1)^2 (x + i): a repeated root is listed once
+    ({3: gr(1), 2: gr(-2, 1), 1: gr(1, -2), 0: gr(0, 1)}, [gr(0, -1), gr(1)], True),
+])
+def test_gaussian_common_roots_on_higher_degree_factors(coeffs, roots, complete):
+    assert gaussian_common_roots([coeffs]) == (roots, complete)
 
 
 _ROOT_POOL = [gr(re, im) for re in (-2, Fraction(-1, 2), 0, 1, Fraction(3, 2))
@@ -365,3 +379,22 @@ class TestInferType:
         )
         with pytest.raises(ContradictoryEvidenceError):
             infer_type(None, Evidence(reg=reg, sing=bad_sing, ps=ps))
+
+
+@pytest.mark.parametrize("text", [
+    "2*Re(z3) + abs2(z1 + z2^2) + abs2(z2)^2",
+    "2*Re(z3) + abs2(z1 + i*z2^2) + abs2(z2)^2",
+])
+def test_pullback_lowest_on_the_first_search_candidates(text):
+    """pullback_lowest gives the order and lowest slice of the exact
+    pullback on the first candidates of the falsification search."""
+    g = _graph(text).g
+    budget = SearchBudget(max_multiplicity=4, max_degree=8, coeff_height=2,
+                          random_trials=3000)
+    for z in itertools.islice(_candidates(g.nvars, budget), 500):
+        fast, exact = pullback_lowest(g, z), pullback(g, z)
+        order = exact.order_of_vanishing()
+        assert fast.order_of_vanishing() == order
+        if order.kind == "exact":
+            d = order.value
+            assert fast.homogeneous_slice(d).terms == exact.homogeneous_slice(d).terms
