@@ -36,6 +36,14 @@ reads only the lowest slice of that composite off the leading terms of
 one-variable images, one scalar product per term of least weighted degree,
 and returns None where that reading is not exact.  Both take the
 truncation of the composite from one helper, ``_substitution_limit``.
+
+The lowest-slice rule has two public steps, which the type searches share
+with ``leading_substitution``: ``initial_rows`` picks the terms of least
+weighted degree under the images' leading bidegrees, each with the
+bidegree it lands on, and depends on nothing else; ``initial_coefficients``
+sums their leading products for given leading coefficients.
+``composite_truncation`` is the part of ``_substitution_limit`` that comes
+from the polynomial alone, all of it for exact images.
 """
 
 from __future__ import annotations
@@ -548,20 +556,16 @@ class CPolynomial:
         off the leading terms of one-variable images, or None when that
         reading is not exact.
 
-        Let image i have the single lowest term c_i * t^j_i * conj(t)^k_i,
-        of degree mu_i = j_i + k_i.  A term coeff * z^h * conj(z)^a of self
-        then substitutes to coeff * prod c_i^h_i * conj(c_i)^a_i at
-        bidegree (h.j + a.k, h.k + a.j), plus terms of higher degree; its
-        weighted degree is (h + a).mu.  Terms that involve an image with no
-        terms are skipped: an exact zero contributes nothing, and a jet zero
-        contributes only above its truncation, which bounds the limit.  The
-        sum S of the terms of least weighted degree d is the degree-d slice
-        of the substitution, and nothing lies below d.  So when S is nonzero
-        and d is at most the substitution's truncation
-        (``_substitution_limit``), S is its exact lowest slice, and the
-        result is S as a jet of order d.  None is returned when S cancels,
-        when d lies above that truncation, when self has no term left, or
-        when an image's lowest slice has more than one term.
+        Let image i have the single lowest term c_i * t^j_i * conj(t)^k_i.
+        ``initial_rows`` collects the terms of self of least weighted degree
+        d under those bidegrees, and ``initial_coefficients`` sums their
+        leading products into the degree-d slice S of the substitution;
+        nothing lies below d.  So when S is nonzero and d is at most the
+        substitution's truncation (``_substitution_limit``), S is its exact
+        lowest slice, and the result is S as a jet of order d.  None is
+        returned when S cancels, when d lies above that truncation, when
+        self has no term left, or when an image's lowest slice has more
+        than one term.
         """
         if len(images) != self.nvars:
             raise DimensionError(
@@ -586,41 +590,99 @@ class CPolynomial:
             js.append(lead[0])
             ks.append(lead[1])
             cs.append(lead[2])
-
-        best: int | None = None
-        rows: list = []
-        for (h, a), coeff in self.terms.items():
-            if dead and any(h[i] or a[i] for i in dead):
-                continue
-            hj, hk = sum(map(mul, h, js)), sum(map(mul, h, ks))
-            aj, ak = sum(map(mul, a, js)), sum(map(mul, a, ks))
-            deg = hj + hk + aj + ak
-            if best is None or deg < best:
-                best, rows = deg, [(h, a, coeff, hj + ak, hk + aj)]
-            elif deg == best:
-                rows.append((h, a, coeff, hj + ak, hk + aj))
-        if best is None:
+        found = _initial_rows(self, js, ks, dead)
+        if found is None:
             return None
+        best, rows = found
         limit = _substitution_limit(self, images)
         if limit is not None and best > limit:
             return None
-
-        conjs = [c.conjugate() for c in cs]
-        out: dict = {}
-        for h, a, coeff, hol, anti in rows:
-            c = coeff
-            for e, f, ci, cj in zip(h, a, cs, conjs):
-                if e:
-                    c = c * (ci if e == 1 else ci ** e)
-                if f:
-                    c = c * (cj if f == 1 else cj ** f)
-            key = ((hol,), (anti,))
-            old = out.get(key)
-            out[key] = c if old is None else old + c
-        out = _nonzero(out)
+        out = initial_coefficients(rows, cs)
         if not out:
             return None
         return _from_terms(1, out, best)
+
+    def initial_rows(
+        self, leads: Sequence[tuple[int, int] | None]
+    ) -> "tuple[int, list] | None":
+        """The terms of self that make up the lowest slice of a substitution
+        by one-variable images whose lowest terms have bidegrees leads[i] =
+        (j_i, k_i); leads[i] is None for an image with no term.
+
+        With mu_i = j_i + k_i, a term coeff * z^h * conj(z)^a substitutes to
+        coeff * prod c_i^h_i * conj(c_i)^a_i * t^(h.j + a.k) * conj(t)^(h.k
+        + a.j) plus terms of higher degree, where c_i is the lowest
+        coefficient of image i; its weighted degree is (h + a).mu.  A term
+        that involves an image with no term is skipped: an exact zero
+        contributes nothing, and a jet zero contributes only above its
+        truncation.  The result is (d, rows): d is the least weighted
+        degree, and rows lists a row (key, h, a, coeff) for each term of
+        that degree, where key = ((hol,), (anti,)) is the bidegree it lands
+        on.  It is None when no term is left.  It depends on the images
+        only through the bidegrees, so a search over coefficients computes
+        it once per exponent tuple.
+        """
+        return _initial_rows(
+            self,
+            [lead[0] if lead else 0 for lead in leads],
+            [lead[1] if lead else 0 for lead in leads],
+            [i for i, lead in enumerate(leads) if lead is None],
+        )
+
+    def composite_truncation(self, order: int | None) -> int | None:
+        """The truncation that self alone gives a substitution whose nonzero
+        images vanish to least order ``order`` (None when every image is
+        zero): its unknown terms, of degree > truncation, may involve any
+        variable, so they reach only degrees >= (truncation + 1) * order.
+        None when self is exact."""
+        if self.truncation is None or order is None:
+            return None
+        if order == 0:
+            raise TruncationError(
+                "cannot soundly substitute images with constant terms "
+                "into a jet-truncated polynomial"
+            )
+        return (self.truncation + 1) * order - 1
+
+
+def _initial_rows(p: CPolynomial, js: list, ks: list, dead: list) -> "tuple[int, list] | None":
+    """CPolynomial.initial_rows for leading bidegrees (js[i], ks[i]), with
+    the images that have no term listed in dead."""
+    best: int | None = None
+    rows: list = []
+    for (h, a), coeff in p.terms.items():
+        if dead and any(h[i] or a[i] for i in dead):
+            continue
+        hj, hk = sum(map(mul, h, js)), sum(map(mul, h, ks))
+        aj, ak = sum(map(mul, a, js)), sum(map(mul, a, ks))
+        deg = hj + hk + aj + ak
+        if best is None or deg < best:
+            best, rows = deg, [(((hj + ak,), (hk + aj,)), h, a, coeff)]
+        elif deg == best:
+            rows.append((((hj + ak,), (hk + aj,)), h, a, coeff))
+    if best is None:
+        return None
+    return best, rows
+
+
+def initial_coefficients(rows: list, coeffs: Sequence[GaussianRational]) -> dict:
+    """The nonzero coefficients of the lowest slice that the rows of
+    ``CPolynomial.initial_rows`` give for images with lowest coefficients
+    coeffs, by bidegree key: the sum of coeff * prod coeffs[i]^h_i *
+    conj(coeffs[i])^a_i over the rows at that key.  Empty when the slice
+    cancels."""
+    conjs = [c.conjugate() for c in coeffs]
+    out: dict = {}
+    for key, h, a, coeff in rows:
+        c = coeff
+        for e, f, ci, cj in zip(h, a, coeffs, conjs):
+            if e:
+                c = c * (ci if e == 1 else ci ** e)
+            if f:
+                c = c * (cj if f == 1 else cj ** f)
+        old = out.get(key)
+        out[key] = c if old is None else old + c
+    return _nonzero(out)
 
 
 _set_nvars = CPolynomial.nvars.__set__
@@ -640,23 +702,15 @@ def _from_terms(nvars: int, terms: dict, truncation: int | None) -> CPolynomial:
 
 
 def _substitution_limit(p: CPolynomial, images: Sequence[CPolynomial]) -> int | None:
-    """The truncation of p.substitute(images, ...): for a jet p, its
-    truncation scaled by the least order of the images, lowered to the
-    truncation of every jet image that p involves; None when p and every
-    image it involves are exact."""
+    """The truncation of p.substitute(images, ...): the one p gives it
+    (``composite_truncation``, from the least order of the images), lowered
+    to the truncation of every jet image that p involves; None when p and
+    every image it involves are exact."""
     limit: int | None = None
     if p.truncation is not None:
-        # Unknown terms of p (degree > truncation) may involve any
-        # variable, so the bound must use the min order over all images.
         orders = [im.order_of_vanishing() for im in images]
-        dmin = min((o.value for o in orders if o.kind != "zero"), default=None)
-        if dmin == 0:
-            raise TruncationError(
-                "cannot soundly substitute images with constant terms "
-                "into a jet-truncated polynomial"
-            )
-        if dmin is not None:
-            limit = (p.truncation + 1) * dmin - 1
+        limit = p.composite_truncation(
+            min((o.value for o in orders if o.kind != "zero"), default=None))
     jets = [i for i, im in enumerate(images) if im.truncation is not None]
     if jets:
         used = set()
@@ -703,9 +757,3 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
         return a
     return min(a, b)
 
-
-def product_rule_check(p: CPolynomial, q: CPolynomial, index: int, anti: bool) -> bool:
-    """d(pq) == dp*q + p*dq; used by the invariant suite."""
-    lhs = (p * q).wirtinger(index, anti)
-    rhs = p.wirtinger(index, anti) * q + p * q.wirtinger(index, anti)
-    return lhs == rhs

@@ -173,58 +173,12 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
     and "at_least" orders come out as that call gives them.
 
     Cost.  The leading slice costs integer work per term of p and scalar
-    products only for the terms of weighted degree d; it decides almost
-    every candidate of the type searches.  The cap sits just above order
-    4*mult(z), contact ratio 4, which the type searches probe, so a
-    cancelling candidate that meets it below the cap skips the terms up to
-    degree deg(p)*deg(z) of the exact pullback.
-    """
-    if p.nvars != z.nvars:
-        raise DimensionError(
-            f"polynomial has {p.nvars} variables, curve has {z.nvars}"
-        )
-    return p.substitute(list(z.components), 1)
-
-
-def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
-    """A pullback of p along z with the same order of vanishing and the same
-    lowest homogeneous slice as pullback(p, z); higher terms may be cut off.
-
-    Leading slice.  Let component i of z start with c_i * t^mu_i.  A term
-    c * z^h * conj(z)^a of p pulls back to c * prod c_i^h_i * conj(c_i)^a_i
-    * t^(h.mu) * conj(t)^(a.mu) plus terms of higher degree, so the pullback
-    vanishes to at least the least weighted degree d of a term of p under
-    the weights mu, and its degree-d slice is the sum S of the leading
-    products of the terms of weighted degree d (D'Angelo's weighted order
-    of contact); a term that involves a zero component pulls back to zero
-    and is left out.  When S is nonzero it is the lowest slice of the pullback
-    and d is its order.  For jets that holds only up to the truncation L
-    that substitute gives pullback(p, z): terms of p above its truncation,
-    and terms of a jet component above its own, reach only degrees above L.
-    So S is accepted only when d <= L, and is returned as a jet of order d
-    (CPolynomial.leading_substitution).
-
-    Capped pullback.  When S cancels, or d > L, the leading terms do not
-    give the order: where S cancels, the lowest surviving terms come from
-    the later terms of the components, which only a substitution carries.
-    Let z' be z with every component marked
-    as a jet of order C = 4*mult(z) + 1.  A term of degree > C that z' drops
-    from a component only reaches terms of degree > C of the pullback, and
-    substitute records a truncation T <= C for pullback(p, z') when p
-    involves a variable (and none for a constant p); z(0) = 0 keeps that
-    sound when p is itself a jet.  So every term of pullback(p, z') of
-    degree <= T is the term of pullback(p, z).  Hence if pullback(p, z') has
-    a term, its lowest one is the lowest term of pullback(p, z).  If it has
-    none, the exact pullback vanishes to order > T and this returns
-    pullback(p, z) itself, so "zero" and "at_least" orders come out as that
-    call gives them.
-
-    Cost.  The leading slice costs one scalar product per term of p of
-    least weighted degree and decides almost every candidate of the type
-    searches.  The cap sits just above order 4*mult(z), contact ratio 4,
-    which the type searches probe; a cancelling candidate that meets it
-    below the cap skips the terms up to degree deg(p)*deg(z) of the exact
-    pullback.
+    products only for the terms of weighted degree d.  The type searches
+    read the same slice once per exponent tuple (typecalc._best_contact)
+    and come here only for candidates whose slice cancels or lies above L.
+    The cap sits just above order 4*mult(z), contact ratio 4, which the
+    type searches probe, so a cancelling candidate that meets it below the
+    cap skips the terms up to degree deg(p)*deg(z) of the exact pullback.
     """
     if p.nvars != z.nvars:
         raise DimensionError(

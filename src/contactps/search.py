@@ -2,14 +2,27 @@
 
 All enumerations are deterministic: exponent tuples in graded-lex order,
 coefficients in a fixed seed order, randomized candidates driven by an
-explicit seed.  The regular and singular type searches read one stream
-(monomial curves, then cancellation scans, then random curves; see
-typecalc._candidates) through one loop (typecalc._best_contact) that filters
-it by multiplicity: 1 for the regular type, up to max_multiplicity for the
-singular type.  germ.ps_search keeps its
-own order, with Gram-derived seeds between the monomial curves and the scans
-and no random part.  Every search keeps the first witness its order reaches,
-so witnesses are reproducible.
+explicit seed.
+
+Each stage has one definition, a light stream without curves:
+monomial_choices and cancellation_scan_choices yield, per exponent tuple,
+the tuple, its number of candidates and a lazy iterator over their
+coefficient vectors; random_draws yields the coefficient dicts of each
+seeded random curve.  monomial_curves, cancellation_scan_curves and
+random_curves are the CurveJet expansions of these streams, so the order and
+the rng sequence each have one definition.  The streams give every present
+component a nonzero coefficient; only absent components get ZERO.
+
+The regular and singular type searches read one stream (monomial curves,
+then cancellation scans, then random curves; see typecalc._candidates),
+filtered by multiplicity: 1 for the regular type, up to max_multiplicity
+for the singular type.  Their loop (typecalc._best_contact) reads the light
+streams one exponent group at a time, a random draw being a group keyed by
+its leading exponents, and builds a curve only where the leading terms do
+not decide the order.  germ.ps_search keeps its own order, with Gram-derived
+seeds between the monomial curves and the scans and no random part.  Every
+search keeps the first witness its order reaches, so witnesses are
+reproducible.
 """
 
 from __future__ import annotations
@@ -83,29 +96,57 @@ def exponent_tuples(nvars: int, max_degree: int):
     return tuples
 
 
-def monomial_curves(nvars: int, max_degree: int, coeffs=SEED_COEFFS):
-    """All curves with single-monomial components over the seed coefficients."""
+def monomial_choices(nvars: int, max_degree: int):
+    """The monomial curves over the seed coefficients, one exponent tuple at
+    a time: (exps, count, vectors) per tuple of exponent_tuples, where
+    vectors lazily yields the count coefficient vectors (ZERO in the absent
+    components) in product order."""
     for exps in exponent_tuples(nvars, max_degree):
         slots = [i for i, e in enumerate(exps) if e]
-        for choice in itertools.product(coeffs, repeat=len(slots)):
-            full = [ZERO] * nvars
-            for i, c in zip(slots, choice):
-                full[i] = c
-            yield CurveJet.monomial(exps, full)
+        yield exps, len(SEED_COEFFS) ** len(slots), _monomial_vectors(nvars, slots)
+
+
+def _monomial_vectors(nvars: int, slots: list[int]):
+    for choice in itertools.product(SEED_COEFFS, repeat=len(slots)):
+        full = [ZERO] * nvars
+        for i, c in zip(slots, choice):
+            full[i] = c
+        yield full
+
+
+def cancellation_scan_choices(nvars: int, max_degree: int, coeff_height: int):
+    """The cancellation scans, one exponent tuple at a time: (exps, count,
+    vectors) per tuple of exponent_tuples, where vectors lazily yields the
+    count coefficient vectors: one component scanned over the grid, the
+    other present components 1, the absent ones ZERO."""
+    grid = grid_coefficients(coeff_height)
+    for exps in exponent_tuples(nvars, max_degree):
+        slots = [i for i, e in enumerate(exps) if e]
+        yield exps, len(slots) * len(grid), _scan_vectors(nvars, slots, grid)
+
+
+def _scan_vectors(nvars: int, slots: list[int], grid):
+    for unknown in slots:
+        for value in grid:
+            coeffs = [ONE if i in slots else ZERO for i in range(nvars)]
+            coeffs[unknown] = value
+            yield coeffs
+
+
+def monomial_curves(nvars: int, max_degree: int):
+    """All curves with single-monomial components over the seed coefficients."""
+    for exps, _count, vectors in monomial_choices(nvars, max_degree):
+        for v in vectors:
+            yield CurveJet.monomial(exps, v)
 
 
 def cancellation_scan_curves(nvars: int, max_degree: int, coeff_height: int):
     """Monomial curves with one coefficient scanned over a bounded rational
     grid (solving one-unknown leading-term cancellations by exhaustion) and
     the remaining coefficients fixed to 1."""
-    grid = grid_coefficients(coeff_height)
-    for exps in exponent_tuples(nvars, max_degree):
-        slots = [i for i, e in enumerate(exps) if e]
-        for unknown in slots:
-            for value in grid:
-                coeffs = [ONE if i in slots else ZERO for i in range(nvars)]
-                coeffs[unknown] = value
-                yield CurveJet.monomial(exps, coeffs)
+    for exps, _count, vectors in cancellation_scan_choices(nvars, max_degree, coeff_height):
+        for v in vectors:
+            yield CurveJet.monomial(exps, v)
 
 
 _RANDOM_POOL = tuple(
@@ -114,8 +155,10 @@ _RANDOM_POOL = tuple(
 ) + tuple(GaussianRational(a, b) for a, b in ((0, 1), (0, -1), (1, 1), (-1, 1)))
 
 
-def random_curves(nvars: int, budget: SearchBudget):
-    """Seeded random polynomial curves with bounded multiplicity and degree."""
+def random_draws(nvars: int, budget: SearchBudget):
+    """The coefficients of the seeded random curves: one list of nvars
+    {degree: nonzero coefficient} dicts per curve, not all empty, from one
+    rng seeded with budget.seed."""
     rng = random.Random(budget.seed)
     produced = 0
     while produced < budget.random_trials:
@@ -138,6 +181,12 @@ def random_curves(nvars: int, budget: SearchBudget):
         if all(not cd for cd in coeffs):
             continue
         produced += 1
+        yield coeffs
+
+
+def random_curves(nvars: int, budget: SearchBudget):
+    """Seeded random polynomial curves with bounded multiplicity and degree."""
+    for coeffs in random_draws(nvars, budget):
         yield CurveJet.from_coeffs(coeffs)
 
 

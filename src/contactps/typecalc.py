@@ -5,18 +5,41 @@ the inference rules combining positivity evidence with type facts.
 All exact claims are backed by re-verifiable certificates: an exhibited
 curve checked by exact pullback, or a jet-extension obstruction transcript.
 Bounded searches only ever produce lower bounds, never wrong exact values.
+
 Both types take their bounded lower bound from one contact search,
-_best_contact, which reads the stream _candidates through one loop and keeps
-curves of multiplicity 1 (regular type) or up to max_multiplicity (singular).
+_best_contact.  It keeps the candidates of the stream _candidates of
+multiplicity 1 (regular type) or up to max_multiplicity (singular), and
+walks that stream one exponent group at a time (_candidate_groups).  The
+candidates of a group share the leading exponents mu of their components,
+hence their multiplicity min(mu) and the initial rows of g under mu
+(CPolynomial.initial_rows): the terms of least weighted degree d, each with
+the bidegree it lands on.  The sum of a candidate's leading products over
+the rows is the degree-d slice of its pullback, D'Angelo's weighted order of
+contact (Ann. Math. 115, 1982).  When that slice is nonzero and d is at most
+the pullback's truncation, the order is d and the ratio d/mult.
+
+No-collision argument.  The stream gives every present component a nonzero
+coefficient, and a row involves present components only, so each row's
+leading product is a product of nonzero scalars, and rows at different
+bidegrees cannot cancel each other.  So when some bidegree collects a single
+row, no candidate of the group can cancel its slice, and the whole group
+scores d/mult without reading a coefficient; a group above the multiplicity
+filter is skipped unread.  Otherwise each candidate's slice is evaluated
+(initial_coefficients).  Only a candidate whose slice cancels, or whose
+group has no row or d above the truncation, is built as a CurveJet and
+pulled back (curve.contact_order), and the winner is built only once.
+The stream order is kept, so the first best still wins a tie and the first
+identically zero pullback returns with the same tested count.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
-from .algebra import ONE, ZERO, CPolynomial, GaussianRational
+from .algebra import ONE, ZERO, CPolynomial, GaussianRational, initial_coefficients
 from .curve import CurveJet, contact_order, pullback, ps_test_single
 from .germ import (
     DefiningFunction,
@@ -27,9 +50,12 @@ from .germ import (
 )
 from .search import (
     SearchBudget,
+    cancellation_scan_choices,
     cancellation_scan_curves,
+    monomial_choices,
     monomial_curves,
     random_curves,
+    random_draws,
 )
 
 
@@ -109,11 +135,19 @@ def gaussian_common_roots(
         return [], True
     complete = True
     roots: list[GaussianRational] = []
-    # A linear gcd is its own only irreducible factor.  Higher degree is
-    # factored over Q<I>, which is what QQ_I factoring does internally,
-    # without rebuilding that field on every call.
-    factors = [(g, 1)] if g.degree() == 1 else g.set_domain(_gaussian_field()).factor_list()[1]
-    for factor, _mult in factors:
+    # Multiplicities are never read, so a gcd of degree > 2 is split
+    # square-free first: sympy factors a repeated factor far more slowly
+    # ((x-1)^2 (x+i) takes about 50 ms whole and 1 ms split).  A quadratic
+    # is factored whole, which measured faster than splitting it over
+    # repeated reg-type runs.  A linear part is its own only irreducible
+    # factor.  Higher degree is factored over Q<I>, which is what QQ_I
+    # factoring does internally, without rebuilding that field on every
+    # call.
+    factors = []
+    for part in [part for part, _m in g.sqf_list()[1]] if g.degree() > 2 else [g]:
+        factors += ([part] if part.degree() == 1
+                    else [f for f, _m in part.set_domain(_gaussian_field()).factor_list()[1]])
+    for factor in factors:
         if factor.degree() == 1:
             # The factor is x + c.
             c = QQ_I.convert_from(factor.monic().rep.TC(), factor.domain)
@@ -381,10 +415,29 @@ def _verify_zero_pullback(g, z):
 def _candidates(nvars: int, budget: SearchBudget):
     """The candidate stream of the type searches: monomial curves, then
     cancellation scans, then seeded random curves.  Each search filters it by
-    multiplicity; the order fixes which witness wins a tie."""
+    multiplicity; the order fixes which witness wins a tie.  _best_contact
+    walks the same stream in exponent groups (_candidate_groups)."""
     yield from monomial_curves(nvars, budget.max_degree)
     yield from cancellation_scan_curves(nvars, budget.max_degree, budget.coeff_height)
     yield from random_curves(nvars, budget)
+
+
+def _candidate_groups(nvars: int, budget: SearchBudget):
+    """The stream of _candidates, one exponent group at a time: (exps,
+    count, vectors, curve), where vectors lazily yields the leading
+    coefficient vector of each of the group's count candidates in stream
+    order and curve(vector) builds that candidate.  A monomial or scan group
+    holds the candidates of its stage with the exponents exps; each random
+    draw is a group of its own, keyed by its leading exponents."""
+    for stage in (monomial_choices(nvars, budget.max_degree),
+                  cancellation_scan_choices(nvars, budget.max_degree, budget.coeff_height)):
+        for exps, count, vectors in stage:
+            yield exps, count, vectors, partial(CurveJet.monomial, exps)
+    for coeffs in random_draws(nvars, budget):
+        exps = tuple(min(cd, default=0) for cd in coeffs)
+        lead = [cd[e] if e else ZERO for cd, e in zip(coeffs, exps)]
+        # The draw, not its leading vector, makes the curve.
+        yield exps, 1, (lead,), lambda _lead, coeffs=coeffs: CurveJet.from_coeffs(coeffs)
 
 
 @dataclass(frozen=True)
@@ -409,20 +462,64 @@ class SingSearchResult:
 def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSearchResult:
     """The best exact ratio ord/mult over the candidates of multiplicity at
     most max_mult; the first best wins a tie, and the first identically zero
-    pullback certifies infinite contact."""
+    pullback certifies infinite contact.
+
+    The candidates are scored one exponent group at a time (the module
+    docstring gives the argument): a group above max_mult is skipped
+    unread, a group whose leading slice cannot cancel is scored at once,
+    and a CurveJet is built only for a candidate whose slice cancels or
+    is undecided, and for the winner.
+    """
+    scores: dict = {}
     best_ratio: Fraction | None = None
-    best_witness: CurveJet | None = None
+    best = None  # (curve, vector, CurveJet or None) of the first best candidate
     tested = 0
-    for z in _candidates(g.nvars, budget):
-        if z.multiplicity() > max_mult:
+    for exps, count, vectors, curve in _candidate_groups(g.nvars, budget):
+        mult = min(e for e in exps if e)
+        if mult > max_mult:
             continue
-        tested += 1
-        order, ratio = contact_order(g, z)
-        if order.kind == "zero":
-            return SingSearchResult("infinite", None, z, tested, budget)
-        if ratio is not None and (best_ratio is None or ratio > best_ratio):
-            best_ratio, best_witness = ratio, z
-    return SingSearchResult("lower_bound", best_ratio, best_witness, tested, budget)
+        if exps not in scores:
+            scores[exps] = _leading_score(g, exps, mult)
+        ratio, rows = scores[exps]
+        if ratio is not None and rows is None:
+            tested += count
+            if best_ratio is None or ratio > best_ratio:
+                best_ratio, best = ratio, (curve, next(iter(vectors)), None)
+            continue
+        for lead in vectors:
+            tested += 1
+            found, z = ratio, None
+            if ratio is None or not initial_coefficients(rows, lead):
+                z = curve(lead)
+                order, found = contact_order(g, z)
+                if order.kind == "zero":
+                    return SingSearchResult("infinite", None, z, tested, budget)
+            if found is not None and (best_ratio is None or found > best_ratio):
+                best_ratio, best = found, (curve, lead, z)
+    witness = None
+    if best is not None:
+        curve, lead, witness = best
+        if witness is None:
+            witness = curve(lead)
+    return SingSearchResult("lower_bound", best_ratio, witness, tested, budget)
+
+
+def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int):
+    """(ratio, rows) for the candidates with leading exponents exps.  ratio
+    is d/mult when the leading slice, of weighted degree d, decides the
+    order of every candidate whose slice does not cancel, and None when it
+    decides none (no row, or d above the truncation).  rows are the initial
+    rows when some candidate's slice may cancel, None when none can."""
+    found = g.initial_rows([(e, 0) if e else None for e in exps])
+    if found is None:
+        return None, None
+    d, rows = found
+    limit = g.composite_truncation(mult)
+    if limit is not None and d > limit:
+        return None, None
+    if 1 in Counter(key for key, *_ in rows).values():
+        rows = None
+    return Fraction(d, mult), rows
 
 
 def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:

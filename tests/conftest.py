@@ -26,6 +26,14 @@ def random_poly(rng, nvars=2, max_deg=3, nterms=4, truncation=None):
     return CPolynomial(nvars, terms, truncation)
 
 
+def product_rule_check(p, q, index, anti):
+    """d(pq) == dp*q + p*dq for the Wirtinger derivative in z_index (or its
+    conjugate)."""
+    lhs = (p * q).wirtinger(index, anti)
+    rhs = p.wirtinger(index, anti) * q + p * q.wirtinger(index, anti)
+    return lhs == rhs
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

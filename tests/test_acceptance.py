@@ -30,7 +30,7 @@ from contactps.germ import germ_ps_check, gram_certificate, normalize_to_graph, 
 from contactps.search import SearchBudget, random_curves
 from contactps.typecalc import desingularize, reg_type, sing_type_search
 
-from conftest import random_poly, random_scalar
+from conftest import product_rule_check, random_poly, random_scalar
 
 
 def _ok(num, text):
@@ -183,8 +183,6 @@ def test_criterion_8_algebra_invariants():
     """Ring axioms, conjugation, product rule, order additivity, purity,
     and the Laplacian/balanced-coefficient identity; 100 instances each."""
     from math import factorial
-
-    from contactps.algebra import product_rule_check
 
     rng = random.Random(8)
     for _ in range(100):

@@ -17,10 +17,9 @@ from contactps.algebra import (
     ZERO,
     key_conjugate,
     key_is_pure,
-    product_rule_check,
 )
 
-from conftest import gr, random_poly, random_scalar
+from conftest import gr, product_rule_check, random_poly, random_scalar
 
 
 class TestGaussianRational:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report structure, determinism."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -98,6 +99,35 @@ def test_reg_type(runner, tmp_path):
     assert res.exit_code == 0
     claim = _machine(res)["claims"]["reg_type"]
     assert claim["kind"] == "exact" and claim["value"] == "6/1"
+
+
+def test_reg_type_search_fallback_in_three_graph_variables(runner, tmp_path):
+    """With three graph variables reg_type falls back to the bounded
+    regular-curve search at max_degree = 8.  Its stream has 352,584 curves;
+    scored by exponent group, the command stays within a few seconds of
+    process time and gives the claim it gave when every regular candidate
+    was pulled back (about 10 s)."""
+    source = "n = 4\nr = 2*Re(z4) + abs2(z1^2 - z2^3)^2 + abs2(z3)^2\n"
+    start = time.process_time()
+    res = _invoke(runner, tmp_path, source, ["reg-type", "--max", "8", "--json"])
+    elapsed = time.process_time() - start
+    assert res.exit_code == 0
+    machine = _machine(res)
+    assert machine["claims"] == {
+        "g": ("z3^2*conj(z3)^2 + z1^4*conj(z1)^4 - 2*z1^2*z2^3*conj(z1)^4 "
+              "- 2*z1^4*conj(z1)^2*conj(z2)^3 + z2^6*conj(z1)^4 "
+              "+ 4*z1^2*z2^3*conj(z1)^2*conj(z2)^3 + z1^4*conj(z2)^6 "
+              "- 2*z2^6*conj(z1)^2*conj(z2)^3 - 2*z1^2*z2^3*conj(z2)^6 + z2^6*conj(z2)^6"),
+        "reg_type": {
+            "kind": "at_least",
+            "transcript": ["bounded regular-curve search; no obstruction transcript, "
+                           "so only a lower bound is claimed"],
+            "value": "12/1",
+            "witness": "(0, t, 0)",
+        },
+    }
+    assert machine["options"] == {"max": 8}
+    assert elapsed < 5.0
 
 
 def test_sing_search_infinite(runner, tmp_path):

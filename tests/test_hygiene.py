@@ -28,6 +28,10 @@ than an external linter.
 - Every `(module, attr)` that the traced benchmark (`bench/spans.py`)
   wraps resolves to a callable, so a refactor that drops one of those
   imports fails here and not only in `bench/run.py --trace 1`.
+- No function, class or method is defined twice in one scope (a module,
+  class or function body), under `src/`, `tests/` or `bench/`: Python keeps
+  only the last definition, so the earlier one is dead code that can
+  mislead a reader, or a test that never runs.
 """
 
 import ast
@@ -273,3 +277,27 @@ def test_every_parameter_is_read():
         if hits:
             found[path.name] = hits
     assert found == {}
+
+
+def _redefinitions(tree: ast.Module, module: str) -> list[str]:
+    found = []
+
+    def visit(node, owner):
+        seen = set()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name in seen:
+                    found.append(f"{owner}{child.name} (line {child.lineno})")
+                seen.add(child.name)
+                visit(child, f"{owner}{child.name}.")
+
+    visit(tree, f"{module}.")
+    return found
+
+
+def test_no_definition_is_shadowed_in_its_scope():
+    found = []
+    for path in sorted([*SRC.rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                        *(ROOT / "bench").rglob("*.py")]):
+        found += _redefinitions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == []

@@ -1,6 +1,7 @@
 """Regular/singular type computation, desingularization, and inference rules."""
 
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactps.algebra import CPolynomial
-from contactps.curve import CurveJet, pullback, pullback_lowest
-from contactps.expr import format_curve, parse_curve, parse_expression
+from contactps.curve import CurveJet, contact_order, pullback, pullback_lowest
+from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
 from contactps.germ import germ_ps_check, gram_certificate, normalize_to_graph, validate
+from contactps.report import _graph_form
 from contactps.search import SearchBudget
 from contactps.typecalc import (
     ContactNotFourMError,
@@ -19,6 +21,7 @@ from contactps.typecalc import (
     Evidence,
     PSViolationError,
     TypeClaim,
+    _best_contact,
     _candidates,
     _hermitian_quadratic_definite,
     _regular_contact_ideal,
@@ -62,6 +65,11 @@ class TestGaussianRoots:
     ({4: gr(1), 2: gr(-2), 0: gr(9)}, [], False),  # two quadratic factors over Q(i)
     # (x - 1)^2 (x + i): a repeated root is listed once
     ({3: gr(1), 2: gr(-2, 1), 1: gr(1, -2), 0: gr(0, 1)}, [gr(0, -1), gr(1)], True),
+    # (x - i)^2: a quadratic with a repeated root
+    ({2: gr(1), 1: gr(0, -2), 0: gr(-1)}, [gr(0, 1)], True),
+    # (x - i)^3 (x^2 + x + 1): a repeated root beside an irreducible quadratic
+    ({5: gr(1), 4: gr(1, -3), 3: gr(-2, -3), 2: gr(-3, -2), 1: gr(-3, 1), 0: gr(0, 1)},
+     [gr(0, 1)], False),
 ])
 def test_gaussian_common_roots_on_higher_degree_factors(coeffs, roots, complete):
     assert gaussian_common_roots([coeffs]) == (roots, complete)
@@ -398,3 +406,53 @@ def test_pullback_lowest_on_the_first_search_candidates(text):
         if order.kind == "exact":
             d = order.value
             assert fast.homogeneous_slice(d).terms == exact.homogeneous_slice(d).terms
+
+
+def _reference_best_contact(g, budget, max_mult):
+    """_best_contact as a plain loop of contact_order over the CurveJet
+    stream _candidates."""
+    best_ratio, best_witness, tested = None, None, 0
+    for z in _candidates(g.nvars, budget):
+        if z.multiplicity() > max_mult:
+            continue
+        tested += 1
+        order, ratio = contact_order(g, z)
+        if order.kind == "zero":
+            return "infinite", None, z, tested
+        if ratio is not None and (best_ratio is None or ratio > best_ratio):
+            best_ratio, best_witness = ratio, z
+    return "lower_bound", best_ratio, best_witness, tested
+
+
+CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus").glob("*.txt"))
+_JET = "2*Re(z3) + abs2(z1 + z2^2) + 2*Re(z3*z1^4) + 2*Re(z1^9)"
+# The corpus germs as the report's sing-search reads them (mixed-only germs
+# stay in their own frame), two jets whose leading slices cancel, and a jet
+# whose leading slice mostly lies above its truncation.
+_SEARCH_GERMS = {
+    **{path.stem: (lambda path=path: _graph_form(parse_problem(path.read_text()).entry, 8).g)
+       for path in CORPUS},
+    "jet_K8": lambda: _graph(_JET, 8).g,
+    "jet_K12": lambda: _graph(_JET, 12).g,
+    "jet_above_truncation": lambda: _graph("2*Re(z3) + abs2(z1*z2) + 2*Re(z3*z1^2)", 6).g,
+}
+
+
+def test_search_corpus_is_present():
+    assert len(CORPUS) == 19
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_GERMS))
+def test_best_contact_matches_the_candidate_loop(name):
+    """The grouped search gives the kind, ratio, witness and tested count of
+    the plain loop over every candidate, for the regular and the singular
+    filter and two seeds.  Most germs with a square, crit4_cubic_square
+    and mixed_indef_hermitian among them, stop early at an identically zero
+    pullback, so the early-return count is compared too."""
+    g = _SEARCH_GERMS[name]()
+    for max_mult, seed in ((1, 0), (4, 0), (4, 1)):
+        budget = SearchBudget(max_multiplicity=4, max_degree=3, coeff_height=1,
+                              random_trials=20, seed=seed)
+        found = _best_contact(g, budget, max_mult)
+        assert (found.kind, found.ratio, found.witness, found.candidates_tested) == \
+            _reference_best_contact(g, budget, max_mult)
