@@ -590,7 +590,7 @@ class CPolynomial:
             js.append(lead[0])
             ks.append(lead[1])
             cs.append(lead[2])
-        found = _initial_rows(self, js, ks, dead)
+        found = self.initial_rows(js, ks, dead)
         if found is None:
             return None
         best, rows = found
@@ -603,11 +603,12 @@ class CPolynomial:
         return _from_terms(1, out, best)
 
     def initial_rows(
-        self, leads: Sequence[tuple[int, int] | None]
+        self, js: Sequence[int], ks: Sequence[int], dead: Sequence[int]
     ) -> "tuple[int, list] | None":
         """The terms of self that make up the lowest slice of a substitution
-        by one-variable images whose lowest terms have bidegrees leads[i] =
-        (j_i, k_i); leads[i] is None for an image with no term.
+        by one-variable images whose lowest terms have bidegrees (j_i, k_i)
+        = (js[i], ks[i]); dead lists the images with no term, whose entries
+        in js and ks do not matter.
 
         With mu_i = j_i + k_i, a term coeff * z^h * conj(z)^a substitutes to
         coeff * prod c_i^h_i * conj(c_i)^a_i * t^(h.j + a.k) * conj(t)^(h.k
@@ -622,12 +623,21 @@ class CPolynomial:
         only through the bidegrees, so a search over coefficients computes
         it once per exponent tuple.
         """
-        return _initial_rows(
-            self,
-            [lead[0] if lead else 0 for lead in leads],
-            [lead[1] if lead else 0 for lead in leads],
-            [i for i, lead in enumerate(leads) if lead is None],
-        )
+        best: int | None = None
+        rows: list = []
+        for (h, a), coeff in self.terms.items():
+            if dead and any(h[i] or a[i] for i in dead):
+                continue
+            hj, hk = sum(map(mul, h, js)), sum(map(mul, h, ks))
+            aj, ak = sum(map(mul, a, js)), sum(map(mul, a, ks))
+            deg = hj + hk + aj + ak
+            if best is None or deg < best:
+                best, rows = deg, [(((hj + ak,), (hk + aj,)), h, a, coeff)]
+            elif deg == best:
+                rows.append((((hj + ak,), (hk + aj,)), h, a, coeff))
+        if best is None:
+            return None
+        return best, rows
 
     def composite_truncation(self, order: int | None) -> int | None:
         """The truncation that self alone gives a substitution whose nonzero
@@ -643,26 +653,6 @@ class CPolynomial:
                 "into a jet-truncated polynomial"
             )
         return (self.truncation + 1) * order - 1
-
-
-def _initial_rows(p: CPolynomial, js: list, ks: list, dead: list) -> "tuple[int, list] | None":
-    """CPolynomial.initial_rows for leading bidegrees (js[i], ks[i]), with
-    the images that have no term listed in dead."""
-    best: int | None = None
-    rows: list = []
-    for (h, a), coeff in p.terms.items():
-        if dead and any(h[i] or a[i] for i in dead):
-            continue
-        hj, hk = sum(map(mul, h, js)), sum(map(mul, h, ks))
-        aj, ak = sum(map(mul, a, js)), sum(map(mul, a, ks))
-        deg = hj + hk + aj + ak
-        if best is None or deg < best:
-            best, rows = deg, [(((hj + ak,), (hk + aj,)), h, a, coeff)]
-        elif deg == best:
-            rows.append((((hj + ak,), (hk + aj,)), h, a, coeff))
-    if best is None:
-        return None
-    return best, rows
 
 
 def initial_coefficients(rows: list, coeffs: Sequence[GaussianRational]) -> dict:

@@ -135,16 +135,14 @@ def gaussian_common_roots(
         return [], True
     complete = True
     roots: list[GaussianRational] = []
-    # Multiplicities are never read, so a gcd of degree > 2 is split
-    # square-free first: sympy factors a repeated factor far more slowly
-    # ((x-1)^2 (x+i) takes about 50 ms whole and 1 ms split).  A quadratic
-    # is factored whole, which measured faster than splitting it over
-    # repeated reg-type runs.  A linear part is its own only irreducible
-    # factor.  Higher degree is factored over Q<I>, which is what QQ_I
-    # factoring does internally, without rebuilding that field on every
-    # call.
+    # Multiplicities are never read, so the gcd is split square-free first:
+    # sympy factors a repeated factor far more slowly ((x-1)^2 (x+i) takes
+    # about 50 ms whole and 1 ms split).  A linear part is its own only
+    # irreducible factor.  Higher degree is factored over Q<I>, which is
+    # what QQ_I factoring does internally, without rebuilding that field on
+    # every call.
     factors = []
-    for part in [part for part, _m in g.sqf_list()[1]] if g.degree() > 2 else [g]:
+    for part in [part for part, _m in g.sqf_list()[1]] if g.degree() > 1 else [g]:
         factors += ([part] if part.degree() == 1
                     else [f for f, _m in part.set_domain(_gaussian_field()).factor_list()[1]])
     for factor in factors:
@@ -424,20 +422,21 @@ def _candidates(nvars: int, budget: SearchBudget):
 
 def _candidate_groups(nvars: int, budget: SearchBudget):
     """The stream of _candidates, one exponent group at a time: (exps,
-    count, vectors, curve), where vectors lazily yields the leading
-    coefficient vector of each of the group's count candidates in stream
-    order and curve(vector) builds that candidate.  A monomial or scan group
-    holds the candidates of its stage with the exponents exps; each random
-    draw is a group of its own, keyed by its leading exponents."""
+    count, choices, curve), where choices lazily yields (lead, source) for
+    each of the group's count candidates in stream order: lead is its
+    leading coefficient vector, and curve(source) builds it.  A monomial or
+    scan group holds the candidates of its stage with the exponents exps,
+    and its curves are built from their leading vectors; each random draw
+    is a group of its own, keyed by its leading exponents, and its curve is
+    built from the draw."""
     for stage in (monomial_choices(nvars, budget.max_degree),
                   cancellation_scan_choices(nvars, budget.max_degree, budget.coeff_height)):
         for exps, count, vectors in stage:
-            yield exps, count, vectors, partial(CurveJet.monomial, exps)
+            yield exps, count, ((v, v) for v in vectors), partial(CurveJet.monomial, exps)
     for coeffs in random_draws(nvars, budget):
         exps = tuple(min(cd, default=0) for cd in coeffs)
         lead = [cd[e] if e else ZERO for cd, e in zip(coeffs, exps)]
-        # The draw, not its leading vector, makes the curve.
-        yield exps, 1, (lead,), lambda _lead, coeffs=coeffs: CurveJet.from_coeffs(coeffs)
+        yield exps, 1, ((lead, coeffs),), CurveJet.from_coeffs
 
 
 @dataclass(frozen=True)
@@ -472,9 +471,9 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
     """
     scores: dict = {}
     best_ratio: Fraction | None = None
-    best = None  # (curve, vector, CurveJet or None) of the first best candidate
+    best = None  # (curve, source, CurveJet or None) of the first best candidate
     tested = 0
-    for exps, count, vectors, curve in _candidate_groups(g.nvars, budget):
+    for exps, count, choices, curve in _candidate_groups(g.nvars, budget):
         mult = min(e for e in exps if e)
         if mult > max_mult:
             continue
@@ -484,23 +483,23 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
         if ratio is not None and rows is None:
             tested += count
             if best_ratio is None or ratio > best_ratio:
-                best_ratio, best = ratio, (curve, next(iter(vectors)), None)
+                best_ratio, best = ratio, (curve, next(iter(choices))[1], None)
             continue
-        for lead in vectors:
+        for lead, source in choices:
             tested += 1
             found, z = ratio, None
             if ratio is None or not initial_coefficients(rows, lead):
-                z = curve(lead)
+                z = curve(source)
                 order, found = contact_order(g, z)
                 if order.kind == "zero":
                     return SingSearchResult("infinite", None, z, tested, budget)
             if found is not None and (best_ratio is None or found > best_ratio):
-                best_ratio, best = found, (curve, lead, z)
+                best_ratio, best = found, (curve, source, z)
     witness = None
     if best is not None:
-        curve, lead, witness = best
+        curve, source, witness = best
         if witness is None:
-            witness = curve(lead)
+            witness = curve(source)
     return SingSearchResult("lower_bound", best_ratio, witness, tested, budget)
 
 
@@ -510,7 +509,7 @@ def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int):
     order of every candidate whose slice does not cancel, and None when it
     decides none (no row, or d above the truncation).  rows are the initial
     rows when some candidate's slice may cancel, None when none can."""
-    found = g.initial_rows([(e, 0) if e else None for e in exps])
+    found = g.initial_rows(exps, [0] * len(exps), [i for i, e in enumerate(exps) if not e])
     if found is None:
         return None, None
     d, rows = found
