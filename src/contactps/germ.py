@@ -16,13 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import ONE, ZERO, CPolynomial, GaussianRational
-from .curve import CurveJet, PSTestResult, ps_test_single
+from .algebra import ONE, ZERO, CPolynomial, GaussianRational, initial_coefficients
+from .curve import CurveJet, PSTestResult, leading_rows, ps_test_single
 from .search import (
     SEED_COEFFS,
     SearchBudget,
     canonicalize_curve,
+    cancellation_scan_choices,
     cancellation_scan_curves,
+    monomial_choices,
     monomial_curves,
 )
 
@@ -355,22 +357,70 @@ def _gram_seed_curves(g: CPolynomial, direction) -> list[CurveJet]:
     return out
 
 
+def _ps_candidates(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate):
+    """The candidate stream of ps_search, curve by curve: monomial curves
+    over the seed coefficients, seeds from the indefinite direction of gram,
+    then one-unknown coefficient scans.  ps_search walks it in exponent
+    groups (_ps_suspects)."""
+    yield from monomial_curves(g.nvars, bounds.max_degree)
+    yield from _gram_seed_curves(g, gram.indefinite_direction)
+    yield from cancellation_scan_curves(g.nvars, bounds.max_degree, bounds.coeff_height)
+
+
+def _ps_suspects(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate):
+    """The curves of _ps_candidates, in stream order, less those whose
+    leading slice proves that they pass (ps_search gives the argument)."""
+    yield from _group_suspects(g, monomial_choices(g.nvars, bounds.max_degree))
+    yield from _gram_seed_curves(g, gram.indefinite_direction)
+    yield from _group_suspects(
+        g, cancellation_scan_choices(g.nvars, bounds.max_degree, bounds.coeff_height))
+
+
+def _group_suspects(g: CPolynomial, groups):
+    for exps, _count, vectors in groups:
+        found = leading_rows(g, exps)
+        if found is None:
+            continue
+        d, rows = found
+        # A pass is read off the balanced coefficient alone; for odd d no
+        # row lands on mid, which has degree d - 1.
+        mid = ((d // 2,), (d // 2,))
+        balanced = [row for row in rows if row[0] == mid]
+        for v in vectors:
+            c = initial_coefficients(balanced, v).get(mid)
+            if c is not None and c.is_real() and c.re > 0:
+                continue
+            yield CurveJet.monomial(exps, v)
+
+
 def ps_search(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate) -> PSCertificate:
     """Bounded search for a curve violating positivity.
 
     gram is the caller's `gram_certificate(g)`.  Candidates in deterministic
-    order: monomial curves over the seed coefficients, seeds from its
-    indefinite direction, then one-unknown coefficient scans.  The first
-    violation wins; its witness is canonicalized by reparametrization and
-    re-verified.
+    order (_ps_candidates): monomial curves over the seed coefficients,
+    seeds from its indefinite direction, then one-unknown coefficient scans.
+    The first violation wins; its witness is canonicalized by
+    reparametrization and re-verified.
+
+    The monomial curves and the scans are read one exponent group at a time
+    through curve.leading_rows, which gives once per group the rows whose
+    sum over a curve's leading coefficients is the degree-d slice S of its
+    pullback.  Two kinds of candidate cannot be violations and are skipped
+    without building a curve:
+    - every candidate of a group that leading_rows leaves undecided (no
+      row, or d above the truncation): its pullback has no term of degree
+      <= its truncation, so ps_test_single finds it "infinite" or
+      "indeterminate";
+    - a candidate whose S is nonzero with d even and a real positive
+      coefficient at t^(d/2) conj(t)^(d/2): S is the lowest slice of its
+      pullback, so ps_test_single finds it a "pass".
+    Every other candidate (S cancels, d is odd, or the middle coefficient
+    is missing, not real or <= 0) and every Gram seed goes through
+    ps_test_single, which alone decides a violation or raises on a middle
+    coefficient that is not real.  The stream order is kept, so the first
+    violation is the same as along _ps_candidates.
     """
-
-    def candidates():
-        yield from monomial_curves(g.nvars, bounds.max_degree)
-        yield from _gram_seed_curves(g, gram.indefinite_direction)
-        yield from cancellation_scan_curves(g.nvars, bounds.max_degree, bounds.coeff_height)
-
-    for z in candidates():
+    for z in _ps_suspects(g, bounds, gram):
         result = ps_test_single(g, z)
         if result.is_violation:
             witness = canonicalize_curve(z)

@@ -25,9 +25,12 @@ bidegrees cannot cancel each other.  So when some bidegree collects a single
 row, no candidate of the group can cancel its slice, and the whole group
 scores d/mult without reading a coefficient; a group above the multiplicity
 filter is skipped unread.  Otherwise each candidate's slice is evaluated
-(initial_coefficients).  Only a candidate whose slice cancels, or whose
-group has no row or d above the truncation, is built as a CurveJet and
-pulled back (curve.contact_order), and the winner is built only once.
+(initial_coefficients).  A group that curve.leading_rows leaves undecided
+(no row, or d above the truncation) gives no exact order when g is a jet,
+so it is counted and skipped unread; when g is exact it has no row, and its
+first candidate pulls back to zero.  Only a candidate whose slice cancels,
+or that first candidate, is built as a CurveJet and pulled back
+(curve.contact_order), and the winner is built only once.
 The stream order is kept, so the first best still wins a tie and the first
 identically zero pullback returns with the same tested count.
 """
@@ -40,7 +43,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .algebra import ONE, ZERO, CPolynomial, GaussianRational, initial_coefficients
-from .curve import CurveJet, contact_order, pullback, ps_test_single
+from .curve import CurveJet, contact_order, leading_rows, pullback, ps_test_single
 from .germ import (
     DefiningFunction,
     GraphForm,
@@ -465,9 +468,12 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
 
     The candidates are scored one exponent group at a time (the module
     docstring gives the argument): a group above max_mult is skipped
-    unread, a group whose leading slice cannot cancel is scored at once,
-    and a CurveJet is built only for a candidate whose slice cancels or
-    is undecided, and for the winner.
+    unread, and so is a group of a jet g that curve.leading_rows does not
+    decide (no row, or d above the truncation), whose pullbacks are all of
+    order "at_least"; a group whose leading slice cannot cancel is scored
+    at once, and a CurveJet is built only for a candidate whose slice
+    cancels, for a candidate of an exact g's group with no row (the first
+    one pulls back to zero), and for the winner.
     """
     scores: dict = {}
     best_ratio: Fraction | None = None
@@ -480,6 +486,10 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
         if exps not in scores:
             scores[exps] = _leading_score(g, exps, mult)
         ratio, rows = scores[exps]
+        if ratio is None and g.truncation is not None:
+            # Every pullback of the group is of order "at_least".
+            tested += count
+            continue
         if ratio is not None and rows is None:
             tested += count
             if best_ratio is None or ratio > best_ratio:
@@ -509,13 +519,10 @@ def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int):
     order of every candidate whose slice does not cancel, and None when it
     decides none (no row, or d above the truncation).  rows are the initial
     rows when some candidate's slice may cancel, None when none can."""
-    found = g.initial_rows(exps, [0] * len(exps), [i for i, e in enumerate(exps) if not e])
+    found = leading_rows(g, exps)
     if found is None:
         return None, None
     d, rows = found
-    limit = g.composite_truncation(mult)
-    if limit is not None and d > limit:
-        return None, None
     if 1 in Counter(key for key, *_ in rows).values():
         rows = None
     return Fraction(d, mult), rows

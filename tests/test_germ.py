@@ -1,15 +1,16 @@
 """Germ validation, graph normal form, and positivity certification."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactps import germ
-from contactps.algebra import CPolynomial
+from contactps.algebra import CPolynomial, initial_coefficients
 from contactps.curve import CurveJet, ps_test_single, pullback
-from contactps.expr import format_curve, parse_curve, parse_expression
+from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
 from contactps.germ import (
     DegenerateLinearPartError,
     NoLinearPartError,
@@ -25,7 +26,7 @@ from contactps.germ import (
     taylor_truncate,
     validate,
 )
-from contactps.search import SearchBudget
+from contactps.search import SearchBudget, canonicalize_curve, monomial_choices
 
 from conftest import gr
 
@@ -254,3 +255,129 @@ class TestGermPSCheck:
         r = _germ("2*Re(z3) + abs2(z1)^2")
         with pytest.raises(ValueError):
             germ_ps_check(r, 5, 4, SearchBudget())
+
+
+# The germ-ps ranges k_min..k_max of the certify and report_all benchmark
+# workloads (report_all runs k = 2..deg r), by corpus germ.
+_GERM_PS_RANGES = {
+    "crit4_cubic_square": 6, "crit4_mirror": 6, "crit4_plus": 6, "crit4_mirror_plus": 6,
+    "crit5_m2": 5, "crit5_m3": 7, "crit5_m3_mirror": 6, "crit6_type4": 5,
+    "type4_gaussian": 5, "type4_quartic": 4,
+}
+_CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus"
+_PS_BRANCHES = {"odd d", "above truncation", "no row, exact g", "no row, jet g",
+                "cancelling slice", "Gram seed winner", "full walk"}
+
+
+def _restricted_jets():
+    for name, k_max in sorted(_GERM_PS_RANGES.items()):
+        r = validate(parse_problem((_CORPUS_DIR / f"{name}.txt").read_text()).entry)
+        rep = germ_ps_check(r, 2, k_max, SearchBudget(max_degree=1))
+        yield from (e.restricted for e in rep.entries)
+
+
+def _branch(g, z):
+    """The branch of the grouped search that a monomial curve z takes,
+    read off the initial rows of g directly."""
+    exps = [next(iter(c.terms))[0][0] if c.terms else 0 for c in z.components]
+    found = g.initial_rows(exps, [0] * len(exps), [i for i, e in enumerate(exps) if not e])
+    if found is None:
+        return "no row, jet g" if g.truncation is not None else "no row, exact g"
+    limit = g.composite_truncation(min(e for e in exps if e))
+    if limit is not None and found[0] > limit:
+        return "above truncation"
+    if found[0] % 2:
+        return "odd d"
+    lead = [z.coefficient(i, e) for i, e in enumerate(exps)]
+    return None if initial_coefficients(found[1], lead) else "cancelling slice"
+
+
+def _reference_ps_search(g, bounds, gram, reached):
+    """ps_search as the plain loop of ps_test_single over the CurveJet
+    stream _ps_candidates; adds the branches its walk reaches to reached."""
+    n_mono = sum(count for _e, count, _v in monomial_choices(g.nvars, bounds.max_degree))
+    seeds = range(n_mono, n_mono + len(germ._gram_seed_curves(g, gram.indefinite_direction)))
+    for i, z in enumerate(germ._ps_candidates(g, bounds, gram)):
+        if i not in seeds:
+            reached.add(_branch(g, z))
+        if ps_test_single(g, z).is_violation:
+            if i in seeds:
+                reached.add("Gram seed winner")
+            witness = canonicalize_curve(z)
+            return "violation", str(witness), ps_test_single(g, witness)
+    reached.add("full walk")
+    return "no_violation_up_to_bounds", "None", None
+
+
+def _check_ps_search(g, bounds, reached):
+    gram = gram_certificate(g)
+    cert = ps_search(g, bounds, gram)
+    assert (cert.verdict, str(cert.witness), cert.witness_result) == \
+        _reference_ps_search(g, bounds, gram, reached)
+
+
+@st.composite
+def _mixed_germs(draw):
+    """A real-valued mixed polynomial in 2 variables of degree <= 6, exact
+    or truncated at 6, 8 or 10."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = ([draw(st.integers(0, 2)) for _ in range(2)] for _ in range(2))
+        a[draw(st.integers(0, 1))] += 1
+        b[draw(st.integers(0, 1))] += 1
+        a, b = tuple(a), tuple(b)
+        c = draw(st.sampled_from(_COEFFS))
+        if a == b:
+            terms[(a, a)] = gr(c.re)
+        else:
+            terms[(a, b)] = c
+            terms[(b, a)] = c.conjugate()
+    return CPolynomial(2, terms, draw(st.sampled_from([None, 6, 8, 10])))
+
+
+_PS_BUDGETS = st.builds(SearchBudget, max_degree=st.integers(3, 5),
+                        coeff_height=st.integers(1, 2))
+
+
+def test_ps_search_matches_the_candidate_loop():
+    """The grouped ps_search gives the verdict, witness and witness result
+    of the plain loop over every candidate, on the restricted jets of the
+    benchmark's germ-ps runs and on random mixed germs, and those inputs
+    reach every branch of the grouped search.  A jet with a Gram
+    certificate has no violation to find, so it is searched at the least
+    budget only; the others at every budget."""
+    reached = set()
+    for g in _restricted_jets():
+        certified = gram_certificate(g).verdict == "certified"
+        for max_degree in (3,) if certified else (3, 4, 5):
+            for coeff_height in (1,) if certified else (1, 2):
+                _check_ps_search(g, SearchBudget(max_degree=max_degree,
+                                                 coeff_height=coeff_height), reached)
+
+    # The null direction (5/24, 1) lies out of reach of the seed
+    # coefficients and the scan grid (TestPSSearch).
+    @example(g=parse_expression(
+        "24*abs2(z2) - 5*z2*conj(z1) - 5*z1*conj(z2) + abs2(z1)", 2),
+        bounds=SearchBudget(max_degree=3))
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(g=_mixed_germs(), bounds=_PS_BUDGETS)
+    def random_germs(g, bounds):
+        _check_ps_search(g, bounds, reached)
+
+    random_germs()
+    assert reached - {None} == _PS_BRANCHES
+
+
+def test_ps_search_tests_only_the_winner_on_crit5_m3(monkeypatch):
+    """On the germ-ps jets of crit5_m3 (k = 2..7, max degree 4) every
+    candidate before the winner is a proven pass, so ps_test_single runs
+    twice per search: the winner and its re-verification."""
+    calls, searches = [], []
+    monkeypatch.setattr(germ, "ps_test_single",
+                        lambda g, z: calls.append(z) or ps_test_single(g, z))
+    monkeypatch.setattr(germ, "ps_search",
+                        lambda *args: searches.append(args) or ps_search(*args))
+    r = validate(parse_problem((_CORPUS_DIR / "crit5_m3.txt").read_text()).entry)
+    rep = germ_ps_check(r, 2, 7, SearchBudget(max_degree=4, random_trials=10))
+    assert rep.k0 == 6
+    assert searches and len(calls) == 2 * len(searches)
