@@ -5,8 +5,11 @@ GaussianRational holds three Python ints (a, b, d) and stands for
 (a + b*i)/d, kept canonical with d > 0 and gcd(a, b, d) = 1 (zero is
 (0, 0, 1)); its arithmetic is integer arithmetic with one gcd per result,
 and its exact real and imaginary parts are read as Fractions through the
-``re`` and ``im`` properties.  A polynomial in n complex variables is a
-sparse map from exponent pairs to coefficients:
+``re`` and ``im`` properties.  The lowest-slice sum of
+``initial_coefficients``, which the searches run for every candidate, works
+on the raw fields instead of on scalars and reduces only its nonzero sums:
+one gcd per coefficient of the slice, not one per product.  A polynomial in
+n complex variables is a sparse map from exponent pairs to coefficients:
 
     key   = (holo, anti)        two length-n tuples of non-negative ints
     value = GaussianRational    never zero in canonical form
@@ -33,17 +36,19 @@ through one helper, ``_mul_terms``, shared by ``__mul__`` and
 
 ``substitute`` composes with images in full.  ``leading_substitution``
 reads only the lowest slice of that composite off the leading terms of
-one-variable images, one scalar product per term of least weighted degree,
-and returns None where that reading is not exact.  Both take the
-truncation of the composite from one helper, ``_substitution_limit``.
+one-variable images, from the terms of least weighted degree alone, and
+returns None where that reading is not exact.  Both take the truncation of
+the composite from one helper, ``_substitution_limit``.
 
 The lowest-slice rule has two public steps, which the type searches share
 with ``leading_substitution``: ``initial_rows`` picks the terms of least
 weighted degree under the images' leading bidegrees, each with the
 bidegree it lands on, and depends on nothing else; ``initial_coefficients``
-sums their leading products for given leading coefficients.
-``composite_truncation`` is the part of ``_substitution_limit`` that comes
-from the polynomial alone, all of it for exact images.
+sums their leading products for given leading coefficients, in Python-int
+Gaussian arithmetic over a common denominator per bidegree, with each power
+of a leading coefficient formed once per call.  ``composite_truncation`` is
+the part of ``_substitution_limit`` that comes from the polynomial alone,
+all of it for exact images.
 """
 
 from __future__ import annotations
@@ -144,14 +149,15 @@ class GaussianRational:
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
             return ONE / (self ** (-k))
-        out = ONE
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return ONE if out is None else out
 
     def conjugate(self) -> "GaussianRational":
         return _make(self._a, -self._b, self._d)
@@ -559,13 +565,13 @@ class CPolynomial:
         Let image i have the single lowest term c_i * t^j_i * conj(t)^k_i.
         ``initial_rows`` collects the terms of self of least weighted degree
         d under those bidegrees, and ``initial_coefficients`` sums their
-        leading products into the degree-d slice S of the substitution;
-        nothing lies below d.  So when S is nonzero and d is at most the
-        substitution's truncation (``_substitution_limit``), S is its exact
-        lowest slice, and the result is S as a jet of order d.  None is
-        returned when S cancels, when d lies above that truncation, when
-        self has no term left, or when an image's lowest slice has more
-        than one term.
+        leading products, on raw ints with no scalar per term, into the
+        degree-d slice S of the substitution; nothing lies below d.  So when
+        S is nonzero and d is at most the substitution's truncation
+        (``_substitution_limit``), S is its exact lowest slice, and the
+        result is S as a jet of order d.  None is returned when S cancels,
+        when d lies above that truncation, when self has no term left, or
+        when an image's lowest slice has more than one term.
         """
         if len(images) != self.nvars:
             raise DimensionError(
@@ -660,19 +666,49 @@ def initial_coefficients(rows: list, coeffs: Sequence[GaussianRational]) -> dict
     ``CPolynomial.initial_rows`` give for images with lowest coefficients
     coeffs, by bidegree key: the sum of coeff * prod coeffs[i]^h_i *
     conj(coeffs[i])^a_i over the rows at that key.  Empty when the slice
-    cancels."""
-    conjs = [c.conjugate() for c in coeffs]
-    out: dict = {}
+    cancels.
+
+    The sum runs on the raw fields, with no scalar object per row: each
+    factor coeffs[i]^e * conj(coeffs[i])^f is formed once per (i, e, f) as
+    an unreduced (a, b, d) triple (``_lead_power``), each row's product is
+    three Python ints, and the rows at a key are summed over a common
+    denominator.  Denominators stay positive, so a sum is zero exactly when
+    its numerators are; only a nonzero sum is reduced to a GaussianRational.
+    """
+    factors: dict = {}
+    sums: dict = {}
     for key, h, a, coeff in rows:
-        c = coeff
-        for e, f, ci, cj in zip(h, a, coeffs, conjs):
-            if e:
-                c = c * (ci if e == 1 else ci ** e)
-            if f:
-                c = c * (cj if f == 1 else cj ** f)
-        old = out.get(key)
-        out[key] = c if old is None else old + c
-    return _nonzero(out)
+        x, y, den = coeff._a, coeff._b, coeff._d
+        for i, e in enumerate(h):
+            f = a[i]
+            if e or f:
+                fac = factors.get((i, e, f))
+                if fac is None:
+                    c = coeffs[i]
+                    fac = factors[i, e, f] = _lead_power(c._a, c._b, c._d, e, f)
+                u, v, w = fac
+                x, y, den = x * u - y * v, x * v + y * u, den * w
+        old = sums.get(key)
+        if old is not None:
+            ox, oy, od = old
+            if od == den:
+                x, y = ox + x, oy + y
+            else:
+                x, y, den = ox * den + x * od, oy * den + y * od, od * den
+        sums[key] = (x, y, den)
+    return {key: _normal(x, y, den) for key, (x, y, den) in sums.items() if x or y}
+
+
+def _lead_power(p: int, q: int, d: int, e: int, f: int) -> tuple[int, int, int]:
+    """(p + q*i)^e * (p - q*i)^f / d^(e + f) as an unreduced triple (a, b,
+    d^(e + f)): the norm p^2 + q^2 to the power min(e, f), times the
+    remaining |e - f| factors of p + q*i (or of its conjugate if f > e)."""
+    if f > e:
+        q = -q
+    x, y = (p * p + q * q) ** min(e, f), 0
+    for _ in range(abs(e - f)):
+        x, y = x * p - y * q, x * q + y * p
+    return x, y, d ** (e + f)
 
 
 _set_nvars = CPolynomial.nvars.__set__

@@ -25,14 +25,15 @@ bidegrees cannot cancel each other.  So when some bidegree collects a single
 row, no candidate of the group can cancel its slice, and the whole group
 scores d/mult without reading a coefficient; a group above the multiplicity
 filter is skipped unread.  Otherwise each candidate's slice is evaluated
-(initial_coefficients).  A group that curve.leading_rows leaves undecided
-(no row, or d above the truncation) gives no exact order when g is a jet,
-so it is counted and skipped unread; when g is exact it has no row, and its
-first candidate pulls back to zero.  Only a candidate whose slice cancels,
-or that first candidate, is built as a CurveJet and pulled back
-(curve.contact_order), and the winner is built only once.
-The stream order is kept, so the first best still wins a tie and the first
-identically zero pullback returns with the same tested count.
+by initial_coefficients, in Python-int Gaussian arithmetic: no scalar object
+per row, only one per nonzero coefficient of the slice.  A group that
+curve.leading_rows leaves undecided (no row, or d above the truncation)
+gives no exact order when g is a jet, so it is counted and skipped unread;
+when g is exact it has no row, and its first candidate pulls back to zero.
+Only a candidate whose slice cancels, or that first candidate, is built as
+a CurveJet and pulled back (curve.contact_order), and the winner is built
+only once.  The stream order is kept, so the first best still wins a tie
+and the first identically zero pullback returns with the same tested count.
 """
 
 from __future__ import annotations

@@ -34,6 +34,25 @@ def product_rule_check(p, q, index, anti):
     return lhs == rhs
 
 
+def initial_coefficients_reference(rows, coeffs):
+    """The GaussianRational-object evaluation of the lowest slice that
+    algebra.initial_coefficients replaced: each row's leading product built
+    from scalar products and powers, summed per bidegree key, zeros
+    dropped."""
+    conjs = [c.conjugate() for c in coeffs]
+    out = {}
+    for key, h, a, coeff in rows:
+        c = coeff
+        for e, f, ci, cj in zip(h, a, coeffs, conjs):
+            if e:
+                c = c * (ci if e == 1 else ci ** e)
+            if f:
+                c = c * (cj if f == 1 else cj ** f)
+        old = out.get(key)
+        out[key] = c if old is None else old + c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactps.algebra import (
@@ -15,11 +15,19 @@ from contactps.algebra import (
     ONE,
     TruncationError,
     ZERO,
+    initial_coefficients,
     key_conjugate,
     key_is_pure,
 )
+from contactps.search import _RANDOM_POOL, SEED_COEFFS, grid_coefficients
 
-from conftest import gr, product_rule_check, random_poly, random_scalar
+from conftest import (
+    gr,
+    initial_coefficients_reference,
+    product_rule_check,
+    random_poly,
+    random_scalar,
+)
 
 
 class TestGaussianRational:
@@ -311,3 +319,59 @@ def test_results_hold_the_constructor_invariant(data, nvars, nvars_out):
         pass
     for r in results:
         assert r == CPolynomial(r.nvars, dict(r.terms), r.truncation)
+
+
+# ---------------------------------------------------------------------------
+# The lowest-slice kernel against its scalar-object reference
+
+def _gaussian_rationals(height):
+    """a/p + (b/q)*i with |a|, |b| <= height and 1 <= p, q <= height."""
+    num, den = st.integers(-height, height), st.integers(1, height)
+    return st.builds(lambda a, b, p, q: GaussianRational(Fraction(a, p), Fraction(b, q)),
+                     num, num, den, den)
+
+
+# The leading coefficients the searches feed it, and random ones.
+_LEADS = st.one_of(
+    st.sampled_from(SEED_COEFFS + grid_coefficients(2)
+                    + tuple(c for c in _RANDOM_POOL if not c.is_zero())),
+    _gaussian_rationals(12),
+)
+_ROW_COEFFS = _gaussian_rationals(6).filter(lambda c: not c.is_zero())
+# Few bidegrees, so that rows with different denominators share a key.
+_BIDEGREES = st.tuples(st.tuples(st.integers(0, 2)), st.tuples(st.integers(0, 2)))
+
+
+@st.composite
+def slice_cases(draw):
+    """(rows, coeffs) in 1-3 variables with exponents 0-4, some rows paired
+    with a negated copy (a planted cancellation)."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    rows = draw(st.lists(st.tuples(_BIDEGREES, exps, exps, _ROW_COEFFS), max_size=8))
+    if rows:
+        for key, h, a, coeff in draw(st.lists(st.sampled_from(rows), max_size=3)):
+            rows.insert(draw(st.integers(0, len(rows))), (key, h, a, -coeff))
+    return rows, draw(st.lists(_LEADS, min_size=nvars, max_size=nvars))
+
+
+_K = ((1,), (1,))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(case=slice_cases())
+@example(case=([(_K, (1,), (0,), gr(Fraction(1, 2))), (_K, (1,), (0,), gr(Fraction(-1, 2)))],
+               [gr(3, 1)]))
+@example(case=([(_K, (2,), (1,), gr(Fraction(1, 2))), (_K, (2,), (1,), gr(Fraction(1, 3))),
+                (_K, (2,), (1,), gr(Fraction(-5, 6)))], [gr(Fraction(1, 2), 1)]))
+@example(case=([(_K, (1, 3), (0, 1), gr(Fraction(1, 4), 2)), (_K, (2, 0), (2, 0), gr(-1, 1)),
+                (((0,), (2,)), (0, 1), (4, 0), gr(1, Fraction(1, 6)))],
+               [gr(Fraction(-2, 3), Fraction(1, 5)), gr(0, Fraction(-1, 2))]))
+@example(case=([(_K, (0, 1), (1, 0), gr(1))], [ZERO, gr(2, 1)]))
+def test_initial_coefficients_matches_the_object_reference(case):
+    """Same keys, in the same order, and equal canonical values as the
+    scalar-object evaluation, also where rows cancel across denominators."""
+    rows, coeffs = case
+    out = initial_coefficients(rows, coeffs)
+    assert list(out.items()) == list(initial_coefficients_reference(rows, coeffs).items())
+    assert all(type(c) is GaussianRational for c in out.values())

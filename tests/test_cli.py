@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, report structure, determinism."""
 
 import json
+import pathlib
 import time
 
 import pytest
 from click.testing import CliRunner
 
+from contactps.algebra import GaussianRational
 from contactps.cli import main
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 CUBIC_SQUARE = "n = 3\nr = 2*Re(z3) + abs2(z1^2 - z2^3)\n"
 CANCEL_SQUARE = "n = 3\nr = 2*Re(z3) + abs2(z1 + z2^2)\n"
@@ -128,6 +132,30 @@ def test_reg_type_search_fallback_in_three_graph_variables(runner, tmp_path):
     }
     assert machine["options"] == {"max": 8}
     assert elapsed < 5.0
+
+
+def test_sing_search_scores_candidates_without_scalar_objects(runner, monkeypatch):
+    """Candidate scoring evaluates leading slices on raw ints, so a
+    sing-search over 2,738 candidates makes a few GaussianRational products
+    in all (26,633 products and powers when each row's leading product was
+    a chain of scalar objects)."""
+    calls = {"__mul__": 0, "__pow__": 0}
+    for name in calls:
+        op = getattr(GaussianRational, name)
+
+        def counted(x, y, op=op, name=name):
+            calls[name] += 1
+            return op(x, y)
+
+        monkeypatch.setattr(GaussianRational, name, counted)
+    start = time.process_time()
+    res = runner.invoke(main, ["sing-search", str(CORPUS_DIR / "mixed_certified.txt"),
+                               "--max-deg", "4", "--trials", "50", "--seed", "5", "--json"])
+    elapsed = time.process_time() - start
+    assert res.exit_code == 0
+    assert _machine(res)["claims"]["candidates_tested"] == 2738
+    assert calls["__mul__"] + calls["__pow__"] <= 200, calls
+    assert elapsed < 1.0
 
 
 def test_sing_search_infinite(runner, tmp_path):

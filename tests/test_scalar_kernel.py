@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactps.algebra import ONE, ZERO, GaussianRational
@@ -92,19 +92,46 @@ def test_binary_ops(p, q):
 
 
 @SETTINGS
-@given(p=pairs, k=st.integers(-5, 7))
+@given(p=pairs, k=st.integers(-6, 12))
+@example(p=(Fraction(0), Fraction(0)), k=0)
+@example(p=(Fraction(-3, 4), Fraction(5)), k=0)
 def test_pow(p, k):
+    """x ** k against the Fraction reference and against repeated
+    multiplication (its inverse for k < 0)."""
     x = GaussianRational(*p)
     if k < 0 and p == (0, 0):
         with pytest.raises(ZeroDivisionError):
             x ** k
         return
     ref = (Fraction(1), Fraction(0))
+    prod = ONE
     for _ in range(abs(k)):
         ref = _ref_mul(ref, p)
+        prod = prod * x
     if k < 0:
         ref = _ref_div((Fraction(1), Fraction(0)), ref)
+        prod = ONE / prod
     _agrees(x ** k, ref)
+    assert x ** k == prod
+
+
+def test_pow_multiplies_only_what_it_reads(monkeypatch):
+    """x ** k for k >= 1 makes bit_length(k) - 1 squarings and one product
+    per further set bit, and x ** 0 none."""
+    count = 0
+    mul = GaussianRational.__mul__
+
+    def counted(x, y):
+        nonlocal count
+        count += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    x = GaussianRational(Fraction(2, 3), -1)
+    for k in range(13):
+        count = 0
+        x ** k
+        assert count == (k.bit_length() + k.bit_count() - 2 if k else 0), k
 
 
 @SETTINGS
