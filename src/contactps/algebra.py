@@ -172,6 +172,10 @@ class GaussianRational:
     def is_real(self) -> bool:
         return not self._b
 
+    def is_positive_real(self) -> bool:
+        """Real and > 0, read off the fields: the denominator is positive."""
+        return not self._b and self._a > 0
+
     def __str__(self) -> str:
         from .expr import format_coefficient
 

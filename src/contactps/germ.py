@@ -388,7 +388,7 @@ def _group_suspects(g: CPolynomial, groups):
         balanced = [row for row in rows if row[0] == mid]
         for v in vectors:
             c = initial_coefficients(balanced, v).get(mid)
-            if c is not None and c.is_real() and c.re > 0:
+            if c is not None and c.is_positive_real():
                 continue
             yield CurveJet.monomial(exps, v)
 

@@ -7,10 +7,12 @@ explicit seed.
 Each stage has one definition, a light stream without curves:
 monomial_choices and cancellation_scan_choices yield, per exponent tuple,
 the tuple, its number of candidates and a lazy iterator over their
-coefficient vectors; random_draws yields the coefficient dicts of each
-seeded random curve.  monomial_curves, cancellation_scan_curves and
-random_curves are the CurveJet expansions of these streams, so the order and
-the rng sequence each have one definition.  The streams give every present
+coefficient vectors; random_draws yields, per seeded random curve, its
+leading exponents, its leading coefficient vector and its coefficient dicts,
+drawn straight from one generator's getrandbits by a rejection rule this
+module owns.  monomial_curves, cancellation_scan_curves and random_curves
+are the CurveJet expansions of these streams, so the order and the random
+sequence each have one definition.  The streams give every present
 component a nonzero coefficient; only absent components get ZERO.
 
 The regular and singular type searches read one stream (monomial curves,
@@ -152,44 +154,71 @@ def cancellation_scan_curves(nvars: int, max_degree: int, coeff_height: int):
             yield CurveJet.monomial(exps, v)
 
 
-_RANDOM_POOL = tuple(
-    GaussianRational(v)
-    for v in (0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3)
+# The pool of random coefficients; its first _POOL_ZEROS entries are zero,
+# so a drawn index below _POOL_ZEROS leaves the degree out.
+_POOL_ZEROS = 3
+_RANDOM_POOL = (ZERO,) * _POOL_ZEROS + tuple(
+    GaussianRational(v) for v in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3)
 ) + tuple(GaussianRational(a, b) for a, b in ((0, 1), (0, -1), (1, 1), (-1, 1)))
+_SIGNS = (ONE, -ONE)
 
 
 def random_draws(nvars: int, budget: SearchBudget):
-    """The coefficients of the seeded random curves: one list of nvars
-    {degree: nonzero coefficient} dicts per curve, not all empty, from one
-    rng seeded with budget.seed."""
-    rng = random.Random(budget.seed)
-    produced = 0
-    while produced < budget.random_trials:
-        mult = rng.randint(1, budget.max_multiplicity)
-        if mult > budget.max_degree:
-            continue
-        deg = rng.randint(mult, budget.max_degree)
-        coeffs = []
-        for _ in range(nvars):
+    """The seeded random curves: (exps, lead, coeffs) per curve, where
+    coeffs is one {degree: nonzero coefficient} dict per component, not all
+    empty, exps the components' leading degrees (0 for an empty one) and
+    lead their leading coefficients (ZERO for an empty one).
+
+    Every number comes from one generator seeded with budget.seed, by one
+    rule: below(n) draws k = n.bit_length() bits until they read less than
+    n (the rule of random.Random's randint, randrange and choice).  A draw
+    takes its multiplicity in 1..max_multiplicity (drawn again while above
+    max_degree) and its degree in mult..max_degree, then one pool index per
+    degree and component, component by component.  When no component starts
+    at mult, a sign and then a component index force the multiplicity: the
+    sign is drawn first, and its key goes last in that component's dict."""
+    bits = random.Random(budget.seed).getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    pool = _RANDOM_POOL
+    npool = len(pool)
+    kpool = npool.bit_length()
+    max_mult, max_deg = budget.max_multiplicity, budget.max_degree
+    for _ in range(budget.random_trials):
+        mult = 1 + below(max_mult)
+        while mult > max_deg:
+            mult = 1 + below(max_mult)
+        deg = mult + below(max_deg - mult + 1)
+        coeffs, exps, lead = [], [0] * nvars, [ZERO] * nvars
+        for i in range(nvars):
             comp = {}
             for d in range(mult, deg + 1):
-                c = rng.choice(_RANDOM_POOL)
-                if not c.is_zero():
+                r = bits(kpool)
+                while r >= npool:
+                    r = bits(kpool)
+                if r >= _POOL_ZEROS:
+                    c = pool[r]
+                    if not comp:
+                        exps[i], lead[i] = d, c
                     comp[d] = c
             coeffs.append(comp)
-        lead = [cd.get(mult) for cd in coeffs]
-        if all(c is None for c in lead):
-            # Force the intended multiplicity.
-            coeffs[rng.randrange(nvars)][mult] = GaussianRational(rng.choice((1, -1)))
-        if all(not cd for cd in coeffs):
-            continue
-        produced += 1
-        yield coeffs
+        if mult not in exps:
+            sign = _SIGNS[below(2)]
+            i = below(nvars)
+            coeffs[i][mult] = sign
+            exps[i], lead[i] = mult, sign
+        yield tuple(exps), lead, coeffs
 
 
 def random_curves(nvars: int, budget: SearchBudget):
     """Seeded random polynomial curves with bounded multiplicity and degree."""
-    for coeffs in random_draws(nvars, budget):
+    for _exps, _lead, coeffs in random_draws(nvars, budget):
         yield CurveJet.from_coeffs(coeffs)
 
 

@@ -431,15 +431,14 @@ def _candidate_groups(nvars: int, budget: SearchBudget):
     leading coefficient vector, and curve(source) builds it.  A monomial or
     scan group holds the candidates of its stage with the exponents exps,
     and its curves are built from their leading vectors; each random draw
-    is a group of its own, keyed by its leading exponents, and its curve is
-    built from the draw."""
+    is a group of its own, keyed by the leading exponents that
+    search.random_draws yields with it, its lead is the draw's leading
+    vector, and its curve is built from the draw's coefficient dicts."""
     for stage in (monomial_choices(nvars, budget.max_degree),
                   cancellation_scan_choices(nvars, budget.max_degree, budget.coeff_height)):
         for exps, count, vectors in stage:
             yield exps, count, ((v, v) for v in vectors), partial(CurveJet.monomial, exps)
-    for coeffs in random_draws(nvars, budget):
-        exps = tuple(min(cd, default=0) for cd in coeffs)
-        lead = [cd[e] if e else ZERO for cd, e in zip(coeffs, exps)]
+    for exps, lead, coeffs in random_draws(nvars, budget):
         yield exps, 1, ((lead, coeffs),), CurveJet.from_coeffs
 
 
@@ -468,7 +467,8 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
     pullback certifies infinite contact.
 
     The candidates are scored one exponent group at a time (the module
-    docstring gives the argument): a group above max_mult is skipped
+    docstring gives the argument), and each exponent tuple's multiplicity
+    filter and score are computed once: a group above max_mult is skipped
     unread, and so is a group of a jet g that curve.leading_rows does not
     decide (no row, or d above the truncation), whose pullbacks are all of
     order "at_least"; a group whose leading slice cannot cancel is scored
@@ -476,17 +476,18 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
     cancels, for a candidate of an exact g's group with no row (the first
     one pulls back to zero), and for the winner.
     """
-    scores: dict = {}
+    scores: dict = {}  # exps -> _leading_score, or None above max_mult
     best_ratio: Fraction | None = None
     best = None  # (curve, source, CurveJet or None) of the first best candidate
     tested = 0
     for exps, count, choices, curve in _candidate_groups(g.nvars, budget):
-        mult = min(e for e in exps if e)
-        if mult > max_mult:
-            continue
         if exps not in scores:
-            scores[exps] = _leading_score(g, exps, mult)
-        ratio, rows = scores[exps]
+            mult = min(e for e in exps if e)
+            scores[exps] = _leading_score(g, exps, mult) if mult <= max_mult else None
+        score = scores[exps]
+        if score is None:
+            continue
+        ratio, rows = score
         if ratio is None and g.truncation is not None:
             # Every pullback of the group is of order "at_least".
             tested += count

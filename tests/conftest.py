@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from contactps.algebra import CPolynomial, GaussianRational
+from contactps.search import _RANDOM_POOL
 
 
 def gr(re, im=0):
@@ -51,6 +52,35 @@ def initial_coefficients_reference(rows, coeffs):
         old = out.get(key)
         out[key] = c if old is None else old + c
     return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def random_draws_reference(nvars, budget):
+    """The coefficient dicts of search.random_draws as drawn through
+    random.Random's choice, randint and randrange, which search.random_draws
+    replaced by its own rejection rule on getrandbits."""
+    rng = random.Random(budget.seed)
+    produced = 0
+    while produced < budget.random_trials:
+        mult = rng.randint(1, budget.max_multiplicity)
+        if mult > budget.max_degree:
+            continue
+        deg = rng.randint(mult, budget.max_degree)
+        coeffs = []
+        for _ in range(nvars):
+            comp = {}
+            for d in range(mult, deg + 1):
+                c = rng.choice(_RANDOM_POOL)
+                if not c.is_zero():
+                    comp[d] = c
+            coeffs.append(comp)
+        lead = [cd.get(mult) for cd in coeffs]
+        if all(c is None for c in lead):
+            # Force the intended multiplicity.
+            coeffs[rng.randrange(nvars)][mult] = GaussianRational(rng.choice((1, -1)))
+        if all(not cd for cd in coeffs):
+            continue
+        produced += 1
+        yield coeffs
 
 
 @pytest.fixture

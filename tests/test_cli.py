@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 import time
 
 import pytest
@@ -155,6 +156,29 @@ def test_sing_search_scores_candidates_without_scalar_objects(runner, monkeypatc
     assert res.exit_code == 0
     assert _machine(res)["claims"]["candidates_tested"] == 2738
     assert calls["__mul__"] + calls["__pow__"] <= 200, calls
+    assert elapsed < 1.0
+
+
+def test_sing_search_draws_its_random_stage_from_getrandbits(runner, monkeypatch):
+    """The falsify sing-search draws its 3,000 random curves straight from
+    getrandbits: with random.Random's choice, randint and randrange made to
+    raise it gives the count and witness it gave when it drew through them,
+    within a second of process time."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the random stage draws through getrandbits only")
+
+    for name in ("choice", "randint", "randrange"):
+        monkeypatch.setattr(random.Random, name, forbidden)
+    start = time.process_time()
+    res = runner.invoke(main, ["sing-search", str(CORPUS_DIR / "crit6_type4.txt"),
+                               "--max-mult", "4", "--max-deg", "8", "--coeff-height", "2",
+                               "--trials", "3000", "--json"])
+    elapsed = time.process_time() - start
+    assert res.exit_code == 0, res.output
+    claims = _machine(res)["claims"]
+    assert claims["candidates_tested"] == 10296
+    assert claims["result"]["value"] == "4/1"
+    assert claims["result"]["witness"] == "(0, t)"
     assert elapsed < 1.0
 
 

@@ -65,6 +65,16 @@ def test_construction_and_unary_ops(p):
     assert type(x.norm2()) is Fraction
     assert x.is_zero() == (p == (0, 0))
     assert x.is_real() == (p[1] == 0)
+    assert x.is_positive_real() == (p[1] == 0 and p[0] > 0)
+
+
+@pytest.mark.parametrize("re, im, positive", [
+    (0, 0, False), (-1, 0, False), (Fraction(-1, 3), 0, False), (1, 1, False),
+    (0, 1, False), (Fraction(5, 2), Fraction(-1, 7), False),
+    (1, 0, True), (Fraction(1, 3), 0, True), (Fraction(7, 2), 0, True),
+])
+def test_is_positive_real(re, im, positive):
+    assert GaussianRational(re, im).is_positive_real() is positive
 
 
 @SETTINGS

@@ -13,7 +13,7 @@ from contactps.curve import CurveJet, contact_order, pullback, pullback_lowest
 from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
 from contactps.germ import germ_ps_check, gram_certificate, normalize_to_graph, validate
 from contactps.report import _graph_form
-from contactps.search import SearchBudget
+from contactps.search import SearchBudget, random_draws
 from contactps.typecalc import (
     ContactNotFourMError,
     ContradictoryEvidenceError,
@@ -438,6 +438,20 @@ _SEARCH_GERMS = {
 }
 
 
+def test_best_contact_budgets_cover_the_random_filter():
+    """The 60-trial budget of test_best_contact_matches_the_candidate_loop
+    has, in two variables (all search germs but one), random draws of
+    multiplicity above and within 2, and draws whose multiplicity key was
+    forced after the pool's keys."""
+    budget = SearchBudget(max_multiplicity=4, max_degree=3, coeff_height=1,
+                          random_trials=60, seed=1)
+    draws = list(random_draws(2, budget))
+    mults = {min(e for e in exps if e) for exps, _lead, _coeffs in draws}
+    assert min(mults) <= 2 < max(mults)
+    assert any(len(cd) > 1 and list(cd)[-1] == min(cd)
+               for _exps, _lead, coeffs in draws for cd in coeffs)
+
+
 def test_search_corpus_is_present():
     assert len(CORPUS) == 19
 
@@ -445,14 +459,16 @@ def test_search_corpus_is_present():
 @pytest.mark.parametrize("name", sorted(_SEARCH_GERMS))
 def test_best_contact_matches_the_candidate_loop(name):
     """The grouped search gives the kind, ratio, witness and tested count of
-    the plain loop over every candidate, for the regular and the singular
-    filter and two seeds.  Most germs with a square, crit4_cubic_square
-    and mixed_indef_hermitian among them, stop early at an identically zero
-    pullback, so the early-return count is compared too."""
+    the plain loop over every candidate, for the regular filter, the
+    singular filter at 2 and 4, and three seeds.  Most germs with a square,
+    crit4_cubic_square and mixed_indef_hermitian among them, stop early at
+    an identically zero pullback, so the early-return count is compared
+    too.  The filter at 2 with 60 random trials drops some random groups
+    but not all, and some of its draws force their multiplicity."""
     g = _SEARCH_GERMS[name]()
-    for max_mult, seed in ((1, 0), (4, 0), (4, 1)):
+    for max_mult, seed, trials in ((1, 0, 20), (2, 0, 20), (4, 0, 20), (4, 1, 20), (2, 1, 60)):
         budget = SearchBudget(max_multiplicity=4, max_degree=3, coeff_height=1,
-                              random_trials=20, seed=seed)
+                              random_trials=trials, seed=seed)
         found = _best_contact(g, budget, max_mult)
         assert (found.kind, found.ratio, found.witness, found.candidates_tested) == \
             _reference_best_contact(g, budget, max_mult)
