@@ -41,7 +41,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
+from math import isqrt, lcm
 
 from .algebra import ONE, ZERO, CPolynomial, GaussianRational, initial_coefficients
 from .curve import CurveJet, contact_order, leading_rows, pullback, ps_test_single
@@ -104,15 +105,36 @@ class TypeClaim:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-rational root extraction (exact, via factorization over Q(i))
+# Gaussian-rational root extraction (exact, via the rational norm)
+#
+# A polynomial here is a list of GaussianRational coefficients, index =
+# exponent, with a nonzero last entry; the zero polynomial is [].
 
 
-@cache
-def _gaussian_field():
-    """Q(i) as sympy's algebraic field Q<I>, built once per process."""
-    from sympy import QQ_I
+def _poly_divmod(a: list[GaussianRational], b: list[GaussianRational]):
+    """Quotient and remainder of a by the nonzero b."""
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [ZERO] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem[k + db] / lead
+        quot[k] = c
+        if not c.is_zero():
+            for j in range(db):
+                rem[k + j] = rem[k + j] - c * b[j]
+    rem = rem[:db]
+    while rem and rem[-1].is_zero():
+        rem.pop()
+    return quot, rem
 
-    return QQ_I.as_AlgebraicField()
+
+def _poly_gcd(a: list[GaussianRational], b: list[GaussianRational]) -> list[GaussianRational]:
+    """The monic gcd of a and b, not both zero (Euclid over Q(i))."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    lead = a[-1]
+    return [c / lead for c in a]
 
 
 def gaussian_common_roots(
@@ -120,45 +142,69 @@ def gaussian_common_roots(
 ) -> tuple[list[GaussianRational], bool]:
     """Common Gaussian-rational roots of nonzero univariate polynomials.
 
-    Returns (roots, complete); complete is False when the common-root
-    polynomial has irreducible factors of degree > 1 over Q(i), i.e. common
-    roots exist outside the Gaussian rationals and the enumeration is only a
-    partial list.
-    """
-    from sympy import Poly, QQ_I, Symbol
+    Returns (roots, complete): the distinct roots sorted by (re, im), and
+    whether they are all the common roots, i.e. whether the square-free
+    part g of the gcd splits over Q(i).  complete is False when common
+    roots exist outside the Gaussian rationals and the list is partial.
 
-    x = Symbol("x")
-    sym = [Poly.from_dict({(e,): QQ_I(c.re, c.im) for e, c in p.items()}, x, domain=QQ_I)
-           for p in polys if p]
-    if not sym:
+    Nothing is factored over an algebraic field.  The norm N = g*conj(g),
+    conj acting on the coefficients, has rational coefficients, and every
+    root r of g is a root of N, so the minimal polynomial of r over Q
+    divides N: it is x - r for a rational r, and x^2 - 2 Re(r) x + |r|^2
+    otherwise.  So the roots of g lie among the roots of the linear factors
+    of N over Q and the roots (-b +- s*i)/(2a) of its quadratic factors
+    a x^2 + b x + c (integer coefficients) whose 4ac - b^2 is a square s^2.
+    Every such candidate is kept only if g vanishes at it exactly, so the
+    list holds every root of g and nothing else.  A square-free g has deg g
+    distinct roots, so it splits over Q(i) exactly when the list is that
+    long.
+    """
+    nonzero = []
+    for p in polys:
+        dense = [p.get(e, ZERO) for e in range(max(p, default=-1) + 1)]
+        while dense and dense[-1].is_zero():
+            dense.pop()
+        if dense:
+            nonzero.append(dense)
+    if not nonzero:
         return [], True
-    g = sym[0]
-    for p in sym[1:]:
-        g = g.gcd(p)
-    if g.degree() == 0:
-        return [], True
-    complete = True
-    roots: list[GaussianRational] = []
-    # Multiplicities are never read, so the gcd is split square-free first:
-    # sympy factors a repeated factor far more slowly ((x-1)^2 (x+i) takes
-    # about 50 ms whole and 1 ms split).  A linear part is its own only
-    # irreducible factor.  Higher degree is factored over Q<I>, which is
-    # what QQ_I factoring does internally, without rebuilding that field on
-    # every call.
-    factors = []
-    for part in [part for part, _m in g.sqf_list()[1]] if g.degree() > 1 else [g]:
-        factors += ([part] if part.degree() == 1
-                    else [f for f, _m in part.set_domain(_gaussian_field()).factor_list()[1]])
-    for factor in factors:
-        if factor.degree() == 1:
-            # The factor is x + c.
-            c = QQ_I.convert_from(factor.monic().rep.TC(), factor.domain)
-            re, im = (Fraction(q.numerator, q.denominator) for q in (c.x, c.y))
-            roots.append(-GaussianRational(re, im))
-        elif factor.degree() > 1:
-            complete = False
-    roots.sort(key=lambda c: (c.re, c.im))
-    return roots, complete
+    g = nonzero[0]
+    for p in nonzero[1:]:
+        g = _poly_gcd(g, p)
+    if len(g) > 2:
+        # The square-free part g / gcd(g, g').
+        g = _poly_divmod(g, _poly_gcd(g, [c * GaussianRational(k)
+                                          for k, c in enumerate(g) if k]))[0]
+    if len(g) <= 2:
+        # A constant has no root; a linear g has its one root.
+        return ([] if len(g) == 1 else [-g[0] / g[1]]), True
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    gbar = [c.conjugate() for c in g]
+    norm = [ZERO] * (2 * len(g) - 1)
+    for i, a in enumerate(g):
+        for j, b in enumerate(gbar):
+            norm[i + j] = norm[i + j] + a * b
+    # N is real; clear its denominators and factor it over Z (Zassenhaus).
+    scale = lcm(*(c.re.denominator for c in norm))
+    integral = [ZZ(int(c.re * scale)) for c in reversed(norm)]
+    candidates = []
+    for factor, _m in dup_factor_list(integral, ZZ)[1]:
+        if len(factor) == 2:
+            a, b = (int(c) for c in factor)
+            candidates.append(GaussianRational(Fraction(-b, a)))
+        elif len(factor) == 3:
+            a, b, c = (int(c) for c in factor)
+            m = 4 * a * c - b * b
+            s = isqrt(m) if m > 0 else 0
+            if s and s * s == m:
+                candidates += [GaussianRational(Fraction(-b, 2 * a), Fraction(sign * s, 2 * a))
+                               for sign in (1, -1)]
+    phi = dict(enumerate(g))
+    roots = sorted((r for r in candidates if _eval_univariate(phi, r).is_zero()),
+                   key=lambda c: (c.re, c.im))
+    return roots, len(roots) == len(g) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +523,8 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
     one pulls back to zero), and for the winner.
     """
     scores: dict = {}  # exps -> _leading_score, or None above max_mult
-    best_ratio: Fraction | None = None
+    # The best ratio as the ints num/den, compared by cross-multiplying.
+    best_num, best_den = None, 1
     best = None  # (curve, source, CurveJet or None) of the first best candidate
     tested = 0
     for exps, count, choices, curve in _candidate_groups(g.nvars, budget):
@@ -487,47 +534,53 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
         score = scores[exps]
         if score is None:
             continue
-        ratio, rows = score
-        if ratio is None and g.truncation is not None:
+        d, mult, rows = score
+        if d is None and g.truncation is not None:
             # Every pullback of the group is of order "at_least".
             tested += count
             continue
-        if ratio is not None and rows is None:
+        if d is not None and rows is None:
             tested += count
-            if best_ratio is None or ratio > best_ratio:
-                best_ratio, best = ratio, (curve, next(iter(choices))[1], None)
+            if best_num is None or d * best_den > best_num * mult:
+                best_num, best_den = d, mult
+                best = (curve, next(iter(choices))[1], None)
             continue
         for lead, source in choices:
             tested += 1
-            found, z = ratio, None
-            if ratio is None or not initial_coefficients(rows, lead):
+            num, den, z = d, mult, None
+            if d is None or not initial_coefficients(rows, lead):
                 z = curve(source)
                 order, found = contact_order(g, z)
                 if order.kind == "zero":
                     return SingSearchResult("infinite", None, z, tested, budget)
-            if found is not None and (best_ratio is None or found > best_ratio):
-                best_ratio, best = found, (curve, source, z)
+                if found is None:
+                    continue
+                num, den = found.numerator, found.denominator
+            if best_num is None or num * best_den > best_num * den:
+                best_num, best_den, best = num, den, (curve, source, z)
     witness = None
     if best is not None:
         curve, source, witness = best
         if witness is None:
             witness = curve(source)
+    best_ratio = None if best_num is None else Fraction(best_num, best_den)
     return SingSearchResult("lower_bound", best_ratio, witness, tested, budget)
 
 
 def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int):
-    """(ratio, rows) for the candidates with leading exponents exps.  ratio
-    is d/mult when the leading slice, of weighted degree d, decides the
-    order of every candidate whose slice does not cancel, and None when it
-    decides none (no row, or d above the truncation).  rows are the initial
-    rows when some candidate's slice may cancel, None when none can."""
+    """(d, mult, rows) for the candidates with leading exponents exps.  The
+    ratio d/mult, d the weighted degree of the leading slice, is the score of
+    every candidate whose slice does not cancel; d is None when the slice
+    decides no order (no row, or d above the truncation).  rows are the
+    initial rows when some candidate's slice may cancel, None when none
+    can."""
     found = leading_rows(g, exps)
     if found is None:
-        return None, None
+        return None, mult, None
     d, rows = found
     if 1 in Counter(key for key, *_ in rows).values():
         rows = None
-    return Fraction(d, mult), rows
+    return d, mult, rows
 
 
 def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -52,6 +53,50 @@ def initial_coefficients_reference(rows, coeffs):
         old = out.get(key)
         out[key] = c if old is None else old + c
     return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@cache
+def _gaussian_field():
+    """Q(i) as sympy's algebraic field Q<I>, built once per process."""
+    from sympy import QQ_I
+
+    return QQ_I.as_AlgebraicField()
+
+
+def gaussian_common_roots_reference(polys):
+    """The factorization over Q<I> that typecalc.gaussian_common_roots
+    replaced by the rational norm: the gcd over QQ_I, split square-free,
+    each part of degree > 1 factored over the algebraic field Q<I> (Trager's
+    norm method); linear factors give the roots, and a factor of degree > 1
+    makes the list incomplete."""
+    from sympy import Poly, QQ_I, Symbol
+
+    x = Symbol("x")
+    sym = [Poly.from_dict({(e,): QQ_I(c.re, c.im) for e, c in p.items()}, x, domain=QQ_I)
+           for p in polys if p]
+    if not sym:
+        return [], True
+    g = sym[0]
+    for p in sym[1:]:
+        g = g.gcd(p)
+    if g.degree() == 0:
+        return [], True
+    complete = True
+    roots = []
+    factors = []
+    for part in [part for part, _m in g.sqf_list()[1]] if g.degree() > 1 else [g]:
+        factors += ([part] if part.degree() == 1
+                    else [f for f, _m in part.set_domain(_gaussian_field()).factor_list()[1]])
+    for factor in factors:
+        if factor.degree() == 1:
+            # The factor is x + c.
+            c = QQ_I.convert_from(factor.monic().rep.TC(), factor.domain)
+            re, im = (Fraction(q.numerator, q.denominator) for q in (c.x, c.y))
+            roots.append(-GaussianRational(re, im))
+        elif factor.degree() > 1:
+            complete = False
+    roots.sort(key=lambda c: (c.re, c.im))
+    return roots, complete
 
 
 def random_draws_reference(nvars, budget):

@@ -32,7 +32,7 @@ from contactps.typecalc import (
     sing_type_search,
 )
 
-from conftest import gr
+from conftest import gaussian_common_roots_reference, gr
 
 
 def _graph(text, K=8, n=3):
@@ -43,8 +43,8 @@ class TestGaussianRoots:
     def test_linear_and_quadratic(self):
         # x^2 + 1 factors over the Gaussian rationals
         roots, complete = gaussian_common_roots([{2: gr(1), 0: gr(1)}])
-        assert complete and {(c.re, c.im) for c in roots} == {(-0, -1), (0, 1)} or \
-            sorted((c.re, c.im) for c in roots) == [(0, -1), (0, 1)]
+        assert complete
+        assert roots == [gr(0, -1), gr(0, 1)]
 
     def test_irrational_roots_flagged_incomplete(self):
         roots, complete = gaussian_common_roots([{2: gr(1), 0: gr(-2)}])
@@ -116,6 +116,49 @@ def test_gaussian_common_roots_recovers_planted_roots(system):
     roots, complete = gaussian_common_roots(polys)
     assert roots == sorted(common, key=lambda c: (c.re, c.im))
     assert complete == (not all_carry)
+
+
+# None splits over Q(i): _IRREDUCIBLE, x^2 + ix + 1 (roots (-i +- i*sqrt(5))/2)
+# and x^4 - 2x^2 + 9 = (x^2 - 2ix - 3)(x^2 + 2ix - 3), irreducible over Q.
+_NOT_SPLIT = _IRREDUCIBLE + [
+    _X ** 2 + _X.scale(gr(0, 1)) + CPolynomial.one(1),
+    _X ** 4 - (_X ** 2).scale(gr(2)) + CPolynomial.constant(1, gr(9)),
+]
+
+
+@st.composite
+def _root_systems(draw):
+    """1-3 polynomials, each a nonzero Gaussian scalar times planted
+    Gaussian-rational roots of multiplicity 1-3, sometimes with the
+    conjugate of a root (a factor that g shares with its conjugate), times
+    factors that do not split over Q(i); a shared part makes the gcd
+    nontrivial, and a polynomial with nothing planted is a constant."""
+    def part():
+        roots = draw(st.lists(st.sampled_from(_ROOT_POOL), max_size=3, unique=True))
+        if roots and draw(st.booleans()):
+            roots.append(roots[0].conjugate())
+        p = CPolynomial.one(1)
+        for x in dict.fromkeys(roots):
+            p = p * (_X - CPolynomial.constant(1, x)) ** draw(st.integers(1, 3))
+        for f in draw(st.lists(st.sampled_from(_NOT_SPLIT), max_size=2)):
+            p = p * f
+        return p
+
+    shared = part()
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        unit = draw(st.sampled_from([gr(1), gr(-3), gr(Fraction(1, 2), 1), gr(0, 2)]))
+        p = (shared * part()).scale(unit)
+        polys.append({h[0]: c for (h, _anti), c in p.terms.items()})
+    return polys
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(polys=_root_systems())
+def test_gaussian_common_roots_matches_factoring_over_gaussian_field(polys):
+    """The rational-norm root finder gives the roots and the complete flag
+    of the factorization over Q<I> that it replaced."""
+    assert gaussian_common_roots(polys) == gaussian_common_roots_reference(polys)
 
 
 _Z = (CPolynomial.variable(2, 0), CPolynomial.variable(2, 1))
