@@ -42,7 +42,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import isqrt, lcm
+from itertools import count
+from math import lcm
 
 from .algebra import ONE, ZERO, CPolynomial, GaussianRational, initial_coefficients
 from .curve import CurveJet, contact_order, leading_rows, pullback, ps_test_single
@@ -105,10 +106,11 @@ class TypeClaim:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-rational root extraction (exact, via the rational norm)
+# Gaussian-rational root extraction (exact, by p-adic lifting over Z[i])
 #
 # A polynomial here is a list of GaussianRational coefficients, index =
-# exponent, with a nonzero last entry; the zero polynomial is [].
+# exponent, with a nonzero last entry; the zero polynomial is [].  The
+# lifting works on lists of ints (index = exponent) reduced mod m.
 
 
 def _poly_divmod(a: list[GaussianRational], b: list[GaussianRational]):
@@ -137,6 +139,44 @@ def _poly_gcd(a: list[GaussianRational], b: list[GaussianRational]) -> list[Gaus
     return [c / lead for c in a]
 
 
+def _horner(f: list[int], x: int, m: int) -> tuple[int, int]:
+    """f(x) and f'(x) mod m."""
+    v = dv = 0
+    for c in reversed(f):
+        dv = (dv * x + v) % m
+        v = (v * x + c) % m
+    return v, dv
+
+
+def _simple_roots(f: list[int], p: int) -> list[int] | None:
+    """The roots of f mod the prime p, or None if one of them is multiple."""
+    roots = []
+    for x in range(p):
+        v, dv = _horner(f, x, p)
+        if not v:
+            if not dv:
+                return None
+            roots.append(x)
+    return roots
+
+
+def _lift(f: list[int], x: int, m: int, steps: int) -> int:
+    """Newton's iteration mod m from a simple root x of f mod p, for m a
+    power of p: after j steps x is a root of f mod p^(2^j)."""
+    for _ in range(steps):
+        v, dv = _horner(f, x, m)
+        x = (x - v * pow(dv, -1, m)) % m
+    return x
+
+
+def _split_primes():
+    """The primes p = 1 (mod 4), in increasing order: the odd primes mod
+    which -1 is a square."""
+    for p in count(5, 4):
+        if all(p % q for q in range(3, p, 2)):
+            yield p
+
+
 def gaussian_common_roots(
     polys: list[dict[int, GaussianRational]],
 ) -> tuple[list[GaussianRational], bool]:
@@ -147,17 +187,39 @@ def gaussian_common_roots(
     part g of the gcd splits over Q(i).  complete is False when common
     roots exist outside the Gaussian rationals and the list is partial.
 
-    Nothing is factored over an algebraic field.  The norm N = g*conj(g),
-    conj acting on the coefficients, has rational coefficients, and every
-    root r of g is a root of N, so the minimal polynomial of r over Q
-    divides N: it is x - r for a rational r, and x^2 - 2 Re(r) x + |r|^2
-    otherwise.  So the roots of g lie among the roots of the linear factors
-    of N over Q and the roots (-b +- s*i)/(2a) of its quadratic factors
-    a x^2 + b x + c (integer coefficients) whose 4ac - b^2 is a square s^2.
-    Every such candidate is kept only if g vanishes at it exactly, so the
-    list holds every root of g and nothing else.  A square-free g has deg g
-    distinct roots, so it splits over Q(i) exactly when the list is that
-    long.
+    Nothing is factored.  A g of degree n >= 2 has its roots found by
+    p-adic lifting, Loos's method for rational roots (SIAM J. Comput. 12,
+    1983) carried over to Z[i]:
+
+    1. Clearing denominators gives G in Z[i][x] with leading coefficient a.
+       Z[i] is a UFD, so by Gauss's lemma every root r in Q(i) has a*r in
+       Z[i]: y = a*r is a Gaussian-integer root of the monic
+       H(y) = a^(n-1) G(y/a), and by Cauchy's bound |Re y|, |Im y| <= |y|
+       <= B = 1 + max_k (|Re h_k| + |Im h_k|) over the coefficients h_k of
+       H below its lead.
+    2. For a prime p = 1 (mod 4), -1 has a square root iota mod p, and
+       i -> iota, i -> -iota give the two images of H mod p.  H is
+       square-free, as g is, so its discriminant is a nonzero Gaussian
+       integer with finitely many prime factors, and for all but finitely
+       many p both images are square-free.  The loop takes the first p for
+       which no root of either image is multiple, so it ends.
+    3. The roots of each image mod p are found by trying every residue.
+    4. iota and every root are lifted to M = p^K > 2B by Newton's
+       iteration.  A simple root mod p lifts uniquely, and each step
+       doubles the power of p to which it holds, so ceil(log2 K) steps
+       reach M.
+    5. A Gaussian integer y = s + t*i maps to s + t*iota and s - t*iota mod
+       M, so for each pair (rho1, rho2) of lifted roots, one per image,
+       s and t are the symmetric residues of (rho1 + rho2)/2 and
+       (rho1 - rho2)/(2*iota) mod M, which cover [-B, B] as M > 2B.  The
+       candidate y is kept only if H(y) = 0 exactly, in Python-int
+       Gaussian arithmetic, and gives the root y/a of g.
+
+    The list is complete: the images of a root y of H are roots of the
+    images of H mod p, simple by the choice of p, so they lift uniquely to
+    the images of y mod M, and their pair gives y back.  The exact check
+    keeps out everything else.  A square-free g has n distinct roots, so
+    it splits over Q(i) exactly when the list is that long.
     """
     nonzero = []
     for p in polys:
@@ -178,33 +240,52 @@ def gaussian_common_roots(
     if len(g) <= 2:
         # A constant has no root; a linear g has its one root.
         return ([] if len(g) == 1 else [-g[0] / g[1]]), True
-    from sympy import ZZ
-    from sympy.polys.factortools import dup_factor_list
+    n = len(g) - 1
+    scale = lcm(*(q.denominator for c in g for q in (c.re, c.im)))
+    ar, ai = (int(q * scale) for q in (g[-1].re, g[-1].im))
+    # The coefficients h_k = G_k a^(n-1-k) of H below its lead 1, as
+    # (re, im) int pairs, for G = scale * g.
+    h, pr, pi = [], 1, 0
+    for c in reversed(g[:-1]):
+        gr, gi = int(c.re * scale), int(c.im * scale)
+        h.append((gr * pr - gi * pi, gr * pi + gi * pr))
+        pr, pi = pr * ar - pi * ai, pr * ai + pi * ar
+    h.reverse()
+    bound = 1 + max(abs(x) + abs(y) for x, y in h)
 
-    gbar = [c.conjugate() for c in g]
-    norm = [ZERO] * (2 * len(g) - 1)
-    for i, a in enumerate(g):
-        for j, b in enumerate(gbar):
-            norm[i + j] = norm[i + j] + a * b
-    # N is real; clear its denominators and factor it over Z (Zassenhaus).
-    scale = lcm(*(c.re.denominator for c in norm))
-    integral = [ZZ(int(c.re * scale)) for c in reversed(norm)]
-    candidates = []
-    for factor, _m in dup_factor_list(integral, ZZ)[1]:
-        if len(factor) == 2:
-            a, b = (int(c) for c in factor)
-            candidates.append(GaussianRational(Fraction(-b, a)))
-        elif len(factor) == 3:
-            a, b, c = (int(c) for c in factor)
-            m = 4 * a * c - b * b
-            s = isqrt(m) if m > 0 else 0
-            if s and s * s == m:
-                candidates += [GaussianRational(Fraction(-b, 2 * a), Fraction(sign * s, 2 * a))
-                               for sign in (1, -1)]
-    phi = dict(enumerate(g))
-    roots = sorted((r for r in candidates if _eval_univariate(phi, r).is_zero()),
-                   key=lambda c: (c.re, c.im))
-    return roots, len(roots) == len(g) - 1
+    def image(unit: int, m: int) -> list[int]:
+        return [(x + unit * y) % m for x, y in h] + [1]
+
+    for p in _split_primes():
+        iota = next(x for x in range(p) if x * x % p == p - 1)
+        residues = [_simple_roots(image(u, p), p) for u in (iota, -iota)]
+        if None not in residues:
+            break
+    modulus, k = p, 1
+    while modulus <= 2 * bound:
+        modulus, k = modulus * p, k + 1
+    steps = (k - 1).bit_length()
+    iota = _lift([1, 0, 1], iota, modulus, steps)
+    lifted = []
+    for u, xs in zip((iota, -iota), residues):
+        f = image(u, modulus)
+        lifted.append([_lift(f, x, modulus, steps) for x in xs])
+    half, over = pow(2, -1, modulus), pow(2 * iota, -1, modulus)
+    lead = GaussianRational(ar, ai)
+    roots = []
+    for r1 in lifted[0]:
+        for r2 in lifted[1]:
+            s = (r1 + r2) * half % modulus
+            t = (r1 - r2) * over % modulus
+            s -= modulus if 2 * s > modulus else 0
+            t -= modulus if 2 * t > modulus else 0
+            vr, vi = 1, 0
+            for cr, ci in reversed(h):
+                vr, vi = vr * s - vi * t + cr, vr * t + vi * s + ci
+            if not vr and not vi:
+                roots.append(GaussianRational(s, t) / lead)
+    roots.sort(key=lambda c: (c.re, c.im))
+    return roots, len(roots) == n
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import isqrt, lcm
 
 import pytest
 
-from contactps.algebra import CPolynomial, GaussianRational
+from contactps.algebra import ZERO, CPolynomial, GaussianRational
 from contactps.search import _RANDOM_POOL
 
 
@@ -97,6 +98,60 @@ def gaussian_common_roots_reference(polys):
             complete = False
     roots.sort(key=lambda c: (c.re, c.im))
     return roots, complete
+
+
+def gaussian_common_roots_norm_reference(polys):
+    """The rational-norm root finder that typecalc.gaussian_common_roots
+    replaced by p-adic lifting: the same gcd and square-free part g, then
+    the norm N = g*conj(g), which has rational coefficients, factored over Z
+    by sympy (Zassenhaus); the candidates are the roots of its linear
+    factors and (-b +- s*i)/(2a) for each quadratic factor a x^2 + b x + c
+    with 4ac - b^2 = s^2, each kept only if g vanishes at it exactly."""
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    from contactps.typecalc import _eval_univariate, _poly_divmod, _poly_gcd
+
+    nonzero = []
+    for p in polys:
+        dense = [p.get(e, ZERO) for e in range(max(p, default=-1) + 1)]
+        while dense and dense[-1].is_zero():
+            dense.pop()
+        if dense:
+            nonzero.append(dense)
+    if not nonzero:
+        return [], True
+    g = nonzero[0]
+    for p in nonzero[1:]:
+        g = _poly_gcd(g, p)
+    if len(g) > 2:
+        g = _poly_divmod(g, _poly_gcd(g, [c * GaussianRational(k)
+                                          for k, c in enumerate(g) if k]))[0]
+    if len(g) <= 2:
+        return ([] if len(g) == 1 else [-g[0] / g[1]]), True
+    gbar = [c.conjugate() for c in g]
+    norm = [ZERO] * (2 * len(g) - 1)
+    for i, a in enumerate(g):
+        for j, b in enumerate(gbar):
+            norm[i + j] = norm[i + j] + a * b
+    scale = lcm(*(c.re.denominator for c in norm))
+    integral = [ZZ(int(c.re * scale)) for c in reversed(norm)]
+    candidates = []
+    for factor, _m in dup_factor_list(integral, ZZ)[1]:
+        if len(factor) == 2:
+            a, b = (int(c) for c in factor)
+            candidates.append(GaussianRational(Fraction(-b, a)))
+        elif len(factor) == 3:
+            a, b, c = (int(c) for c in factor)
+            m = 4 * a * c - b * b
+            s = isqrt(m) if m > 0 else 0
+            if s and s * s == m:
+                candidates += [GaussianRational(Fraction(-b, 2 * a), Fraction(sign * s, 2 * a))
+                               for sign in (1, -1)]
+    phi = dict(enumerate(g))
+    roots = sorted((r for r in candidates if _eval_univariate(phi, r).is_zero()),
+                   key=lambda c: (c.re, c.im))
+    return roots, len(roots) == len(g) - 1
 
 
 def random_draws_reference(nvars, budget):

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, report structure, determinism."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -182,31 +185,70 @@ def test_sing_search_draws_its_random_stage_from_getrandbits(runner, monkeypatch
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("name, witness, value", [
-    ("item3_repro", "(0, t)", "12/1"),
-    ("item3_mirror", "(t, 0)", "12/1"),
-    ("irr_line", "(t, 0)", "4/1"),
-])
-def test_reg_type_builds_no_algebraic_field(runner, monkeypatch, name, witness, value):
-    """The jet-extension DFS finds its Gaussian-rational roots through the
-    rational norm, so with sympy's AlgebraicField made to raise, reg-type
-    still gives its claims on germs whose cancellation conditions have
-    irrational roots, within a few hundred ms of process time (factoring
-    over Q<I> cost about 125 ms for the field alone)."""
-    from sympy.polys.domains.algebraicfield import AlgebraicField
+# Runs each command given as a JSON list of argument lists, with sympy made
+# unimportable, and prints exit code, output and process time per command.
+# Each command reads the output of the one before it on stdin, which is
+# where `verify-report -` takes its report from.
+_NO_SYMPY_SCRIPT = """
+import json, sys, time
+sys.modules["sympy"] = None
+from click.testing import CliRunner
+from contactps.cli import main
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("root extraction builds no algebraic field")
-
-    monkeypatch.setattr(AlgebraicField, "__init__", forbidden)
+results, previous = [], ""
+for args in json.loads(sys.argv[1]):
     start = time.process_time()
-    res = runner.invoke(main, ["reg-type", str(CORPUS_DIR / f"{name}.txt"),
-                               "--max", "16", "--json"])
-    elapsed = time.process_time() - start
-    assert res.exit_code == 0, res.output
-    claim = _machine(res)["claims"]["reg_type"]
-    assert (claim["kind"], claim["value"], claim["witness"]) == ("at_least", value, witness)
-    assert elapsed < 0.3
+    res = CliRunner().invoke(main, args, input=previous)
+    results.append((res.exit_code, res.output, time.process_time() - start))
+    previous = res.output
+print(json.dumps(results))
+"""
+
+
+def test_commands_run_without_sympy():
+    """No command imports sympy: in a process where importing it fails,
+    reg-type gives its claims on the germs whose cancellation conditions
+    have irrational roots (the DFS's p-adic root finder), each within
+    0.3 s of process time, and one op of every other certify kind gives
+    its claim."""
+    def corpus(name):
+        return str(CORPUS_DIR / f"{name}.txt")
+
+    reg = [("item3_repro", "(0, t)", "12/1"), ("item3_mirror", "(t, 0)", "12/1"),
+           ("irr_line", "(t, 0)", "4/1")]
+    commands = [["reg-type", corpus(name), "--max", "16", "--json"] for name, _w, _v in reg]
+    commands += [
+        ["verify-report", "-"],
+        ["gram", corpus("crit6_type4"), "--json"],
+        ["germ-ps", corpus("crit5_m2"), "--kmin", "2", "--kmax", "5", "--max-deg", "4",
+         "--trials", "10", "--seed", "1"],
+        ["verify-report", "-"],
+        ["contact", corpus("crit6_type4"), "--curve", "(-t^4, t^2, 0)", "--json"],
+        ["pullback", corpus("crit6_type4"), "--curve", "(t, t, 0)", "--json"],
+        ["desingularize", corpus("crit6_type4"), "--curve", "(-t^4, t^2)", "--json"],
+        ["fdb-verify", "--k", "3", "--trials", "3", "--seed", "1", "--json"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(commands)
+    for (exit_code, output, _cpu), args in zip(results, commands):
+        assert exit_code == 0, (args, output)
+    out = [json.loads(output) if output.startswith("{") else None
+           for _code, output, _cpu in results]
+    for (_name, witness, value), machine, (_code, _out, cpu) in zip(reg, out, results):
+        claim = machine["claims"]["reg_type"]
+        assert (claim["kind"], claim["value"], claim["witness"]) == ("at_least", value, witness)
+        assert cpu < 0.3
+    assert out[3]["verified"] is True and out[6]["verified"] is True
+    claims = [machine and machine.get("claims") for machine in out]
+    assert claims[4]["certificate"]["verdict"] == "certified"
+    assert claims[7]["contact"] == "4/1"
+    assert claims[8]["order"] == {"kind": "exact", "value": 2}
+    assert claims[9]["eta"] == "(-t^2, t)"
+    assert claims[10]["matches"] == 3
 
 
 def test_sing_search_infinite(runner, tmp_path):

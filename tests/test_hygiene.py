@@ -32,11 +32,20 @@ than an external linter.
   class or function body), under `src/`, `tests/` or `bench/`: Python keeps
   only the last definition, so the earlier one is dead code that can
   mislead a reader, or a test that never runs.
+- No module imports `sympy`, nested imports included: the program runs on
+  its own exact arithmetic, and only the tests and the benchmark's oracle
+  use sympy, as a reference.
+- The third-party modules that `src/contactps` imports are exactly the
+  `dependencies` of `pyproject.toml`: none is missing and none is unused.
 """
 
 import ast
 import importlib
 import pathlib
+import re
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "contactps"
@@ -301,3 +310,40 @@ def test_no_definition_is_shadowed_in_its_scope():
                         *(ROOT / "bench").rglob("*.py")]):
         found += _redefinitions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == []
+
+
+def _imported_packages(tree: ast.Module) -> dict[str, int]:
+    """The top-level package of every absolute import, nested imports
+    included, with the line of its first import."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            found.setdefault(name.split(".")[0], node.lineno)
+    return found
+
+
+def _third_party_imports() -> dict[str, list[str]]:
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for name, line in _imported_packages(ast.parse(path.read_text(encoding="utf-8"))).items():
+            if name not in sys.stdlib_module_names and name != "contactps":
+                found.setdefault(name, []).append(f"{path.name}:{line}")
+    return found
+
+
+def test_no_module_imports_sympy():
+    assert _third_party_imports().get("sympy") is None
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_") for d in deps}
+    assert set(_third_party_imports()) == declared

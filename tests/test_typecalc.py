@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from contactps import typecalc
 from contactps.algebra import CPolynomial
 from contactps.curve import CurveJet, contact_order, pullback, pullback_lowest
 from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
@@ -32,7 +33,7 @@ from contactps.typecalc import (
     sing_type_search,
 )
 
-from conftest import gaussian_common_roots_reference, gr
+from conftest import gaussian_common_roots_norm_reference, gaussian_common_roots_reference, gr
 
 
 def _graph(text, K=8, n=3):
@@ -156,9 +157,104 @@ def _root_systems(draw):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(polys=_root_systems())
 def test_gaussian_common_roots_matches_factoring_over_gaussian_field(polys):
-    """The rational-norm root finder gives the roots and the complete flag
-    of the factorization over Q<I> that it replaced."""
+    """The root finder gives the roots and the complete flag of the
+    factorization over Q<I> that the rational norm replaced."""
     assert gaussian_common_roots(polys) == gaussian_common_roots_reference(polys)
+
+
+_HEIGHT = 10 ** 6
+# Roots that collide mod 5, mod 13 or both: the lifting prime must pass them.
+_COLLIDING = [[gr(0), gr(5), gr(65)], [gr(0, 1), gr(5, 1)]]
+_NOT_SPLIT_FACTORS = [(2, _X ** 2 - CPolynomial.constant(1, gr(2))),
+                      (4, _X ** 4 - (_X ** 2).scale(gr(2)) + CPolynomial.constant(1, gr(9)))]
+
+
+def _planted(unit, roots, factor=None):
+    """unit * prod (x - r)^m over the (root, multiplicity) pairs, times factor."""
+    p = CPolynomial.constant(1, unit)
+    for x, m in roots:
+        p = p * (_X - CPolynomial.constant(1, x)) ** m
+    if factor is not None:
+        p = p * factor
+    return {h[0]: c for (h, _anti), c in p.terms.items()}
+
+
+@st.composite
+def _lifting_systems(draw):
+    """1-2 polynomials of degree at most 6 with coefficient or root heights
+    up to 10^6 and Gaussian leading coefficients: either dense with random
+    coefficients, or a Gaussian scalar times planted Gaussian-rational roots
+    of multiplicity 1-3 (sometimes a root with its conjugate, a factor that
+    g shares with conj(g), or a set of roots that collide mod 5 and 13),
+    sometimes times x^2 - 2 or x^4 - 2x^2 + 9, and sometimes a second
+    polynomial that shares those roots and adds one of its own; or x (x - c)
+    with a root c near Cauchy's bound."""
+    height = draw(st.sampled_from([2, 1000, _HEIGHT]))
+    part = st.integers(-height, height)
+    gaussian = st.builds(gr, part, part).filter(lambda c: not c.is_zero())
+    kind = draw(st.sampled_from(["dense", "planted", "edge"]))
+    if kind == "edge":
+        # x (x - c) for c = k or k*i has Cauchy's bound 1 + k, so the root
+        # c has a part one below the bound.
+        k = draw(st.integers(1, _HEIGHT))
+        return [_planted(gr(1), [(gr(0), 1), (draw(st.sampled_from([gr(k), gr(0, k)])), 1)])]
+    if kind == "dense":
+        deg = draw(st.integers(2, 6))
+        coeffs = draw(st.lists(st.builds(gr, part, part), min_size=deg, max_size=deg))
+        return [dict(enumerate(coeffs + [draw(gaussian)]))]
+    rational = st.builds(lambda a, b, d: gr(Fraction(a, d), Fraction(b, d)),
+                         part, part, st.integers(1, 7))
+    small = st.sampled_from(_ROOT_POOL)
+    preset = draw(st.sampled_from([[]] * 3 + _COLLIDING))
+    deg = len(preset)
+    roots = [(x, 1) for x in preset]
+    for _ in range(draw(st.integers(0 if preset else 1, 4))):
+        x = draw(st.one_of(small, gaussian, rational))
+        pair = [x, x.conjugate()] if not x.is_real() and draw(st.booleans()) else [x]
+        for y in pair:
+            if deg < 6 and y not in dict(roots):
+                m = draw(st.integers(1, min(3, 6 - deg)))
+                roots.append((y, m))
+                deg += m
+    factor = None
+    if draw(st.booleans()):
+        fdeg, factor = draw(st.sampled_from(_NOT_SPLIT_FACTORS))
+        if deg + fdeg > 6:
+            factor = None
+    polys = [_planted(draw(gaussian), roots, factor)]
+    if draw(st.booleans()):
+        polys.append(_planted(draw(gaussian), roots + [(draw(gaussian), 1)],
+                              factor if draw(st.booleans()) else None))
+    return polys
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(polys=_lifting_systems())
+def test_gaussian_common_roots_matches_the_norm_factoring(polys):
+    """The p-adic lifting gives the roots and the complete flag of the
+    rational-norm factoring that it replaced."""
+    assert gaussian_common_roots(polys) == gaussian_common_roots_norm_reference(polys)
+
+
+@pytest.mark.parametrize("roots, primes", [
+    ([gr(0), gr(5), gr(65)], [5, 13, 17]),  # collide mod 5 and mod 13
+    ([gr(0, 1), gr(5, 1)], [5, 13]),  # collide mod 5
+], ids=["0,5,65", "i,5+i"])
+def test_lifting_prime_passes_colliding_roots(monkeypatch, roots, primes):
+    """A prime mod which planted roots collide gives an image with a
+    multiple root, so the prime loop passes it."""
+    tried = []
+    split_primes = typecalc._split_primes
+
+    def spy():
+        for p in split_primes():
+            tried.append(p)
+            yield p
+
+    monkeypatch.setattr(typecalc, "_split_primes", spy)
+    poly = _planted(gr(1), [(x, 1) for x in roots])
+    assert gaussian_common_roots([poly]) == (roots, True)
+    assert tried == primes
 
 
 _Z = (CPolynomial.variable(2, 0), CPolynomial.variable(2, 1))
