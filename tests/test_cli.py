@@ -185,6 +185,33 @@ def test_sing_search_draws_its_random_stage_from_getrandbits(runner, monkeypatch
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("name, witness, value", [
+    ("item3_repro", "(0, t)", "12/1"),
+    ("item3_mirror", "(t, 0)", "12/1"),
+    ("irr_line", "(t, 0)", "4/1"),
+])
+def test_reg_type_builds_no_algebraic_field(runner, monkeypatch, name, witness, value):
+    """The jet-extension DFS finds its Gaussian-rational roots by p-adic
+    lifting over Z[i], so with sympy's AlgebraicField made to raise, reg-type
+    still gives its claims on germs whose cancellation conditions have
+    irrational roots, within a few hundred ms of process time (factoring
+    over Q<I> cost about 125 ms for the field alone)."""
+    from sympy.polys.domains.algebraicfield import AlgebraicField
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("root extraction builds no algebraic field")
+
+    monkeypatch.setattr(AlgebraicField, "__init__", forbidden)
+    start = time.process_time()
+    res = runner.invoke(main, ["reg-type", str(CORPUS_DIR / f"{name}.txt"),
+                               "--max", "16", "--json"])
+    elapsed = time.process_time() - start
+    assert res.exit_code == 0, res.output
+    claim = _machine(res)["claims"]["reg_type"]
+    assert (claim["kind"], claim["value"], claim["witness"]) == ("at_least", value, witness)
+    assert elapsed < 0.3
+
+
 # Runs each command given as a JSON list of argument lists, with sympy made
 # unimportable, and prints exit code, output and process time per command.
 # Each command reads the output of the one before it on stdin, which is
