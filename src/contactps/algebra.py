@@ -5,10 +5,10 @@ GaussianRational holds three Python ints (a, b, d) and stands for
 (a + b*i)/d, kept canonical with d > 0 and gcd(a, b, d) = 1 (zero is
 (0, 0, 1)); its arithmetic is integer arithmetic with one gcd per result,
 and its exact real and imaginary parts are read as Fractions through the
-``re`` and ``im`` properties.  The lowest-slice sum of
-``initial_coefficients``, which the searches run for every candidate, works
-on the raw fields instead of on scalars and reduces only its nonzero sums:
-one gcd per coefficient of the slice, not one per product.  A polynomial in
+``re`` and ``im`` properties.  The lowest-slice sums, which the searches
+run for every candidate, work on the raw fields instead of on scalars and
+reduce only the sums that ``initial_coefficients`` returns: one gcd per
+coefficient of the slice, not one per product.  A polynomial in
 n complex variables is a sparse map from exponent pairs to coefficients:
 
     key   = (holo, anti)        two length-n tuples of non-negative ints
@@ -42,11 +42,17 @@ the composite from one helper, ``_substitution_limit``.
 
 The lowest-slice rule has two public steps, which the type searches share
 with ``leading_substitution``: ``initial_rows`` picks the terms of least
-weighted degree under the images' leading bidegrees, each with the
-bidegree it lands on, and depends on nothing else; ``initial_coefficients``
-sums their leading products for given leading coefficients, in Python-int
-Gaussian arithmetic over a common denominator per bidegree, with each power
-of a leading coefficient formed once per call.  ``composite_truncation`` is
+weighted degree under the images' leading bidegrees and groups them by the
+bidegree they land on (``group_rows``), and depends on nothing else; one
+helper, ``_key_sum``, sums the leading products of one group for given
+leading coefficients, in Python-int Gaussian arithmetic over a common
+denominator, into an unreduced (x, y, den).  It takes each power of a
+leading coefficient from a memo that the caller owns, keyed by the lead's
+fields and exponents, so a search forms each power once.  Three readers
+share it: ``initial_coefficients`` (the reduced slice, for
+``leading_substitution``), ``slice_vanishes`` (for the type searches) and
+``slice_positive_at`` (for the positivity search); the last two decide
+from the unreduced sums and build no scalar.  ``composite_truncation`` is
 the part of ``_substitution_limit`` that comes from the polynomial alone,
 all of it for exact images.
 """
@@ -568,14 +574,16 @@ class CPolynomial:
 
         Let image i have the single lowest term c_i * t^j_i * conj(t)^k_i.
         ``initial_rows`` collects the terms of self of least weighted degree
-        d under those bidegrees, and ``initial_coefficients`` sums their
-        leading products, on raw ints with no scalar per term, into the
-        degree-d slice S of the substitution; nothing lies below d.  So when
-        S is nonzero and d is at most the substitution's truncation
+        d under those bidegrees, grouped by bidegree, and
+        ``initial_coefficients`` sums their leading products, on raw ints
+        with a scalar only per nonzero bidegree, into the degree-d slice S
+        of the substitution; nothing lies below d.  So when S is nonzero
+        and d is at most the substitution's truncation
         (``_substitution_limit``), S is its exact lowest slice, and the
         result is S as a jet of order d.  None is returned when S cancels,
         when d lies above that truncation, when self has no term left, or
-        when an image's lowest slice has more than one term.
+        when an image's lowest slice has more than one term.  The powers of
+        the leading coefficients are memoised for this one call.
         """
         if len(images) != self.nvars:
             raise DimensionError(
@@ -607,14 +615,14 @@ class CPolynomial:
         limit = _substitution_limit(self, images)
         if limit is not None and best > limit:
             return None
-        out = initial_coefficients(rows, cs)
+        out = initial_coefficients(rows, cs, {})
         if not out:
             return None
         return _from_terms(1, out, best)
 
     def initial_rows(
         self, js: Sequence[int], ks: Sequence[int], dead: Sequence[int]
-    ) -> "tuple[int, list] | None":
+    ) -> "tuple[int, dict] | None":
         """The terms of self that make up the lowest slice of a substitution
         by one-variable images whose lowest terms have bidegrees (j_i, k_i)
         = (js[i], ks[i]); dead lists the images with no term, whose entries
@@ -627,11 +635,12 @@ class CPolynomial:
         that involves an image with no term is skipped: an exact zero
         contributes nothing, and a jet zero contributes only above its
         truncation.  The result is (d, rows): d is the least weighted
-        degree, and rows lists a row (key, h, a, coeff) for each term of
-        that degree, where key = ((hol,), (anti,)) is the bidegree it lands
-        on.  It is None when no term is left.  It depends on the images
-        only through the bidegrees, so a search over coefficients computes
-        it once per exponent tuple.
+        degree, and rows holds the terms of that degree grouped by the
+        bidegree key = ((hol,), (anti,)) they land on, in first-seen order,
+        in the layout of ``group_rows`` that the slice readers sum.  It is
+        None when no term is left.  It depends on the images only through
+        the bidegrees, so a search over coefficients computes it once per
+        exponent tuple.
         """
         best: int | None = None
         rows: list = []
@@ -647,7 +656,7 @@ class CPolynomial:
                 rows.append((((hj + ak,), (hk + aj,)), h, a, coeff))
         if best is None:
             return None
-        return best, rows
+        return best, group_rows(rows)
 
     def composite_truncation(self, order: int | None) -> int | None:
         """The truncation that self alone gives a substitution whose nonzero
@@ -665,42 +674,85 @@ class CPolynomial:
         return (self.truncation + 1) * order - 1
 
 
-def initial_coefficients(rows: list, coeffs: Sequence[GaussianRational]) -> dict:
+def group_rows(terms) -> dict:
+    """The layout that the slice readers sum: the terms (key, h, a, coeff)
+    of a leading slice grouped by bidegree key, in first-seen order.  Each
+    term becomes a row (x, y, den, slots): coeff = (x + y*i)/den in its raw
+    fields, and slots lists (i, h_i, a_i) for the indices with h_i or a_i
+    nonzero, the only factors its leading product has."""
+    rows: dict = {}
+    for key, h, a, coeff in terms:
+        row = (coeff._a, coeff._b, coeff._d,
+               tuple((i, e, f) for i, (e, f) in enumerate(zip(h, a)) if e or f))
+        group = rows.get(key)
+        if group is None:
+            rows[key] = [row]
+        else:
+            group.append(row)
+    return rows
+
+
+def _key_sum(group: list, coeffs: Sequence[GaussianRational], powers: dict):
+    """The unreduced sum (x, y, den), den > 0, of coeff * prod coeffs[i]^e *
+    conj(coeffs[i])^f over the rows of one key, so the sum is zero exactly
+    when x and y are.  Each factor is looked up in powers, keyed by the
+    lead's fields and (e, f), and formed by ``_lead_power`` on a miss:
+    powers belongs to the caller, who keeps it for as long as the same
+    leads recur, such as one search."""
+    sx = None
+    for x, y, den, slots in group:
+        for i, e, f in slots:
+            c = coeffs[i]
+            k = (c._a, c._b, c._d, e, f)
+            fac = powers.get(k)
+            if fac is None:
+                fac = powers[k] = _lead_power(*k)
+            u, v, w = fac
+            x, y, den = x * u - y * v, x * v + y * u, den * w
+        if sx is None:
+            sx, sy, sd = x, y, den
+        elif sd == den:
+            sx, sy = sx + x, sy + y
+        else:
+            sx, sy, sd = sx * den + x * sd, sy * den + y * sd, sd * den
+    return sx, sy, sd
+
+
+def initial_coefficients(rows: dict, coeffs: Sequence[GaussianRational],
+                         powers: dict) -> dict:
     """The nonzero coefficients of the lowest slice that the rows of
     ``CPolynomial.initial_rows`` give for images with lowest coefficients
     coeffs, by bidegree key: the sum of coeff * prod coeffs[i]^h_i *
     conj(coeffs[i])^a_i over the rows at that key.  Empty when the slice
-    cancels.
+    cancels.  Only a nonzero sum is reduced to a GaussianRational; powers is
+    the caller's memo of ``_key_sum``."""
+    out = {}
+    for key, group in rows.items():
+        x, y, den = _key_sum(group, coeffs, powers)
+        if x or y:
+            out[key] = _normal(x, y, den)
+    return out
 
-    The sum runs on the raw fields, with no scalar object per row: each
-    factor coeffs[i]^e * conj(coeffs[i])^f is formed once per (i, e, f) as
-    an unreduced (a, b, d) triple (``_lead_power``), each row's product is
-    three Python ints, and the rows at a key are summed over a common
-    denominator.  Denominators stay positive, so a sum is zero exactly when
-    its numerators are; only a nonzero sum is reduced to a GaussianRational.
-    """
-    factors: dict = {}
-    sums: dict = {}
-    for key, h, a, coeff in rows:
-        x, y, den = coeff._a, coeff._b, coeff._d
-        for i, e in enumerate(h):
-            f = a[i]
-            if e or f:
-                fac = factors.get((i, e, f))
-                if fac is None:
-                    c = coeffs[i]
-                    fac = factors[i, e, f] = _lead_power(c._a, c._b, c._d, e, f)
-                u, v, w = fac
-                x, y, den = x * u - y * v, x * v + y * u, den * w
-        old = sums.get(key)
-        if old is not None:
-            ox, oy, od = old
-            if od == den:
-                x, y = ox + x, oy + y
-            else:
-                x, y, den = ox * den + x * od, oy * den + y * od, od * den
-        sums[key] = (x, y, den)
-    return {key: _normal(x, y, den) for key, (x, y, den) in sums.items() if x or y}
+
+def slice_vanishes(rows: dict, coeffs: Sequence[GaussianRational], powers: dict) -> bool:
+    """Whether the slice of ``initial_coefficients`` cancels at every key,
+    read off the unreduced sums."""
+    for group in rows.values():
+        x, y, _den = _key_sum(group, coeffs, powers)
+        if x or y:
+            return False
+    return True
+
+
+def slice_positive_at(rows: dict, key, coeffs: Sequence[GaussianRational],
+                      powers: dict) -> bool:
+    """Whether the slice of ``initial_coefficients`` is real and > 0 at key,
+    read off the unreduced sum: its denominator is positive."""
+    group = rows.get(key)
+    if group is None:
+        return False
+    x, y, _den = _key_sum(group, coeffs, powers)
+    return not y and x > 0
 
 
 def _lead_power(p: int, q: int, d: int, e: int, f: int) -> tuple[int, int, int]:

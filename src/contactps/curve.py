@@ -172,18 +172,19 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
     vanishes to order > T and this returns pullback(p, z) itself, so "zero"
     and "at_least" orders come out as that call gives them.
 
-    Cost.  The leading slice costs integer work per term of p and scalar
-    products only for the terms of weighted degree d.  The searches read
-    the same slice once per exponent tuple (leading_rows, in
-    typecalc._best_contact and germ.ps_search) and skip a group whose d
-    lies above L, or that has no row, without building a curve, except
-    where an exact p's first such curve pulls back to zero and ends a type
-    search.  So their candidates come here when the slice cancels, and in
-    ps_search also when it does not prove a pass (odd d, or a middle
-    coefficient that is not positive).  The cap sits just above order
-    4*mult(z), contact ratio 4, which the type searches probe, so a
-    cancelling candidate that meets it below the cap skips the terms up to
-    degree deg(p)*deg(z) of the exact pullback.
+    Cost.  The leading slice costs integer work per term of p and per term
+    of weighted degree d, and one scalar per nonzero coefficient of S.
+    The searches read the same rows once per exponent tuple (leading_rows,
+    in typecalc._best_contact and germ.ps_search), decide each candidate
+    from the unreduced sums with one memo of lead powers per search, and
+    skip a group whose d lies above L, or that has no row, without
+    building a curve, except where an exact p's first such curve pulls back
+    to zero and ends a type search.  So their candidates come here when the
+    slice cancels, and in ps_search also when it does not prove a pass (odd
+    d, or a middle coefficient that is not positive).  The cap sits just
+    above order 4*mult(z), contact ratio 4, which the type searches probe,
+    so a cancelling candidate that meets it below the cap skips the terms
+    up to degree deg(p)*deg(z) of the exact pullback.
     """
     if p.nvars != z.nvars:
         raise DimensionError(
@@ -199,13 +200,15 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
     return pullback(p, z)
 
 
-def leading_rows(p: CPolynomial, exps: Sequence[int]) -> tuple[int, list] | None:
+def leading_rows(p: CPolynomial, exps: Sequence[int]) -> tuple[int, dict] | None:
     """The leading-slice rule of pullback_lowest for every exact curve whose
     component i starts with c_i * t^exps[i] (exps[i] = 0: component i is
     zero), computed once for all of them: (d, rows) from
-    CPolynomial.initial_rows, so that initial_coefficients(rows, c) is the
-    degree-d slice S of a curve with leading coefficients c.  When S is
-    nonzero it is the lowest slice of the pullback and d its order.
+    CPolynomial.initial_rows, rows grouped by bidegree, so that
+    initial_coefficients(rows, c, powers) is the degree-d slice S of a
+    curve with leading coefficients c, and slice_vanishes and
+    slice_positive_at read it without reducing a sum.  When S is nonzero
+    it is the lowest slice of the pullback and d its order.
 
     None when the rule decides no such curve: when no term of p survives
     the zero components, or when d lies above the truncation L =

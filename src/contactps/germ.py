@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import ONE, ZERO, CPolynomial, GaussianRational, initial_coefficients
+from .algebra import ONE, ZERO, CPolynomial, GaussianRational, slice_positive_at
 from .curve import CurveJet, PSTestResult, leading_rows, ps_test_single
 from .search import (
     SEED_COEFFS,
@@ -369,14 +369,17 @@ def _ps_candidates(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate):
 
 def _ps_suspects(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate):
     """The curves of _ps_candidates, in stream order, less those whose
-    leading slice proves that they pass (ps_search gives the argument)."""
-    yield from _group_suspects(g, monomial_choices(g.nvars, bounds.max_degree))
+    leading slice proves that they pass (ps_search gives the argument).
+    One memo of lead powers serves both grouped stages."""
+    powers: dict = {}
+    yield from _group_suspects(g, monomial_choices(g.nvars, bounds.max_degree), powers)
     yield from _gram_seed_curves(g, gram.indefinite_direction)
     yield from _group_suspects(
-        g, cancellation_scan_choices(g.nvars, bounds.max_degree, bounds.coeff_height))
+        g, cancellation_scan_choices(g.nvars, bounds.max_degree, bounds.coeff_height),
+        powers)
 
 
-def _group_suspects(g: CPolynomial, groups):
+def _group_suspects(g: CPolynomial, groups, powers: dict):
     for exps, _count, vectors in groups:
         found = leading_rows(g, exps)
         if found is None:
@@ -385,10 +388,8 @@ def _group_suspects(g: CPolynomial, groups):
         # A pass is read off the balanced coefficient alone; for odd d no
         # row lands on mid, which has degree d - 1.
         mid = ((d // 2,), (d // 2,))
-        balanced = [row for row in rows if row[0] == mid]
         for v in vectors:
-            c = initial_coefficients(balanced, v).get(mid)
-            if c is not None and c.is_positive_real():
+            if slice_positive_at(rows, mid, v, powers):
                 continue
             yield CurveJet.monomial(exps, v)
 

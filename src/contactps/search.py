@@ -36,6 +36,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebra import ONE, ZERO, GaussianRational
 from .curve import CurveJet
@@ -70,8 +71,11 @@ SEED_COEFFS: tuple[GaussianRational, ...] = (
 )
 
 
+@cache
 def grid_coefficients(height: int) -> tuple[GaussianRational, ...]:
-    """Nonzero (p + q*i)/s with |p|, |q| <= height and 1 <= s <= height."""
+    """Nonzero (p + q*i)/s with |p|, |q| <= height and 1 <= s <= height,
+    built once per height: every scan stage of a process shares the tuple,
+    whose scalars are immutable."""
     seen = set()
     out = []
     for s in range(1, height + 1):

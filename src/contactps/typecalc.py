@@ -12,40 +12,40 @@ multiplicity 1 (regular type) or up to max_multiplicity (singular), and
 walks that stream one exponent group at a time (_candidate_groups).  The
 candidates of a group share the leading exponents mu of their components,
 hence their multiplicity min(mu) and the initial rows of g under mu
-(CPolynomial.initial_rows): the terms of least weighted degree d, each with
-the bidegree it lands on.  The sum of a candidate's leading products over
-the rows is the degree-d slice of its pullback, D'Angelo's weighted order of
-contact (Ann. Math. 115, 1982).  When that slice is nonzero and d is at most
-the pullback's truncation, the order is d and the ratio d/mult.
+(CPolynomial.initial_rows): the terms of least weighted degree d, grouped
+by the bidegree they land on.  The sum of a candidate's leading products
+over the rows is the degree-d slice of its pullback, D'Angelo's weighted
+order of contact (Ann. Math. 115, 1982).  When that slice is nonzero and d
+is at most the pullback's truncation, the order is d and the ratio d/mult.
 
 No-collision argument.  The stream gives every present component a nonzero
 coefficient, and a row involves present components only, so each row's
 leading product is a product of nonzero scalars, and rows at different
-bidegrees cannot cancel each other.  So when some bidegree collects a single
-row, no candidate of the group can cancel its slice, and the whole group
-scores d/mult without reading a coefficient; a group above the multiplicity
-filter is skipped unread.  Otherwise each candidate's slice is evaluated
-by initial_coefficients, in Python-int Gaussian arithmetic: no scalar object
-per row, only one per nonzero coefficient of the slice.  A group that
-curve.leading_rows leaves undecided (no row, or d above the truncation)
-gives no exact order when g is a jet, so it is counted and skipped unread;
-when g is exact it has no row, and its first candidate pulls back to zero.
-Only a candidate whose slice cancels, or that first candidate, is built as
-a CurveJet and pulled back (curve.contact_order), and the winner is built
-only once.  The stream order is kept, so the first best still wins a tie
-and the first identically zero pullback returns with the same tested count.
+bidegrees cannot cancel each other.  So when some bidegree collects a
+single row, no candidate of the group can cancel its slice, and the whole
+group scores d/mult without reading a coefficient; a group above the
+multiplicity filter is skipped unread.  Otherwise slice_vanishes decides
+whether each candidate's slice cancels, in Python-int Gaussian arithmetic
+with no scalar object at all, taking the powers of the leads from one memo
+for the whole search.  A group that curve.leading_rows leaves undecided (no
+row, or d above the truncation) gives no exact order when g is a jet, so it
+is counted and skipped unread; when g is exact it has no row, and its first
+candidate pulls back to zero.  Only a candidate whose slice cancels, or
+that first candidate, is built as a CurveJet and pulled back
+(curve.contact_order), and the winner is built only once.  The stream order
+is kept, so the first best still wins a tie and the first identically zero
+pullback returns with the same tested count.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import count
 from math import lcm
 
-from .algebra import ONE, ZERO, CPolynomial, GaussianRational, initial_coefficients
+from .algebra import ONE, ZERO, CPolynomial, GaussianRational, slice_vanishes
 from .curve import CurveJet, contact_order, leading_rows, pullback, ps_test_single
 from .germ import (
     DefiningFunction,
@@ -362,10 +362,6 @@ def _ideal_contact_pivot(fs: list[CPolynomial], pivot: int, cap: int) -> _IdealC
                 transcript=[f"tail degree {depth}: the t^{mstar} coefficient is "
                             "independent of the remaining tail and nonzero"])
         roots, complete = gaussian_common_roots(conditions)
-        roots = [
-            x for x in roots
-            if all(_eval_univariate(phi, x).is_zero() for phi in conditions)
-        ]
         best = _IdealContact(
             mstar, True, dict(prefix),
             transcript=[f"tail degree {depth}: cancellation at t^{mstar} forces the "
@@ -604,6 +600,7 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
     one pulls back to zero), and for the winner.
     """
     scores: dict = {}  # exps -> _leading_score, or None above max_mult
+    powers: dict = {}  # the lead powers of slice_vanishes, for the whole search
     # The best ratio as the ints num/den, compared by cross-multiplying.
     best_num, best_den = None, 1
     best = None  # (curve, source, CurveJet or None) of the first best candidate
@@ -629,7 +626,7 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
         for lead, source in choices:
             tested += 1
             num, den, z = d, mult, None
-            if d is None or not initial_coefficients(rows, lead):
+            if d is None or slice_vanishes(rows, lead, powers):
                 z = curve(source)
                 order, found = contact_order(g, z)
                 if order.kind == "zero":
@@ -659,7 +656,7 @@ def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int):
     if found is None:
         return None, mult, None
     d, rows = found
-    if 1 in Counter(key for key, *_ in rows).values():
+    if any(len(group) == 1 for group in rows.values()):
         rows = None
     return d, mult, rows
 

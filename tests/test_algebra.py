@@ -15,9 +15,12 @@ from contactps.algebra import (
     ONE,
     TruncationError,
     ZERO,
+    group_rows,
     initial_coefficients,
     key_conjugate,
     key_is_pure,
+    slice_positive_at,
+    slice_vanishes,
 )
 from contactps.search import _RANDOM_POOL, SEED_COEFFS, grid_coefficients
 
@@ -358,20 +361,44 @@ def slice_cases(draw):
 _K = ((1,), (1,))
 
 
-@settings(max_examples=500, derandomize=True, database=None, deadline=None)
-@given(case=slice_cases())
-@example(case=([(_K, (1,), (0,), gr(Fraction(1, 2))), (_K, (1,), (0,), gr(Fraction(-1, 2)))],
-               [gr(3, 1)]))
-@example(case=([(_K, (2,), (1,), gr(Fraction(1, 2))), (_K, (2,), (1,), gr(Fraction(1, 3))),
-                (_K, (2,), (1,), gr(Fraction(-5, 6)))], [gr(Fraction(1, 2), 1)]))
-@example(case=([(_K, (1, 3), (0, 1), gr(Fraction(1, 4), 2)), (_K, (2, 0), (2, 0), gr(-1, 1)),
-                (((0,), (2,)), (0, 1), (4, 0), gr(1, Fraction(1, 6)))],
-               [gr(Fraction(-2, 3), Fraction(1, 5)), gr(0, Fraction(-1, 2))]))
-@example(case=([(_K, (0, 1), (1, 0), gr(1))], [ZERO, gr(2, 1)]))
-def test_initial_coefficients_matches_the_object_reference(case):
-    """Same keys, in the same order, and equal canonical values as the
-    scalar-object evaluation, also where rows cancel across denominators."""
-    rows, coeffs = case
-    out = initial_coefficients(rows, coeffs)
-    assert list(out.items()) == list(initial_coefficients_reference(rows, coeffs).items())
+def _check_slice_readers(rows, lead, powers):
+    """The three readers of the grouped rows against the scalar-object
+    reference."""
+    grouped = group_rows(rows)
+    ref = initial_coefficients_reference(rows, lead)
+    out = initial_coefficients(grouped, lead, powers)
+    assert list(out.items()) == list(ref.items())
     assert all(type(c) is GaussianRational for c in out.values())
+    assert slice_vanishes(grouped, lead, powers) == (not ref)
+    for key in [*grouped, ((5,), (5,))]:
+        c = ref.get(key)
+        assert slice_positive_at(grouped, key, lead, powers) == \
+            (c is not None and c.is_positive_real())
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(cases=st.lists(slice_cases(), min_size=1, max_size=3))
+@example(cases=[([(_K, (1,), (0,), gr(Fraction(1, 2))), (_K, (1,), (0,), gr(Fraction(-1, 2)))],
+                 [gr(3, 1)])])
+@example(cases=[([(_K, (2,), (1,), gr(Fraction(1, 2))), (_K, (2,), (1,), gr(Fraction(1, 3))),
+                  (_K, (2,), (1,), gr(Fraction(-5, 6)))], [gr(Fraction(1, 2), 1)])])
+@example(cases=[([(_K, (1, 3), (0, 1), gr(Fraction(1, 4), 2)), (_K, (2, 0), (2, 0), gr(-1, 1)),
+                  (((0,), (2,)), (0, 1), (4, 0), gr(1, Fraction(1, 6)))],
+                 [gr(Fraction(-2, 3), Fraction(1, 5)), gr(0, Fraction(-1, 2))])])
+@example(cases=[([(_K, (0, 1), (1, 0), gr(1))], [ZERO, gr(2, 1)])])
+# Leads that differ only in their denominator, with balanced rows whose
+# slice is real and positive, then a lead with a real negative slice.
+@example(cases=[([(_K, (1,), (1,), gr(2))], [gr(1, 1)]),
+                ([(_K, (1,), (1,), gr(2))], [gr(Fraction(1, 2), Fraction(1, 2))]),
+                ([(_K, (1,), (1,), gr(-2))], [gr(3, 1)])])
+def test_initial_coefficients_matches_the_object_reference(cases):
+    """The reduced slice has the same keys, in the same order, and equal
+    canonical values as the scalar-object evaluation, also where rows cancel
+    across denominators; "vanishes" and "positive real at a key" agree with
+    it.  One memo of lead powers serves the whole sequence of cases, as one
+    serves a whole search."""
+    powers = {}
+    for rows, coeffs in cases:
+        # Fresh leads that die after the call, so that the next case's
+        # leads may take their addresses with other values.
+        _check_slice_readers(rows, [GaussianRational(c.re, c.im) for c in coeffs], powers)

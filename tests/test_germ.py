@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactps import germ
-from contactps.algebra import CPolynomial, initial_coefficients
+from contactps.algebra import CPolynomial, slice_vanishes
 from contactps.curve import CurveJet, ps_test_single, pullback
 from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
 from contactps.germ import (
@@ -289,7 +289,7 @@ def _branch(g, z):
     if found[0] % 2:
         return "odd d"
     lead = [z.coefficient(i, e) for i, e in enumerate(exps)]
-    return None if initial_coefficients(found[1], lead) else "cancelling slice"
+    return "cancelling slice" if slice_vanishes(found[1], lead, {}) else None
 
 
 def _reference_ps_search(g, bounds, gram, reached):

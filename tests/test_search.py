@@ -1,10 +1,13 @@
-"""Candidate streams: the seeded random stage against its reference."""
+"""Candidate streams: the seeded random stage against its reference, and
+the scan grid."""
+
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactps.algebra import ZERO
-from contactps.search import SearchBudget, random_draws
+from contactps.algebra import ZERO, GaussianRational
+from contactps.search import SearchBudget, grid_coefficients, random_draws
 
 from conftest import random_draws_reference
 
@@ -32,3 +35,17 @@ def test_random_draws_match_the_reference(nvars, max_mult, max_deg, trials, seed
         assert [list(cd) for cd in coeffs] == [list(cd) for cd in ref]
         assert exps == tuple(min(cd, default=0) for cd in coeffs)
         assert lead == [cd[e] if e else ZERO for cd, e in zip(coeffs, exps)]
+
+
+def test_grid_coefficients_are_built_once_per_height():
+    """Every call at a height returns the one tuple built for it, holding
+    the nonzero (p + q*i)/s with |p|, |q| <= height and 1 <= s <= height,
+    first-seen order, each value once."""
+    for height in (1, 2, 3):
+        grid = grid_coefficients(height)
+        assert grid_coefficients(height) is grid
+        span = range(-height, height + 1)
+        assert grid == tuple(dict.fromkeys(
+            GaussianRational(Fraction(p, s), Fraction(q, s))
+            for s in range(1, height + 1) for p in span for q in span if p or q))
+    assert len(grid_coefficients(1)) == 8

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contactps import typecalc
+from contactps import algebra, typecalc
 from contactps.algebra import CPolynomial
 from contactps.curve import CurveJet, contact_order, pullback, pullback_lowest
 from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
@@ -160,6 +160,17 @@ def test_gaussian_common_roots_matches_factoring_over_gaussian_field(polys):
     """The root finder gives the roots and the complete flag of the
     factorization over Q<I> that the rational norm replaced."""
     assert gaussian_common_roots(polys) == gaussian_common_roots_reference(polys)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(polys=st.one_of(_planted_root_systems().map(lambda system: system[0]), _root_systems()))
+def test_gaussian_common_roots_are_roots_of_every_input(polys):
+    """Every returned root zeroes every input polynomial exactly, for 1-3
+    polynomials with planted shared and unshared roots, so a caller needs
+    no check of its own."""
+    roots, _complete = gaussian_common_roots(polys)
+    for x in roots:
+        assert all(typecalc._eval_univariate(phi, x).is_zero() for phi in polys)
 
 
 _HEIGHT = 10 ** 6
@@ -564,6 +575,7 @@ def _reference_best_contact(g, budget, max_mult):
 
 
 CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus").glob("*.txt"))
+_CRIT6 = pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus" / "crit6_type4.txt"
 _JET = "2*Re(z3) + abs2(z1 + z2^2) + 2*Re(z3*z1^4) + 2*Re(z1^9)"
 # The corpus germs as the report's sing-search reads them (mixed-only germs
 # stay in their own frame), two jets whose leading slices cancel, and a jet
@@ -611,3 +623,22 @@ def test_best_contact_matches_the_candidate_loop(name):
         found = _best_contact(g, budget, max_mult)
         assert (found.kind, found.ratio, found.witness, found.candidates_tested) == \
             _reference_best_contact(g, budget, max_mult)
+
+
+def test_sing_search_forms_each_lead_power_once(monkeypatch):
+    """The falsify-budget sing-search on crit6_type4 takes every power of a
+    leading coefficient from one memo for the whole search: _lead_power
+    runs once per distinct argument, at most 252 times, for the 10,296
+    candidates, ratio and witness of the CLI's sing-search."""
+    calls = []
+    lead_power = algebra._lead_power
+
+    def spy(*args):
+        calls.append(args)
+        return lead_power(*args)
+
+    monkeypatch.setattr(algebra, "_lead_power", spy)
+    res = sing_type_search(_graph_form(parse_problem(_CRIT6.read_text()).entry, 8),
+                           SearchBudget(4, 8, 2, 3000, 0))
+    assert len(calls) == len(set(calls)) <= 252
+    assert (res.candidates_tested, res.ratio, format_curve(res.witness)) == (10296, 4, "(0, t)")
