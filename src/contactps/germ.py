@@ -321,6 +321,19 @@ def gram_certificate(g: CPolynomial) -> PSCertificate:
     return PSCertificate("inconclusive", "gram", indefinite_direction=direction)
 
 
+def torus_positive(p: CPolynomial) -> bool:
+    """Whether p > 0 at every point whose coordinates are all nonzero, read
+    off gram_certificate(p): p is a sum of w_k |f_k|^2 with every w_k > 0,
+    so p >= 0 everywhere, and when one f_k is a single term c z^m its square
+    |c|^2 |z^m|^2 is > 0 wherever no coordinate is zero.  False when p is
+    not real-valued and mixed-only, when it is not certified, or when no
+    square is a single term; False proves nothing."""
+    if not p.is_real_valued() or not p.pure_mixed_split()[0].is_zero():
+        return False
+    cert = gram_certificate(p)
+    return cert.verdict == "certified" and any(len(f.terms) == 1 for _w, f in cert.squares)
+
+
 def _gram_seed_curves(g: CPolynomial, direction) -> list[CurveJet]:
     """Turn an indefinite Gram direction into candidate curves when each
     indexing monomial is a power of a single distinct variable."""

@@ -360,9 +360,12 @@ def _cmd_fdb_verify(source, options):
         budget = SearchBudget(max_multiplicity=4, max_degree=4,
                               random_trials=1, seed=rng.randrange(1 << 30))
         z = next(iter(random_curves(nvars, budget)))
+        # (d/dt d/dtbar)^kk at 0 reads only the t^kk tbar^kk coefficient,
+        # so one pullback truncated at degree 2k serves every kk <= k.
+        u = pullback(g, z).truncate(2 * k)
         for kk in range(1, k + 1):
             lhs = laplacian_power_forms(g, z, kk)
-            rhs = laplacian_power(pullback(g, z), kk)
+            rhs = laplacian_power(u, kk)
             if lhs != rhs:
                 raise ReportMismatchError(
                     f"partition expansion disagrees with the operator oracle "

@@ -21,13 +21,14 @@ filtered by multiplicity: 1 for the regular type, up to max_multiplicity
 for the singular type.  Their loop (typecalc._best_contact) reads the light
 streams one exponent group at a time, a random draw being a group keyed by
 its leading exponents, and builds a curve only where the leading terms do
-not decide the order.  germ.ps_search keeps its own order, with Gram-derived
-seeds between the monomial curves and the scans and no random part
-(germ._ps_candidates); it reads the monomial and scan streams one exponent
-group at a time as well, and builds a curve only for a candidate whose
-leading terms leave it able to fail, and for each Gram seed.  Every
-search keeps the first witness its order reaches, so witnesses are
-reproducible.
+not decide the order; it skips the random stream altogether when the
+other two stages leave it nothing to decide.  germ.ps_search keeps its own
+order, with Gram-derived seeds between the monomial curves and the scans
+and no random part (germ._ps_candidates); it reads the monomial and scan
+streams one exponent group at a time as well, and builds a curve only for
+a candidate whose leading terms leave it able to fail, and for each Gram
+seed.  Every search keeps the first witness its order reaches, so
+witnesses are reproducible.
 """
 
 from __future__ import annotations

@@ -24,17 +24,46 @@ leading product is a product of nonzero scalars, and rows at different
 bidegrees cannot cancel each other.  So when some bidegree collects a
 single row, no candidate of the group can cancel its slice, and the whole
 group scores d/mult without reading a coefficient; a group above the
-multiplicity filter is skipped unread.  Otherwise slice_vanishes decides
-whether each candidate's slice cancels, in Python-int Gaussian arithmetic
-with no scalar object at all, taking the powers of the leads from one memo
-for the whole search.  A group that curve.leading_rows leaves undecided (no
-row, or d above the truncation) gives no exact order when g is a jet, so it
-is counted and skipped unread; when g is exact it has no row, and its first
-candidate pulls back to zero.  Only a candidate whose slice cancels, or
+multiplicity filter is skipped unread.
+
+Rule 1 (a positive balanced coefficient).  When no bidegree holds a single
+row but d is even, the coefficient of the slice at the balanced bidegree
+(d/2, d/2) is P(c) = sum g_{h,a} c^h conj(c)^a over the terms of g with
+h.mu = a.mu = d/2 and no exponent on a zero component, c the leading
+coefficients.  g is real, g_{a,h} = conj(g_{h,a}), and the condition is
+symmetric in h and a, so P is real; h.mu = a.mu = d/2 > 0 puts an exponent
+on both sides, so P is mixed-only.  If gram_certificate(P) is certified, P
+= sum w_k |f_k|^2 with w_k > 0, and if one f_k is a single term c' z^m,
+that square is > 0 wherever the components in m are nonzero, the others
+>= 0; m uses only components of P, all present.  So P(c) > 0 for every
+candidate of the group (germ.torus_positive), its slice does not cancel,
+and the group scores d/mult unread, as above.
+
+Otherwise slice_vanishes decides whether each candidate's slice cancels, in
+Python-int Gaussian arithmetic with no scalar object at all, taking the
+powers of the leads from one memo for the whole search.  A group that
+curve.leading_rows leaves undecided (no row, or d above the truncation)
+gives no exact order when g is a jet, so it is counted and skipped unread;
+when g is exact it has no row, and its first candidate pulls back to zero.  Only a candidate whose slice cancels, or
 that first candidate, is built as a CurveJet and pulled back
 (curve.contact_order), and the winner is built only once.  The stream order
 is kept, so the first best still wins a tie and the first identically zero
 pullback returns with the same tested count.
+
+Rule 2 (a random stage that cannot change the result).  A random draw has
+multiplicity mult <= budget.max_multiplicity and leading exponents in
+0..max_degree, so its exponent tuple is one of search.exponent_tuples,
+every one of which the monomial and scan stages have scored before the
+random stage starts.  Suppose every scored group is decided (above the
+filter, or rows None) and max_mult >= budget.max_multiplicity.  Then no
+draw is filtered out, and each one lands in a group that is decided: one
+with d None of a jet g, counted and skipped, or one that scores d/mult
+unread.  (A group with d None of an exact g would have returned infinite
+at its first monomial candidate.)  That score was already reached by the
+group's first monomial candidate, so under strict improvement no draw
+changes the best ratio or its witness, and none pulls back to zero.  The
+random stage then only adds its budget.random_trials candidates to the
+tested count, and _best_contact adds them without drawing.
 """
 
 from __future__ import annotations
@@ -53,6 +82,7 @@ from .germ import (
     PSCertificate,
     StabilizationReport,
     gram_certificate,
+    torus_positive,
 )
 from .search import (
     SearchBudget,
@@ -548,19 +578,29 @@ def _candidates(nvars: int, budget: SearchBudget):
 
 
 def _candidate_groups(nvars: int, budget: SearchBudget):
-    """The stream of _candidates, one exponent group at a time: (exps,
-    count, choices, curve), where choices lazily yields (lead, source) for
-    each of the group's count candidates in stream order: lead is its
-    leading coefficient vector, and curve(source) builds it.  A monomial or
-    scan group holds the candidates of its stage with the exponents exps,
-    and its curves are built from their leading vectors; each random draw
-    is a group of its own, keyed by the leading exponents that
+    """The stream of _candidates in its two stages, (exhaustive, drawn),
+    each a generator of exponent groups (exps, count, choices, curve), where
+    choices lazily yields (lead, source) for each of the group's count
+    candidates in stream order: lead is its leading coefficient vector, and
+    curve(source) builds it.  The exhaustive stage holds the monomial groups,
+    then the scan groups, one per exponent tuple of
+    search.exponent_tuples(nvars, budget.max_degree) each, and their
+    curves are built from their leading vectors.  In the drawn stage each
+    random draw is a group of its own, keyed by the leading exponents that
     search.random_draws yields with it, its lead is the draw's leading
-    vector, and its curve is built from the draw's coefficient dicts."""
+    vector, and its curve is built from the draw's coefficient dicts;
+    random_draws is called only when that stage is first advanced."""
+    return _exhaustive_groups(nvars, budget), _drawn_groups(nvars, budget)
+
+
+def _exhaustive_groups(nvars: int, budget: SearchBudget):
     for stage in (monomial_choices(nvars, budget.max_degree),
                   cancellation_scan_choices(nvars, budget.max_degree, budget.coeff_height)):
         for exps, count, vectors in stage:
             yield exps, count, ((v, v) for v in vectors), partial(CurveJet.monomial, exps)
+
+
+def _drawn_groups(nvars: int, budget: SearchBudget):
     for exps, lead, coeffs in random_draws(nvars, budget):
         yield exps, 1, ((lead, coeffs),), CurveJet.from_coeffs
 
@@ -598,6 +638,12 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
     at once, and a CurveJet is built only for a candidate whose slice
     cancels, for a candidate of an exact g's group with no row (the first
     one pulls back to zero), and for the winner.
+
+    The exhaustive stage scores every exponent tuple a random draw can
+    have.  When it leaves every scored group decided (score None or rows
+    None) and max_mult >= budget.max_multiplicity, the drawn stage is not
+    drawn at all and its budget.random_trials candidates are counted as
+    tested (rule 2 of the module docstring).
     """
     scores: dict = {}  # exps -> _leading_score, or None above max_mult
     powers: dict = {}  # the lead powers of slice_vanishes, for the whole search
@@ -605,37 +651,43 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
     best_num, best_den = None, 1
     best = None  # (curve, source, CurveJet or None) of the first best candidate
     tested = 0
-    for exps, count, choices, curve in _candidate_groups(g.nvars, budget):
-        if exps not in scores:
-            mult = min(e for e in exps if e)
-            scores[exps] = _leading_score(g, exps, mult) if mult <= max_mult else None
-        score = scores[exps]
-        if score is None:
-            continue
-        d, mult, rows = score
-        if d is None and g.truncation is not None:
-            # Every pullback of the group is of order "at_least".
-            tested += count
-            continue
-        if d is not None and rows is None:
-            tested += count
-            if best_num is None or d * best_den > best_num * mult:
-                best_num, best_den = d, mult
-                best = (curve, next(iter(choices))[1], None)
-            continue
-        for lead, source in choices:
-            tested += 1
-            num, den, z = d, mult, None
-            if d is None or slice_vanishes(rows, lead, powers):
-                z = curve(source)
-                order, found = contact_order(g, z)
-                if order.kind == "zero":
-                    return SingSearchResult("infinite", None, z, tested, budget)
-                if found is None:
-                    continue
-                num, den = found.numerator, found.denominator
-            if best_num is None or num * best_den > best_num * den:
-                best_num, best_den, best = num, den, (curve, source, z)
+    exhaustive, drawn = _candidate_groups(g.nvars, budget)
+    for groups in (exhaustive, drawn):
+        if (groups is drawn and max_mult >= budget.max_multiplicity
+                and all(s is None or s[2] is None for s in scores.values())):
+            tested += budget.random_trials
+            break
+        for exps, count, choices, curve in groups:
+            if exps not in scores:
+                mult = min(e for e in exps if e)
+                scores[exps] = _leading_score(g, exps, mult) if mult <= max_mult else None
+            score = scores[exps]
+            if score is None:
+                continue
+            d, mult, rows = score
+            if d is None and g.truncation is not None:
+                # Every pullback of the group is of order "at_least".
+                tested += count
+                continue
+            if d is not None and rows is None:
+                tested += count
+                if best_num is None or d * best_den > best_num * mult:
+                    best_num, best_den = d, mult
+                    best = (curve, next(iter(choices))[1], None)
+                continue
+            for lead, source in choices:
+                tested += 1
+                num, den, z = d, mult, None
+                if d is None or slice_vanishes(rows, lead, powers):
+                    z = curve(source)
+                    order, found = contact_order(g, z)
+                    if order.kind == "zero":
+                        return SingSearchResult("infinite", None, z, tested, budget)
+                    if found is None:
+                        continue
+                    num, den = found.numerator, found.denominator
+                if best_num is None or num * best_den > best_num * den:
+                    best_num, best_den, best = num, den, (curve, source, z)
     witness = None
     if best is not None:
         curve, source, witness = best
@@ -651,14 +703,33 @@ def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int):
     every candidate whose slice does not cancel; d is None when the slice
     decides no order (no row, or d above the truncation).  rows are the
     initial rows when some candidate's slice may cancel, None when none
-    can."""
+    can: when some bidegree holds a single row, or (rule 1 of the module
+    docstring) when d is even and the balanced coefficient, the polynomial
+    P in the leads of the terms of g at bidegree (d/2, d/2), is
+    torus_positive."""
     found = leading_rows(g, exps)
     if found is None:
         return None, mult, None
     d, rows = found
-    if any(len(group) == 1 for group in rows.values()):
+    if any(len(group) == 1 for group in rows.values()) or _balanced_positive(g, exps, d):
         rows = None
     return d, mult, rows
+
+
+def _balanced_positive(g: CPolynomial, exps: tuple[int, ...], d: int) -> bool:
+    """Whether the balanced coefficient of the leading slice, P(c) = sum
+    g_{h,a} c^h conj(c)^a over the terms of g with h.mu = a.mu = d/2 and
+    no exponent on a zero component, is > 0 at every c with no zero entry
+    among the present components."""
+    if d % 2:
+        return False
+    half = d // 2
+    dead = [i for i, e in enumerate(exps) if not e]
+    terms = {(h, a): c for (h, a), c in g.terms.items()
+             if not any(h[i] or a[i] for i in dead)
+             and sum(e * m for e, m in zip(h, exps)) == half
+             and sum(e * m for e, m in zip(a, exps)) == half}
+    return torus_positive(CPolynomial(g.nvars, terms))
 
 
 def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:

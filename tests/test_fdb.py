@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactps.curve import laplacian_power, pullback
 from contactps.expr import parse_curve, parse_expression
@@ -84,6 +86,19 @@ class TestOracleEquivalence:
                 assert laplacian_power_forms(g, z, k) == laplacian_power(
                     pullback(g, z), k
                 )
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 1 << 30), nvars=st.integers(1, 2), k=st.integers(1, 4))
+    def test_truncated_pullback_gives_every_lower_power(self, seed, nvars, k):
+        """fdb-verify pulls back once per trial and truncates at degree 2k:
+        for every kk <= k the operator reads the same value off the
+        truncated pullback as off the full one."""
+        rng = random.Random(seed)
+        g = random_real_polynomial(rng, nvars, 6)
+        budget = SearchBudget(max_degree=4, random_trials=1, seed=rng.randrange(1 << 30))
+        u = pullback(g, next(iter(random_curves(nvars, budget))))
+        for kk in range(1, k + 1):
+            assert laplacian_power(u.truncate(2 * k), kk) == laplacian_power(u, kk)
 
     def test_grouped_against_enumerated(self, rng):
         for _ in range(10):

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 
 from contactps import algebra, typecalc
 from contactps.algebra import CPolynomial
-from contactps.curve import CurveJet, contact_order, pullback, pullback_lowest
+from contactps.curve import CurveJet, contact_order, leading_rows, pullback, pullback_lowest
 from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
 from contactps.germ import germ_ps_check, gram_certificate, normalize_to_graph, validate
 from contactps.report import _graph_form
-from contactps.search import SearchBudget, random_draws
+from contactps.search import (
+    SearchBudget,
+    cancellation_scan_choices,
+    monomial_choices,
+    random_draws,
+)
 from contactps.typecalc import (
     ContactNotFourMError,
     ContradictoryEvidenceError,
@@ -576,6 +581,7 @@ def _reference_best_contact(g, budget, max_mult):
 
 CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus").glob("*.txt"))
 _CRIT6 = pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus" / "crit6_type4.txt"
+_ITEM3 = _CRIT6.with_name("item3_repro.txt")
 _JET = "2*Re(z3) + abs2(z1 + z2^2) + 2*Re(z3*z1^4) + 2*Re(z1^9)"
 # The corpus germs as the report's sing-search reads them (mixed-only germs
 # stay in their own frame), two jets whose leading slices cancel, and a jet
@@ -625,20 +631,119 @@ def test_best_contact_matches_the_candidate_loop(name):
             _reference_best_contact(g, budget, max_mult)
 
 
+_FALSIFY = SearchBudget(4, 8, 2, 3000, 0)
+
+
 def test_sing_search_forms_each_lead_power_once(monkeypatch):
-    """The falsify-budget sing-search on crit6_type4 takes every power of a
-    leading coefficient from one memo for the whole search: _lead_power
-    runs once per distinct argument, at most 252 times, for the 10,296
-    candidates, ratio and witness of the CLI's sing-search."""
-    calls = []
-    lead_power = algebra._lead_power
+    """A falsify-budget sing-search whose random stage runs (item3_repro,
+    whose classes of |z1*(z2^2 - 2*z1^4)|^2 at mu = (1, 2) have one
+    two-term square for their balanced coefficient, so rule 1 leaves them
+    undecided) takes every power of a leading coefficient from one memo for
+    the whole search: _lead_power runs once per distinct argument."""
+    calls, draws = [], []
+    lead_power, random_draws_ = algebra._lead_power, typecalc.random_draws
 
     def spy(*args):
         calls.append(args)
         return lead_power(*args)
 
+    def spy_draws(*args):
+        draws.append(args)
+        return random_draws_(*args)
+
     monkeypatch.setattr(algebra, "_lead_power", spy)
-    res = sing_type_search(_graph_form(parse_problem(_CRIT6.read_text()).entry, 8),
-                           SearchBudget(4, 8, 2, 3000, 0))
-    assert len(calls) == len(set(calls)) <= 252
+    monkeypatch.setattr(typecalc, "random_draws", spy_draws)
+    res = sing_type_search(_graph_form(parse_problem(_ITEM3.read_text()).entry, 8), _FALSIFY)
+    assert len(draws) == 1
+    assert 0 < len(calls) == len(set(calls))
+    assert (res.candidates_tested, res.ratio, format_curve(res.witness)) == (10296, 12, "(0, t)")
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("crit6_type4", 0), ("type4_gaussian", 1), ("irr_line", 2), ("item3_repro", 3),
+])
+def test_best_contact_matches_the_candidate_loop_at_the_falsify_budget(name, seed):
+    """At the falsification budget the grouped search gives the kind, ratio,
+    witness and tested count of the plain loop over every candidate: on
+    crit6_type4 and type4_gaussian, whose random stages rule 2 leaves
+    undrawn, and on irr_line and item3_repro, whose undecided classes keep
+    theirs."""
+    g = _SEARCH_GERMS[name]()
+    budget = SearchBudget(4, 8, 2, 3000, seed)
+    found = _best_contact(g, budget, 4)
+    assert (found.kind, found.ratio, found.witness, found.candidates_tested) == \
+        _reference_best_contact(g, budget, 4)
+
+
+def test_crit6_type4_search_reads_no_candidate(monkeypatch):
+    """Rules 1 and 2 decide every class of the falsify-budget sing-search on
+    crit6_type4: no random curve is drawn, and no candidate's slice is read
+    or pulled back, for the CLI's 10,296 candidates, ratio 4 and witness."""
+    spied = {"random_draws": 0, "slice_vanishes": 0, "contact_order": 0}
+    for name in spied:
+        original = getattr(typecalc, name)
+
+        def spy(*args, name=name, original=original):
+            spied[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(typecalc, name, spy)
+    res = sing_type_search(_graph_form(parse_problem(_CRIT6.read_text()).entry, 8), _FALSIFY)
+    assert spied == {"random_draws": 0, "slice_vanishes": 0, "contact_order": 0}
     assert (res.candidates_tested, res.ratio, format_curve(res.witness)) == (10296, 4, "(0, t)")
+
+
+_SQUARE_TERMS = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+              st.sampled_from([(1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (0, -1), (1, 1)])),
+    min_size=1, max_size=3)
+
+
+def _sum_of_squares(squares, negative):
+    """sum |f|^2 over the holomorphic polynomials f of squares, less |f|^2
+    over those of negative, each given by its (exponents, (re, im)) terms."""
+    total = CPolynomial.zero(2)
+    for sign, terms in [(1, t) for t in squares] + [(-1, t) for t in negative]:
+        f = CPolynomial.zero(2)
+        for exps, c in terms:
+            f = f + CPolynomial(2, {(exps, (0, 0)): gr(*c)})
+        total = total + (f * f.conjugate()).scale(gr(sign))
+    return total
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(squares=st.lists(_SQUARE_TERMS, min_size=1, max_size=3),
+       negative=st.lists(_SQUARE_TERMS, max_size=1))
+def test_rule_1_decides_no_class_with_a_cancelling_candidate(squares, negative):
+    """Wherever rule 1 finds the balanced coefficient torus-positive, no
+    monomial or scan candidate of the class has a cancelling slice, and
+    pullback_lowest gives order d on a sample of them; random germs that
+    are sums of squares, some less one more square."""
+    g = _sum_of_squares(squares, negative)
+    assume(not g.is_zero())
+    powers: dict = {}
+    groups = itertools.chain(monomial_choices(2, 4), cancellation_scan_choices(2, 4, 1))
+    for exps, _count, vectors in groups:
+        found = leading_rows(g, exps)
+        if found is None or not typecalc._balanced_positive(g, exps, found[0]):
+            continue
+        d, rows = found
+        assert typecalc._leading_score(g, exps, min(e for e in exps if e))[2] is None
+        for j, v in enumerate(vectors):
+            assert not algebra.slice_vanishes(rows, v, powers)
+            if j % 7 == 0:
+                order = pullback_lowest(g, CurveJet.monomial(exps, v)).order_of_vanishing()
+                assert order.kind == "exact" and order.value == d
+
+
+def test_rule_1_keeps_the_cancelling_class_of_crit5_m2():
+    """On crit5_m2 the (2, 1) class has the balanced coefficient
+    |c1 + c2^2|^2, which cancels: rule 1 leaves it undecided, and the search
+    still finds a curve of that class with zero pullback."""
+    g = _SEARCH_GERMS["crit5_m2"]()
+    d, _mult, rows = typecalc._leading_score(g, (2, 1), 1)
+    assert d == 4 and rows is not None
+    assert not typecalc._balanced_positive(g, (2, 1), 4)
+    res = _best_contact(g, _FALSIFY, 4)
+    assert res.kind == "infinite" and format_curve(res.witness) == "(t^2, i*t)"
+    assert pullback(g, res.witness).is_zero()
