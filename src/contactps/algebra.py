@@ -31,14 +31,22 @@ filtering its input.  Results of the type's own arithmetic are built by the
 private ``_from_terms``, which checks nothing: each operation drops the
 zeros its arithmetic can create and the keys above the result's truncation
 itself, so the invariant holds for them by construction.  Term products go
-through one helper, ``_mul_terms``, shared by ``__mul__`` and
-``substitute``.
+through one helper, ``_mul_terms``, shared by ``__mul__`` and the
+multi-term images of ``substitute``.
 
-``substitute`` composes with images in full.  ``leading_substitution``
-reads only the lowest slice of that composite off the leading terms of
-one-variable images, from the terms of least weighted degree alone, and
-returns None where that reading is not exact.  Both take the truncation of
-the composite from one helper, ``_substitution_limit``.
+``substitute`` composes with images in full, in Python-int Gaussian
+arithmetic: one accumulator of unreduced sums (``_add_raw``), reduced by
+one gcd per key of the result.  An image with at most one term acts as a
+term map (``_term_move``): it moves each term to one key and scales its
+coefficient, with no product formed.  Only the images with two or more
+terms are raised to powers and multiplied out (``_multi_products``), as
+plain term dicts.  The keys come in the order in which multiplying out
+every image power as a polynomial, term by term, first forms them, which
+``initial_rows``, the jet-extension DFS and the printers rely on.
+``leading_substitution`` reads only the lowest slice of that composite off
+the leading terms of one-variable images, from the terms of least weighted
+degree alone, and returns None where that reading is not exact.  Both take
+the truncation of the composite from one helper, ``_substitution_limit``.
 
 The lowest-slice rule has two public steps, which the type searches share
 with ``leading_substitution``: ``initial_rows`` picks the terms of least
@@ -325,7 +333,7 @@ class CPolynomial:
         exp = [0] * nvars
         exp[index] = 1
         key = ((0,) * nvars, tuple(exp)) if anti else (tuple(exp), (0,) * nvars)
-        return CPolynomial(nvars, {key: ONE})
+        return _from_terms(nvars, {key: ONE}, None)
 
     @staticmethod
     def monomial(
@@ -508,13 +516,23 @@ class CPolynomial:
 
         The result is a jet of order ``limit``, given by
         ``_substitution_limit`` (None when self and every image it involves
-        are exact).  With H_e the product of images[i]^e[i], one
-        accumulator collects coeff * H_h * conj(H_a) for every term
-        coeff * z^h * conj(z)^a of self.  Each image power is computed once
-        per (i, e), each product H_e once per exponent vector e, and each
-        conjugate conj(H_a) once per a, however many terms share them.
-        Products above ``limit`` are never formed, and coefficients that
-        cancel are dropped once, at the end.
+        are exact).  An image with at most one term, c_i * z^H_i *
+        conj(z)^A_i, acts as a term map (``_term_move``): it moves z_i^e *
+        conj(z_i)^f to the key e*(H_i, A_i) + f*(A_i, H_i) and multiplies
+        by c_i^e * conj(c_i)^f, once per (i, e, f), and a term that involves
+        an image with no term contributes nothing.  With M_e the product of
+        images[i]^e[i] over the images with two or more terms, each term
+        coeff * z^h * conj(z)^a of self adds its moved coefficient times
+        M_h * conj(M_a), in the order of M_h's terms and then of
+        conj(M_a)'s, to one accumulator of unreduced Python-int sums
+        (``_add_raw``), reduced by one gcd per key at the end, when the
+        keys that cancel are dropped.  Each power is formed once per (i, e)
+        by ``__pow__``, each M_e once per e and each conjugate once per a,
+        held as term dicts; products above ``limit`` are never formed.
+        Multiplying by a single term keeps the order of the terms it
+        multiplies, so the keys come in the order in which the composition
+        of every image power as a polynomial, term by term, first forms
+        them.
         """
         if len(images) != self.nvars:
             raise DimensionError(
@@ -525,45 +543,53 @@ class CPolynomial:
                 raise DimensionError("image variable counts disagree")
 
         limit = _substitution_limit(self, images)
-
-        powers: dict[tuple[int, int], CPolynomial] = {}
-        products: dict[tuple[int, ...], dict] = {}
-        conjugates: dict[tuple[int, ...], dict] = {}
-        one = {((0,) * nvars_out, (0,) * nvars_out): ONE}
-
-        def image_power(i: int, e: int) -> CPolynomial:
-            p = powers.get((i, e))
-            if p is None:
-                p = images[i] ** e
-                if limit is not None and (p.truncation is None or p.truncation > limit):
-                    p = p.truncate(limit)
-                powers[(i, e)] = p
-            return p
-
-        def image_product(exps: tuple[int, ...]) -> dict:
-            terms = products.get(exps)
-            if terms is None:
-                prod = None
-                for i, e in enumerate(exps):
-                    if e:
-                        p = image_power(i, e)
-                        prod = p if prod is None else prod * p
-                terms = products[exps] = one if prod is None else prod.terms
-            return terms
-
-        def conjugate_product(exps: tuple[int, ...]) -> dict:
-            terms = conjugates.get(exps)
-            if terms is None:
-                terms = conjugates[exps] = {
-                    (k[1], k[0]): c.conjugate() for k, c in image_product(exps).items()
-                }
-            return terms
-
+        if not self.terms:
+            return _from_terms(nvars_out, {}, limit)
+        singles = [i for i, im in enumerate(images) if len(im.terms) < 2]
+        multi = [i for i, im in enumerate(images) if len(im.terms) > 1]
+        if multi:
+            product, conjugate_rows = _multi_products(images, multi, limit)
+        zero = (0,) * nvars_out
+        moves: dict = {}
         out: dict = {}
         for (h, a), coeff in self.terms.items():
-            scaled = {k: c * coeff for k, c in image_product(h).items()}
-            _mul_terms(out, scaled, conjugate_product(a), limit)
-        return _from_terms(nvars_out, _nonzero(out), limit)
+            x, y, den = coeff._a, coeff._b, coeff._d
+            hol = anti = zero
+            deg = 0
+            for i in singles:
+                e, f = h[i], a[i]
+                if e or f:
+                    move = moves.get((i, e, f))
+                    if move is None:
+                        move = moves[(i, e, f)] = _term_move(images[i], e, f)
+                    if not move:
+                        break
+                    mh, ma, md, u, v, w = move
+                    if deg:  # hol and anti are zero while deg is
+                        mh, ma = tuple(map(add, hol, mh)), tuple(map(add, anti, ma))
+                    hol, anti, deg = mh, ma, deg + md
+                    x, y, den = x * u - y * v, x * v + y * u, den * w
+            else:
+                if limit is not None and deg > limit:
+                    continue
+                if not multi:
+                    _add_raw(out, (hol, anti), x, y, den)
+                    continue
+                right = conjugate_rows(tuple(a[i] for i in multi))
+                for (lh, la), c in product(tuple(h[i] for i in multi)).items():
+                    ldeg = deg + sum(lh) + sum(la)
+                    if limit is not None and ldeg > limit:
+                        continue
+                    u, v, w = c._a, c._b, c._d
+                    p, q, r = x * u - y * v, x * v + y * u, den * w
+                    kh, ka = tuple(map(add, hol, lh)), tuple(map(add, anti, la))
+                    for rh, ra, rd, u, v, w in right:
+                        if limit is not None and ldeg + rd > limit:
+                            continue
+                        _add_raw(out, (tuple(map(add, kh, rh)), tuple(map(add, ka, ra))),
+                                 p * u - q * v, p * v + q * u, r * w)
+        return _from_terms(nvars_out, {k: _normal(x, y, den) for k, (x, y, den)
+                                       in out.items() if x or y}, limit)
 
     def leading_substitution(
         self, images: Sequence["CPolynomial"]
@@ -755,6 +781,20 @@ def slice_positive_at(rows: dict, key, coeffs: Sequence[GaussianRational],
     return not y and x > 0
 
 
+def slice_torus_positive(rows: dict, key) -> bool:
+    """Whether the slice of ``initial_coefficients`` is real and > 0 at key
+    for all leading coefficients that are nonzero in every slot, read off
+    the rows alone: key holds a single row, its coefficient is real and > 0,
+    and h_i = a_i in each of its slots, so its leading product coeff * prod
+    c_i^h_i * conj(c_i)^h_i = coeff * prod |c_i|^(2 h_i) is > 0.  False
+    proves nothing."""
+    group = rows.get(key)
+    if group is None or len(group) != 1:
+        return False
+    (x, y, _den, slots), = group
+    return not y and x > 0 and all(e == f for _i, e, f in slots)
+
+
 def _lead_power(p: int, q: int, d: int, e: int, f: int) -> tuple[int, int, int]:
     """(p + q*i)^e * (p - q*i)^f / d^(e + f) as an unreduced triple (a, b,
     d^(e + f)): the norm p^2 + q^2 to the power min(e, f), times the
@@ -817,6 +857,89 @@ def _mul_terms(out: dict, left: Mapping, right: Mapping, limit: int | None) -> N
             prod = c1 * c2
             old = out.get(key)
             out[key] = prod if old is None else old + prod
+
+
+def _multi_products(images: Sequence[CPolynomial], multi: list, limit: int | None):
+    """The products M_e of images[i]^e[i] over the indices i in multi, for
+    ``CPolynomial.substitute``, as two memoised lookups on exponent tuples
+    e over multi: product(e), the terms of M_e, and conjugate_rows(e), the
+    terms of conj(M_e) as rows (hol, anti, degree, x, y, den) of raw
+    fields.  Each power is formed once per (i, e) by ``CPolynomial.__pow__``
+    and cut at limit, and the powers are multiplied in index order by
+    ``_mul_terms``; both are held as plain term dicts, and no term above
+    limit is formed."""
+    zero = (0,) * images[multi[0]].nvars
+    one = {(zero, zero): ONE}
+    powers: dict = {}
+    products: dict = {}
+    conjugates: dict = {}
+
+    def power(i: int, e: int) -> dict:
+        terms = powers.get((i, e))
+        if terms is None:
+            p = images[i] ** e
+            if limit is not None and (p.truncation is None or p.truncation > limit):
+                p = p.truncate(limit)
+            terms = powers[(i, e)] = p.terms
+        return terms
+
+    def product(exps: tuple) -> dict:
+        terms = products.get(exps)
+        if terms is None:
+            terms = one
+            for i, e in zip(multi, exps):
+                if e:
+                    if terms is one:
+                        terms = power(i, e)
+                    else:
+                        out: dict = {}
+                        _mul_terms(out, terms, power(i, e), limit)
+                        terms = _nonzero(out)
+            products[exps] = terms
+        return terms
+
+    def conjugate_rows(exps: tuple) -> list:
+        rows = conjugates.get(exps)
+        if rows is None:
+            rows = conjugates[exps] = [(a, h, sum(h) + sum(a), c._a, -c._b, c._d)
+                                       for (h, a), c in product(exps).items()]
+        return rows
+
+    return product, conjugate_rows
+
+
+def _term_move(image: CPolynomial, e: int, f: int) -> tuple:
+    """What the image with at most one term, c * z^H * conj(z)^A, makes of
+    z_i^e * conj(z_i)^f: (hol, anti, degree, u, v, w) with key (hol, anti)
+    = e*(H, A) + f*(A, H) of that degree and c^e * conj(c)^f = (u + v*i)/w
+    in its fields; () when the image has no term."""
+    if not image.terms:
+        return ()
+    ((hc, ac), c), = image.terms.items()
+    deg = sum(hc) + sum(ac)
+    if e + f == 1:
+        return (hc, ac, deg, c._a, c._b, c._d) if e else (ac, hc, deg, c._a, -c._b, c._d)
+    hol = tuple([e * x + f * y for x, y in zip(hc, ac)])
+    anti = tuple([e * y + f * x for x, y in zip(hc, ac)])
+    if c != ONE:
+        c = c ** e * c.conjugate() ** f
+    return (hol, anti, (e + f) * deg, c._a, c._b, c._d)
+
+
+def _add_raw(out: dict, key, x: int, y: int, den: int) -> None:
+    """Add (x + y*i)/den, den > 0, to the unreduced sum (x, y, den) at key,
+    over the least common denominator."""
+    old = out.get(key)
+    if old is None:
+        out[key] = (x, y, den)
+        return
+    sx, sy, sd = old
+    if sd == den:
+        out[key] = (sx + x, sy + y, sd)
+    else:
+        g = gcd(sd, den)
+        m, n = den // g, sd // g
+        out[key] = (sx * m + x * n, sy * m + y * n, sd * m)
 
 
 def _nonzero(terms: dict) -> dict:

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import ONE, ZERO, CPolynomial, GaussianRational, slice_positive_at
+from .algebra import (
+    ONE,
+    ZERO,
+    CPolynomial,
+    GaussianRational,
+    slice_positive_at,
+    slice_torus_positive,
+)
 from .curve import CurveJet, PSTestResult, leading_rows, ps_test_single
 from .search import (
     SEED_COEFFS,
@@ -256,13 +263,13 @@ def _psd_decompose(monomials, H):
     while active:
         for i in active:
             d = H[i][i]
-            if d.im != 0:
+            if not d.is_real():
                 raise NotRealError("Gram matrix is not Hermitian")
-            if d.re < 0:
+            if not d.is_zero() and not d.is_positive_real():
                 return "indefinite", back_substitute({i: ONE})
         pivot = None
         for i in active:  # already in graded-lex order: ties break lowest
-            if H[i][i].re > 0:
+            if H[i][i].is_positive_real():
                 pivot = i
                 break
         if pivot is None:
@@ -279,15 +286,16 @@ def _psd_decompose(monomials, H):
             i, j = off
             v = {i: -H[i][j], j: ONE}
             return "indefinite", back_substitute(v)
-        d = H[pivot][pivot].re
-        u = {j: H[j][pivot] / H[pivot][pivot] for j in active}
-        squares.append((d, u))
+        p = H[pivot][pivot]
+        u = {j: H[j][pivot] / p for j in active}
+        squares.append((p.re, u))
         pivots.append((pivot, u))
         active.remove(pivot)
-        dg = GaussianRational(d)
+        # p * u[a] is H[a][pivot], which the update leaves as it is.
         for a in active:
+            col = H[a][pivot]
             for b in active:
-                H[a][b] = H[a][b] - dg * u[a] * u[b].conjugate()
+                H[a][b] = H[a][b] - col * u[b].conjugate()
     return "psd", squares
 
 
@@ -401,6 +409,8 @@ def _group_suspects(g: CPolynomial, groups, powers: dict):
         # A pass is read off the balanced coefficient alone; for odd d no
         # row lands on mid, which has degree d - 1.
         mid = ((d // 2,), (d // 2,))
+        if slice_torus_positive(rows, mid):
+            continue
         for v in vectors:
             if slice_positive_at(rows, mid, v, powers):
                 continue
@@ -419,7 +429,7 @@ def ps_search(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate) -> PSCe
     The monomial curves and the scans are read one exponent group at a time
     through curve.leading_rows, which gives once per group the rows whose
     sum over a curve's leading coefficients is the degree-d slice S of its
-    pullback.  Two kinds of candidate cannot be violations and are skipped
+    pullback.  Three kinds of candidate cannot be violations and are skipped
     without building a curve:
     - every candidate of a group that leading_rows leaves undecided (no
       row, or d above the truncation): its pullback has no term of degree
@@ -427,7 +437,17 @@ def ps_search(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate) -> PSCe
       "indeterminate";
     - a candidate whose S is nonzero with d even and a real positive
       coefficient at t^(d/2) conj(t)^(d/2): S is the lowest slice of its
-      pullback, so ps_test_single finds it a "pass".
+      pullback, so ps_test_single finds it a "pass";
+    - every candidate of a group whose balanced key holds a single row
+      coeff * z^h * conj(z)^a with coeff real and > 0 and h_i = a_i in each
+      of its slots (algebra.slice_torus_positive), unread.  A slot is an
+      index with h_i or a_i nonzero, so exps[i] is nonzero there, and every
+      candidate of both grouped stages has a nonzero leading coefficient
+      c_i at such an index: the seed coefficients and the scan grid hold no
+      zero, and a scan fixes its other present components to 1.  So the
+      coefficient at t^(d/2) conj(t)^(d/2) is coeff * prod |c_i|^(2 h_i),
+      real and > 0, S is nonzero, and the candidate passes as above.  The
+      rule reads one group of rows once per exponent tuple.
     Every other candidate (S cancels, d is odd, or the middle coefficient
     is missing, not real or <= 0) and every Gram seed goes through
     ps_test_single, which alone decides a violation or raises on a middle

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
+from operator import add
 
 import pytest
 
-from contactps.algebra import ZERO, CPolynomial, GaussianRational
+from contactps.algebra import ONE, ZERO, CPolynomial, GaussianRational, _substitution_limit
 from contactps.search import _RANDOM_POOL
 
 
@@ -54,6 +55,69 @@ def initial_coefficients_reference(rows, coeffs):
         old = out.get(key)
         out[key] = c if old is None else old + c
     return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _mul_terms_reference(out, left, right, limit):
+    """algebra._mul_terms: add the product of every left and right term of
+    degree <= limit (all of them if limit is None) into out; coefficients
+    that cancel stay in out as zeros."""
+    rows = [(h, a, sum(h) + sum(a), c) for (h, a), c in right.items()]
+    for (h1, a1), c1 in left.items():
+        room = None if limit is None else limit - sum(h1) - sum(a1)
+        for h2, a2, d2, c2 in rows:
+            if room is not None and d2 > room:
+                continue
+            key = (tuple(map(add, h1, h2)), tuple(map(add, a1, a2)))
+            prod = c1 * c2
+            old = out.get(key)
+            out[key] = prod if old is None else old + prod
+
+
+def substitute_reference(p, images, nvars_out):
+    """The composition that CPolynomial.substitute replaced by a term map for
+    images with at most one term: every image power and product a
+    CPolynomial, and one accumulator that collects coeff * H_h * conj(H_a)
+    for every term coeff * z^h * conj(z)^a of p, with H_e the product of
+    images[i]^e[i], in the order of H_h's terms and then of conj(H_a)'s.
+    Products above the truncation are never formed, and coefficients that
+    cancel are dropped once, at the end."""
+    limit = _substitution_limit(p, images)
+    powers, products, conjugates = {}, {}, {}
+    one = {((0,) * nvars_out, (0,) * nvars_out): ONE}
+
+    def image_power(i, e):
+        q = powers.get((i, e))
+        if q is None:
+            q = images[i] ** e
+            if limit is not None and (q.truncation is None or q.truncation > limit):
+                q = q.truncate(limit)
+            powers[(i, e)] = q
+        return q
+
+    def image_product(exps):
+        terms = products.get(exps)
+        if terms is None:
+            prod = None
+            for i, e in enumerate(exps):
+                if e:
+                    q = image_power(i, e)
+                    prod = q if prod is None else prod * q
+            terms = products[exps] = one if prod is None else prod.terms
+        return terms
+
+    def conjugate_product(exps):
+        terms = conjugates.get(exps)
+        if terms is None:
+            terms = conjugates[exps] = {
+                (k[1], k[0]): c.conjugate() for k, c in image_product(exps).items()
+            }
+        return terms
+
+    out = {}
+    for (h, a), coeff in p.terms.items():
+        scaled = {k: c * coeff for k, c in image_product(h).items()}
+        _mul_terms_reference(out, scaled, conjugate_product(a), limit)
+    return CPolynomial(nvars_out, out, limit)
 
 
 @cache

@@ -20,6 +20,7 @@ from contactps.algebra import (
     key_conjugate,
     key_is_pure,
     slice_positive_at,
+    slice_torus_positive,
     slice_vanishes,
 )
 from contactps.search import _RANDOM_POOL, SEED_COEFFS, grid_coefficients
@@ -30,6 +31,7 @@ from conftest import (
     product_rule_check,
     random_poly,
     random_scalar,
+    substitute_reference,
 )
 
 
@@ -302,6 +304,101 @@ def test_substitute_matches_term_by_term_reference(data, nvars, nvars_out):
     assert out.truncation == expected.truncation
 
 
+_JETS = st.one_of(st.none(), st.integers(0, 6))
+
+
+@st.composite
+def single_term_images(draw, nvars_out):
+    """An image with one term, most often scaled, holomorphic,
+    antiholomorphic or mixed, exact or a jet (a jet zero when the term lies
+    above its truncation)."""
+    c = draw(scalars.filter(lambda c: not c.is_zero()))
+    return CPolynomial(nvars_out, {draw(keys(nvars_out, 3)): c}, draw(_JETS))
+
+
+@st.composite
+def substitution_cases(draw):
+    """(p, images, nvars_out) with images of no, one or several terms.  Half
+    the cases map two variables z_i and z_j to the same image and plant, next
+    to a term of p, its swap in i and j with the opposite coefficient."""
+    nvars, nvars_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    image = st.one_of(single_term_images(nvars_out),
+                      st.builds(CPolynomial.zero, st.just(nvars_out), _JETS),
+                      polys(nvars_out, max_deg=3, max_terms=3))
+    images = [draw(image) for _ in range(nvars)]
+    terms = draw(st.dictionaries(keys(nvars, 4), scalars, max_size=4))
+    if nvars > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(nvars)))[:2]
+        images[j] = images[i]
+        order = [j if k == i else i if k == j else k for k in range(nvars)]
+        for (h, a), c in list(terms.items())[:1]:
+            terms[(tuple(h[k] for k in order), tuple(a[k] for k in order))] = -c
+    return CPolynomial(nvars, terms, draw(_JETS)), images, nvars_out
+
+
+def _substitution_kinds(p, images, expected):
+    """The kinds of image that p uses, and whether the composite cancels:
+    whether it has fewer terms than the composite with every coefficient 1,
+    which forms the same keys and cannot cancel."""
+    used = [i for i in range(p.nvars) if any(h[i] or a[i] for h, a in p.terms)]
+    kinds = set()
+    for i in used:
+        im = images[i]
+        if not im.terms:
+            kinds.add("exact zero" if im.truncation is None else "jet zero")
+        elif len(im.terms) == 1:
+            (key, c), = im.terms.items()
+            kinds.update(name for name, hit in (
+                ("scaled single", c != ONE), ("antiholomorphic single", any(key[1])),
+                ("jet single", im.truncation is not None)) if hit)
+    sizes = {len(images[i].terms) > 1 for i in used}
+    if sizes == {True, False}:
+        kinds.add("single and multi")
+    singles = [next(iter(images[i].terms)) for i in used if len(images[i].terms) == 1]
+    if len(set(singles)) < len(singles):
+        kinds.add("two variables on one monomial")
+
+    def ones(q):
+        return CPolynomial(q.nvars, dict.fromkeys(q.terms, ONE), q.truncation)
+
+    if len(expected.terms) < len(substitute_reference(
+            ones(p), [ones(im) for im in images], expected.nvars).terms):
+        kinds.add("cancellation")
+    return kinds
+
+
+_SUBSTITUTION_KINDS = {
+    "exact zero", "jet zero", "scaled single", "antiholomorphic single", "jet single",
+    "single and multi", "two variables on one monomial", "cancellation", "TruncationError"}
+
+
+def test_substitute_keeps_the_terms_and_their_order():
+    """substitute gives the terms of its reference, in the same first-seen
+    key order, and the same truncation, or the same TruncationError; the
+    cases reach every kind of image that the term map treats on its own."""
+    reached = set()
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(case=substitution_cases())
+    def cases(case):
+        p, images, nvars_out = case
+        try:
+            expected = substitute_reference(p, images, nvars_out)
+        except TruncationError as exc:
+            with pytest.raises(TruncationError) as raised:
+                p.substitute(images, nvars_out)
+            assert str(raised.value) == str(exc)
+            reached.add("TruncationError")
+            return
+        out = p.substitute(images, nvars_out)
+        assert list(out.terms.items()) == list(expected.terms.items())
+        assert out.truncation == expected.truncation
+        reached.update(_substitution_kinds(p, images, expected))
+
+    cases()
+    assert reached == _SUBSTITUTION_KINDS
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(data=st.data(), nvars=st.integers(1, 3), nvars_out=st.integers(1, 3))
 def test_results_hold_the_constructor_invariant(data, nvars, nvars_out):
@@ -374,6 +471,9 @@ def _check_slice_readers(rows, lead, powers):
         c = ref.get(key)
         assert slice_positive_at(grouped, key, lead, powers) == \
             (c is not None and c.is_positive_real())
+        slots = {i for k, h, a, _c in rows if k == key for i in range(len(h)) if h[i] or a[i]}
+        if slice_torus_positive(grouped, key) and all(not lead[i].is_zero() for i in slots):
+            assert c is not None and c.is_positive_real()
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)

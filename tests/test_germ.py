@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactps import germ
-from contactps.algebra import CPolynomial, slice_vanishes
+from contactps.algebra import CPolynomial, slice_torus_positive, slice_vanishes
 from contactps.curve import CurveJet, ps_test_single, pullback
 from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
 from contactps.germ import (
@@ -266,7 +266,7 @@ _GERM_PS_RANGES = {
 }
 _CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus"
 _PS_BRANCHES = {"odd d", "above truncation", "no row, exact g", "no row, jet g",
-                "cancelling slice", "Gram seed winner", "full walk"}
+                "torus-positive group", "cancelling slice", "Gram seed winner", "full walk"}
 
 
 def _restricted_jets():
@@ -288,6 +288,8 @@ def _branch(g, z):
         return "above truncation"
     if found[0] % 2:
         return "odd d"
+    if slice_torus_positive(found[1], ((found[0] // 2,), (found[0] // 2,))):
+        return "torus-positive group"
     lead = [z.coefficient(i, e) for i, e in enumerate(exps)]
     return "cancelling slice" if slice_vanishes(found[1], lead, {}) else None
 
@@ -381,3 +383,20 @@ def test_ps_search_tests_only_the_winner_on_crit5_m3(monkeypatch):
     rep = germ_ps_check(r, 2, 7, SearchBudget(max_degree=4, random_trials=10))
     assert rep.k0 == 6
     assert searches and len(calls) == 2 * len(searches)
+
+
+@pytest.mark.parametrize("name, k_max, reads", [
+    ("crit5_m2", 5, 3), ("crit5_m3", 7, 4), ("crit4_cubic_square", 6, 1)])
+def test_germ_ps_reads_few_balanced_coefficients(monkeypatch, name, k_max, reads):
+    """Over germ_ps_check(k = 2..k_max, max degree 4) of the certify
+    workload's germs, ps_search skips unread every group whose balanced key
+    holds a single positive row of moduli, so slice_positive_at runs 3, 4
+    and 1 times, not 147, 692 and 145 (the count when each candidate of
+    such a group is read)."""
+    calls = []
+    read = germ.slice_positive_at
+    monkeypatch.setattr(germ, "slice_positive_at",
+                        lambda *args: calls.append(args) or read(*args))
+    r = validate(parse_problem((_CORPUS_DIR / f"{name}.txt").read_text()).entry)
+    germ_ps_check(r, 2, k_max, SearchBudget(max_degree=4, random_trials=10))
+    assert len(calls) == reads

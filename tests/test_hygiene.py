@@ -14,10 +14,12 @@ than an external linter.
   (`re`, `im` and the operators).  The kernel's property test is the one
   exception, because the invariants it checks are statements about those
   fields.
-- No file but `algebra.py` names `_from_terms` or `_mul_terms`: the
-  unchecked constructor and the term-product loop serve only the
-  polynomial type's own arithmetic, whose results hold the invariant they
-  rely on.
+- No file but `algebra.py` names `_from_terms`, `_mul_terms`,
+  `_term_move`, `_multi_products` or `_add_raw`: the unchecked
+  constructor, the term-product loop, and the single-term map, the
+  multi-term products and the accumulator of unreduced sums on raw scalar
+  fields that `substitute` runs serve only the polynomial type's own
+  arithmetic, whose results hold the invariant they rely on.
 - Every `hypothesis` `settings(...)` under `tests/` passes
   `derandomize=True` and `database=None`, and every `@given` test carries
   one, so the suite draws the same examples on every run.
@@ -152,7 +154,7 @@ def test_scalar_fields_stay_private_to_algebra():
     assert found == {}
 
 
-ALGEBRA_INTERNALS = {"_from_terms", "_mul_terms"}
+ALGEBRA_INTERNALS = {"_from_terms", "_mul_terms", "_term_move", "_multi_products", "_add_raw"}
 
 
 def _algebra_internal_names(tree: ast.Module) -> list[str]:
