@@ -30,9 +30,18 @@ truncation.  The public constructor establishes it by checking and
 filtering its input.  Results of the type's own arithmetic are built by the
 private ``_from_terms``, which checks nothing: each operation drops the
 zeros its arithmetic can create and the keys above the result's truncation
-itself, so the invariant holds for them by construction.  Term products go
+itself, so the invariant holds for them by construction.  So are the
+splits and filters whose terms are a subset of a valid polynomial's
+(``pure_mixed_split``, ``holomorphic_part``, ``select``, ``truncate``),
+``wirtinger``, a nonzero ``constant`` and powers.  Term products go
 through one helper, ``_mul_terms``, shared by ``__mul__`` and the
-multi-term images of ``substitute``.
+multi-term images of ``substitute``; a power of a single term is a term
+move (``_term_move``), with no product formed.
+
+``weighted_square_terms`` sums w * f * conj(f) over the squares of a
+Gram certificate in the same raw arithmetic as ``substitute``
+(``_add_weighted_square`` into ``_add_raw``), with one gcd per key of the
+sum, so a certificate is checked without forming a polynomial product.
 
 ``substitute`` composes with images in full, in Python-int Gaussian
 arithmetic: one accumulator of unreduced sums (``_add_raw``), reduced by
@@ -318,8 +327,11 @@ class CPolynomial:
 
     @staticmethod
     def constant(nvars: int, value: GaussianRational) -> "CPolynomial":
-        key = ((0,) * nvars, (0,) * nvars)
-        return CPolynomial(nvars, {key: value})
+        if nvars < 1:
+            raise ValueError("nvars must be positive")
+        if value.is_zero():
+            return _from_terms(nvars, {}, None)
+        return _from_terms(nvars, {((0,) * nvars, (0,) * nvars): value}, None)
 
     @staticmethod
     def one(nvars: int) -> "CPolynomial":
@@ -414,17 +426,27 @@ class CPolynomial:
         return _from_terms(self.nvars, terms, self.truncation)
 
     def __pow__(self, k: int) -> "CPolynomial":
+        """self^k by repeated squaring; a single term c * z^H * conj(z)^A
+        is moved to k*(H, A) with coefficient c^k (``_term_move``), which is
+        what the squarings give, with no product formed."""
         if k < 0:
             raise ValueError("negative polynomial power")
-        zero = (0,) * self.nvars
-        out = CPolynomial(self.nvars, {(zero, zero): ONE}, self.truncation)
+        if k and len(self.terms) == 1:
+            hol, anti, deg, u, v, w = _term_move(self, k, 0)
+            limit = self.truncation
+            terms = {} if limit is not None and deg > limit else {(hol, anti): _make(u, v, w)}
+            return _from_terms(self.nvars, terms, limit)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base
+        if out is None:
+            zero = (0,) * self.nvars
+            return _from_terms(self.nvars, {(zero, zero): ONE}, self.truncation)
         return out
 
     def __eq__(self, other) -> bool:
@@ -472,8 +494,10 @@ class CPolynomial:
             exp[index] = e - 1
             new_key = (key[0], tuple(exp)) if anti else (tuple(exp), key[1])
             out[new_key] = coeff * GaussianRational(e)
+        # A term of degree D <= N differentiates to degree D - 1 <= N - 1, and
+        # e > 0 keeps its coefficient nonzero.
         trunc = None if self.truncation is None else max(self.truncation - 1, 0)
-        return CPolynomial(self.nvars, out, trunc)
+        return _from_terms(self.nvars, out, trunc)
 
     def pure_mixed_split(self) -> tuple["CPolynomial", "CPolynomial"]:
         """Split into (pure, mixed); the constant term goes to the pure part."""
@@ -482,8 +506,8 @@ class CPolynomial:
         for key, coeff in self.terms.items():
             (pure if key_is_pure(key) else mixed)[key] = coeff
         return (
-            CPolynomial(self.nvars, pure, self.truncation),
-            CPolynomial(self.nvars, mixed, self.truncation),
+            _from_terms(self.nvars, pure, self.truncation),
+            _from_terms(self.nvars, mixed, self.truncation),
         )
 
     def holomorphic_part(self) -> "CPolynomial":
@@ -493,7 +517,13 @@ class CPolynomial:
             for k, c in self.terms.items()
             if not any(k[1]) and any(k[0])
         }
-        return CPolynomial(self.nvars, out, self.truncation)
+        return _from_terms(self.nvars, out, self.truncation)
+
+    def select(self, keep) -> "CPolynomial":
+        """The terms whose key keep(key) accepts, with self's truncation; a
+        subset of the terms holds the invariant, so nothing is checked."""
+        out = {key: c for key, c in self.terms.items() if keep(key)}
+        return _from_terms(self.nvars, out, self.truncation)
 
     def truncate(self, k: int) -> "CPolynomial":
         """Drop terms of total degree > k; result carries jet order k."""
@@ -921,7 +951,7 @@ def _term_move(image: CPolynomial, e: int, f: int) -> tuple:
         return (hc, ac, deg, c._a, c._b, c._d) if e else (ac, hc, deg, c._a, -c._b, c._d)
     hol = tuple([e * x + f * y for x, y in zip(hc, ac)])
     anti = tuple([e * y + f * x for x, y in zip(hc, ac)])
-    if c != ONE:
+    if c._b or c._a != 1 or c._d != 1:  # c is not 1
         c = c ** e * c.conjugate() ** f
     return (hol, anti, (e + f) * deg, c._a, c._b, c._d)
 
@@ -940,6 +970,30 @@ def _add_raw(out: dict, key, x: int, y: int, den: int) -> None:
         g = gcd(sd, den)
         m, n = den // g, sd // g
         out[key] = (sx * m + x * n, sy * m + y * n, sd * m)
+
+
+def weighted_square_terms(squares) -> dict:
+    """The terms of the sum of w * f * conj(f) over the pairs (w, f) of
+    squares, w a Fraction: every product of a term of f and a term of
+    conj(f), scaled by w, goes into one accumulator of unreduced Python-int
+    sums (``_add_weighted_square``), reduced by one gcd per key at the end,
+    when the keys that cancel are dropped."""
+    out: dict = {}
+    for w, f in squares:
+        _add_weighted_square(out, w.numerator, w.denominator, f.terms)
+    return {k: _normal(x, y, den) for k, (x, y, den) in out.items() if x or y}
+
+
+def _add_weighted_square(out: dict, p: int, q: int, terms: Mapping) -> None:
+    """Add (p/q) * f * conj(f), q > 0, for the f with these terms, to the
+    unreduced sums of out (``_add_raw``): the term c1 * z^h1 * conj(z)^a1
+    times the conjugate of c2 * z^h2 * conj(z)^a2 lands on (h1 + a2, a1 +
+    h2) with coefficient c1 * conj(c2)."""
+    rows = [(h, a, c._a, c._b, c._d) for (h, a), c in terms.items()]
+    for h1, a1, x1, y1, d1 in rows:
+        for h2, a2, x2, y2, d2 in rows:
+            _add_raw(out, (tuple(map(add, h1, a2)), tuple(map(add, a1, h2))),
+                     p * (x1 * x2 + y1 * y2), p * (y1 * x2 - x1 * y2), q * d1 * d2)
 
 
 def _nonzero(terms: dict) -> dict:

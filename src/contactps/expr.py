@@ -13,6 +13,11 @@ z1..zN (the complex variables), t (the curve parameter), i (the imaginary
 unit), conj(e), Re(e) meaning (e + conj(e))/2 with exact halves, abs2(e)
 meaning e*conj(e), plus any names bound in a problem file.
 
+The tokenizer is one finditer scan of a compiled pattern; an error names
+the offending character and its position in the text.  Integer literals
+take the int path of GaussianRational, and a product with an exact
+constant factor scales the other factor instead of multiplying out.
+
 Printing is canonical (graded-lex term order) and round-trips: parsing the
 printed form reproduces the polynomial exactly.
 """
@@ -28,6 +33,7 @@ from .algebra import (
     GaussianRational,
     I_UNIT,
     ONE,
+    ZERO,
 )
 from .curve import CurveJet
 
@@ -41,25 +47,34 @@ class ExprSyntaxError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^(),]))"
+    r"(?P<space>\s+)|(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*^(),])|(?P<bad>.)",
+    re.DOTALL,
 )
+_VARIABLE_RE = re.compile(r"z(\d+)")
+_END = ("end", "", -1)  # the token past the last; its value matches no operator
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, position) per token, then _END.  One scan with
+    finditer: every position starts a match, of whitespace, a token, or
+    the single character that starts none (an error at its position)."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.start() != pos:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind).replace(" ", ""), pos))
-        pos = m.end()
+        if kind == "space":
+            continue
+        if kind == "bad":
+            pos = m.start()
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        value = m.group()
+        tokens.append((kind, value.replace(" ", "") if kind == "number" else value, m.start()))
+    tokens.append(_END)
     return tokens
+
+
+_HALF = GaussianRational(Fraction(1, 2))
+_MINUS_ONE = -ONE
 
 
 class _Parser:
@@ -71,13 +86,14 @@ class _Parser:
         self.nvars = nvars
         self.var_mode = var_mode  # "z" or "t"
         self.definitions = definitions or {}
+        self.origin = ((0,) * nvars, (0,) * nvars)
 
     def peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
+        return self.tokens[self.idx]
 
     def next(self):
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.idx]
+        if tok is _END:
             raise ExprSyntaxError("unexpected end of input")
         self.idx += 1
         return tok
@@ -87,33 +103,59 @@ class _Parser:
         if tok[1] != value:
             raise ExprSyntaxError(f"expected {value!r}, found {tok[1]!r}", tok[2])
 
+    def at_end(self) -> bool:
+        return self.tokens[self.idx] is _END
+
     def expr(self) -> CPolynomial:
         left = self.term()
-        while self.peek() and self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
+        op = self.peek()[1]
+        while op in ("+", "-"):
+            self.idx += 1
             right = self.term()
             left = left + right if op == "+" else left - right
+            op = self.peek()[1]
         return left
 
     def term(self) -> CPolynomial:
         left = self.factor()
-        while self.peek() and self.peek()[1] == "*":
-            self.next()
-            left = left * self.factor()
+        while self.peek()[1] == "*":
+            self.idx += 1
+            left = self.product(left, self.factor())
         return left
 
+    def product(self, left: CPolynomial, right: CPolynomial) -> CPolynomial:
+        """left * right; a factor that is an exact constant c scales the
+        other by c, which gives the same terms in the same order."""
+        if left.nvars == right.nvars:
+            c = self.constant_value(right)
+            if c is not None:
+                return left.scale(c)
+            c = self.constant_value(left)
+            if c is not None:
+                return right.scale(c)
+        return left * right
+
+    def constant_value(self, p: CPolynomial) -> GaussianRational | None:
+        """The value of p when p is an exact constant, else None."""
+        terms = p.terms
+        if p.truncation is not None or len(terms) > 1:
+            return None
+        if not terms:
+            return ZERO
+        return terms.get(self.origin)
+
     def factor(self) -> CPolynomial:
-        tok = self.peek()
-        if tok and tok[1] in ("+", "-"):
-            self.next()
+        sign = self.peek()[1]
+        if sign in ("+", "-"):
+            self.idx += 1
             inner = self.factor()
-            return inner if tok[1] == "+" else -inner
+            return inner if sign == "+" else -inner
         return self.power()
 
     def power(self) -> CPolynomial:
         base = self.atom()
-        if self.peek() and self.peek()[1] == "^":
-            self.next()
+        if self.peek()[1] == "^":
+            self.idx += 1
             tok = self.next()
             if tok[0] != "number" or "/" in tok[1]:
                 raise ExprSyntaxError("exponent must be a non-negative integer", tok[2])
@@ -121,8 +163,7 @@ class _Parser:
         return base
 
     def atom(self) -> CPolynomial:
-        tok = self.next()
-        kind, value, pos = tok
+        kind, value, pos = self.next()
         if value == "(":
             inner = self.expr()
             self.expect(")")
@@ -132,10 +173,10 @@ class _Parser:
                 num, den = value.split("/")
                 if int(den) == 0:
                     raise ExprSyntaxError(f"zero denominator in {value!r}", pos)
-                q = Fraction(int(num), int(den))
+                q = GaussianRational(Fraction(int(num), int(den)))
             else:
-                q = Fraction(int(value))
-            return CPolynomial.constant(self.nvars, GaussianRational(q))
+                q = GaussianRational(int(value))
+            return CPolynomial.constant(self.nvars, q)
         if kind == "ident":
             return self.ident(value, pos)
         raise ExprSyntaxError(f"unexpected token {value!r}", pos)
@@ -149,14 +190,13 @@ class _Parser:
                 return arg.conjugate()
             if name == "abs2":
                 return arg * arg.conjugate()
-            half = GaussianRational(Fraction(1, 2))
-            return (arg + arg.conjugate()).scale(half)
+            return (arg + arg.conjugate()).scale(_HALF)
         if name == "i":
             return CPolynomial.constant(self.nvars, I_UNIT)
         if name == "t" and self.var_mode == "t":
             return CPolynomial.variable(1, 0)
         if self.var_mode == "z":
-            m = re.fullmatch(r"z(\d+)", name)
+            m = _VARIABLE_RE.fullmatch(name)
             if m:
                 k = int(m.group(1))
                 if not 1 <= k <= self.nvars:
@@ -177,7 +217,7 @@ def parse_expression(
     """Parse an expression in variables z1..zN into a canonical polynomial."""
     parser = _Parser(_tokenize(text), nvars, "z", definitions)
     out = parser.expr()
-    if parser.peek() is not None:
+    if not parser.at_end():
         raise ExprSyntaxError("trailing input", parser.peek()[2])
     return out
 
@@ -186,7 +226,7 @@ def parse_t_polynomial(text: str) -> CPolynomial:
     """Parse a one-variable polynomial in t."""
     parser = _Parser(_tokenize(text), 1, "t")
     out = parser.expr()
-    if parser.peek() is not None:
+    if not parser.at_end():
         raise ExprSyntaxError("trailing input", parser.peek()[2])
     return out
 
@@ -194,16 +234,16 @@ def parse_t_polynomial(text: str) -> CPolynomial:
 def parse_curve(text: str, nvars: int | None = None) -> CurveJet:
     """Parse a parenthesized tuple of t-polynomials like "(t^3, t^2, 0)"."""
     tokens = _tokenize(text)
-    if not tokens or tokens[0][1] != "(":
+    if tokens[0][1] != "(":
         raise ExprSyntaxError("curve must be a parenthesized tuple")
     parser = _Parser(tokens, 1, "t")
     parser.expect("(")
     comps = [parser.expr()]
-    while parser.peek() and parser.peek()[1] == ",":
+    while parser.peek()[1] == ",":
         parser.next()
         comps.append(parser.expr())
     parser.expect(")")
-    if parser.peek() is not None:
+    if not parser.at_end():
         raise ExprSyntaxError("trailing input", parser.peek()[2])
     if nvars is not None and len(comps) != nvars:
         raise ExprSyntaxError(
@@ -218,7 +258,7 @@ def parse_curve(text: str, nvars: int | None = None) -> CurveJet:
 
 def format_coefficient(c: GaussianRational) -> str:
     """Parseable canonical form of a Gaussian rational scalar."""
-    if c.im == 0:
+    if c.is_real():
         return str(c.re)
     if c.re == 0:
         if c.im == 1:
@@ -259,7 +299,7 @@ def format_polynomial(p: CPolynomial, var_mode: str = "z") -> str:
             s = format_coefficient(coeff)
         elif coeff == ONE:
             s = mono
-        elif coeff == -ONE:
+        elif coeff == _MINUS_ONE:
             s = "-" + mono
         else:
             s = f"{format_coefficient(coeff)}*{mono}"

@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .algebra import CPolynomial, GaussianRational, ZERO, key_conjugate
 from .curve import CurveJet, InsufficientJetError, laplacian_power, pullback
+from .search import draw_below
 
 
 @dataclass(frozen=True)
@@ -155,16 +157,16 @@ class ExpansionTerm:
         return (len(self.holo_blocks), len(self.anti_blocks))
 
 
-def expansion_table(k: int) -> list[ExpansionTerm]:
-    """All grouped terms of the k-th Laplacian power expansion."""
+@cache
+def expansion_table(k: int) -> tuple[ExpansionTerm, ...]:
+    """All grouped terms of the k-th Laplacian power expansion, formed once
+    per k in a process (the terms are immutable)."""
     parts = integer_partitions(k)
-    out = []
-    for mu in parts:
-        for sigma in parts:
-            out.append(
-                ExpansionTerm(mu, sigma, partition_count(k, mu) * partition_count(k, sigma))
-            )
-    return out
+    return tuple(
+        ExpansionTerm(mu, sigma, partition_count(k, mu) * partition_count(k, sigma))
+        for mu in parts
+        for sigma in parts
+    )
 
 
 def _check_jets(g: CPolynomial, z: CurveJet, k: int):
@@ -218,20 +220,37 @@ def laplacian_power_forms_enumerated(g: CPolynomial, z: CurveJet, k: int) -> Gau
 _RANDOM_VALUES = tuple(
     Fraction(v) for v in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3)
 )
+# _RANDOM_COEFFS[i][j] has real part _RANDOM_VALUES[i] and imaginary part
+# _RANDOM_VALUES[j], or 0 for the last j.
+_RANDOM_COEFFS = tuple(
+    tuple(GaussianRational(re, im) for im in _RANDOM_VALUES + (Fraction(0),))
+    for re in _RANDOM_VALUES
+)
 
 
 def random_real_polynomial(rng, nvars: int, max_degree: int, nterms: int = 4) -> CPolynomial:
     """Random real-valued polynomial for oracle cross-checks: random mixed
     monomials paired with their conjugates so the result is real by
-    construction."""
+    construction.
+
+    Every number is drawn from rng.getrandbits by search.draw_below, so rng
+    gives the stream, and is left in the state, of drawing each exponent by
+    rng.randint(0, max_degree), the real part by rng.choice over the seven
+    values and the imaginary part by rng.choice over them and 0: per term,
+    the holomorphic then the antiholomorphic exponents, drawn again until
+    the degree lies in 1..max_degree, then the real and imaginary parts."""
+    if nvars < 1 or max_degree < 1:
+        raise ValueError("need nvars >= 1 and max_degree >= 1")
+    bits = rng.getrandbits
+    span, nre, nim = max_degree + 1, len(_RANDOM_COEFFS), len(_RANDOM_COEFFS[0])
     terms: dict = {}
     for _ in range(nterms):
         while True:
-            holo = tuple(rng.randint(0, max_degree) for _ in range(nvars))
-            anti = tuple(rng.randint(0, max_degree) for _ in range(nvars))
+            holo = tuple([draw_below(bits, span) for _ in range(nvars)])
+            anti = tuple([draw_below(bits, span) for _ in range(nvars)])
             if 0 < sum(holo) + sum(anti) <= max_degree:
                 break
-        c = GaussianRational(rng.choice(_RANDOM_VALUES), rng.choice(_RANDOM_VALUES + (Fraction(0),)))
+        c = _RANDOM_COEFFS[draw_below(bits, nre)][draw_below(bits, nim)]
         key = (holo, anti)
         terms[key] = terms.get(key, ZERO) + c
         ckey = key_conjugate(key)

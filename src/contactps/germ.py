@@ -5,9 +5,11 @@ linear change makes the linear part of r exactly 2Re(z_n), solve_graph
 solves h = 0 for z_n, where h is the holomorphic half of r, and r is
 restricted to that graph, where 2Re(h) vanishes and the mixed part g is left.
 normalize_to_graph does this once through a degree bound; germ_ps_check
-does it for each jet order.  Positivity of g is then certified structurally
-(an exact Hermitian sum-of-squares decomposition) or refuted by a bounded
-curve search.
+splits r into (h, g) once and solves and restricts for each jet order, whose
+h and g are the degree filters of that split.  Positivity of g is then
+certified structurally (an exact Hermitian sum-of-squares decomposition,
+checked by summing its squares back to g in raw integer arithmetic) or
+refuted by a bounded curve search.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ from .algebra import (
     ZERO,
     CPolynomial,
     GaussianRational,
+    key_conjugate,
+    key_degree,
+    key_is_pure,
     slice_positive_at,
     slice_torus_positive,
+    weighted_square_terms,
 )
 from .curve import CurveJet, PSTestResult, leading_rows, ps_test_single
 from .search import (
@@ -98,10 +104,10 @@ def decompose_pure_mixed(jk: CPolynomial) -> tuple[CPolynomial, CPolynomial]:
 def solve_graph(h: CPolynomial, order: int) -> CPolynomial:
     """Formal series phi(zeta) with phi(0) = 0 and h(zeta, phi) = 0 mod degree order+1.
 
-    Write h = c*z_n + rest.  When rest is free of z_n and has degree at most
-    order, phi = -rest/c is the exact graph.  Otherwise phi is found by
-    iterated jet refinement; each pass fixes one more degree.  The
-    postcondition is machine-checked on every call.
+    Write h = c*z_n + rest (h less its z_n term).  When rest is free of z_n
+    and has degree at most order, phi = -rest/c is the exact graph.
+    Otherwise phi is found by iterated jet refinement; each pass fixes one
+    more degree.  The postcondition is machine-checked on every call.
     """
     n = h.nvars
     if n < 2:
@@ -112,7 +118,7 @@ def solve_graph(h: CPolynomial, order: int) -> CPolynomial:
         raise DegenerateLinearPartError(
             "no linear term in the last variable; apply a linear change first"
         )
-    rest = h - CPolynomial(n, {lin_key: c})
+    rest = h.select(lambda key: key != lin_key)
     inv_c = ONE / c
     zeta = [CPolynomial.variable(n - 1, j) for j in range(n - 1)]
     if rest.total_degree() <= order and not any(a[n - 1] or b[n - 1] for a, b in rest.terms):
@@ -176,7 +182,8 @@ def _linear_images(r: DefiningFunction) -> list[CPolynomial]:
         images[old_idx] = CPolynomial.variable(n, new_idx)
     expr = CPolynomial.variable(n, n - 1)
     for new_idx, old_idx in enumerate(others):
-        expr = expr - CPolynomial.variable(n, new_idx).scale(a[old_idx])
+        if not a[old_idx].is_zero():
+            expr = expr - CPolynomial.variable(n, new_idx).scale(a[old_idx])
     images[pivot] = expr.scale(ONE / a[pivot])
     return images
 
@@ -301,25 +308,36 @@ def _psd_decompose(monomials, H):
 
 def gram_certificate(g: CPolynomial) -> PSCertificate:
     """Structural positivity proof: exhibit g as a positive combination of
-    squared moduli of holomorphic polynomials, or an indefinite direction."""
-    if not g.is_real_valued():
-        raise NotRealError("Gram certification needs a real-valued polynomial")
-    if not g.pure_mixed_split()[0].is_zero():
+    squared moduli of holomorphic polynomials, or an indefinite direction.
+
+    One pass over the terms of g decides both preconditions: a term whose
+    conjugate key does not hold the conjugate coefficient raises
+    NotRealError at once, and a pure term (holomorphic, antiholomorphic or
+    constant) raises ValueError once the pass has found every term real.
+    A certificate is checked before it is returned: the sum of w * f *
+    conj(f) over its squares (algebra.weighted_square_terms) must give the
+    terms of g exactly, or SolveGraphError is raised."""
+    terms = g.terms
+    pure = False
+    for key, coeff in terms.items():
+        if terms.get(key_conjugate(key), ZERO) != coeff.conjugate():
+            raise NotRealError("Gram certification needs a real-valued polynomial")
+        if not pure and key_is_pure(key):
+            pure = True
+    if pure:
         raise ValueError("Gram certification applies to mixed-only polynomials")
     monomials, H = gram_matrix(g)
     status, data = _psd_decompose(monomials, H)
-    n = g.nvars
     if status == "psd":
-        squares = []
-        recon = CPolynomial.zero(n)
-        for d, u in data:
-            f_terms = {(monomials[j], (0,) * n): c for j, c in u.items() if not c.is_zero()}
-            f = CPolynomial(n, f_terms)
-            squares.append((d, f))
-            recon = recon + (f * f.conjugate()).scale(GaussianRational(d))
-        if recon.terms != g.terms:
+        n = g.nvars
+        zero = (0,) * n
+        squares = tuple(
+            (d, CPolynomial(n, {(monomials[j], zero): c for j, c in u.items()}))
+            for d, u in data
+        )
+        if weighted_square_terms(squares) != terms:
             raise SolveGraphError("sum-of-squares reconstruction mismatch")
-        return PSCertificate("certified", "gram", squares=tuple(squares))
+        return PSCertificate("certified", "gram", squares=squares)
     direction = tuple(
         sorted(
             ((monomials[j], c) for j, c in data.items() if not c.is_zero()),
@@ -334,11 +352,13 @@ def torus_positive(p: CPolynomial) -> bool:
     off gram_certificate(p): p is a sum of w_k |f_k|^2 with every w_k > 0,
     so p >= 0 everywhere, and when one f_k is a single term c z^m its square
     |c|^2 |z^m|^2 is > 0 wherever no coordinate is zero.  False when p is
-    not real-valued and mixed-only, when it is not certified, or when no
-    square is a single term; False proves nothing."""
-    if not p.is_real_valued() or not p.pure_mixed_split()[0].is_zero():
+    not real-valued and mixed-only (gram_certificate's ValueError), when it
+    is not certified, or when no square is a single term; False proves
+    nothing."""
+    try:
+        cert = gram_certificate(p)
+    except ValueError:
         return False
-    cert = gram_certificate(p)
     return cert.verdict == "certified" and any(len(f.terms) == 1 for _w, f in cert.squares)
 
 
@@ -512,19 +532,28 @@ def germ_ps_check(
     bounds: SearchBudget,
 ) -> StabilizationReport:
     """Run the truncate / decompose / solve / restrict pipeline for each jet
-    order and combine the positivity verdicts."""
+    order and combine the positivity verdicts.
+
+    The k-jet of r in the linear frame is read as an exact polynomial in its
+    own right, without the jet marker, so that violations of order between
+    k and 2k stay decidable.  It is split into (h, g) once, not once per k:
+    truncation commutes with the pure/mixed split and with taking the
+    holomorphic part, since all three keep or drop each term by its key
+    alone (by degree, by whether it is pure, by whether its antiholomorphic
+    exponent is zero).  So the h and g of the k-jet are exactly the terms of
+    degree <= k of the h and g of the whole, and the checks of
+    decompose_pure_mixed on the whole (conjugate-paired pure terms, a linear
+    term in h) hold for every jet of order >= 1 with it.
+    """
     if not (2 <= k_min <= k_max):
         raise ValueError("need 2 <= k_min <= k_max")
     normalized = r.r.substitute(_linear_images(r), r.nvars)
+    h, g = decompose_pure_mixed(CPolynomial(normalized.nvars, normalized.terms))
     entries = []
     for k in range(k_min, k_max + 1):
-        # The k-jet is an exact polynomial in its own right; drop the jet
-        # marker so that violations of order between k and 2k stay decidable.
-        jk = CPolynomial(normalized.nvars, normalized.truncate(k).terms)
-        h, gk = decompose_pure_mixed(jk)
         work = 2 * k
-        phi = solve_graph(h, work)
-        gres = restrict(gk, phi, work)
+        phi = solve_graph(h.select(lambda key: key_degree(key) <= k), work)
+        gres = restrict(g.select(lambda key: key_degree(key) <= k), phi, work)
         gram = gram_certificate(gres)
         cert = gram if gram.verdict == "certified" else ps_search(gres, bounds, gram)
         entries.append(StabilizationEntry(k, gres, cert))

@@ -16,6 +16,7 @@ import json
 import random
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .algebra import CPolynomial, GaussianRational, Order
 from .curve import CurveJet, contact_order, laplacian_power, pullback
@@ -361,8 +362,11 @@ def _cmd_fdb_verify(source, options):
                               random_trials=1, seed=rng.randrange(1 << 30))
         z = next(iter(random_curves(nvars, budget)))
         # (d/dt d/dtbar)^kk at 0 reads only the t^kk tbar^kk coefficient,
-        # so one pullback truncated at degree 2k serves every kk <= k.
-        u = pullback(g, z).truncate(2 * k)
+        # so one pullback truncated at degree 2k serves every kk <= k.  The
+        # components of z vanish at 0, so a term of g of degree D pulls back
+        # to order at least D: only the terms of degree <= 2k reach those
+        # coefficients, and only they are pulled back.
+        u = pullback(g.truncate(2 * k), z).truncate(2 * k)
         for kk in range(1, k + 1):
             lhs = laplacian_power_forms(g, z, kk)
             rhs = laplacian_power(u, kk)
@@ -472,7 +476,61 @@ def build_report(command: str, source: str, options: dict) -> tuple[dict, int]:
 
 
 def machine_json(machine: dict) -> str:
-    return json.dumps(machine, sort_keys=True, indent=2) + "\n"
+    """json.dumps(machine, sort_keys=True, indent=2) plus a newline, written
+    directly (_write_json) instead of through the stdlib's pure-Python
+    encoder, which that call takes because of the indent."""
+    out: list[str] = []
+    _write_json(machine, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the sorted indent-2 JSON of value to out, where newline is a
+    line break plus the indentation of value's own line.  Strings, ints,
+    bools, None, lists, tuples and dicts with string keys are written here,
+    strings with the stdlib's own ASCII escaper; any other value goes
+    through json.dumps, re-indented (a JSON string holds no raw line break,
+    so every line break of that text starts a line)."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict and all(type(k) is str for k in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            if type(item) is str:
+                out += (sep, encode_basestring_ascii(key), ": ", encode_basestring_ascii(item))
+            else:
+                out += (sep, encode_basestring_ascii(key), ": ")
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def _human_lines(value, indent=0) -> list[str]:

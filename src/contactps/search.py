@@ -168,6 +168,18 @@ _RANDOM_POOL = (ZERO,) * _POOL_ZEROS + tuple(
 _SIGNS = (ONE, -ONE)
 
 
+def draw_below(bits, n: int) -> int:
+    """A number in range(n), n > 0, from bits, the getrandbits of a
+    random.Random, by the rule of its randint, randrange and choice: k =
+    n.bit_length() bits, drawn again until they read less than n.  So it
+    consumes the generator exactly as those calls do."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_draws(nvars: int, budget: SearchBudget):
     """The seeded random curves: (exps, lead, coeffs) per curve, where
     coeffs is one {degree: nonzero coefficient} dict per component, not all
@@ -175,31 +187,22 @@ def random_draws(nvars: int, budget: SearchBudget):
     lead their leading coefficients (ZERO for an empty one).
 
     Every number comes from one generator seeded with budget.seed, by one
-    rule: below(n) draws k = n.bit_length() bits until they read less than
-    n (the rule of random.Random's randint, randrange and choice).  A draw
-    takes its multiplicity in 1..max_multiplicity (drawn again while above
+    rule (draw_below, inlined for the pool indices).  A draw takes its
+    multiplicity in 1..max_multiplicity (drawn again while above
     max_degree) and its degree in mult..max_degree, then one pool index per
     degree and component, component by component.  When no component starts
     at mult, a sign and then a component index force the multiplicity: the
     sign is drawn first, and its key goes last in that component's dict."""
     bits = random.Random(budget.seed).getrandbits
-
-    def below(n):
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return r
-
     pool = _RANDOM_POOL
     npool = len(pool)
     kpool = npool.bit_length()
     max_mult, max_deg = budget.max_multiplicity, budget.max_degree
     for _ in range(budget.random_trials):
-        mult = 1 + below(max_mult)
+        mult = 1 + draw_below(bits, max_mult)
         while mult > max_deg:
-            mult = 1 + below(max_mult)
-        deg = mult + below(max_deg - mult + 1)
+            mult = 1 + draw_below(bits, max_mult)
+        deg = mult + draw_below(bits, max_deg - mult + 1)
         coeffs, exps, lead = [], [0] * nvars, [ZERO] * nvars
         for i in range(nvars):
             comp = {}
@@ -214,8 +217,8 @@ def random_draws(nvars: int, budget: SearchBudget):
                     comp[d] = c
             coeffs.append(comp)
         if mult not in exps:
-            sign = _SIGNS[below(2)]
-            i = below(nvars)
+            sign = _SIGNS[draw_below(bits, 2)]
+            i = draw_below(bits, nvars)
             coeffs[i][mult] = sign
             exps[i], lead[i] = mult, sign
         yield tuple(exps), lead, coeffs

@@ -871,15 +871,11 @@ def infer_type(r: DefiningFunction | None, evidence: Evidence) -> TypeReport:
     # that first so contradictions with exhibited curves are surfaced.
     forced: TypeClaim | None = None
     forced_rule = None
-    if reg is not None and reg.kind == "exact" and reg.value in (2, 3):
-        forced = TypeClaim("exact", Fraction(reg.value), reg.witness,
-                           transcript=(f"regular type {reg.value} forces equal "
-                                       "singular type",))
-        forced_rule = (f"rule (ii): regular type {reg.value} implies singular "
-                       f"type {reg.value} (no positivity hypothesis needed)")
-        if reg.value == 3:
-            notes.append("the regular-type-3 implication is asserted in the "
-                         "literature without a written proof; flagged here")
+    if reg is not None and reg.kind == "exact" and reg.value == 2:
+        forced = TypeClaim("exact", Fraction(2), reg.witness,
+                           transcript=("regular type 2 forces equal singular type",))
+        forced_rule = ("rule (ii): regular type 2 implies singular type 2 "
+                       "(no positivity hypothesis needed)")
     elif reg is not None and reg.kind == "exact" and reg.value == 4:
         how = _ps_proof(r, evidence)
         if how is not None:

@@ -6,7 +6,15 @@ from operator import add
 
 import pytest
 
-from contactps.algebra import ONE, ZERO, CPolynomial, GaussianRational, _substitution_limit
+from contactps import germ
+from contactps.algebra import (
+    ONE,
+    ZERO,
+    CPolynomial,
+    GaussianRational,
+    _substitution_limit,
+    key_conjugate,
+)
 from contactps.search import _RANDOM_POOL
 
 
@@ -245,6 +253,90 @@ def random_draws_reference(nvars, budget):
             continue
         produced += 1
         yield coeffs
+
+
+def gram_certificate_reference(g):
+    """The germ.gram_certificate that decided real-valued and mixed-only by
+    is_real_valued and pure_mixed_split, and checked the certificate by
+    summing d * f * conj(f) over its squares as polynomials."""
+    if not g.is_real_valued():
+        raise germ.NotRealError("Gram certification needs a real-valued polynomial")
+    if not g.pure_mixed_split()[0].is_zero():
+        raise ValueError("Gram certification applies to mixed-only polynomials")
+    monomials, H = germ.gram_matrix(g)
+    status, data = germ._psd_decompose(monomials, H)
+    n = g.nvars
+    if status == "psd":
+        squares = []
+        recon = CPolynomial.zero(n)
+        for d, u in data:
+            f_terms = {(monomials[j], (0,) * n): c for j, c in u.items() if not c.is_zero()}
+            f = CPolynomial(n, f_terms)
+            squares.append((d, f))
+            recon = recon + (f * f.conjugate()).scale(GaussianRational(d))
+        if recon.terms != g.terms:
+            raise germ.SolveGraphError("sum-of-squares reconstruction mismatch")
+        return germ.PSCertificate("certified", "gram", squares=tuple(squares))
+    direction = tuple(
+        sorted(
+            ((monomials[j], c) for j, c in data.items() if not c.is_zero()),
+            key=lambda kv: (sum(kv[0]), kv[0]),
+        )
+    )
+    return germ.PSCertificate("inconclusive", "gram", indefinite_direction=direction)
+
+
+def germ_ps_check_reference(r, k_min, k_max, bounds):
+    """The germ.germ_ps_check that truncated the linear frame of r to each
+    order k, read the jet as an exact polynomial and split it into (h, g)
+    anew for every k."""
+    if not (2 <= k_min <= k_max):
+        raise ValueError("need 2 <= k_min <= k_max")
+    normalized = r.r.substitute(germ._linear_images(r), r.nvars)
+    entries = []
+    for k in range(k_min, k_max + 1):
+        jk = CPolynomial(normalized.nvars, normalized.truncate(k).terms)
+        h, gk = germ.decompose_pure_mixed(jk)
+        work = 2 * k
+        phi = germ.solve_graph(h, work)
+        gres = germ.restrict(gk, phi, work)
+        gram = germ.gram_certificate(gres)
+        cert = gram if gram.verdict == "certified" else germ.ps_search(gres, bounds, gram)
+        entries.append(germ.StabilizationEntry(k, gres, cert))
+    k0 = None
+    for entry in reversed(entries):
+        if entry.certificate.is_violation:
+            break
+        k0 = entry.k
+    return germ.StabilizationReport(k_min, k_max, tuple(entries), k0, bounds)
+
+
+_RANDOM_VALUES = tuple(
+    Fraction(v) for v in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3)
+)
+
+
+def random_real_polynomial_reference(rng, nvars, max_degree, nterms=4):
+    """The fdb.random_real_polynomial that drew its numbers through
+    random.Random's randint and choice, which fdb.random_real_polynomial
+    replaced by search.draw_below on getrandbits."""
+    terms = {}
+    for _ in range(nterms):
+        while True:
+            holo = tuple(rng.randint(0, max_degree) for _ in range(nvars))
+            anti = tuple(rng.randint(0, max_degree) for _ in range(nvars))
+            if 0 < sum(holo) + sum(anti) <= max_degree:
+                break
+        c = GaussianRational(rng.choice(_RANDOM_VALUES),
+                             rng.choice(_RANDOM_VALUES + (Fraction(0),)))
+        key = (holo, anti)
+        terms[key] = terms.get(key, ZERO) + c
+        ckey = key_conjugate(key)
+        terms[ckey] = terms.get(ckey, ZERO) + c.conjugate()
+    p = CPolynomial(nvars, terms)
+    return p if not p.is_zero() else CPolynomial.monomial(
+        nvars, (1,) + (0,) * (nvars - 1), (1,) + (0,) * (nvars - 1)
+    )
 
 
 @pytest.fixture

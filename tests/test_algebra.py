@@ -22,6 +22,7 @@ from contactps.algebra import (
     slice_positive_at,
     slice_torus_positive,
     slice_vanishes,
+    weighted_square_terms,
 )
 from contactps.search import _RANDOM_POOL, SEED_COEFFS, grid_coefficients
 
@@ -412,6 +413,8 @@ def test_results_hold_the_constructor_invariant(data, nvars, nvars_out):
         p + q, p - q, p - p, p * q, (p + q) * (p - q), p ** (k % 4), -p,
         p.scale(c), p.scale(ZERO), p.conjugate(), p.truncate(k),
         p.homogeneous_slice(k), p.wirtinger(k % nvars, anti=bool(k % 2)),
+        *p.pure_mixed_split(), p.holomorphic_part(), CPolynomial.constant(nvars, c),
+        p.select(lambda key: sum(key[0]) >= sum(key[1])),
     ]
     try:
         results.append(p.substitute(data.draw(image_lists(nvars, nvars_out)), nvars_out))
@@ -419,6 +422,64 @@ def test_results_hold_the_constructor_invariant(data, nvars, nvars_out):
         pass
     for r in results:
         assert r == CPolynomial(r.nvars, dict(r.terms), r.truncation)
+
+
+def _power_reference(p, k):
+    """CPolynomial.__pow__ as it was: repeated squaring, starting from the
+    constant 1 built by the validating constructor."""
+    zero = (0,) * p.nvars
+    out = CPolynomial(p.nvars, {(zero, zero): ONE}, p.truncation)
+    base = p
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3), k=st.integers(0, 6))
+def test_power_keeps_the_terms_and_their_order(data, nvars, k):
+    """p ** k, a term move for a single term and repeated squaring from p
+    itself otherwise, gives the terms, in their order, and the truncation
+    of squaring from a validated 1."""
+    p = data.draw(st.one_of(polys(nvars), single_term_images(nvars)))
+    got, expected = p ** k, _power_reference(p, k)
+    assert got == expected
+    assert list(got.terms.items()) == list(expected.terms.items())
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_weighted_square_terms_matches_the_polynomial_sum(data, nvars):
+    """The raw-sum reconstruction gives the terms of the sum of
+    w * f * conj(f) formed as polynomials, cancelling keys dropped, for
+    any exact f and any rational weight, negative and zero included."""
+    weights = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+    squares = data.draw(st.lists(st.tuples(weights, polys(nvars)), max_size=4))
+    squares = [(w, CPolynomial(nvars, f.terms)) for w, f in squares]
+    expected = CPolynomial.zero(nvars)
+    for w, f in squares:
+        expected = expected + (f * f.conjugate()).scale(GaussianRational(w))
+    assert weighted_square_terms(squares) == expected.terms
+
+
+def test_select_keeps_the_truncation_and_the_term_order():
+    p = CPolynomial(2, {((1, 0), (0, 0)): ONE, ((0, 1), (1, 0)): gr(2),
+                        ((2, 0), (0, 0)): gr(3)}, 3)
+    low = p.select(lambda key: sum(key[0]) + sum(key[1]) <= 2)
+    assert low.truncation == 3
+    assert list(low.terms) == [((1, 0), (0, 0)), ((0, 1), (1, 0)), ((2, 0), (0, 0))]
+    assert list(p.select(lambda key: key != ((0, 1), (1, 0))).terms) == [
+        ((1, 0), (0, 0)), ((2, 0), (0, 0))]
+
+
+def test_constant_of_zero_is_the_zero_polynomial():
+    assert CPolynomial.constant(2, ZERO) == CPolynomial.zero(2)
+    with pytest.raises(ValueError):
+        CPolynomial.constant(0, ONE)
 
 
 # ---------------------------------------------------------------------------

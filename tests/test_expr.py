@@ -57,6 +57,56 @@ def test_syntax_errors_carry_position():
         parse_expression("z1 @ z2", 2)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("z1 @ z2", "unexpected character '@' (at position 3)"),
+    ("  z1\t+\n$", "unexpected character '$' (at position 7)"),
+    ("1 / 2 / 3", "unexpected character '/' (at position 6)"),
+    ("z1^1/2", "exponent must be a non-negative integer (at position 3)"),
+    ("3 /0 * z1", "zero denominator in '3/0' (at position 0)"),
+    ("z1 z2", "trailing input (at position 3)"),
+    ("(z1 + z2", "unexpected end of input"),
+    ("abs2(z1,)", "expected ')', found ',' (at position 7)"),
+    ("z1 + )", "unexpected token ')' (at position 5)"),
+    ("  w1", "unknown identifier 'w1' (at position 2)"),
+    ("z1 * z3", "variable z3 out of range for n=2 (at position 5)"),
+    ("", "unexpected end of input"),
+])
+def test_tokenizer_errors_keep_their_positions(text, message):
+    """Positions count characters of the input, whitespace included."""
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expression(text, 2)
+    assert str(exc.value) == message
+
+
+def test_rational_literal_may_hold_whitespace():
+    assert parse_expression("3 / 4*z1", 1) == parse_expression("3/4*z1", 1)
+    assert parse_expression("3\t/4*z1", 1) == parse_expression("3/4*z1", 1)
+
+
+def test_constant_factors_scale_in_term_order():
+    """A constant factor on either side scales the other factor: the terms
+    and their order are those of the product."""
+    for text in ("2*abs2(z1 + z2^2)", "abs2(z1 + z2^2)*(1/2)", "i*(z1 - z2)*3",
+                 "0*z1", "z1*0", "(2*3)*conj(z2)"):
+        p = parse_expression(text, 2)
+        factors = [parse_expression(f, 2) for f in _split_product(text)]
+        product = factors[0]
+        for f in factors[1:]:
+            product = product * f
+        assert p == product and list(p.terms.items()) == list(product.terms.items())
+
+
+def _split_product(text):
+    """The top-level factors of a product, split at the '*' outside parentheses."""
+    depth, start, out = 0, 0, []
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "*" and depth == 0:
+            out.append(text[start:i])
+            start = i + 1
+    return out + [text[start:]]
+
+
 def test_curve_parsing():
     z = parse_curve("(t^3, t^2, 0)")
     assert z.nvars == 3

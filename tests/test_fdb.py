@@ -22,7 +22,7 @@ from contactps.fdb import (
 )
 from contactps.search import SearchBudget, random_curves
 
-from conftest import gr
+from conftest import gr, random_real_polynomial_reference
 
 
 class TestPartitionCombinatorics:
@@ -100,6 +100,20 @@ class TestOracleEquivalence:
         for kk in range(1, k + 1):
             assert laplacian_power(u.truncate(2 * k), kk) == laplacian_power(u, kk)
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 1 << 30), nvars=st.integers(1, 2), k=st.integers(1, 4))
+    def test_pullback_of_the_2k_jet_gives_every_lower_power(self, seed, nvars, k):
+        """fdb-verify pulls back only the terms of g of degree <= 2k: the
+        operator reads the same value for every kk <= k as off the full
+        pullback."""
+        rng = random.Random(seed)
+        g = random_real_polynomial(rng, nvars, 6)
+        z = next(iter(random_curves(nvars, SearchBudget(max_degree=4, random_trials=1,
+                                                        seed=rng.randrange(1 << 30)))))
+        u = pullback(g.truncate(2 * k), z).truncate(2 * k)
+        for kk in range(1, k + 1):
+            assert laplacian_power(u, kk) == laplacian_power(pullback(g, z), kk)
+
     def test_grouped_against_enumerated(self, rng):
         for _ in range(10):
             g = random_real_polynomial(rng, 2, 5)
@@ -136,3 +150,30 @@ class TestFilteredExpansion:
         g = parse_expression("abs2(z1)^2", 2)
         with pytest.raises(MultiplicityMismatchError):
             filtered_expansion(g, parse_curve("(t^2, 0)"), m=3)
+
+
+def test_expansion_table_is_formed_once_per_order():
+    table = expansion_table(4)
+    assert isinstance(table, tuple) and expansion_table(4) is table
+    assert sum(t.count for t in table) == sum(1 for _ in set_partitions(tuple(range(4)))) ** 2
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 1 << 32), nvars=st.integers(1, 3), max_degree=st.integers(1, 7),
+       nterms=st.integers(0, 6), draws=st.integers(1, 5))
+def test_random_real_polynomial_keeps_the_stream(seed, nvars, max_degree, nterms, draws):
+    """Drawn straight from getrandbits, random_real_polynomial gives the
+    polynomials, in their term order, of drawing through randint and
+    choice, and leaves the generator in the same state."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        got = random_real_polynomial(rng, nvars, max_degree, nterms)
+        expected = random_real_polynomial_reference(ref, nvars, max_degree, nterms)
+        assert got == expected
+        assert list(got.terms.items()) == list(expected.terms.items())
+    assert rng.getstate() == ref.getstate()
+
+
+def test_random_real_polynomial_rejects_an_empty_degree_range():
+    with pytest.raises(ValueError):
+        random_real_polynomial(random.Random(0), 2, 0)

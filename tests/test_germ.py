@@ -28,7 +28,7 @@ from contactps.germ import (
 )
 from contactps.search import SearchBudget, canonicalize_curve, monomial_choices
 
-from conftest import gr
+from conftest import germ_ps_check_reference, gr, gram_certificate_reference
 
 
 def _germ(text, n=3):
@@ -201,6 +201,113 @@ class TestGramCertificate:
     def test_rejects_pure_terms(self):
         with pytest.raises(ValueError):
             gram_certificate(parse_expression("z1^2 + conj(z1)^2", 1))
+
+
+def _certificate_fields(cert):
+    """What a certificate holds, with the term order of every square."""
+    return (cert, [(d, f.truncation, list(f.terms.items())) for d, f in cert.squares])
+
+
+def _gram_outcome(certify, g):
+    try:
+        return _certificate_fields(certify(g))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_PAIR_EXPONENTS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def _gram_inputs(draw):
+    """A polynomial in 1-3 variables for gram_certificate: a sum of w *
+    |f|^2 over holomorphic f with weights w > 0 (certified), or with a
+    negative weight or extra conjugate-paired mixed terms (often
+    indefinite), or no square (zero); exact or a jet; and now and then
+    with a pure pair, or one term without its conjugate (errors)."""
+    n = draw(st.integers(1, 3))
+    zero = (0,) * n
+    g = CPolynomial.zero(n)
+    for _ in range(draw(st.integers(0, 3))):
+        f = CPolynomial(n, {(draw(_PAIR_EXPONENTS)[:n], zero): draw(st.sampled_from(_COEFFS))
+                            for _ in range(draw(st.integers(1, 3)))})
+        w = draw(st.sampled_from([gr(1), gr(2), gr(Fraction(1, 3)), gr(-1)]))
+        g = g + (f * f.conjugate()).scale(w)
+    terms = dict(g.terms)
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(_PAIR_EXPONENTS)[:n], draw(_PAIR_EXPONENTS)[:n]
+        if any(a) and any(b) and a != b:
+            c = draw(st.sampled_from(_COEFFS))
+            terms[(a, b)], terms[(b, a)] = c, c.conjugate()
+    flaw = draw(st.sampled_from([None] * 6 + ["pure", "unpaired"]))
+    a = draw(_PAIR_EXPONENTS)[:n]
+    if flaw == "pure":
+        terms[(a, zero)], terms[(zero, a)] = gr(1, 1), gr(1, -1)
+    elif flaw == "unpaired":
+        terms[(a, draw(_PAIR_EXPONENTS)[:n])] = gr(0, 1)
+    return CPolynomial(n, terms, draw(st.sampled_from([None, 2, 4, 6])))
+
+
+def test_gram_certificate_matches_the_reference():
+    """The one-pass check and the raw-sum reconstruction give what the
+    reference gives: the verdict, the squares in their term order and the
+    indefinite direction, or the same error, with NotRealError before the
+    mixed-only error; the sample reaches every outcome on exact and jet
+    inputs."""
+    reached = set()
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(g=_gram_inputs())
+    def check(g):
+        got = _gram_outcome(gram_certificate, g)
+        assert got == _gram_outcome(gram_certificate_reference, g)
+        kind = got[0].verdict if isinstance(got[0], germ.PSCertificate) else got[0].__name__
+        reached.add((kind, g.is_zero(), g.truncation is None))
+
+    check()
+    assert {kind for kind, _z, _e in reached} == {
+        "certified", "inconclusive", "NotRealError", "ValueError"}
+    assert {("certified", True, True), ("certified", True, False),
+            ("inconclusive", False, True), ("inconclusive", False, False),
+            ("certified", False, True), ("certified", False, False)} <= reached
+
+
+@pytest.mark.parametrize("text, n, error", [
+    ("z1*conj(z2)", 2, NotRealError),
+    ("i*abs2(z1)", 1, NotRealError),
+    ("z1^2 + conj(z1)^2", 1, ValueError),
+    ("1 + abs2(z1)", 1, ValueError),
+    # a real pure pair comes first, a non-real mixed term later
+    ("z1 + conj(z1) + i*abs2(z2)", 2, NotRealError),
+    ("z1 + abs2(z1)", 1, NotRealError),
+])
+def test_gram_certificate_errors_match_the_reference(text, n, error):
+    g = parse_expression(text, n)
+    with pytest.raises(error) as exc:
+        gram_certificate(g)
+    assert type(exc.value) is error
+    assert _gram_outcome(gram_certificate, g) == _gram_outcome(gram_certificate_reference, g)
+
+
+@pytest.mark.parametrize("corrupt", ["weight", "coefficient"])
+def test_corrupted_square_fails_the_reconstruction(monkeypatch, corrupt):
+    """A square that does not sum back to g is refused: the reconstruction
+    check raises SolveGraphError."""
+    decompose = germ._psd_decompose
+
+    def corrupted(monomials, H):
+        status, data = decompose(monomials, H)
+        (d, u), *rest = data
+        if corrupt == "weight":
+            return status, [(2 * d, u), *rest]
+        j = next(iter(u))
+        return status, [(d, {**u, j: u[j] + gr(1)}), *rest]
+
+    g = parse_expression("abs2(z1 + z2^2) + abs2(z2)^2", 2)
+    assert gram_certificate(g).verdict == "certified"
+    monkeypatch.setattr(germ, "_psd_decompose", corrupted)
+    with pytest.raises(germ.SolveGraphError, match="reconstruction mismatch"):
+        gram_certificate(g)
 
 
 class TestPSSearch:
@@ -400,3 +507,37 @@ def test_germ_ps_reads_few_balanced_coefficients(monkeypatch, name, k_max, reads
     r = validate(parse_problem((_CORPUS_DIR / f"{name}.txt").read_text()).entry)
     germ_ps_check(r, 2, k_max, SearchBudget(max_degree=4, random_trials=10))
     assert len(calls) == reads
+
+
+def _stabilization_fields(rep):
+    """What a stabilization report holds, with the term order of every
+    restricted jet and of every square."""
+    return (rep, [(e.k, e.restricted.truncation, list(e.restricted.terms.items()),
+                   _certificate_fields(e.certificate)) for e in rep.entries])
+
+
+def test_germ_ps_check_matches_the_per_jet_split():
+    """Splitting r once and filtering each jet by degree gives what the
+    reference gives by truncating and splitting anew for every k: the same
+    restricted jets in the same term order, certificates and k0.  On the
+    germ-ps ranges of the certify workload (max degree 4, 10 trials) and
+    of report_all (k = 2..deg r, max degree 4, 50 trials), and on random
+    germs."""
+    budgets = [SearchBudget(max_degree=4, random_trials=10, seed=3),
+               SearchBudget(max_degree=4, random_trials=50, seed=5)]
+    for name, k_max in sorted(_GERM_PS_RANGES.items()):
+        r = validate(parse_problem((_CORPUS_DIR / f"{name}.txt").read_text()).entry)
+        for budget in budgets:
+            assert _stabilization_fields(germ_ps_check(r, 2, k_max, budget)) == \
+                _stabilization_fields(germ_ps_check_reference(r, 2, k_max, budget))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(germ=_germs(), k_min=st.integers(2, 3), width=st.integers(0, 3))
+    def random_germs(germ, k_min, width):
+        r, _K = germ
+        budget = SearchBudget(max_degree=3, random_trials=5)
+        k_max = k_min + width
+        assert _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)) == \
+            _stabilization_fields(germ_ps_check_reference(r, k_min, k_max, budget))
+
+    random_germs()

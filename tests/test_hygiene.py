@@ -15,11 +15,12 @@ than an external linter.
   exception, because the invariants it checks are statements about those
   fields.
 - No file but `algebra.py` names `_from_terms`, `_mul_terms`,
-  `_term_move`, `_multi_products` or `_add_raw`: the unchecked
-  constructor, the term-product loop, and the single-term map, the
-  multi-term products and the accumulator of unreduced sums on raw scalar
-  fields that `substitute` runs serve only the polynomial type's own
-  arithmetic, whose results hold the invariant they rely on.
+  `_term_move`, `_multi_products`, `_add_raw` or `_add_weighted_square`:
+  the unchecked constructor, the term-product loop, and the single-term
+  map, the multi-term products and the accumulators of unreduced sums on
+  raw scalar fields that `substitute` and `weighted_square_terms` run serve
+  only the polynomial type's own arithmetic, whose results hold the
+  invariant they rely on.
 - Every `hypothesis` `settings(...)` under `tests/` passes
   `derandomize=True` and `database=None`, and every `@given` test carries
   one, so the suite draws the same examples on every run.
@@ -154,7 +155,8 @@ def test_scalar_fields_stay_private_to_algebra():
     assert found == {}
 
 
-ALGEBRA_INTERNALS = {"_from_terms", "_mul_terms", "_term_move", "_multi_products", "_add_raw"}
+ALGEBRA_INTERNALS = {"_from_terms", "_mul_terms", "_term_move", "_multi_products", "_add_raw",
+                     "_add_weighted_square"}
 
 
 def _algebra_internal_names(tree: ast.Module) -> list[str]:

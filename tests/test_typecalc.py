@@ -519,6 +519,14 @@ class TestInferType:
         assert rep.sing_type.kind == "exact" and rep.sing_type.value == 2
         assert any("rule (ii)" in step for step in rep.trail)
 
+    def test_rule_ii_forces_only_type_two(self):
+        """No route claims an odd exact regular type, and rule (ii) forces
+        the singular type only at 2: an exact 3 stays a lower bound."""
+        rep = infer_type(None, Evidence(reg=TypeClaim("exact", 3)))
+        assert (rep.sing_type.kind, rep.sing_type.value) == ("at_least", 3)
+        assert not any("rule (ii)" in step for step in rep.trail)
+        assert rep.notes == ()
+
     def test_rule_iii_multiplicity_reduction(self):
         r, ev = self._evidence_for("2*Re(z3) + abs2(z1)^2 + abs2(z2)^2")
         rep = infer_type(r, ev)
