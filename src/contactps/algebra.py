@@ -339,13 +339,19 @@ class CPolynomial:
 
     @staticmethod
     def variable(nvars: int, index: int, anti: bool = False) -> "CPolynomial":
-        """The single variable z_index (0-based) or its conjugate."""
+        """The single variable z_index (0-based) or its conjugate: one shared
+        polynomial per (nvars, index, anti), formed on first request (values
+        are immutable)."""
+        found = _VARIABLES.get((nvars, index, bool(anti)))
+        if found is not None:
+            return found
         if not 0 <= index < nvars:
             raise DimensionError(f"variable index {index} out of range for nvars={nvars}")
         exp = [0] * nvars
         exp[index] = 1
         key = ((0,) * nvars, tuple(exp)) if anti else (tuple(exp), (0,) * nvars)
-        return _from_terms(nvars, {key: ONE}, None)
+        found = _VARIABLES[(nvars, index, bool(anti))] = _from_terms(nvars, {key: ONE}, None)
+        return found
 
     @staticmethod
     def monomial(
@@ -837,6 +843,7 @@ def _lead_power(p: int, q: int, d: int, e: int, f: int) -> tuple[int, int, int]:
     return x, y, d ** (e + f)
 
 
+_VARIABLES: dict[tuple[int, int, bool], CPolynomial] = {}
 _set_nvars = CPolynomial.nvars.__set__
 _set_terms = CPolynomial.terms.__set__
 _set_truncation = CPolynomial.truncation.__set__

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 
 from .algebra import CPolynomial, GaussianRational, ZERO, key_conjugate
@@ -36,15 +36,20 @@ class MultilinearForm:
     nvars: int
     entries: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], GaussianRational], ...]
 
+    @cached_property
+    def table(self) -> dict:
+        """entries as a dict, built on first read."""
+        return dict(self.entries)
+
     def value(self, holo_idx, anti_idx) -> GaussianRational:
         key = (tuple(sorted(holo_idx)), tuple(sorted(anti_idx)))
-        return dict(self.entries).get(key, ZERO)
+        return self.table.get(key, ZERO)
 
     def apply(self, holo_vectors, anti_vectors) -> GaussianRational:
         """Evaluate on vectors: anti slots receive the conjugates internally."""
         if len(holo_vectors) != self.a or len(anti_vectors) != self.b:
             raise ValueError("slot count mismatch")
-        table = dict(self.entries)
+        table = self.table
         total = ZERO
         for hidx in itertools.product(range(self.nvars), repeat=self.a):
             for aidx in itertools.product(range(self.nvars), repeat=self.b):
@@ -176,12 +181,18 @@ def _check_jets(g: CPolynomial, z: CurveJet, k: int):
         raise InsufficientJetError(f"curve jet order {z.truncation} < {2 * k}")
 
 
-def laplacian_power_forms(g: CPolynomial, z: CurveJet, k: int) -> GaussianRational:
+def laplacian_power_forms(g: CPolynomial, z: CurveJet, k: int,
+                          forms: dict | None = None) -> GaussianRational:
     """The k-th Laplacian power of the pullback at 0, via the partition
     expansion over derivative forms.  Agrees exactly with applying the
-    operator to the pullback directly."""
+    operator to the pullback directly.
+
+    forms is derive_forms(g, 2k), or derive_forms(g, M) for any M >= 2k: a
+    form of type (a, b) does not depend on M, and this order reads only
+    types with a, b <= k.  It is derived here when not given."""
     _check_jets(g, z, k)
-    forms = derive_forms(g, 2 * k)
+    if forms is None:
+        forms = derive_forms(g, 2 * k)
     dvec = {j: z.derivative_vector(j) for j in range(1, k + 1)}
     total = ZERO
     for term in expansion_table(k):

@@ -1,21 +1,24 @@
 """Hypersurface germ representation and positivity certification.
 
 Every command reads a germ in one graph frame, built by one pipeline: a
-linear change makes the linear part of r exactly 2Re(z_n), solve_graph
-solves h = 0 for z_n, where h is the holomorphic half of r, and r is
-restricted to that graph, where 2Re(h) vanishes and the mixed part g is left.
-normalize_to_graph does this once through a degree bound; germ_ps_check
-splits r into (h, g) once and solves and restricts for each jet order, whose
-h and g are the degree filters of that split.  Positivity of g is then
-certified structurally (an exact Hermitian sum-of-squares decomposition,
-checked by summing its squares back to g in raw integer arithmetic) or
-refuted by a bounded curve search.
+linear change makes the linear part of r exactly 2Re(z_n) (_linear_frame,
+which returns r itself when its linear part is 2Re(z_n) already),
+solve_graph solves h = 0 for z_n, where h is the holomorphic half of r, and
+r is restricted to that graph, where 2Re(h) vanishes and the mixed part g is
+left.  normalize_to_graph does this once through a degree bound, and leaves
+the lift back to the original variables to be formed on first read;
+germ_ps_check splits r into (h, g) once and, for each jet order, solves,
+restricts and certifies only where the order's jets change what the
+previous order formed.  Positivity of g is then certified structurally (an
+exact Hermitian sum-of-squares decomposition, checked by summing its squares
+back to g in raw integer arithmetic) or refuted by a bounded curve search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .algebra import (
@@ -107,7 +110,10 @@ def solve_graph(h: CPolynomial, order: int) -> CPolynomial:
     Write h = c*z_n + rest (h less its z_n term).  When rest is free of z_n
     and has degree at most order, phi = -rest/c is the exact graph.
     Otherwise phi is found by iterated jet refinement; each pass fixes one
-    more degree.  The postcondition is machine-checked on every call.
+    more degree.  The postcondition is machine-checked on every call:
+    h(zeta, phi) vanishes through degree order, and when phi is exact (the
+    exact graph) it has no term at all, so that phi solves h = 0 at every
+    order and germ_ps_check may keep it for the next one.
     """
     n = h.nvars
     if n < 2:
@@ -129,18 +135,20 @@ def solve_graph(h: CPolynomial, order: int) -> CPolynomial:
             composed = rest.substitute(zeta + [phi], n - 1)
             phi = (-composed.scale(inv_c)).truncate(order)
     check = h.substitute(zeta + [phi], n - 1)
-    if not check.truncate(order).is_zero():
+    if not (check if phi.truncation is None else check.truncate(order)).is_zero():
         raise SolveGraphError("graph series does not annihilate h to the required order")
     return phi
 
 
-def restrict(g: CPolynomial, phi: CPolynomial, order: int) -> CPolynomial:
-    """Substitute the last variable by phi (and its conjugate) and truncate."""
+def restrict(g: CPolynomial, phi: CPolynomial, order: int | None = None) -> CPolynomial:
+    """Substitute the last variable by phi (and its conjugate), truncated at
+    order when one is given."""
     n = g.nvars
     if phi.nvars != n - 1:
         raise ValueError("graph series has wrong variable count")
     zeta = [CPolynomial.variable(n - 1, j) for j in range(n - 1)]
-    return g.substitute(zeta + [phi], n - 1).truncate(order)
+    out = g.substitute(zeta + [phi], n - 1)
+    return out if order is None else out.truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +160,22 @@ class GraphForm:
     """A germ in the graph frame r = 2Re(w) + g(zeta) + O(w).
 
     g is r restricted to the complex graph h = 0 of its holomorphic half, so
-    it is mixed-only through degree pure_order_bound.  lift gives the
-    original variables as polynomials in zeta along w = 0, so curves found
-    in the graph frame map back exactly.
+    it is mixed-only through degree pure_order_bound.  images gives the
+    original variables in the linear frame, and graph the variables of that
+    frame along w = 0 as polynomials in zeta.  lift composes the two: it
+    gives the original variables as polynomials in zeta along w = 0, so
+    curves found in the graph frame map back exactly.  Only a sing-search
+    witness reads it, so it is formed on first read.
     """
 
     g: CPolynomial
     pure_order_bound: int
-    lift: tuple[CPolynomial, ...]
+    images: tuple[CPolynomial, ...]
+    graph: tuple[CPolynomial, ...]
+
+    @cached_property
+    def lift(self) -> tuple[CPolynomial, ...]:
+        return tuple(im.substitute(self.graph, self.g.nvars) for im in self.images)
 
     def lift_curve(self, eta: CurveJet) -> CurveJet:
         """Map a curve in the zeta-frame (w = 0) back to original coordinates."""
@@ -188,21 +204,36 @@ def _linear_images(r: DefiningFunction) -> list[CPolynomial]:
     return images
 
 
+def _linear_frame(r: DefiningFunction) -> tuple[CPolynomial, list[CPolynomial]]:
+    """r in the coordinates where its linear part is exactly 2Re(z_n), and
+    the images of the original variables there (_linear_images).
+
+    When the linear part of r is 2Re(z_n) already, the images are the
+    variables themselves and r is returned as it is: substituting the
+    identity moves every term to its own key and multiplies its coefficient
+    by 1, so it gives the same terms in the same order, with the same
+    truncation."""
+    n = r.nvars
+    images = _linear_images(r)
+    if images == [CPolynomial.variable(n, i) for i in range(n)]:
+        return r.r, images
+    return r.r.substitute(images, n), images
+
+
 def normalize_to_graph(r: DefiningFunction, K: int) -> GraphForm:
     """The graph frame of r through degree K.
 
-    The same pipeline as germ_ps_check: a linear change makes the linear part
-    2Re(z_n), solve_graph solves h = 0 for z_n, where h is the holomorphic
-    half of r in the new coordinates, and r is restricted to that graph.
-    There 2Re(h) vanishes, so the restriction is the mixed part g.
+    The same pipeline as germ_ps_check: the linear frame (_linear_frame)
+    makes the linear part 2Re(z_n), solve_graph solves h = 0 for z_n, where
+    h is the holomorphic half of r in the new coordinates, and r is
+    restricted to that graph.  There 2Re(h) vanishes, so the restriction is
+    the mixed part g.
     """
     n = r.nvars
-    images = _linear_images(r)
-    normalized = r.r.substitute(images, n)
+    normalized, images = _linear_frame(r)
     phi = solve_graph(normalized.holomorphic_part(), K)
-    graph = [CPolynomial.variable(n - 1, j) for j in range(n - 1)] + [phi]
-    lift = tuple(im.substitute(graph, n - 1) for im in images)
-    return GraphForm(normalized.substitute(graph, n - 1), K, lift)
+    graph = tuple(CPolynomial.variable(n - 1, j) for j in range(n - 1)) + (phi,)
+    return GraphForm(normalized.substitute(graph, n - 1), K, tuple(images), graph)
 
 
 # ---------------------------------------------------------------------------
@@ -544,17 +575,38 @@ def germ_ps_check(
     degree <= k of the h and g of the whole, and the checks of
     decompose_pure_mixed on the whole (conjugate-paired pure terms, a linear
     term in h) hold for every jet of order >= 1 with it.
+
+    An order forms only what differs from the previous order's work; a
+    jet of h or g is unchanged when it has as many terms as the previous
+    one, since both are degree filters of one split.
+    - phi is kept while h's jet is unchanged and phi is exact: solve_graph
+      then takes its exact branch, whose phi does not depend on the order,
+      and its machine check found h(zeta, phi) to have no term at all.
+    - The untruncated restriction of g's jet to the graph is kept while
+      that jet and phi are unchanged, and truncated at 2k for each order.
+    - The Gram certificate is kept while the restricted terms equal the
+      previous order's: gram_certificate reads the terms alone.  ps_search
+      reads the truncation too, so it runs at every order whose
+      certificate is not certified.
     """
     if not (2 <= k_min <= k_max):
         raise ValueError("need 2 <= k_min <= k_max")
-    normalized = r.r.substitute(_linear_images(r), r.nvars)
+    normalized, _images = _linear_frame(r)
     h, g = decompose_pure_mixed(CPolynomial(normalized.nvars, normalized.terms))
     entries = []
+    hk = gk = phi = full = gres = gram = None
     for k in range(k_min, k_max + 1):
         work = 2 * k
-        phi = solve_graph(h.select(lambda key: key_degree(key) <= k), work)
-        gres = restrict(g.select(lambda key: key_degree(key) <= k), phi, work)
-        gram = gram_certificate(gres)
+        h_next = h.select(lambda key: key_degree(key) <= k)
+        if phi is None or phi.truncation is not None or len(h_next.terms) != len(hk.terms):
+            hk, phi, full = h_next, solve_graph(h_next, work), None
+        g_next = g.select(lambda key: key_degree(key) <= k)
+        if full is None or len(g_next.terms) != len(gk.terms):
+            gk, full = g_next, restrict(g_next, phi)
+        restricted = full.truncate(work)
+        if gres is None or restricted.terms != gres.terms:
+            gram = gram_certificate(restricted)
+        gres = restricted
         cert = gram if gram.verdict == "certified" else ps_search(gres, bounds, gram)
         entries.append(StabilizationEntry(k, gres, cert))
     k0 = None

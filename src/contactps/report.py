@@ -28,6 +28,7 @@ from .expr import (
     parse_problem,
 )
 from .fdb import (
+    derive_forms,
     expansion_table,
     laplacian_power_forms,
     random_real_polynomial,
@@ -128,9 +129,12 @@ def _graph_form(entry: CPolynomial, floor: int) -> GraphForm:
         raise InputError(
             "function must either have a linear part or be mixed-only"
         )
+    # The entry is g itself: the original variables are those of the frame,
+    # with the graph coordinate w = z_(m+1) set to zero.
     m = entry.nvars
-    lift = tuple(CPolynomial.variable(m, i) for i in range(m)) + (CPolynomial.zero(m),)
-    return GraphForm(entry, K, lift)
+    images = tuple(CPolynomial.variable(m + 1, i) for i in range(m + 1))
+    graph = tuple(CPolynomial.variable(m, i) for i in range(m)) + (CPolynomial.zero(m),)
+    return GraphForm(entry, K, images, graph)
 
 
 def _defining_function(entry: CPolynomial) -> DefiningFunction:
@@ -367,8 +371,11 @@ def _cmd_fdb_verify(source, options):
         # to order at least D: only the terms of degree <= 2k reach those
         # coefficients, and only they are pulled back.
         u = pullback(g.truncate(2 * k), z).truncate(2 * k)
+        # The forms of degree <= 2k hold every form that an order kk <= k
+        # reads, so they are derived once per drawn g.
+        forms = derive_forms(g, 2 * k)
         for kk in range(1, k + 1):
-            lhs = laplacian_power_forms(g, z, kk)
+            lhs = laplacian_power_forms(g, z, kk, forms)
             rhs = laplacian_power(u, kk)
             if lhs != rhs:
                 raise ReportMismatchError(

@@ -92,8 +92,10 @@ def grid_coefficients(height: int) -> tuple[GaussianRational, ...]:
     return tuple(out)
 
 
-def exponent_tuples(nvars: int, max_degree: int):
-    """Tuples in {0..max_degree}^nvars, graded-lex, skipping the zero tuple.
+@cache
+def exponent_tuples(nvars: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
+    """Tuples in {0..max_degree}^nvars, graded-lex, skipping the zero tuple;
+    formed once per (nvars, max_degree) in a process.
 
     A zero entry means the corresponding component is absent (identically 0).
     """
@@ -103,7 +105,7 @@ def exponent_tuples(nvars: int, max_degree: int):
         if any(t)
     ]
     tuples.sort(key=lambda t: (sum(t), t))
-    return tuples
+    return tuple(tuples)
 
 
 def monomial_choices(nvars: int, max_degree: int):

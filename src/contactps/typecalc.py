@@ -479,11 +479,23 @@ def _regular_contact_ideal(
 # Regular type
 
 
-def _hermitian_quadratic_definite(g: CPolynomial) -> bool:
-    """Exact test: the degree-2 Hermitian part has no null direction, i.e.
-    it or its negative is a Gram sum of g.nvars independent squares."""
+def _hermitian_quadratic_definite(g: CPolynomial, gram: PSCertificate) -> bool:
+    """Exact test: the degree-2 Hermitian part q of g has no null direction,
+    i.e. q or -q is a Gram sum of g.nvars independent squares.  gram is
+    gram_certificate(g), formed by the caller.
+
+    No certificate is formed whose verdict is known beforehand.  An empty q
+    is no sum of g.nvars >= 1 squares, so it forms none.  When gram is
+    certified, -q forms none: then g = sum w |f|^2 with every w > 0,
+    checked term by term, and no f has a constant term, since the Gram
+    monomials of the mixed-only g all have degree >= 1.  So the degree-2
+    slice of g is q = sum w |f_1|^2, where f_1 is the linear part of f, and
+    q >= 0 everywhere.  A certified -q would give -q >= 0 as well, so q
+    would vanish everywhere, and a Hermitian form with a term does not."""
     q = g.homogeneous_slice(2)
-    for form in (q, -q):
+    if q.is_zero():
+        return False
+    for form in (q,) if gram.verdict == "certified" else (q, -q):
         cert = gram_certificate(form)
         if cert.verdict == "certified" and len(cert.squares) == g.nvars:
             return True
@@ -505,7 +517,7 @@ def reg_type(gf: GraphForm, N: int, gram: PSCertificate) -> TypeClaim:
         return TypeClaim("infinite", witness=_first_axis(g.nvars),
                          transcript=("g vanishes identically; every curve has "
                                      "infinite contact",))
-    if _hermitian_quadratic_definite(g):
+    if _hermitian_quadratic_definite(g, gram):
         # q(e1) != 0 for the definite quadratic part q, and the mixed-only g
         # has no terms below degree 2, so the first axis has contact exactly 2.
         witness = _first_axis(g.nvars)

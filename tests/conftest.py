@@ -14,6 +14,7 @@ from contactps.algebra import (
     GaussianRational,
     _substitution_limit,
     key_conjugate,
+    key_degree,
 )
 from contactps.search import _RANDOM_POOL
 
@@ -286,17 +287,14 @@ def gram_certificate_reference(g):
     return germ.PSCertificate("inconclusive", "gram", indefinite_direction=direction)
 
 
-def germ_ps_check_reference(r, k_min, k_max, bounds):
-    """The germ.germ_ps_check that truncated the linear frame of r to each
-    order k, read the jet as an exact polynomial and split it into (h, g)
-    anew for every k."""
+def _per_order_reference(k_min, k_max, bounds, split):
+    """Solve, restrict and certify every jet order k anew, on the (h, g)
+    that split(k) gives, and combine the verdicts."""
     if not (2 <= k_min <= k_max):
         raise ValueError("need 2 <= k_min <= k_max")
-    normalized = r.r.substitute(germ._linear_images(r), r.nvars)
     entries = []
     for k in range(k_min, k_max + 1):
-        jk = CPolynomial(normalized.nvars, normalized.truncate(k).terms)
-        h, gk = germ.decompose_pure_mixed(jk)
+        h, gk = split(k)
         work = 2 * k
         phi = germ.solve_graph(h, work)
         gres = germ.restrict(gk, phi, work)
@@ -309,6 +307,53 @@ def germ_ps_check_reference(r, k_min, k_max, bounds):
             break
         k0 = entry.k
     return germ.StabilizationReport(k_min, k_max, tuple(entries), k0, bounds)
+
+
+def germ_ps_check_reference(r, k_min, k_max, bounds):
+    """The germ.germ_ps_check that truncated the linear frame of r to each
+    order k, read the jet as an exact polynomial and split it into (h, g)
+    anew for every k."""
+    normalized = r.r.substitute(germ._linear_images(r), r.nvars)
+    return _per_order_reference(k_min, k_max, bounds, lambda k: germ.decompose_pure_mixed(
+        CPolynomial(normalized.nvars, normalized.truncate(k).terms)))
+
+
+def germ_ps_check_per_order_reference(r, k_min, k_max, bounds):
+    """The germ.germ_ps_check that substituted the linear images into r even
+    when they are the identity, split it into (h, g) once, and solved,
+    restricted and certified the degree filters of that split at every
+    order, with nothing kept from the previous order."""
+    if not (2 <= k_min <= k_max):
+        raise ValueError("need 2 <= k_min <= k_max")
+    normalized = r.r.substitute(germ._linear_images(r), r.nvars)
+    h, g = germ.decompose_pure_mixed(CPolynomial(normalized.nvars, normalized.terms))
+    return _per_order_reference(k_min, k_max, bounds, lambda k: (
+        h.select(lambda key: key_degree(key) <= k), g.select(lambda key: key_degree(key) <= k)))
+
+
+def normalize_to_graph_reference(r, K):
+    """The germ.normalize_to_graph that substituted the linear images into r
+    even when they are the identity and formed the lift with the frame:
+    (g, lift)."""
+    n = r.nvars
+    images = germ._linear_images(r)
+    normalized = r.r.substitute(images, n)
+    phi = germ.solve_graph(normalized.holomorphic_part(), K)
+    graph = [CPolynomial.variable(n - 1, j) for j in range(n - 1)] + [phi]
+    lift = tuple(im.substitute(graph, n - 1) for im in images)
+    return normalized.substitute(graph, n - 1), lift
+
+
+def hermitian_quadratic_definite_reference(g):
+    """The typecalc._hermitian_quadratic_definite that certified the
+    degree-2 slice q of g and then -q, whatever g's own certificate said:
+    definite when one of them is a Gram sum of g.nvars squares."""
+    q = g.homogeneous_slice(2)
+    for form in (q, -q):
+        cert = germ.gram_certificate(form)
+        if cert.verdict == "certified" and len(cert.squares) == g.nvars:
+            return True
+    return False
 
 
 _RANDOM_VALUES = tuple(

@@ -384,6 +384,56 @@ def test_report_all_runs_each_stage_once(runner, tmp_path, monkeypatch):
     assert calls == dict.fromkeys(stages, 1)
 
 
+@pytest.mark.parametrize("args, counts", [
+    (["germ-ps", "crit5_m3", "--kmin", "2", "--kmax", "7", "--max-deg", "4", "--trials", "10"],
+     {"solve_graph": 1, "gram_certificate": 3, "substitute": 5}),
+    (["reg-type", "crit4_cubic_square", "--max", "16"], {"gram_certificate": 1}),
+    (["reg-type", "crit6_type4", "--max", "16"], {"gram_certificate": 2}),
+])
+def test_each_frame_and_certificate_is_formed_once(runner, monkeypatch, args, counts):
+    """crit5_m3 has linear part 2Re(z3) and an exact graph, and its h and g
+    change at few jet orders, so germ-ps on k = 2..7 solves the graph once,
+    forms 3 Gram certificates for its 6 orders and substitutes 5 times, not
+    6, 6 and 19 times.  reg-type certifies g, then only the degree-2 slice
+    q when it is not empty (crit6_type4) and never -q after a certified g,
+    not 3 times."""
+    import contactps.report as report
+    from contactps import germ, typecalc
+    from contactps.algebra import CPolynomial
+
+    calls = dict.fromkeys(("solve_graph", "gram_certificate", "substitute"), 0)
+
+    def spy(owner, name, key):
+        def counted(*args, _fn=getattr(owner, name), **kwargs):
+            calls[key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(germ, "solve_graph", "solve_graph")
+    for module in (germ, report, typecalc):
+        spy(module, "gram_certificate", "gram_certificate")
+    spy(CPolynomial, "substitute", "substitute")
+    res = runner.invoke(main, [args[0], str(CORPUS_DIR / f"{args[1]}.txt"), *args[2:]])
+    assert res.exit_code in (0, 1) and isinstance(res.exception, (type(None), SystemExit))
+    assert {key: calls[key] for key in counts} == counts
+
+
+def test_fdb_verify_derives_the_forms_of_each_polynomial_once(runner, monkeypatch):
+    """fdb-verify --k 3 --trials 3 draws 3 polynomials and derives the forms
+    of each once for the orders kk = 1..3, not once per order."""
+    import contactps.fdb as fdb
+    import contactps.report as report
+
+    derived = []
+    original = fdb.derive_forms
+    for module in (fdb, report):
+        monkeypatch.setattr(module, "derive_forms",
+                            lambda g, order: derived.append(g) or original(g, order))
+    res = runner.invoke(main, ["fdb-verify", "--k", "3", "--trials", "3", "--seed", "5"])
+    assert res.exit_code == 0
+    assert len(derived) == len(set(derived)) == 3
+
+
 @pytest.mark.parametrize("args", [
     ["sing-search", "--trials", "0"],
     ["report", "--all", "--max-deg", "0"],

@@ -114,6 +114,20 @@ class TestOracleEquivalence:
         for kk in range(1, k + 1):
             assert laplacian_power(u, kk) == laplacian_power(pullback(g, z), kk)
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 1 << 30), nvars=st.integers(1, 2), k=st.integers(1, 4))
+    def test_forms_of_degree_2k_serve_every_lower_power(self, seed, nvars, k):
+        """fdb-verify derives the forms of degree <= 2k once per drawn g:
+        every kk <= k reads the same value off them as off its own
+        derive_forms(g, 2kk)."""
+        rng = random.Random(seed)
+        g = random_real_polynomial(rng, nvars, 6)
+        z = next(iter(random_curves(nvars, SearchBudget(max_degree=4, random_trials=1,
+                                                        seed=rng.randrange(1 << 30)))))
+        forms = derive_forms(g, 2 * k)
+        for kk in range(1, k + 1):
+            assert laplacian_power_forms(g, z, kk, forms) == laplacian_power_forms(g, z, kk)
+
     def test_grouped_against_enumerated(self, rng):
         for _ in range(10):
             g = random_real_polynomial(rng, 2, 5)

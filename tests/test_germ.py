@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactps import germ
+from contactps import germ, report
 from contactps.algebra import CPolynomial, slice_torus_positive, slice_vanishes
 from contactps.curve import CurveJet, ps_test_single, pullback
 from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
@@ -28,7 +28,13 @@ from contactps.germ import (
 )
 from contactps.search import SearchBudget, canonicalize_curve, monomial_choices
 
-from conftest import germ_ps_check_reference, gr, gram_certificate_reference
+from conftest import (
+    germ_ps_check_per_order_reference,
+    germ_ps_check_reference,
+    gr,
+    gram_certificate_reference,
+    normalize_to_graph_reference,
+)
 
 
 def _germ(text, n=3):
@@ -539,5 +545,51 @@ def test_germ_ps_check_matches_the_per_jet_split():
         k_max = k_min + width
         assert _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)) == \
             _stabilization_fields(germ_ps_check_reference(r, k_min, k_max, budget))
+
+    random_germs()
+
+
+def _poly_fields(p):
+    return p.nvars, p.truncation, list(p.terms.items())
+
+
+def _check_frame_reuse(r, K, k_min, k_max, budget):
+    gf = normalize_to_graph(r, K)
+    g, lift = normalize_to_graph_reference(r, K)
+    assert [_poly_fields(p) for p in (gf.g, *gf.lift)] == [_poly_fields(p) for p in (g, *lift)]
+    assert _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)) == \
+        _stabilization_fields(germ_ps_check_per_order_reference(r, k_min, k_max, budget))
+
+
+def test_frames_formed_once_match_the_per_order_pipeline():
+    """Returning r for an identity linear frame, forming the lift on first
+    read, and keeping phi, the untruncated restriction and the Gram
+    certificate across jet orders change nothing: normalize_to_graph gives
+    the g (terms in order, truncation) and lift of the pipeline that forms
+    everything anew, and germ_ps_check the same entries and k0.  On the 19
+    corpus germs (a mixed-only entry lifts by the identity with w = 0), on
+    germs whose linear part is not 2Re(z_n) or whose graph is a series, and
+    on random germs."""
+    budget = SearchBudget(max_degree=4, random_trials=10, seed=3)
+    for path in sorted(_CORPUS_DIR.glob("*.txt")):
+        entry = parse_problem(path.read_text()).entry
+        K = max(8, entry.total_degree())
+        if entry.homogeneous_slice(1).is_zero():
+            m = entry.nvars
+            assert report._graph_form(entry, K).lift == tuple(
+                CPolynomial.variable(m, i) for i in range(m)) + (CPolynomial.zero(m),)
+            continue
+        _check_frame_reuse(validate(entry), K, 2, min(max(2, entry.total_degree()), 8), budget)
+
+    @example(germ=(_germ("2*Re(2*z3 + z1) + abs2(z1)^2 + abs2(z2)^2"), 6), k_min=2, width=3)
+    @example(germ=(_germ("2*Re(i*z3) + abs2(z1 + z2^2)"), 6), k_min=2, width=3)
+    @example(germ=(_germ("2*Re(z3 + z3^2 - z1^2) + abs2(z1)^2 + abs2(z2^2)"), 8),
+             k_min=2, width=4)
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(germ=_germs(), k_min=st.integers(2, 3), width=st.integers(0, 4))
+    def random_germs(germ, k_min, width):
+        r, K = germ
+        _check_frame_reuse(r, K, k_min, k_min + width,
+                           SearchBudget(max_degree=3, random_trials=5))
 
     random_germs()

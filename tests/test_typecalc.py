@@ -38,7 +38,12 @@ from contactps.typecalc import (
     sing_type_search,
 )
 
-from conftest import gaussian_common_roots_norm_reference, gaussian_common_roots_reference, gr
+from conftest import (
+    gaussian_common_roots_norm_reference,
+    gaussian_common_roots_reference,
+    gr,
+    hermitian_quadratic_definite_reference,
+)
 
 
 def _graph(text, K=8, n=3):
@@ -320,7 +325,7 @@ def test_dfs_witness_matches_exact_pullback(fs, cap):
     assert order == res.value if res.exact else order >= res.value
 
 
-@pytest.mark.parametrize("text, n, definite", [
+_DEFINITE_CASES = [
     ("abs2(z1) + 2*abs2(z2) + z1*conj(z2) + z2*conj(z1)", 2, True),
     ("-abs2(z1) - abs2(z2) + abs2(z1)^2", 2, True),
     ("abs2(z1 + z2)", 2, False),
@@ -330,12 +335,73 @@ def test_dfs_witness_matches_exact_pullback(fs, cap):
     ("abs2(z1) + abs2(z2) + abs2(z3) + 1/2*i*z1*conj(z3) - 1/2*i*z3*conj(z1)", 3, True),
     ("abs2(z1 + z2) + abs2(z2 - z3) + abs2(z1 - z3)", 3, True),
     ("abs2(z1 + z2) + abs2(z2 - z3) + abs2(z1 + z3)", 3, False),
-])
+]
+
+
+@pytest.mark.parametrize("text, n, definite", _DEFINITE_CASES)
 def test_hermitian_quadratic_definite(text, n, definite):
     """Positive or negative definite degree-2 parts only; a null direction,
     an indefinite form, a variable missing from the quadratic part or a
     zero diagonal all fail.  Terms of other degrees are ignored."""
-    assert _hermitian_quadratic_definite(parse_expression(text, n)) is definite
+    g = parse_expression(text, n)
+    assert _hermitian_quadratic_definite(g, gram_certificate(g)) is definite
+
+
+_FORM_COEFFS = [gr(1), gr(-1), gr(2), gr(0, 1), gr(1, -1)]
+
+
+@st.composite
+def _hermitian_sums(draw):
+    """A real mixed-only polynomial in 1-3 variables: a sum of w * |f|^2
+    over holomorphic f with a linear part and a quadratic term, w of either
+    sign, and now and then a conjugate pair of mixed quartic terms."""
+    n = draw(st.integers(1, 3))
+    variables = [CPolynomial.variable(n, i) for i in range(n)]
+    g = CPolynomial.zero(n)
+    for _ in range(draw(st.integers(1, 3))):
+        f = CPolynomial.zero(n)
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)):
+            f = f + variables[i].scale(draw(st.sampled_from(_FORM_COEFFS)))
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            f = f + (variables[i] * variables[j]).scale(draw(st.sampled_from(_FORM_COEFFS)))
+        w = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1)]))
+        g = g + (f * f.conjugate()).scale(gr(w))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from(_FORM_COEFFS))
+        pair = (variables[0] ** 2) * variables[-1].conjugate() * variables[0].conjugate()
+        g = g + pair.scale(c) + pair.conjugate().scale(c.conjugate())
+    return g
+
+
+def test_definiteness_rule_matches_both_certificates():
+    """Forming no certificate for an empty q, and none for -q when g's own
+    certificate is certified, decides definiteness as certifying q and -q
+    both does: on the parametrized forms above, on the graph frames of the
+    corpus germs, and on random sums of squares of either sign; the inputs
+    reach every case of the rule."""
+    reached = set()
+
+    def check(g):
+        gram = gram_certificate(g)
+        got = _hermitian_quadratic_definite(g, gram)
+        assert got is hermitian_quadratic_definite_reference(g)
+        reached.add((g.homogeneous_slice(2).is_zero(), gram.verdict, got))
+
+    for text, n, _definite in _DEFINITE_CASES:
+        check(parse_expression(text, n))
+    for path in CORPUS:
+        check(_graph_form(parse_problem(path.read_text()).entry, 8).g)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(g=_hermitian_sums())
+    def random_sums(g):
+        check(g)
+
+    random_sums()
+    assert reached >= {(True, "certified", False), (False, "certified", True),
+                       (False, "certified", False), (False, "inconclusive", True),
+                       (False, "inconclusive", False)}
 
 
 class TestRegType:
@@ -484,7 +550,8 @@ class TestDesingularize:
         g = parse_expression("0 - abs2(z1)^2 + abs2(z1^3)", 1)
         from contactps.germ import GraphForm
         from contactps.algebra import CPolynomial
-        gf2 = GraphForm(g, 8, (CPolynomial.variable(1, 0), CPolynomial.zero(1)))
+        gf2 = GraphForm(g, 8, (CPolynomial.variable(2, 0), CPolynomial.variable(2, 1)),
+                        (CPolynomial.variable(1, 0), CPolynomial.zero(1)))
         with pytest.raises(PSViolationError):
             desingularize(gf2, parse_curve("(t^2)"))
 
