@@ -100,6 +100,11 @@ class CurveJet:
     def is_regular(self) -> bool:
         return self.multiplicity() == 1
 
+    def truncate(self, order: int) -> "CurveJet":
+        """The curve with every component truncated at order; order must be
+        at least the multiplicity, or no term is left."""
+        return CurveJet(tuple(c.truncate(order) for c in self.components))
+
     def coefficient(self, comp: int, degree: int) -> GaussianRational:
         return self.components[comp].coeff((((degree,), (0,))))
 
@@ -194,7 +199,7 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
     if u is not None:
         return u
     cap = 4 * z.multiplicity() + 1
-    u = pullback(p, CurveJet(tuple(c.truncate(cap) for c in z.components)))
+    u = pullback(p, z.truncate(cap))
     if u.terms:
         return u
     return pullback(p, z)

@@ -11,13 +11,12 @@ explicit set-partition enumerator doubles as a test oracle for small k.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
 
-from .algebra import CPolynomial, GaussianRational, ZERO, key_conjugate
+from .algebra import ONE, ZERO, CPolynomial, GaussianRational, key_conjugate
 from .curve import CurveJet, InsufficientJetError, laplacian_power, pullback
 from .search import draw_below
 
@@ -46,24 +45,68 @@ class MultilinearForm:
         return self.table.get(key, ZERO)
 
     def apply(self, holo_vectors, anti_vectors) -> GaussianRational:
-        """Evaluate on vectors: anti slots receive the conjugates internally."""
+        """Evaluate on vectors: anti slots receive the conjugates internally.
+
+        The form is the sum, over all nvars^(a+b) pairs of index tuples, of
+        the entry at their sorted keys times the vector coordinates the
+        tuples pick.  The pairs that pick an entry are the distinct
+        orderings of its holomorphic tuple against those of its
+        antiholomorphic one, and a pair's product splits into a holomorphic
+        and an antiholomorphic factor.  So each entry adds coeff * H * A,
+        where H sums the holomorphic products over the orderings of its
+        holomorphic tuple (_orderings) and A the conjugated products over
+        the orderings of its antiholomorphic one; both are formed once per
+        tuple.  The arithmetic is exact, so the order of the sum does not
+        change its value."""
         if len(holo_vectors) != self.a or len(anti_vectors) != self.b:
             raise ValueError("slot count mismatch")
-        table = self.table
+        conj_vectors = [[c.conjugate() for c in v] for v in anti_vectors]
+        holo_sums: dict = {}
+        anti_sums: dict = {}
         total = ZERO
-        for hidx in itertools.product(range(self.nvars), repeat=self.a):
-            for aidx in itertools.product(range(self.nvars), repeat=self.b):
-                key = (tuple(sorted(hidx)), tuple(sorted(aidx)))
-                coeff = table.get(key)
-                if coeff is None:
-                    continue
-                prod = coeff
-                for slot, i in enumerate(hidx):
-                    prod = prod * holo_vectors[slot][i]
-                for slot, i in enumerate(aidx):
-                    prod = prod * anti_vectors[slot][i].conjugate()
-                total = total + prod
+        for (hkey, akey), coeff in self.table.items():
+            h = holo_sums.get(hkey)
+            if h is None:
+                h = holo_sums[hkey] = _ordering_sum(hkey, holo_vectors)
+            a = anti_sums.get(akey)
+            if a is None:
+                a = anti_sums[akey] = _ordering_sum(akey, conj_vectors)
+            total = total + coeff * h * a
         return total
+
+
+@cache
+def _orderings(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct orderings of the sorted tuple key, in lexicographic
+    order: each is the next permutation of the one before, so a key with
+    repeated indices forms its multiset permutations once each, never all
+    len(key)! permutations."""
+    perm = list(key)
+    out = [tuple(perm)]
+    while True:
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
+        out.append(tuple(perm))
+
+
+def _ordering_sum(key: tuple[int, ...], vectors) -> GaussianRational:
+    """The sum over the orderings of key of the product, over the slots, of
+    the coordinate of the slot's vector that the ordering picks there."""
+    total = ZERO
+    for idx in _orderings(key):
+        prod = ONE
+        for vector, i in zip(vectors, idx):
+            prod = prod * vector[i]
+        total = total + prod
+    return total
 
 
 def derive_forms(g: CPolynomial, max_order: int) -> dict[tuple[int, int], MultilinearForm]:

@@ -1,15 +1,20 @@
 """Hypersurface germ representation and positivity certification.
 
-Every command reads a germ in one graph frame, built by one pipeline: a
-linear change makes the linear part of r exactly 2Re(z_n) (_linear_frame,
-which returns r itself when its linear part is 2Re(z_n) already),
-solve_graph solves h = 0 for z_n, where h is the holomorphic half of r, and
-r is restricted to that graph, where 2Re(h) vanishes and the mixed part g is
-left.  normalize_to_graph does this once through a degree bound, and leaves
-the lift back to the original variables to be formed on first read;
-germ_ps_check splits r into (h, g) once and, for each jet order, solves,
-restricts and certifies only where the order's jets change what the
-previous order formed.  Positivity of g is then certified structurally (an
+Every command reads a germ in one graph frame.  A rigid germ, r =
+c*z_n + conj(c)*conj(z_n) + g(z') with c != 0 and a mixed part g free of
+z_n (the form of the paper's positivity condition and of its type-4
+examples), has its frame read off its terms (_rigid_graph): g is r's mixed
+part with the last slot dropped, for every degree bound and jet order.
+Every other germ goes through one pipeline: a linear change makes the
+linear part of r exactly 2Re(z_n) (_linear_frame, which returns r itself
+when its linear part is 2Re(z_n) already), solve_graph solves h = 0 for
+z_n, where h is the holomorphic half of r, and r is restricted to that
+graph, where 2Re(h) vanishes and the mixed part g is left.
+normalize_to_graph does this once through a degree bound, and leaves the
+lift back to the original variables to be formed on first read;
+germ_ps_check splits r into (h, g) once and, for each jet order, solves
+and restricts only where the order's jets change what the previous order
+formed, and certifies only where the restricted terms change.  Positivity of g is then certified structurally (an
 exact Hermitian sum-of-squares decomposition, checked by summing its squares
 back to g in raw integer arithmetic) or refuted by a bounded curve search.
 """
@@ -220,16 +225,66 @@ def _linear_frame(r: DefiningFunction) -> tuple[CPolynomial, list[CPolynomial]]:
     return r.r.substitute(images, n), images
 
 
+def _rigid_graph(p: CPolynomial) -> CPolynomial | None:
+    """The graph-frame g of a rigid p, or None when p is not rigid.
+
+    p is rigid when n >= 2, its pure part is exactly c*z_n + conj(c)*
+    conj(z_n) (c != 0, as a stored coefficient is), and no mixed term has an
+    exponent on z_n or conj(z_n); one pass over its terms decides this.  g
+    is then p's mixed part with the last slot dropped, exact and in p's
+    term order.  p's truncation is not read.
+
+    This is what the general pipeline gives a rigid germ.  The linear frame
+    maps z_n to z_n/c and fixes the other variables, so it leaves each mixed
+    term in place and makes h = z_n.  solve_graph's exact branch then gives
+    phi = 0, which its machine check accepts, since h(zeta, 0) has no term.
+    Substituting (zeta, 0) drops each pure term, since each one uses the
+    image with no term, and moves each mixed term to its own key without
+    the last slot, times 1, in order; no image is a jet, so the result is
+    exact.
+    """
+    n = p.nvars
+    if n < 2:
+        return None
+    last = n - 1
+    zero = (0,) * n
+    unit = tuple(int(j == last) for j in range(n))
+    lin, anti = (unit, zero), (zero, unit)
+    terms = p.terms
+    c = terms.get(lin)
+    if c is None or terms.get(anti) != c.conjugate():
+        return None
+    mixed = {}
+    for key, coeff in terms.items():
+        if key == lin or key == anti:
+            continue
+        h, a = key
+        if h[last] or a[last] or not any(h) or not any(a):
+            return None
+        mixed[(h[:last], a[:last])] = coeff
+    return CPolynomial(last, mixed)
+
+
 def normalize_to_graph(r: DefiningFunction, K: int) -> GraphForm:
     """The graph frame of r through degree K.
 
-    The same pipeline as germ_ps_check: the linear frame (_linear_frame)
-    makes the linear part 2Re(z_n), solve_graph solves h = 0 for z_n, where
-    h is the holomorphic half of r in the new coordinates, and r is
-    restricted to that graph.  There 2Re(h) vanishes, so the restriction is
-    the mixed part g.
+    An exact rigid r takes its frame off its terms (_rigid_graph, which
+    gives the argument): g is its mixed part with the last slot dropped,
+    images what _linear_images gives (the variables when c = 1), and graph
+    (zeta, 0).  A jet takes the general path, whose phi is a jet zero
+    carrying its truncation into the last graph entry.
+
+    Every other r takes the same pipeline as germ_ps_check: the linear
+    frame (_linear_frame) makes the linear part 2Re(z_n), solve_graph solves
+    h = 0 for z_n, where h is the holomorphic half of r in the new
+    coordinates, and r is restricted to that graph.  There 2Re(h) vanishes,
+    so the restriction is the mixed part g.
     """
     n = r.nvars
+    g = _rigid_graph(r.r) if r.r.truncation is None else None
+    if g is not None:
+        graph = tuple(CPolynomial.variable(n - 1, j) for j in range(n - 1))
+        return GraphForm(g, K, tuple(_linear_images(r)), graph + (CPolynomial.zero(n - 1),))
     normalized, images = _linear_frame(r)
     phi = solve_graph(normalized.holomorphic_part(), K)
     graph = tuple(CPolynomial.variable(n - 1, j) for j in range(n - 1)) + (phi,)
@@ -565,9 +620,48 @@ def germ_ps_check(
     """Run the truncate / decompose / solve / restrict pipeline for each jet
     order and combine the positivity verdicts.
 
+    _restricted_jets gives each order's restricted jet.  For a rigid r
+    (_rigid_graph, which gives the argument) that is the degree-<= k filter
+    of its g, truncated at 2k, with no graph solve or restriction: what the
+    pipeline gives, since its linear frame leaves each mixed term in place,
+    h = z_n, phi = 0 exactly, and substituting (zeta, 0) drops the pure
+    terms and the last slot.
+
+    The Gram certificate is kept while the restricted terms equal the
+    previous order's: gram_certificate reads the terms alone.  ps_search
+    reads the truncation too, so it runs at every order whose certificate
+    is not certified.
+    """
+    if not (2 <= k_min <= k_max):
+        raise ValueError("need 2 <= k_min <= k_max")
+    entries = []
+    gres = gram = None
+    for k, restricted in _restricted_jets(r, k_min, k_max):
+        if gres is None or restricted.terms != gres.terms:
+            gram = gram_certificate(restricted)
+        gres = restricted
+        cert = gram if gram.verdict == "certified" else ps_search(gres, bounds, gram)
+        entries.append(StabilizationEntry(k, gres, cert))
+    k0 = None
+    for entry in reversed(entries):
+        if entry.certificate.is_violation:
+            break
+        k0 = entry.k
+    return StabilizationReport(k_min, k_max, tuple(entries), k0, bounds)
+
+
+def _restricted_jets(r: DefiningFunction, k_min: int, k_max: int):
+    """(k, the k-jet of r restricted to its graph, truncated at 2k) for k =
+    k_min..k_max.
+
     The k-jet of r in the linear frame is read as an exact polynomial in its
     own right, without the jet marker, so that violations of order between
-    k and 2k stay decidable.  It is split into (h, g) once, not once per k:
+    k and 2k stay decidable.  When that exact copy is rigid
+    (_rigid_graph, which gives the argument), the restricted k-jet is the
+    degree-<= k filter of its g, truncated at 2k: filtering r's terms by
+    degree keeps the rigid form, and g does not depend on the order.
+
+    Otherwise the jet is split into (h, g) once, not once per k:
     truncation commutes with the pure/mixed split and with taking the
     holomorphic part, since all three keep or drop each term by its key
     alone (by degree, by whether it is pure, by whether its antiholomorphic
@@ -584,17 +678,15 @@ def germ_ps_check(
       and its machine check found h(zeta, phi) to have no term at all.
     - The untruncated restriction of g's jet to the graph is kept while
       that jet and phi are unchanged, and truncated at 2k for each order.
-    - The Gram certificate is kept while the restricted terms equal the
-      previous order's: gram_certificate reads the terms alone.  ps_search
-      reads the truncation too, so it runs at every order whose
-      certificate is not certified.
     """
-    if not (2 <= k_min <= k_max):
-        raise ValueError("need 2 <= k_min <= k_max")
+    rigid = _rigid_graph(r.r)
+    if rigid is not None:
+        for k in range(k_min, k_max + 1):
+            yield k, rigid.select(lambda key: key_degree(key) <= k).truncate(2 * k)
+        return
     normalized, _images = _linear_frame(r)
     h, g = decompose_pure_mixed(CPolynomial(normalized.nvars, normalized.terms))
-    entries = []
-    hk = gk = phi = full = gres = gram = None
+    hk = gk = phi = full = None
     for k in range(k_min, k_max + 1):
         work = 2 * k
         h_next = h.select(lambda key: key_degree(key) <= k)
@@ -603,15 +695,4 @@ def germ_ps_check(
         g_next = g.select(lambda key: key_degree(key) <= k)
         if full is None or len(g_next.terms) != len(gk.terms):
             gk, full = g_next, restrict(g_next, phi)
-        restricted = full.truncate(work)
-        if gres is None or restricted.terms != gres.terms:
-            gram = gram_certificate(restricted)
-        gres = restricted
-        cert = gram if gram.verdict == "certified" else ps_search(gres, bounds, gram)
-        entries.append(StabilizationEntry(k, gres, cert))
-    k0 = None
-    for entry in reversed(entries):
-        if entry.certificate.is_violation:
-            break
-        k0 = entry.k
-    return StabilizationReport(k_min, k_max, tuple(entries), k0, bounds)
+        yield k, full.truncate(work)

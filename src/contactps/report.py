@@ -369,8 +369,13 @@ def _cmd_fdb_verify(source, options):
         # so one pullback truncated at degree 2k serves every kk <= k.  The
         # components of z vanish at 0, so a term of g of degree D pulls back
         # to order at least D: only the terms of degree <= 2k reach those
-        # coefficients, and only they are pulled back.
-        u = pullback(g.truncate(2 * k), z).truncate(2 * k)
+        # coefficients, and only they are pulled back.  For the same reason
+        # a product that uses a component term of degree > 2k has degree
+        # > 2k, since its other factors are component terms too, so the
+        # pullback runs along the components truncated at 2k (when z's
+        # multiplicity exceeds 2k no term is left, and z is kept).
+        zk = z if z.multiplicity() > 2 * k else z.truncate(2 * k)
+        u = pullback(g.truncate(2 * k), zk).truncate(2 * k)
         # The forms of degree <= 2k hold every form that an order kk <= k
         # reads, so they are derived once per drawn g.
         forms = derive_forms(g, 2 * k)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import cache
@@ -322,7 +323,8 @@ def germ_ps_check_per_order_reference(r, k_min, k_max, bounds):
     """The germ.germ_ps_check that substituted the linear images into r even
     when they are the identity, split it into (h, g) once, and solved,
     restricted and certified the degree filters of that split at every
-    order, with nothing kept from the previous order."""
+    order, rigid germs included, with nothing kept from the previous
+    order."""
     if not (2 <= k_min <= k_max):
         raise ValueError("need 2 <= k_min <= k_max")
     normalized = r.r.substitute(germ._linear_images(r), r.nvars)
@@ -333,15 +335,38 @@ def germ_ps_check_per_order_reference(r, k_min, k_max, bounds):
 
 def normalize_to_graph_reference(r, K):
     """The germ.normalize_to_graph that substituted the linear images into r
-    even when they are the identity and formed the lift with the frame:
-    (g, lift)."""
+    even when they are the identity, solved and restricted to the graph of
+    every germ, rigid ones included, and formed the lift with the frame:
+    (g, images, graph, lift)."""
     n = r.nvars
-    images = germ._linear_images(r)
+    images = tuple(germ._linear_images(r))
     normalized = r.r.substitute(images, n)
     phi = germ.solve_graph(normalized.holomorphic_part(), K)
-    graph = [CPolynomial.variable(n - 1, j) for j in range(n - 1)] + [phi]
+    graph = tuple(CPolynomial.variable(n - 1, j) for j in range(n - 1)) + (phi,)
     lift = tuple(im.substitute(graph, n - 1) for im in images)
-    return normalized.substitute(graph, n - 1), lift
+    return normalized.substitute(graph, n - 1), images, graph, lift
+
+
+def multilinear_apply_reference(form, holo_vectors, anti_vectors):
+    """The fdb.MultilinearForm.apply that summed over all nvars^(a+b) index
+    tuples, looking each one's sorted key up in the form's table."""
+    if len(holo_vectors) != form.a or len(anti_vectors) != form.b:
+        raise ValueError("slot count mismatch")
+    table = form.table
+    total = ZERO
+    for hidx in itertools.product(range(form.nvars), repeat=form.a):
+        for aidx in itertools.product(range(form.nvars), repeat=form.b):
+            key = (tuple(sorted(hidx)), tuple(sorted(aidx)))
+            coeff = table.get(key)
+            if coeff is None:
+                continue
+            prod = coeff
+            for slot, i in enumerate(hidx):
+                prod = prod * holo_vectors[slot][i]
+            for slot, i in enumerate(aidx):
+                prod = prod * anti_vectors[slot][i].conjugate()
+            total = total + prod
+    return total
 
 
 def hermitian_quadratic_definite_reference(g):

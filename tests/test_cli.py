@@ -384,24 +384,14 @@ def test_report_all_runs_each_stage_once(runner, tmp_path, monkeypatch):
     assert calls == dict.fromkeys(stages, 1)
 
 
-@pytest.mark.parametrize("args, counts", [
-    (["germ-ps", "crit5_m3", "--kmin", "2", "--kmax", "7", "--max-deg", "4", "--trials", "10"],
-     {"solve_graph": 1, "gram_certificate": 3, "substitute": 5}),
-    (["reg-type", "crit4_cubic_square", "--max", "16"], {"gram_certificate": 1}),
-    (["reg-type", "crit6_type4", "--max", "16"], {"gram_certificate": 2}),
-])
-def test_each_frame_and_certificate_is_formed_once(runner, monkeypatch, args, counts):
-    """crit5_m3 has linear part 2Re(z3) and an exact graph, and its h and g
-    change at few jet orders, so germ-ps on k = 2..7 solves the graph once,
-    forms 3 Gram certificates for its 6 orders and substitutes 5 times, not
-    6, 6 and 19 times.  reg-type certifies g, then only the degree-2 slice
-    q when it is not empty (crit6_type4) and never -q after a certified g,
-    not 3 times."""
+def _count_frame_work(runner, monkeypatch, argv):
+    """Run one command and count its graph solves, restrictions, Gram
+    certificates and substitutions."""
     import contactps.report as report
     from contactps import germ, typecalc
     from contactps.algebra import CPolynomial
 
-    calls = dict.fromkeys(("solve_graph", "gram_certificate", "substitute"), 0)
+    calls = dict.fromkeys(("solve_graph", "restrict", "gram_certificate", "substitute"), 0)
 
     def spy(owner, name, key):
         def counted(*args, _fn=getattr(owner, name), **kwargs):
@@ -410,12 +400,48 @@ def test_each_frame_and_certificate_is_formed_once(runner, monkeypatch, args, co
         monkeypatch.setattr(owner, name, counted)
 
     spy(germ, "solve_graph", "solve_graph")
+    spy(germ, "restrict", "restrict")
     for module in (germ, report, typecalc):
         spy(module, "gram_certificate", "gram_certificate")
     spy(CPolynomial, "substitute", "substitute")
-    res = runner.invoke(main, [args[0], str(CORPUS_DIR / f"{args[1]}.txt"), *args[2:]])
+    res = runner.invoke(main, argv)
     assert res.exit_code in (0, 1) and isinstance(res.exception, (type(None), SystemExit))
+    return calls
+
+
+@pytest.mark.parametrize("args, counts", [
+    (["germ-ps", "crit5_m3", "--kmin", "2", "--kmax", "7", "--max-deg", "4", "--trials", "10"],
+     {"solve_graph": 0, "restrict": 0, "gram_certificate": 3, "substitute": 0}),
+    (["reg-type", "crit4_cubic_square", "--max", "16"], {"gram_certificate": 1}),
+    (["reg-type", "crit6_type4", "--max", "16"],
+     {"solve_graph": 0, "gram_certificate": 2, "substitute": 1}),
+    (["gram", "crit6_type4"], {"solve_graph": 0, "gram_certificate": 1, "substitute": 0}),
+])
+def test_each_frame_and_certificate_is_formed_once(runner, monkeypatch, args, counts):
+    """crit5_m3 and crit6_type4 are rigid (2Re(z3) plus a mixed part free
+    of z3), so their graph frame is read off their terms: no graph solve,
+    restriction or substitution.  crit5_m3's restricted jets change at few
+    orders, so germ-ps on k = 2..7 forms 3 Gram certificates for its 6
+    orders.  reg-type certifies g, then only the degree-2 slice q when it
+    is not empty (crit6_type4) and never -q after a certified g, not 3
+    times; its one substitution is the pullback that checks the contact
+    of its curve."""
+    argv = [args[0], str(CORPUS_DIR / f"{args[1]}.txt"), *args[2:]]
+    calls = _count_frame_work(runner, monkeypatch, argv)
     assert {key: calls[key] for key in counts} == counts
+
+
+def test_a_germ_that_is_not_rigid_takes_the_general_frame(runner, monkeypatch, tmp_path):
+    """2Re(z3 + z1^2) has a pure term other than 2Re(z3), so germ-ps on
+    k = 2..6 solves its graph once (one substitution forms phi, one checks
+    it) and restricts g's jet at the 2 orders where it changes, as before
+    the rigid frame."""
+    path = tmp_path / "problem.txt"
+    path.write_text("n = 3\nr = 2*Re(z3 + z1^2) + abs2(z1)^2 + abs2(z2)^2\n")
+    argv = ["germ-ps", str(path), "--kmin", "2", "--kmax", "6", "--max-deg", "4",
+            "--trials", "10"]
+    assert _count_frame_work(runner, monkeypatch, argv) == {
+        "solve_graph": 1, "restrict": 2, "gram_certificate": 2, "substitute": 4}
 
 
 def test_fdb_verify_derives_the_forms_of_each_polynomial_once(runner, monkeypatch):

@@ -1,5 +1,6 @@
 """Set-partition expansion of Laplacian powers: combinatorics and oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from contactps.curve import laplacian_power, pullback
 from contactps.expr import parse_curve, parse_expression
 from contactps.fdb import (
+    MultilinearForm,
     MultiplicityMismatchError,
+    _orderings,
     derive_forms,
     expansion_table,
     filtered_expansion,
@@ -22,7 +25,7 @@ from contactps.fdb import (
 )
 from contactps.search import SearchBudget, random_curves
 
-from conftest import gr, random_real_polynomial_reference
+from conftest import gr, multilinear_apply_reference, random_real_polynomial_reference
 
 
 class TestPartitionCombinatorics:
@@ -128,6 +131,24 @@ class TestOracleEquivalence:
         for kk in range(1, k + 1):
             assert laplacian_power_forms(g, z, kk, forms) == laplacian_power_forms(g, z, kk)
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 1 << 30), nvars=st.integers(1, 2), k=st.integers(1, 4))
+    def test_pullback_along_the_2k_jet_of_the_curve(self, seed, nvars, k):
+        """fdb-verify pulls back along the components of z truncated at 2k
+        (when z's multiplicity is at most 2k): the pullback has the same
+        terms through degree 2k, and the same truncation, as along z."""
+        rng = random.Random(seed)
+        g = random_real_polynomial(rng, nvars, 6)
+        z = next(iter(random_curves(nvars, SearchBudget(max_multiplicity=4, max_degree=4,
+                                                        random_trials=1,
+                                                        seed=rng.randrange(1 << 30)))))
+        if z.multiplicity() > 2 * k:
+            return
+        gk = g.truncate(2 * k)
+        u = pullback(gk, z.truncate(2 * k)).truncate(2 * k)
+        assert u == pullback(gk, z).truncate(2 * k) == pullback(g, z).truncate(2 * k)
+
+
     def test_grouped_against_enumerated(self, rng):
         for _ in range(10):
             g = random_real_polynomial(rng, 2, 5)
@@ -191,3 +212,37 @@ def test_random_real_polynomial_keeps_the_stream(seed, nvars, max_degree, nterms
 def test_random_real_polynomial_rejects_an_empty_degree_range():
     with pytest.raises(ValueError):
         random_real_polynomial(random.Random(0), 2, 0)
+
+
+_SCALARS = st.builds(gr, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _forms_and_vectors(draw):
+    """A form of type (a, b), a, b <= 5, in 1-3 variables whose entries
+    have repeated indices, and a + b vectors to apply it to."""
+    nvars, a, b = draw(st.integers(1, 3)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    index = st.integers(0, nvars - 1)
+    keys = draw(st.lists(st.tuples(st.lists(index, min_size=a, max_size=a),
+                                   st.lists(index, min_size=b, max_size=b)),
+                         min_size=1, max_size=4))
+    entries = {(tuple(sorted(h)), tuple(sorted(t))): draw(_SCALARS) for h, t in keys}
+    vector = st.lists(_SCALARS, min_size=nvars, max_size=nvars)
+    return (MultilinearForm(a, b, nvars, tuple(sorted(entries.items()))),
+            [draw(vector) for _ in range(a)], [draw(vector) for _ in range(b)])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(case=_forms_and_vectors())
+def test_apply_sums_the_orderings_of_each_entry(case):
+    """Summing each entry over the distinct orderings of its index tuples
+    gives what the sum over all nvars^(a+b) index tuples gives."""
+    form, holo, anti = case
+    assert form.apply(holo, anti) == multilinear_apply_reference(form, holo, anti)
+
+
+@pytest.mark.parametrize("key", [(), (0,), (0, 1, 2), (0, 0, 1, 1, 2), (1, 1, 1, 1, 1)])
+def test_orderings_are_the_distinct_permutations(key):
+    """_orderings forms each distinct ordering of a sorted key once, in
+    lexicographic order: 30 for (0, 0, 1, 1, 2), 1 for (1, 1, 1, 1, 1)."""
+    assert _orderings(key) == tuple(sorted(set(itertools.permutations(key))))

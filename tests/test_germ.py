@@ -168,6 +168,53 @@ def _germs(draw):
     return validate(r), r.total_degree() + draw(st.integers(0, 3))
 
 
+_RIGID_COEFFS = [gr(1), gr(2), gr(0, 1), gr(Fraction(1, 2), Fraction(1, 2))]
+_NEAR_MISSES = (None,) * 5 + ("pure", "pure_zn", "mixed_zn", "jet")
+
+
+@st.composite
+def _rigid_germs(draw):
+    """A germ in 1-3 variables that is rigid, c*z_n + conj(c)*conj(z_n)
+    plus mixed terms free of z_n with c in _RIGID_COEFFS, unless one near
+    miss is drawn: a pure term in the other variables, a pure term of
+    degree >= 2 in z_n, a mixed term in z_n, or a jet of the germ; with a
+    bound K in [deg, deg + 3]."""
+    n = draw(st.sampled_from((3, 2, 3, 2, 1)))
+    zero = (0,) * n
+    last = tuple(int(j == n - 1) for j in range(n))
+
+    def monomial(width):
+        e = [draw(st.integers(0, 2)) for _ in range(width)] + [0] * (n - width)
+        if not any(e):
+            e[draw(st.integers(0, width - 1))] = 1
+        return tuple(e)
+
+    def with_z_n():
+        e = list(monomial(n))
+        e[-1] += 1
+        return tuple(e)
+
+    def pair(a, b, c):
+        if a == b:
+            return CPolynomial.monomial(n, a, a, gr(c.re))
+        return CPolynomial.monomial(n, a, b, c) + CPolynomial.monomial(n, b, a, c.conjugate())
+
+    r = pair(last, zero, draw(st.sampled_from(_RIGID_COEFFS)))
+    for _ in range(draw(st.integers(1, 3)) if n > 1 else 0):
+        r = r + pair(monomial(n - 1), monomial(n - 1), draw(st.sampled_from(_COEFFS)))
+    miss = draw(st.sampled_from(_NEAR_MISSES))
+    c = draw(st.sampled_from(_COEFFS))
+    if miss == "pure" and n > 1:
+        r = r + pair(monomial(n - 1), zero, c)
+    elif miss == "pure_zn":
+        r = r + pair(with_z_n(), zero, c)
+    elif miss == "mixed_zn":
+        r = r + pair(with_z_n(), monomial(n), c)
+    elif miss == "jet":
+        r = r.truncate(draw(st.integers(2, max(2, r.total_degree()))))
+    return validate(r), r.total_degree() + draw(st.integers(0, 3))
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(germ=_germs(), exps=st.lists(st.integers(1, 3), min_size=2, max_size=2),
        coeffs=st.lists(st.sampled_from(_COEFFS), min_size=2, max_size=2))
@@ -522,13 +569,15 @@ def _stabilization_fields(rep):
                    _certificate_fields(e.certificate)) for e in rep.entries])
 
 
-def test_germ_ps_check_matches_the_per_jet_split():
-    """Splitting r once and filtering each jet by degree gives what the
-    reference gives by truncating and splitting anew for every k: the same
-    restricted jets in the same term order, certificates and k0.  On the
-    germ-ps ranges of the certify workload (max degree 4, 10 trials) and
-    of report_all (k = 2..deg r, max degree 4, 50 trials), and on random
-    germs."""
+def test_germ_ps_check_matches_the_per_jet_split(monkeypatch):
+    """Splitting r once and filtering each jet by degree, or reading the
+    frame of a rigid germ off its terms, gives what the reference gives by
+    truncating and splitting anew for every k: the same restricted jets in
+    the same term order, certificates and k0.  On the germ-ps ranges of the
+    certify workload (max degree 4, 10 trials) and of report_all (k =
+    2..deg r, max degree 4, 50 trials), on random germs, and on rigid germs
+    and their near misses, which reach both paths."""
+    solves = _spy_solves(monkeypatch)
     budgets = [SearchBudget(max_degree=4, random_trials=10, seed=3),
                SearchBudget(max_degree=4, random_trials=50, seed=5)]
     for name, k_max in sorted(_GERM_PS_RANGES.items()):
@@ -548,28 +597,88 @@ def test_germ_ps_check_matches_the_per_jet_split():
 
     random_germs()
 
+    paths = set()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(germ=_rigid_germs(), k_min=st.integers(2, 3), width=st.integers(0, 3))
+    def rigid_germs(germ, k_min, width):
+        r, _K = germ
+        budget = SearchBudget(max_degree=3, random_trials=5)
+        k_max = k_min + width
+        before = len(solves)
+        got = _outcome(lambda: _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)))
+        paths.add(_path(solves, before))
+        assert got == _outcome(
+            lambda: _stabilization_fields(germ_ps_check_reference(r, k_min, k_max, budget)))
+
+    rigid_germs()
+    assert paths == {"rigid", "general"}
+
 
 def _poly_fields(p):
     return p.nvars, p.truncation, list(p.terms.items())
 
 
-def _check_frame_reuse(r, K, k_min, k_max, budget):
-    gf = normalize_to_graph(r, K)
-    g, lift = normalize_to_graph_reference(r, K)
-    assert [_poly_fields(p) for p in (gf.g, *gf.lift)] == [_poly_fields(p) for p in (g, *lift)]
-    assert _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)) == \
-        _stabilization_fields(germ_ps_check_per_order_reference(r, k_min, k_max, budget))
+def _frame_fields(g, images, graph, lift):
+    return (_poly_fields(g), [_poly_fields(p) for p in images],
+            [_poly_fields(p) for p in graph], [_poly_fields(p) for p in lift])
 
 
-def test_frames_formed_once_match_the_per_order_pipeline():
-    """Returning r for an identity linear frame, forming the lift on first
-    read, and keeping phi, the untruncated restriction and the Gram
-    certificate across jet orders change nothing: normalize_to_graph gives
-    the g (terms in order, truncation) and lift of the pipeline that forms
-    everything anew, and germ_ps_check the same entries and k0.  On the 19
-    corpus germs (a mixed-only entry lifts by the identity with w = 0), on
-    germs whose linear part is not 2Re(z_n) or whose graph is a series, and
-    on random germs."""
+def _graph_form_fields(gf):
+    return _frame_fields(gf.g, gf.images, gf.graph, gf.lift)
+
+
+def _outcome(compute):
+    """compute(), or the type and text of the ValueError it raises."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _spy_solves(monkeypatch):
+    """The list of h that germ.solve_graph is called on from now on."""
+    solves = []
+    solve = germ.solve_graph
+    monkeypatch.setattr(germ, "solve_graph",
+                        lambda h, order: solves.append(h) or solve(h, order))
+    return solves
+
+
+def _path(solves, before):
+    """The path a call took: "general" when it solved a graph."""
+    return "general" if len(solves) > before else "rigid"
+
+
+def _check_frame_reuse(r, K, k_min, k_max, budget, solves):
+    """Check normalize_to_graph and germ_ps_check on r against the
+    references that form everything anew, errors included; the paths that
+    the two took."""
+    before = len(solves)
+    frame = _outcome(lambda: _graph_form_fields(normalize_to_graph(r, K)))
+    frame_path = _path(solves, before)
+    assert frame == _outcome(lambda: _frame_fields(*normalize_to_graph_reference(r, K)))
+    before = len(solves)
+    stab = _outcome(lambda: _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)))
+    check_path = _path(solves, before)
+    assert stab == _outcome(lambda: _stabilization_fields(
+        germ_ps_check_per_order_reference(r, k_min, k_max, budget)))
+    return frame_path, check_path
+
+
+def test_frames_formed_once_match_the_per_order_pipeline(monkeypatch):
+    """Reading a rigid germ's frame off its terms, returning r for an
+    identity linear frame, forming the lift on first read, and keeping phi,
+    the untruncated restriction and the Gram certificate across jet orders
+    change nothing: normalize_to_graph gives the g, images, graph and lift
+    (terms in order, truncation, nvars) of the pipeline that forms
+    everything anew, and germ_ps_check the same entries and k0, errors
+    included.  On the 19 corpus germs (a mixed-only entry lifts by the
+    identity with w = 0), on germs whose linear part is not 2Re(z_n) or
+    whose graph is a series, on random germs, and on rigid germs and their
+    near misses (jets, n = 1 and a linear part that is not real among
+    them), which reach both paths of both functions."""
+    solves = _spy_solves(monkeypatch)
     budget = SearchBudget(max_degree=4, random_trials=10, seed=3)
     for path in sorted(_CORPUS_DIR.glob("*.txt")):
         entry = parse_problem(path.read_text()).entry
@@ -579,7 +688,8 @@ def test_frames_formed_once_match_the_per_order_pipeline():
             assert report._graph_form(entry, K).lift == tuple(
                 CPolynomial.variable(m, i) for i in range(m)) + (CPolynomial.zero(m),)
             continue
-        _check_frame_reuse(validate(entry), K, 2, min(max(2, entry.total_degree()), 8), budget)
+        _check_frame_reuse(validate(entry), K, 2, min(max(2, entry.total_degree()), 8), budget,
+                           solves)
 
     @example(germ=(_germ("2*Re(2*z3 + z1) + abs2(z1)^2 + abs2(z2)^2"), 6), k_min=2, width=3)
     @example(germ=(_germ("2*Re(i*z3) + abs2(z1 + z2^2)"), 6), k_min=2, width=3)
@@ -590,6 +700,33 @@ def test_frames_formed_once_match_the_per_order_pipeline():
     def random_germs(germ, k_min, width):
         r, K = germ
         _check_frame_reuse(r, K, k_min, k_min + width,
-                           SearchBudget(max_degree=3, random_trials=5))
+                           SearchBudget(max_degree=3, random_trials=5), solves)
 
     random_germs()
+
+    paths = {"frame": set(), "check": set()}
+
+    @example(germ=(_germ("2*Re(z3 + z1^2) + abs2(z1)^2 + abs2(z2)^2"), 6), k_min=2, width=3)
+    @example(germ=(_germ("2*Re(z3) + 2*Re(z1^3) + abs2(z1 + z2)^2"), 6), k_min=2, width=3)
+    @example(germ=(_germ("2*Re(z3) + abs2(z3 - z1^2)"), 6), k_min=2, width=3)
+    @example(germ=(_germ("2*Re(z3 + z1) + abs2(z2)^2"), 6), k_min=2, width=3)
+    @example(germ=(_germ("2*Re((1/2 + 1/2*i)*z3) + abs2(z1)^2 + abs2(z2^2)"), 8), k_min=2, width=4)
+    @example(germ=(validate(parse_expression("2*Re(z3) + abs2(z1)^2 + abs2(z2)^3", 3)
+                            .truncate(5)), 6), k_min=2, width=3)
+    @example(germ=(validate(parse_expression("2*Re(2*z3) + abs2(z1^2 - z2)", 3)
+                            .truncate(4)), 4), k_min=2, width=2)
+    @example(germ=(germ.DefiningFunction(parse_expression("z3 + 2*conj(z3) + abs2(z1)", 3)), 4),
+             k_min=2, width=1)
+    @example(germ=(_germ("2*Re(z1)", 1), 4), k_min=2, width=1)
+    @example(germ=(_germ("2*Re(z1) + abs2(z1)^2", 1), 4), k_min=2, width=1)
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(germ=_rigid_germs(), k_min=st.integers(2, 3), width=st.integers(0, 4))
+    def rigid_germs(germ, k_min, width):
+        r, K = germ
+        frame_path, check_path = _check_frame_reuse(
+            r, K, k_min, k_min + width, SearchBudget(max_degree=3, random_trials=5), solves)
+        paths["frame"].add(frame_path)
+        paths["check"].add(check_path)
+
+    rigid_germs()
+    assert paths == {"frame": {"rigid", "general"}, "check": {"rigid", "general"}}
