@@ -1,27 +1,28 @@
 """Hypersurface germ representation and positivity certification.
 
-Every command reads a germ in one graph frame.  A rigid germ, r =
-c*z_n + conj(c)*conj(z_n) + g(z') with c != 0 and a mixed part g free of
-z_n (the form of the paper's positivity condition and of its type-4
-examples), has its frame read off its terms (_rigid_graph): g is r's mixed
-part with the last slot dropped, for every degree bound and jet order.
-Every other germ goes through one pipeline: a linear change makes the
-linear part of r exactly 2Re(z_n) (_linear_frame, which returns r itself
-when its linear part is 2Re(z_n) already), solve_graph solves h = 0 for
-z_n, where h is the holomorphic half of r, and r is restricted to that
-graph, where 2Re(h) vanishes and the mixed part g is left.
-normalize_to_graph does this once through a degree bound, and leaves the
-lift back to the original variables to be formed on first read;
-germ_ps_check splits r into (h, g) once and, for each jet order, solves
-and restricts only where the order's jets change what the previous order
-formed, and certifies only where the restricted terms change.  Positivity of g is then certified structurally (an
-exact Hermitian sum-of-squares decomposition, checked by summing its squares
-back to g in raw integer arithmetic) or refuted by a bounded curve search.
+Every command reads a germ in one graph frame, decided once per
+DefiningFunction from its linear frame (DefiningFunction.frame): a linear
+change makes the linear part of r exactly 2Re(z_n), and r there is 2Re(h) +
+mixed, h the holomorphic half of its pure part.  On the graph h = 0, 2Re(h)
+vanishes and g is the mixed part restricted to that graph, by one rule:
+- Exact rule: when no mixed term carries z_n or conj(z_n), g is the mixed
+  part with its last slot dropped, exact for every degree bound, and each
+  germ-ps jet is a degree filter of it.  Rigid germs (2Re(c*z_n) plus a
+  mixed part free of z_n, the form of the paper's type-4 examples) are one
+  case; germs whose pure part makes the graph a series are another.
+- Series rule: otherwise solve_graph solves h = 0 for z_n through the degree
+  bound, and only the mixed part is restricted to that graph: a jet unless
+  the graph is exact, and its truncation says so.
+D'Angelo's type (Ann. Math. 115, 1982) belongs to the true germ, not to a
+jet, so a jet frame yields only lower bounds (typecalc.reg_type).
+Positivity of g is certified structurally (an exact Hermitian
+sum-of-squares decomposition, checked by summing its squares back to g in
+raw integer arithmetic) or refuted by a bounded curve search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -80,6 +81,12 @@ class DefiningFunction:
     def nvars(self) -> int:
         return self.r.nvars
 
+    @cached_property
+    def frame(self) -> LinearFrame:
+        """The linear-frame split of r, shared by every graph frame and
+        germ-ps run on this r."""
+        return _linear_frame(self)
+
 
 def validate(r: CPolynomial) -> DefiningFunction:
     if not r.is_real_valued():
@@ -91,22 +98,20 @@ def validate(r: CPolynomial) -> DefiningFunction:
     return DefiningFunction(r)
 
 
-def taylor_truncate(r: DefiningFunction, k: int) -> CPolynomial:
-    """The k-th order Taylor polynomial, carrying jet order k."""
-    if k < 1:
-        raise ValueError("truncation order must be at least 1")
-    return r.r.truncate(k)
-
-
 def decompose_pure_mixed(jk: CPolynomial) -> tuple[CPolynomial, CPolynomial]:
     """Write jk = 2Re(h) + g with h holomorphic (dh(0) != 0) and g mixed-only."""
     pure, mixed = jk.pure_mixed_split()
     h = pure.holomorphic_part()
+    _check_holomorphic_half(pure, h)
+    return h, mixed
+
+
+def _check_holomorphic_half(pure: CPolynomial, h: CPolynomial) -> None:
+    """Raise unless pure = 2Re(h) and h has a linear term."""
     if (h + h.conjugate()) != pure:
         raise NotRealError("input is not real-valued: pure terms are not conjugate-paired")
     if h.homogeneous_slice(1).is_zero():
         raise DegenerateLinearPartError("holomorphic half has no linear part")
-    return h, mixed
 
 
 def solve_graph(h: CPolynomial, order: int) -> CPolynomial:
@@ -131,7 +136,7 @@ def solve_graph(h: CPolynomial, order: int) -> CPolynomial:
         )
     rest = h.select(lambda key: key != lin_key)
     inv_c = ONE / c
-    zeta = [CPolynomial.variable(n - 1, j) for j in range(n - 1)]
+    zeta = list(_zeta(n - 1))
     if rest.total_degree() <= order and not any(a[n - 1] or b[n - 1] for a, b in rest.terms):
         phi = -rest.substitute(zeta + [CPolynomial.zero(n - 1)], n - 1).scale(inv_c)
     else:
@@ -145,15 +150,12 @@ def solve_graph(h: CPolynomial, order: int) -> CPolynomial:
     return phi
 
 
-def restrict(g: CPolynomial, phi: CPolynomial, order: int | None = None) -> CPolynomial:
-    """Substitute the last variable by phi (and its conjugate), truncated at
-    order when one is given."""
+def restrict(g: CPolynomial, phi: CPolynomial) -> CPolynomial:
+    """Substitute the last variable by phi (and its conjugate)."""
     n = g.nvars
     if phi.nvars != n - 1:
         raise ValueError("graph series has wrong variable count")
-    zeta = [CPolynomial.variable(n - 1, j) for j in range(n - 1)]
-    out = g.substitute(zeta + [phi], n - 1)
-    return out if order is None else out.truncate(order)
+    return g.substitute(_zeta(n - 1) + (phi,), n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +163,64 @@ def restrict(g: CPolynomial, phi: CPolynomial, order: int | None = None) -> CPol
 
 
 @dataclass(frozen=True)
+class LinearFrame:
+    """r split in the coordinates where its linear part is 2Re(z_n): r is
+    pure + mixed there, h is the holomorphic half of pure, and images gives
+    the original variables there.  g is the exact rule's g, or None when
+    n < 2 or a mixed term carries z_n or conj(z_n): substituting (zeta, phi)
+    moves each mixed term free of z_n to its own key without the last slot,
+    times 1, whatever phi is.  graphs memoizes graph(K)."""
+
+    images: tuple[CPolynomial, ...]
+    pure: CPolynomial
+    mixed: CPolynomial
+    h: CPolynomial
+    g: CPolynomial | None
+    graphs: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def graph(self, K: int) -> tuple[CPolynomial, ...]:
+        """The variables of the linear frame along w = 0 as polynomials in
+        zeta: (zeta, phi), phi = solve_graph(h, K)."""
+        found = self.graphs.get(K)
+        if found is None:
+            m = self.h.nvars - 1
+            phi = solve_graph(self.h, K)
+            found = self.graphs[K] = _zeta(m) + (phi,)
+        return found
+
+
+def _zeta(m: int) -> tuple[CPolynomial, ...]:
+    return tuple(CPolynomial.variable(m, j) for j in range(m))
+
+
+@dataclass(frozen=True)
 class GraphForm:
     """A germ in the graph frame r = 2Re(w) + g(zeta) + O(w).
 
-    g is r restricted to the complex graph h = 0 of its holomorphic half, so
-    it is mixed-only through degree pure_order_bound.  images gives the
-    original variables in the linear frame, and graph the variables of that
-    frame along w = 0 as polynomials in zeta.  lift composes the two: it
-    gives the original variables as polynomials in zeta along w = 0, so
-    curves found in the graph frame map back exactly.  Only a sing-search
-    witness reads it, so it is formed on first read.
-    """
+    g is r restricted to the graph h = 0, mixed-only through degree
+    pure_order_bound; it is exact (truncation None) under the exact rule or
+    when the graph is exact, and otherwise decides only what its terms
+    decide.  frame is r's linear frame, or None for a mixed-only entry, which
+    is g itself in the frame w = 0.  graph gives the linear frame's variables
+    along w = 0 in zeta, and lift the original ones (exact when the graph
+    is); only a sing-search witness reads them, so both are formed on first
+    read."""
 
     g: CPolynomial
     pure_order_bound: int
-    images: tuple[CPolynomial, ...]
-    graph: tuple[CPolynomial, ...]
+    frame: LinearFrame | None = None
+
+    @property
+    def images(self) -> tuple[CPolynomial, ...]:
+        if self.frame is not None:
+            return self.frame.images
+        return _zeta(self.g.nvars + 1)
+
+    @cached_property
+    def graph(self) -> tuple[CPolynomial, ...]:
+        if self.frame is not None:
+            return self.frame.graph(self.pure_order_bound)
+        return _zeta(self.g.nvars) + (CPolynomial.zero(self.g.nvars),)
 
     @cached_property
     def lift(self) -> tuple[CPolynomial, ...]:
@@ -199,96 +243,40 @@ def _linear_images(r: DefiningFunction) -> list[CPolynomial]:
     pivot = max(i for i in range(n) if not a[i].is_zero())
     others = [i for i in range(n) if i != pivot]
     images: list[CPolynomial | None] = [None] * n
-    for new_idx, old_idx in enumerate(others):
-        images[old_idx] = CPolynomial.variable(n, new_idx)
     expr = CPolynomial.variable(n, n - 1)
     for new_idx, old_idx in enumerate(others):
+        images[old_idx] = CPolynomial.variable(n, new_idx)
         if not a[old_idx].is_zero():
-            expr = expr - CPolynomial.variable(n, new_idx).scale(a[old_idx])
+            expr = expr - images[old_idx].scale(a[old_idx])
     images[pivot] = expr.scale(ONE / a[pivot])
     return images
 
 
-def _linear_frame(r: DefiningFunction) -> tuple[CPolynomial, list[CPolynomial]]:
-    """r in the coordinates where its linear part is exactly 2Re(z_n), and
-    the images of the original variables there (_linear_images).
-
-    When the linear part of r is 2Re(z_n) already, the images are the
-    variables themselves and r is returned as it is: substituting the
-    identity moves every term to its own key and multiplies its coefficient
-    by 1, so it gives the same terms in the same order, with the same
-    truncation."""
+def _linear_frame(r: DefiningFunction) -> LinearFrame:
+    """The linear-frame split of r.  When the linear part of r is 2Re(z_n)
+    already, r is split as it is: substituting the identity images gives
+    the same terms in the same order, with the same truncation."""
     n = r.nvars
-    images = _linear_images(r)
-    if images == [CPolynomial.variable(n, i) for i in range(n)]:
-        return r.r, images
-    return r.r.substitute(images, n), images
-
-
-def _rigid_graph(p: CPolynomial) -> CPolynomial | None:
-    """The graph-frame g of a rigid p, or None when p is not rigid.
-
-    p is rigid when n >= 2, its pure part is exactly c*z_n + conj(c)*
-    conj(z_n) (c != 0, as a stored coefficient is), and no mixed term has an
-    exponent on z_n or conj(z_n); one pass over its terms decides this.  g
-    is then p's mixed part with the last slot dropped, exact and in p's
-    term order.  p's truncation is not read.
-
-    This is what the general pipeline gives a rigid germ.  The linear frame
-    maps z_n to z_n/c and fixes the other variables, so it leaves each mixed
-    term in place and makes h = z_n.  solve_graph's exact branch then gives
-    phi = 0, which its machine check accepts, since h(zeta, 0) has no term.
-    Substituting (zeta, 0) drops each pure term, since each one uses the
-    image with no term, and moves each mixed term to its own key without
-    the last slot, times 1, in order; no image is a jet, so the result is
-    exact.
-    """
-    n = p.nvars
-    if n < 2:
-        return None
+    images = tuple(_linear_images(r))
+    normalized = r.r if images == _zeta(n) else r.r.substitute(images, n)
+    pure, mixed = normalized.pure_mixed_split()
+    g = None
     last = n - 1
-    zero = (0,) * n
-    unit = tuple(int(j == last) for j in range(n))
-    lin, anti = (unit, zero), (zero, unit)
-    terms = p.terms
-    c = terms.get(lin)
-    if c is None or terms.get(anti) != c.conjugate():
-        return None
-    mixed = {}
-    for key, coeff in terms.items():
-        if key == lin or key == anti:
-            continue
-        h, a = key
-        if h[last] or a[last] or not any(h) or not any(a):
-            return None
-        mixed[(h[:last], a[:last])] = coeff
-    return CPolynomial(last, mixed)
+    if n >= 2 and not any(h[last] or a[last] for h, a in mixed.terms):
+        g = CPolynomial(last, {(h[:last], a[:last]): c for (h, a), c in mixed.terms.items()},
+                        mixed.truncation)
+    return LinearFrame(images, pure, mixed, pure.holomorphic_part(), g)
 
 
 def normalize_to_graph(r: DefiningFunction, K: int) -> GraphForm:
-    """The graph frame of r through degree K.
-
-    An exact rigid r takes its frame off its terms (_rigid_graph, which
-    gives the argument): g is its mixed part with the last slot dropped,
-    images what _linear_images gives (the variables when c = 1), and graph
-    (zeta, 0).  A jet takes the general path, whose phi is a jet zero
-    carrying its truncation into the last graph entry.
-
-    Every other r takes the same pipeline as germ_ps_check: the linear
-    frame (_linear_frame) makes the linear part 2Re(z_n), solve_graph solves
-    h = 0 for z_n, where h is the holomorphic half of r in the new
-    coordinates, and r is restricted to that graph.  There 2Re(h) vanishes,
-    so the restriction is the mixed part g.
-    """
-    n = r.nvars
-    g = _rigid_graph(r.r) if r.r.truncation is None else None
-    if g is not None:
-        graph = tuple(CPolynomial.variable(n - 1, j) for j in range(n - 1))
-        return GraphForm(g, K, tuple(_linear_images(r)), graph + (CPolynomial.zero(n - 1),))
-    normalized, images = _linear_frame(r)
-    phi = solve_graph(normalized.holomorphic_part(), K)
-    graph = tuple(CPolynomial.variable(n - 1, j) for j in range(n - 1)) + (phi,)
-    return GraphForm(normalized.substitute(graph, n - 1), K, tuple(images), graph)
+    """The graph frame of r through degree K, read off r.frame: the exact
+    rule's g, or the mixed part restricted to the graph solved through K,
+    which agrees with r's restriction through K since 2Re(h) vanishes
+    there."""
+    frame = r.frame
+    if frame.g is not None:
+        return GraphForm(frame.g, K, frame)
+    return GraphForm(restrict(frame.mixed, frame.graph(K)[-1]), K, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +605,8 @@ def germ_ps_check(
     k_max: int,
     bounds: SearchBudget,
 ) -> StabilizationReport:
-    """Run the truncate / decompose / solve / restrict pipeline for each jet
-    order and combine the positivity verdicts.
-
-    _restricted_jets gives each order's restricted jet.  For a rigid r
-    (_rigid_graph, which gives the argument) that is the degree-<= k filter
-    of its g, truncated at 2k, with no graph solve or restriction: what the
-    pipeline gives, since its linear frame leaves each mixed term in place,
-    h = z_n, phi = 0 exactly, and substituting (zeta, 0) drops the pure
-    terms and the last slot.
+    """Certify or search the restricted jet of each order
+    (_restricted_jets) and combine the positivity verdicts.
 
     The Gram certificate is kept while the restricted terms equal the
     previous order's: gram_certificate reads the terms alone.  ps_search
@@ -652,40 +633,32 @@ def germ_ps_check(
 
 def _restricted_jets(r: DefiningFunction, k_min: int, k_max: int):
     """(k, the k-jet of r restricted to its graph, truncated at 2k) for k =
-    k_min..k_max.
+    k_min..k_max, read off the split of r.frame.
 
-    The k-jet of r in the linear frame is read as an exact polynomial in its
-    own right, without the jet marker, so that violations of order between
-    k and 2k stay decidable.  When that exact copy is rigid
-    (_rigid_graph, which gives the argument), the restricted k-jet is the
-    degree-<= k filter of its g, truncated at 2k: filtering r's terms by
-    degree keeps the rigid form, and g does not depend on the order.
+    The k-jet is read as an exact polynomial, without the jet marker, so
+    that violations of order between k and 2k stay decidable.  Truncation
+    commutes with the pure/mixed split and with taking the holomorphic
+    part, which keep or drop each term by its key alone, so the k-jet's h
+    and mixed part are the degree-<= k filters of the frame's, and the
+    checks of decompose_pure_mixed on the whole hold for every such jet.
+    Under the exact rule the restricted k-jet is thus the degree-<= k
+    filter of the frame's g.
 
-    Otherwise the jet is split into (h, g) once, not once per k:
-    truncation commutes with the pure/mixed split and with taking the
-    holomorphic part, since all three keep or drop each term by its key
-    alone (by degree, by whether it is pure, by whether its antiholomorphic
-    exponent is zero).  So the h and g of the k-jet are exactly the terms of
-    degree <= k of the h and g of the whole, and the checks of
-    decompose_pure_mixed on the whole (conjugate-paired pure terms, a linear
-    term in h) hold for every jet of order >= 1 with it.
-
-    An order forms only what differs from the previous order's work; a
-    jet of h or g is unchanged when it has as many terms as the previous
-    one, since both are degree filters of one split.
-    - phi is kept while h's jet is unchanged and phi is exact: solve_graph
-      then takes its exact branch, whose phi does not depend on the order,
-      and its machine check found h(zeta, phi) to have no term at all.
-    - The untruncated restriction of g's jet to the graph is kept while
-      that jet and phi are unchanged, and truncated at 2k for each order.
+    Otherwise an order forms only what differs from the previous order's
+    work; a filter is unchanged when it has as many terms as the previous
+    one.  phi is kept while h's jet is unchanged and phi is exact
+    (solve_graph's exact branch, whose phi does not depend on the order and
+    solves h = 0 exactly), and the untruncated restriction of the mixed
+    jet while it and phi are unchanged.
     """
-    rigid = _rigid_graph(r.r)
-    if rigid is not None:
+    frame = r.frame
+    _check_holomorphic_half(frame.pure, frame.h)
+    if frame.g is not None:
+        g = CPolynomial(frame.g.nvars, frame.g.terms)
         for k in range(k_min, k_max + 1):
-            yield k, rigid.select(lambda key: key_degree(key) <= k).truncate(2 * k)
+            yield k, g.select(lambda key: key_degree(key) <= k).truncate(2 * k)
         return
-    normalized, _images = _linear_frame(r)
-    h, g = decompose_pure_mixed(CPolynomial(normalized.nvars, normalized.terms))
+    h, g = (CPolynomial(p.nvars, p.terms) for p in (frame.h, frame.mixed))
     hk = gk = phi = full = None
     for k in range(k_min, k_max + 1):
         work = 2 * k

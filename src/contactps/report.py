@@ -112,14 +112,18 @@ def _load_problem(source: str):
     return problem
 
 
-def _graph_form(entry: CPolynomial, floor: int) -> GraphForm:
+def _graph_form(entry: CPolynomial, floor: int,
+                r: DefiningFunction | None = None) -> GraphForm:
     """Accept either a full defining function (with a linear part) or a
     mixed-only positivity candidate already in the z_n = 0 frame; the frame
-    is mixed-only through K = max(floor, deg entry)."""
+    is mixed-only through K = max(floor, deg entry).  r is the entry's
+    validated defining function when the caller has one already."""
     K = max(floor, entry.total_degree())
-    if not entry.homogeneous_slice(1).is_zero():
+    if r is None and not entry.homogeneous_slice(1).is_zero():
+        r = _defining_function(entry)
+    if r is not None:
         try:
-            return normalize_to_graph(validate(entry), K)
+            return normalize_to_graph(r, K)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if not entry.is_real_valued():
@@ -131,10 +135,7 @@ def _graph_form(entry: CPolynomial, floor: int) -> GraphForm:
         )
     # The entry is g itself: the original variables are those of the frame,
     # with the graph coordinate w = z_(m+1) set to zero.
-    m = entry.nvars
-    images = tuple(CPolynomial.variable(m + 1, i) for i in range(m + 1))
-    graph = tuple(CPolynomial.variable(m, i) for i in range(m)) + (CPolynomial.zero(m),)
-    return GraphForm(entry, K, images, graph)
+    return GraphForm(entry, K)
 
 
 def _defining_function(entry: CPolynomial) -> DefiningFunction:
@@ -318,7 +319,11 @@ def _sing_section(gf: GraphForm, res) -> dict:
         "budget": _budget(res.budget),
     }
     if res.witness is not None:
-        claims["witness_in_original_frame"] = format_curve(gf.lift_curve(res.witness))
+        # The lift of a series graph is a jet, so it maps an infinite
+        # claim's witness only near a curve along which r vanishes.
+        lifted = gf.lift_curve(res.witness)
+        if res.kind != "infinite" or all(x.truncation is None for x in lifted.components):
+            claims["witness_in_original_frame"] = format_curve(lifted)
     return claims
 
 
@@ -406,6 +411,7 @@ def _cmd_fdb_verify(source, options):
 def _cmd_report_all(source, options):
     """Every analysis on one input, each stage run once.
 
+    The entry is validated once; its frames and germ-ps share its split.
     The gram, ps-check, reg-type and inference evidence use the frame
     K = max(--max, deg); the sing-search section is the one `sing-search`
     prints, on K = max(8, deg), so it takes a second graph form and search
@@ -413,7 +419,8 @@ def _cmd_report_all(source, options):
     """
     entry = _load_problem(source).entry
     N = _type_cap(options)
-    gf = _graph_form(entry, N)
+    df = None if entry.homogeneous_slice(1).is_zero() else _defining_function(entry)
+    gf = _graph_form(entry, N, df)
     budget = _make_budget(options)
     sections = {"order": _order_section(entry)}
     gram = gram_certificate(gf.g)
@@ -422,9 +429,7 @@ def _cmd_report_all(source, options):
     sections["ps_check"] = _cert_section(gf, cert)
     worst = 1 if cert.is_violation else 0
     ps_evidence = None
-    df = None
-    if not entry.homogeneous_slice(1).is_zero():
-        df = _defining_function(entry)
+    if df is not None:
         ps_evidence = _germ_ps(df, options)
         sections["germ_ps"], code = _germ_ps_section(ps_evidence)
         worst = max(worst, code)
@@ -436,7 +441,7 @@ def _cmd_report_all(source, options):
     if max(8, entry.total_degree()) == gf.pure_order_bound:
         sections["sing_search"] = _sing_section(gf, sing_res)
     else:
-        sing_gf = _graph_form(entry, 8)
+        sing_gf = _graph_form(entry, 8, df)
         sections["sing_search"] = _sing_section(sing_gf, sing_type_search(sing_gf, budget))
     rep = infer_type(df, Evidence(reg=reg_claim, sing=sing_res, ps=ps_evidence))
     sections["inference"] = {

@@ -74,7 +74,7 @@ from functools import partial
 from itertools import count
 from math import lcm
 
-from .algebra import ONE, ZERO, CPolynomial, GaussianRational, slice_vanishes
+from .algebra import ONE, ZERO, CPolynomial, GaussianRational, Order, slice_vanishes
 from .curve import CurveJet, contact_order, leading_rows, pullback, ps_test_single
 from .germ import (
     DefiningFunction,
@@ -443,9 +443,10 @@ def _eval_univariate(phi: dict[int, GaussianRational], x: GaussianRational) -> G
 
 def _regular_contact_ideal(
     fs: list[CPolynomial], cap: int
-) -> tuple[_IdealContact, CurveJet | None]:
+) -> tuple[_IdealContact, CurveJet]:
     """Max over regular curves of the min pullback order of the holomorphic
-    generators, not all zero; two variables, complete up to the cap."""
+    generators, not all zero, and a regular curve that attains it; two
+    variables, complete up to the cap."""
     nonzero = [f for f in fs if not f.is_zero()]
     d = nonzero[0].nvars
     if d == 1:
@@ -465,14 +466,11 @@ def _regular_contact_ideal(
             best_pivot = pivot
         if best.infinite:
             break
-    witness = None
-    if best.witness is not None:
-        comps: list[dict[int, GaussianRational]] = [dict() for _ in range(2)]
-        comps[best_pivot][1] = ONE
-        for deg, c in best.witness.items():
-            comps[1 - best_pivot][deg] = c
-        witness = CurveJet.from_coeffs(comps)
-    return best, witness
+    comps: list[dict[int, GaussianRational]] = [dict() for _ in range(2)]
+    comps[best_pivot][1] = ONE
+    for deg, c in best.witness.items():
+        comps[1 - best_pivot][deg] = c
+    return best, CurveJet.from_coeffs(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +507,33 @@ def reg_type(gf: GraphForm, N: int, gram: PSCertificate) -> TypeClaim:
     jet-extension obstruction transcript; otherwise the best exhibited lower
     bound is returned.  gram is gram_certificate(gf.g), computed once by
     the caller.
+
+    Infinite type is claimed only when g's pullback along the witness is
+    identically zero (Order kind "zero"), which a jet never is.  On a jet g
+    truncated at T the true g adds terms of degree > T, which pull back
+    along a regular curve to order > T; so the true order along a regular
+    curve is that of g's pullback when it has a term (its truncation is T),
+    and > T when it has none.  Hence the claims that g's terms decide stand:
+    exact 2 from a definite quadratic part, an exact value v <= T from the
+    sum-of-squares route (its obstruction bounds every regular curve's
+    order on g's terms by v), and a lower bound whose witness pulls g back
+    to an exact order.  Every other claim becomes at_least T + 1 with its
+    witness, along which g has no term through T (_undecided_claim): an infinite
+    claim, an exact value above T, or a lower bound with such a witness.
     """
     if gf.pure_order_bound < N:
         raise ValueError("graph form was not normalized far enough for this cap")
     g = gf.g
-    if g.is_zero():
-        return TypeClaim("infinite", witness=_first_axis(g.nvars),
-                         transcript=("g vanishes identically; every curve has "
-                                     "infinite contact",))
+    if not g.terms:
+        witness = _first_axis(g.nvars)
+        return _undecided_claim(pullback(g, witness).order_of_vanishing(), witness, (
+            "g vanishes identically; every curve has infinite contact"
+            if g.truncation is None else "g has no term through its truncation",))
     if _hermitian_quadratic_definite(g, gram):
         # q(e1) != 0 for the definite quadratic part q, and the mixed-only g
         # has no terms below degree 2, so the first axis has contact exactly 2.
         witness = _first_axis(g.nvars)
-        _verify_contact(g, witness, 2, at_least=2)
+        _verify_contact(pullback(g, witness).order_of_vanishing(), 2, at_least=2)
         return TypeClaim("exact", 2, witness,
                          transcript=("degree-2 Hermitian form is definite: every "
                                      "regular direction meets order exactly 2",))
@@ -529,18 +541,17 @@ def reg_type(gf: GraphForm, N: int, gram: PSCertificate) -> TypeClaim:
         fs = [f for _w, f in gram.squares]
         cap_t = max(2, N)
         res, witness = _regular_contact_ideal(fs, cap_t)
+        order = pullback(g, witness).order_of_vanishing()
         if res.infinite:
-            _verify_zero_pullback(g, witness)
-            return TypeClaim("infinite", witness=witness,
-                             transcript=tuple(res.transcript))
+            return _undecided_claim(order, witness, tuple(res.transcript))
         value = 2 * res.value
-        if witness is not None:
-            _verify_contact(g, witness, value if res.exact else None, at_least=value)
+        transcript = tuple(["sum-of-squares route: contact of the holomorphic "
+                            "generator ideal, doubled"] + res.transcript)
+        if order.kind == "at_least":
+            return _undecided_claim(order, witness, transcript)
+        _verify_contact(order, value if res.exact else None, at_least=value)
         kind = "exact" if res.exact and res.value < cap_t else "at_least"
-        return TypeClaim(kind, value, witness,
-                         transcript=tuple(
-                             ["sum-of-squares route: contact of the holomorphic "
-                              "generator ideal, doubled"] + res.transcript))
+        return TypeClaim(kind, value, witness, transcript=transcript)
     # Indefinite or high-dimensional: bounded lower-bound search only.
     found = _best_contact(g, SearchBudget(max_degree=max(4, N), random_trials=200), 1)
     if found.kind == "infinite":
@@ -560,8 +571,8 @@ def _first_axis(n: int) -> CurveJet:
     return CurveJet.monomial([1] + [0] * (n - 1), [ONE] + [ZERO] * (n - 1))
 
 
-def _verify_contact(g, z, exact_value, at_least):
-    order = pullback(g, z).order_of_vanishing()
+def _verify_contact(order: Order, exact_value, at_least):
+    """Raise unless a witness's pullback order supports the claim."""
     if order.kind != "exact" or order.value < at_least or (
         exact_value is not None and order.value != exact_value
     ):
@@ -570,9 +581,16 @@ def _verify_contact(g, z, exact_value, at_least):
         )
 
 
-def _verify_zero_pullback(g, z):
-    if not pullback(g, z).is_zero():
+def _undecided_claim(order: Order, z, transcript: tuple[str, ...]) -> TypeClaim:
+    """The claim of a witness z along which g's pullback, of order order,
+    has no term: infinite when it is zero, the jet bound when g is a jet."""
+    if order.kind == "exact":
         raise VerificationFailedError("infinite-contact witness has nonzero pullback")
+    if order.kind == "zero":
+        return TypeClaim("infinite", witness=z, transcript=transcript)
+    return TypeClaim("at_least", order.value, z, transcript=transcript + (
+        f"g is a jet: the witness pulls it back to order {order}, so only a "
+        f"lower bound of {order.value} is claimed",))
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ def _per_order_reference(k_min, k_max, bounds, split):
         h, gk = split(k)
         work = 2 * k
         phi = germ.solve_graph(h, work)
-        gres = germ.restrict(gk, phi, work)
+        gres = germ.restrict(gk, phi).truncate(work)
         gram = germ.gram_certificate(gres)
         cert = gram if gram.verdict == "certified" else germ.ps_search(gres, bounds, gram)
         entries.append(germ.StabilizationEntry(k, gres, cert))

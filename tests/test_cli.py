@@ -15,6 +15,7 @@ from contactps.algebra import GaussianRational
 from contactps.cli import main
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus"
+FIXTURES_DIR = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 CUBIC_SQUARE = "n = 3\nr = 2*Re(z3) + abs2(z1^2 - z2^3)\n"
 CANCEL_SQUARE = "n = 3\nr = 2*Re(z3) + abs2(z1 + z2^2)\n"
@@ -23,6 +24,10 @@ CANCEL_QUARTIC = "n = 3\nr = 2*Re(z3) + abs2(z1 + z2^2) + abs2(z2)^2\n"
 INDEFINITE = "n = 2\nr = abs2(z1)^2 - abs2(z2)^2\n"
 # Only the Gram-seed stage of ps_search finds this violation.
 GRAM_SEED_ONLY = "n = 2\nr = 24*abs2(z2) - 5*z2*conj(z1) - 5*z1*conj(z2) + abs2(z1)\n"
+# Germs whose graph is a series, so that a low --max gives a jet frame.
+SERIES_TWO_SQUARES = "n = 3\nr = 2*Re(z3 + z3^2 - z1^2) + abs2(z2 - z1^2) + abs2(z3 - z1^2)\n"
+SERIES_ONE_SQUARE = "n = 3\nr = 2*Re(z3 + z3^2 - z1^2) + abs2(z3 - z1^2)\n"
+SERIES_TYPE_24 = "n = 3\nr = 2*Re(z3 - z3^2) + abs2(-z2^3) + abs2(i*z2 + z1^4)\n"
 
 
 @pytest.fixture
@@ -384,6 +389,89 @@ def test_report_all_runs_each_stage_once(runner, tmp_path, monkeypatch):
     assert calls == dict.fromkeys(stages, 1)
 
 
+@pytest.mark.parametrize("source, args", [
+    (CANCEL_SQUARE, []),
+    (SERIES_TWO_SQUARES, ["--max", "4"]),
+    (SERIES_TWO_SQUARES, ["--max", "12"]),
+], ids=["rigid", "series_max4", "series_max12"])
+def test_report_all_validates_and_splits_once(runner, tmp_path, monkeypatch, source, args):
+    """report --all validates its entry once and forms the linear-frame
+    split once, which every frame (K = --max and K = 8 where they differ)
+    and germ-ps read."""
+    import contactps.germ as germ
+    import contactps.report as report
+
+    calls = {"validate": 0, "_linear_frame": 0}
+    for owner, name in ((report, "validate"), (germ, "_linear_frame")):
+        def counted(*a, _fn=getattr(owner, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(owner, name, counted)
+    res = _invoke(runner, tmp_path, source,
+                  ["report", "--all", "--max-deg", "4", "--trials", "10", *args, "--json"])
+    assert res.exit_code in (0, 1) and isinstance(res.exception, (type(None), SystemExit))
+    assert calls == {"validate": 1, "_linear_frame": 1}
+
+
+@pytest.mark.parametrize("cap", [4, 8, 12])
+def test_a_jet_frame_never_claims_infinite_type(runner, tmp_path, cap):
+    """The true regular type of SERIES_TWO_SQUARES is 8, along (t, t^2).  Its
+    frame at --max 4 is a jet with no |z1|^8 term, on which (t, t^2)
+    annihilates the one Gram square: that decides only a lower bound of 5."""
+    res = _invoke(runner, tmp_path, SERIES_TWO_SQUARES, ["reg-type", "--max", str(cap), "--json"])
+    assert res.exit_code == 0
+    claim = _machine(res)["claims"]["reg_type"]
+    assert claim["kind"] != "infinite"
+    if cap == 4:
+        assert (claim["kind"], claim["value"], claim["witness"]) == ("at_least", "5/1", "(t, t^2)")
+    if cap == 8:
+        assert (claim["kind"], claim["value"]) == ("exact", "8/1")
+
+
+def test_report_all_on_a_jet_frame_claims_no_infinite_type(runner, tmp_path):
+    res = _invoke(runner, tmp_path, SERIES_TWO_SQUARES,
+                  ["report", "--all", "--max", "4", "--max-deg", "4", "--trials", "10", "--json"])
+    assert res.exit_code == 0
+    claims = _machine(res)["claims"]
+    assert claims["reg_type"]["reg_type"]["kind"] == "at_least"
+    assert claims["inference"]["reg_type"]["kind"] == "at_least"
+    assert claims["inference"]["sing_type"]["kind"] == "at_least"
+
+
+def test_a_jet_frame_with_no_term_is_not_zero(runner, tmp_path):
+    """SERIES_ONE_SQUARE's frame at --max 4 is a jet with no term: every
+    regular curve, (t, 0) included, has order at least 5 on it, not
+    infinite."""
+    res = _invoke(runner, tmp_path, SERIES_ONE_SQUARE, ["reg-type", "--max", "4", "--json"])
+    assert res.exit_code == 0
+    claim = _machine(res)["claims"]["reg_type"]
+    assert (claim["kind"], claim["value"], claim["witness"]) == ("at_least", "5/1", "(t, 0)")
+
+
+@pytest.mark.parametrize("cap, claimed", [
+    (4, ("at_least", "8/1")), (8, ("at_least", "16/1")), (12, ("at_least", "24/1")),
+    (24, ("exact", "24/1")),
+])
+def test_a_type_24_germ_with_a_series_graph_has_an_answer_at_every_cap(runner, tmp_path,
+                                                                      cap, claimed):
+    """Along (t, i*t^4) SERIES_TYPE_24 pulls back to |t|^24.  Its mixed part
+    is free of z3, so its frame is exact at every cap and no claim on it
+    fails its own check."""
+    res = _invoke(runner, tmp_path, SERIES_TYPE_24, ["reg-type", "--max", str(cap), "--json"])
+    assert res.exit_code == 0
+    claim = _machine(res)["claims"]["reg_type"]
+    assert (claim["kind"], claim["value"]) == claimed
+
+
+def test_verify_report_rejects_an_infinite_claim_made_on_a_jet_frame(runner):
+    """The fixture is the `report --all --max 4 --json` output of
+    SERIES_TWO_SQUARES from a release that claimed regular type infinite on
+    its jet frame; recomputing it gives at_least 5."""
+    check = runner.invoke(main, ["verify-report", str(FIXTURES_DIR / "jet_frame_infinite_report.json")])
+    assert check.exit_code == 2
+    assert "verification failure" in check.output
+
+
 def _count_frame_work(runner, monkeypatch, argv):
     """Run one command and count its graph solves, restrictions, Gram
     certificates and substitutions."""
@@ -419,8 +507,9 @@ def _count_frame_work(runner, monkeypatch, argv):
 ])
 def test_each_frame_and_certificate_is_formed_once(runner, monkeypatch, args, counts):
     """crit5_m3 and crit6_type4 are rigid (2Re(z3) plus a mixed part free
-    of z3), so their graph frame is read off their terms: no graph solve,
-    restriction or substitution.  crit5_m3's restricted jets change at few
+    of z3), so the exact rule reads their graph frame off the mixed part of
+    r, whose linear frame is r itself: no graph solve, restriction or
+    substitution.  crit5_m3's restricted jets change at few
     orders, so germ-ps on k = 2..7 forms 3 Gram certificates for its 6
     orders.  reg-type certifies g, then only the degree-2 slice q when it
     is not empty (crit6_type4) and never -q after a certified g, not 3
@@ -431,13 +520,26 @@ def test_each_frame_and_certificate_is_formed_once(runner, monkeypatch, args, co
     assert {key: calls[key] for key in counts} == counts
 
 
-def test_a_germ_that_is_not_rigid_takes_the_general_frame(runner, monkeypatch, tmp_path):
-    """2Re(z3 + z1^2) has a pure term other than 2Re(z3), so germ-ps on
-    k = 2..6 solves its graph once (one substitution forms phi, one checks
-    it) and restricts g's jet at the 2 orders where it changes, as before
-    the rigid frame."""
+def test_a_germ_with_a_series_graph_takes_the_exact_frame(runner, monkeypatch, tmp_path):
+    """2Re(z3 + z1^2) makes the graph a series, but the mixed part is free
+    of z3, so the exact rule reads every jet of g off the mixed part: germ-ps
+    on k = 2..6 solves no graph, restricts nothing and substitutes nothing,
+    and certifies the 2 distinct jets."""
     path = tmp_path / "problem.txt"
     path.write_text("n = 3\nr = 2*Re(z3 + z1^2) + abs2(z1)^2 + abs2(z2)^2\n")
+    argv = ["germ-ps", str(path), "--kmin", "2", "--kmax", "6", "--max-deg", "4",
+            "--trials", "10"]
+    assert _count_frame_work(runner, monkeypatch, argv) == {
+        "solve_graph": 0, "restrict": 0, "gram_certificate": 2, "substitute": 0}
+
+
+def test_a_germ_whose_mixed_part_carries_z3_takes_the_series_frame(runner, monkeypatch,
+                                                                    tmp_path):
+    """abs2(z3)^2 puts z3 in the mixed part, so germ-ps on k = 2..6 solves
+    the graph once (one substitution forms phi, one checks it) and restricts
+    the mixed part's jet at the 2 orders where it changes."""
+    path = tmp_path / "problem.txt"
+    path.write_text("n = 3\nr = 2*Re(z3 + z1^2) + abs2(z1)^2 + abs2(z2)^2 + abs2(z3)^2\n")
     argv = ["germ-ps", str(path), "--kmin", "2", "--kmax", "6", "--max-deg", "4",
             "--trials", "10"]
     assert _count_frame_work(runner, monkeypatch, argv) == {

@@ -23,7 +23,6 @@ from contactps.germ import (
     ps_search,
     restrict,
     solve_graph,
-    taylor_truncate,
     validate,
 )
 from contactps.search import SearchBudget, canonicalize_curve, monomial_choices
@@ -62,7 +61,7 @@ class TestValidate:
 class TestDecompose:
     def test_splits_into_2re_h_plus_mixed(self):
         r = _germ("2*Re(z3) + abs2(z1 + z2^2)")
-        jk = taylor_truncate(r, 4)
+        jk = r.r.truncate(4)
         h, g = decompose_pure_mixed(jk)
         assert (h + h.conjugate()) + g == jk
         assert not g.pure_mixed_split()[0].terms  # g is mixed-only
@@ -98,7 +97,7 @@ class TestSolveGraph:
     def test_restrict_substitutes_last_variable(self):
         g = parse_expression("abs2(z2)", 2)
         phi = parse_expression("0 - z1^2", 1)
-        out = restrict(g, phi, 6)
+        out = restrict(g, phi)
         assert out.truncate(4) == parse_expression("abs2(z1^2)", 1).truncate(4)
 
 
@@ -570,13 +569,13 @@ def _stabilization_fields(rep):
 
 
 def test_germ_ps_check_matches_the_per_jet_split(monkeypatch):
-    """Splitting r once and filtering each jet by degree, or reading the
-    frame of a rigid germ off its terms, gives what the reference gives by
-    truncating and splitting anew for every k: the same restricted jets in
-    the same term order, certificates and k0.  On the germ-ps ranges of the
-    certify workload (max degree 4, 10 trials) and of report_all (k =
+    """Splitting r once and filtering each jet by degree, or reading each
+    jet under the exact rule off the frame's g, gives what the reference
+    gives by truncating and splitting anew for every k: the same restricted
+    jets in the same term order, certificates and k0.  On the germ-ps ranges
+    of the certify workload (max degree 4, 10 trials) and of report_all (k =
     2..deg r, max degree 4, 50 trials), on random germs, and on rigid germs
-    and their near misses, which reach both paths."""
+    and their near misses, which reach both rules."""
     solves = _spy_solves(monkeypatch)
     budgets = [SearchBudget(max_degree=4, random_trials=10, seed=3),
                SearchBudget(max_degree=4, random_trials=50, seed=5)]
@@ -612,20 +611,36 @@ def test_germ_ps_check_matches_the_per_jet_split(monkeypatch):
             lambda: _stabilization_fields(germ_ps_check_reference(r, k_min, k_max, budget)))
 
     rigid_germs()
-    assert paths == {"rigid", "general"}
+    assert paths == {"exact", "series"}
 
 
 def _poly_fields(p):
     return p.nvars, p.truncation, list(p.terms.items())
 
 
-def _frame_fields(g, images, graph, lift):
-    return (_poly_fields(g), [_poly_fields(p) for p in images],
+def _frame_fields(g, K, exact, images, graph, lift):
+    """What a graph frame through K holds: g's terms through K and whether g
+    is exact, and the images, graph and lift (terms in order, truncation,
+    nvars)."""
+    return (g.nvars, exact, g.truncate(K).terms, [_poly_fields(p) for p in images],
             [_poly_fields(p) for p in graph], [_poly_fields(p) for p in lift])
 
 
 def _graph_form_fields(gf):
-    return _frame_fields(gf.g, gf.images, gf.graph, gf.lift)
+    K = gf.pure_order_bound
+    return _frame_fields(gf.g, K, gf.g.truncation is None, gf.images, gf.graph, gf.lift)
+
+
+def _reference_frame_fields(r, K):
+    """The fields of normalize_to_graph_reference(r, K), whose g is exact
+    exactly when r is exact and either the exact rule applies (no mixed term
+    of r in the linear frame has an exponent on z_n) or phi is exact."""
+    g, images, graph, lift = normalize_to_graph_reference(r, K)
+    n = r.nvars
+    mixed = r.r.substitute(images, n).pure_mixed_split()[1]
+    rule = not any(h[n - 1] or a[n - 1] for h, a in mixed.terms)
+    exact = r.r.truncation is None and (rule or graph[-1].truncation is None)
+    return _frame_fields(g, K, exact, images, graph, lift)
 
 
 def _outcome(compute):
@@ -646,18 +661,19 @@ def _spy_solves(monkeypatch):
 
 
 def _path(solves, before):
-    """The path a call took: "general" when it solved a graph."""
-    return "general" if len(solves) > before else "rigid"
+    """The rule a call took: "series" when it solved a graph."""
+    return "series" if len(solves) > before else "exact"
 
 
 def _check_frame_reuse(r, K, k_min, k_max, budget, solves):
     """Check normalize_to_graph and germ_ps_check on r against the
-    references that form everything anew, errors included; the paths that
-    the two took."""
+    references that form everything anew, errors included; the rules that
+    the two took (normalize_to_graph's before its lift is read)."""
     before = len(solves)
-    frame = _outcome(lambda: _graph_form_fields(normalize_to_graph(r, K)))
+    gf = _outcome(lambda: normalize_to_graph(r, K))
     frame_path = _path(solves, before)
-    assert frame == _outcome(lambda: _frame_fields(*normalize_to_graph_reference(r, K)))
+    frame = gf if isinstance(gf, tuple) else _outcome(lambda: _graph_form_fields(gf))
+    assert frame == _outcome(lambda: _reference_frame_fields(r, K))
     before = len(solves)
     stab = _outcome(lambda: _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)))
     check_path = _path(solves, before)
@@ -667,17 +683,21 @@ def _check_frame_reuse(r, K, k_min, k_max, budget, solves):
 
 
 def test_frames_formed_once_match_the_per_order_pipeline(monkeypatch):
-    """Reading a rigid germ's frame off its terms, returning r for an
-    identity linear frame, forming the lift on first read, and keeping phi,
-    the untruncated restriction and the Gram certificate across jet orders
-    change nothing: normalize_to_graph gives the g, images, graph and lift
-    (terms in order, truncation, nvars) of the pipeline that forms
-    everything anew, and germ_ps_check the same entries and k0, errors
-    included.  On the 19 corpus germs (a mixed-only entry lifts by the
-    identity with w = 0), on germs whose linear part is not 2Re(z_n) or
-    whose graph is a series, on random germs, and on rigid germs and their
-    near misses (jets, n = 1 and a linear part that is not real among
-    them), which reach both paths of both functions."""
+    """Splitting r once per defining function, taking g under the exact
+    rule off the mixed part and restricting only the mixed part otherwise,
+    returning r for an identity linear frame, forming the graph of the
+    exact rule and the lift on first read, and keeping phi, the untruncated
+    restriction and the Gram certificate across jet orders change nothing
+    that the frame decides: normalize_to_graph gives the terms of g through
+    K of the pipeline that restricts all of r anew, with g exact exactly
+    when r is exact and the exact rule applies or phi is exact, and the
+    same images, graph and lift (terms in order, truncation, nvars); and
+    germ_ps_check the same entries and k0, errors included.  On the 19
+    corpus germs (a mixed-only entry lifts by the identity with w = 0), on
+    germs whose linear part is not 2Re(z_n) or whose graph is a series, on
+    random germs, and on rigid germs and their near misses (jets, n = 1 and
+    a linear part that is not real among them), which reach both rules of
+    both functions."""
     solves = _spy_solves(monkeypatch)
     budget = SearchBudget(max_degree=4, random_trials=10, seed=3)
     for path in sorted(_CORPUS_DIR.glob("*.txt")):
@@ -729,4 +749,4 @@ def test_frames_formed_once_match_the_per_order_pipeline(monkeypatch):
         paths["check"].add(check_path)
 
     rigid_germs()
-    assert paths == {"frame": {"rigid", "general"}, "check": {"rigid", "general"}}
+    assert paths == {"frame": {"exact", "series"}, "check": {"exact", "series"}}

@@ -549,9 +549,7 @@ class TestDesingularize:
         # negative balanced coefficient at exact order 4m
         g = parse_expression("0 - abs2(z1)^2 + abs2(z1^3)", 1)
         from contactps.germ import GraphForm
-        from contactps.algebra import CPolynomial
-        gf2 = GraphForm(g, 8, (CPolynomial.variable(2, 0), CPolynomial.variable(2, 1)),
-                        (CPolynomial.variable(1, 0), CPolynomial.zero(1)))
+        gf2 = GraphForm(g, 8)
         with pytest.raises(PSViolationError):
             desingularize(gf2, parse_curve("(t^2)"))
 
