@@ -28,6 +28,9 @@ from .report import (
 from .typecalc import VerificationFailedError
 
 _MACHINE_MARKER = "--- machine section (json) ---"
+# The typed errors of a run: bad input, and a check that failed.  Both exit 2.
+_INPUT_ERRORS = (InputError, ExprSyntaxError, NotRealError)
+_CHECK_ERRORS = (ReportMismatchError, VerificationFailedError, SolveGraphError)
 
 
 @click.group()
@@ -41,10 +44,10 @@ def _execute(command: str, file, options: dict, as_json: bool):
     source = file.read() if file is not None else ""
     try:
         machine, code = build_report(command, source, options)
-    except (InputError, ExprSyntaxError, NotRealError) as exc:
+    except _INPUT_ERRORS as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
-    except (ReportMismatchError, VerificationFailedError, SolveGraphError) as exc:
+    except _CHECK_ERRORS as exc:
         click.echo(f"verification failure: {exc}", err=True)
         sys.exit(2)
     out = machine_json(machine) if as_json else render_report(machine)
@@ -193,7 +196,7 @@ def verify_report_cmd(report_file):
         sys.exit(2)
     try:
         summary = verify_report(machine)
-    except (InputError, ReportMismatchError) as exc:
+    except _INPUT_ERRORS + _CHECK_ERRORS as exc:
         click.echo(f"verification failure: {exc}", err=True)
         sys.exit(2)
     click.echo(json.dumps(summary, sort_keys=True))

@@ -82,6 +82,11 @@ class DefiningFunction:
         return self.r.nvars
 
     @cached_property
+    def linear(self) -> CPolynomial:
+        """The linear slice of r, which validate checks and the frame reads."""
+        return self.r.homogeneous_slice(1)
+
+    @cached_property
     def frame(self) -> LinearFrame:
         """The linear-frame split of r, shared by every graph frame and
         germ-ps run on this r."""
@@ -93,9 +98,10 @@ def validate(r: CPolynomial) -> DefiningFunction:
         raise NotRealError("defining function must be real-valued")
     if not r.constant_term().is_zero():
         raise NonzeroConstantError("defining function must vanish at the origin")
-    if r.homogeneous_slice(1).is_zero():
+    df = DefiningFunction(r)
+    if df.linear.is_zero():
         raise NoLinearPartError("defining function must have dr(0) != 0")
-    return DefiningFunction(r)
+    return df
 
 
 def decompose_pure_mixed(jk: CPolynomial) -> tuple[CPolynomial, CPolynomial]:
@@ -235,7 +241,7 @@ def _linear_images(r: DefiningFunction) -> list[CPolynomial]:
     """The original variables in new coordinates where the linear part of r
     is exactly 2Re(z_n)."""
     n = r.nvars
-    lin = r.r.homogeneous_slice(1)
+    lin = r.linear
     a = [
         lin.coeff((tuple(1 if j == i else 0 for j in range(n)), (0,) * n))
         for i in range(n)
@@ -421,21 +427,6 @@ def gram_certificate(g: CPolynomial) -> PSCertificate:
     return PSCertificate("inconclusive", "gram", indefinite_direction=direction)
 
 
-def torus_positive(p: CPolynomial) -> bool:
-    """Whether p > 0 at every point whose coordinates are all nonzero, read
-    off gram_certificate(p): p is a sum of w_k |f_k|^2 with every w_k > 0,
-    so p >= 0 everywhere, and when one f_k is a single term c z^m its square
-    |c|^2 |z^m|^2 is > 0 wherever no coordinate is zero.  False when p is
-    not real-valued and mixed-only (gram_certificate's ValueError), when it
-    is not certified, or when no square is a single term; False proves
-    nothing."""
-    try:
-        cert = gram_certificate(p)
-    except ValueError:
-        return False
-    return cert.verdict == "certified" and any(len(f.terms) == 1 for _w, f in cert.squares)
-
-
 def _gram_seed_curves(g: CPolynomial, direction) -> list[CurveJet]:
     """Turn an indefinite Gram direction into candidate curves when each
     indexing monomial is a power of a single distinct variable."""
@@ -604,25 +595,22 @@ def germ_ps_check(
     k_min: int,
     k_max: int,
     bounds: SearchBudget,
+    certify,
 ) -> StabilizationReport:
     """Certify or search the restricted jet of each order
     (_restricted_jets) and combine the positivity verdicts.
 
-    The Gram certificate is kept while the restricted terms equal the
-    previous order's: gram_certificate reads the terms alone.  ps_search
-    reads the truncation too, so it runs at every order whose certificate
-    is not certified.
+    certify(g) gives gram_certificate(g), so a caller can form one per term
+    set and share it (report.GermAnalysis).  ps_search reads the truncation
+    too, so it runs at every order whose certificate is not certified.
     """
     if not (2 <= k_min <= k_max):
         raise ValueError("need 2 <= k_min <= k_max")
     entries = []
-    gres = gram = None
     for k, restricted in _restricted_jets(r, k_min, k_max):
-        if gres is None or restricted.terms != gres.terms:
-            gram = gram_certificate(restricted)
-        gres = restricted
-        cert = gram if gram.verdict == "certified" else ps_search(gres, bounds, gram)
-        entries.append(StabilizationEntry(k, gres, cert))
+        gram = certify(restricted)
+        cert = gram if gram.verdict == "certified" else ps_search(restricted, bounds, gram)
+        entries.append(StabilizationEntry(k, restricted, cert))
     k0 = None
     for entry in reversed(entries):
         if entry.certificate.is_violation:

@@ -7,6 +7,16 @@ and must reproduce the claims bit-for-bit.  Rational values are serialized
 as numerator/denominator decimal strings, never floats.  The timestamp
 lives only in the human header: machine sections of identical runs are
 byte-identical.
+
+Each command projects one GermAnalysis of its input into its section, and
+`report --all` is the union of the sections.  The analysis forms each
+piece once: the validated defining function (or the mixed-only decision),
+one graph frame per K, one Gram certificate per term set (the gram and
+ps-check stage, the germ-ps jets and reg-type's g and quadratic part share
+it) and one sing-search per g.  It lives for one command: verify-report
+re-derives everything.  Frames: K = max(4, deg) for gram and ps-check,
+max(--max, deg) for reg-type, the inference and, in `report --all`, gram
+and ps-check too, and max(8, deg) for sing-search and desingularize.
 """
 
 from __future__ import annotations
@@ -16,17 +26,12 @@ import json
 import random
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from .algebra import CPolynomial, GaussianRational, Order
 from .curve import CurveJet, contact_order, laplacian_power, pullback
-from .expr import (
-    ExprSyntaxError,
-    format_curve,
-    format_polynomial,
-    parse_curve,
-    parse_problem,
-)
+from .expr import format_curve, format_polynomial, parse_curve, parse_problem
 from .fdb import (
     derive_forms,
     expansion_table,
@@ -101,61 +106,27 @@ def _claim(c) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Input handling
+# Input handling and the analysis of one command
 
 
-def _load_problem(source: str):
+def _as_input(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError raised as an InputError."""
     try:
-        problem = parse_problem(source)
-    except ExprSyntaxError as exc:
-        raise InputError(str(exc)) from exc
-    return problem
-
-
-def _graph_form(entry: CPolynomial, floor: int,
-                r: DefiningFunction | None = None) -> GraphForm:
-    """Accept either a full defining function (with a linear part) or a
-    mixed-only positivity candidate already in the z_n = 0 frame; the frame
-    is mixed-only through K = max(floor, deg entry).  r is the entry's
-    validated defining function when the caller has one already."""
-    K = max(floor, entry.total_degree())
-    if r is None and not entry.homogeneous_slice(1).is_zero():
-        r = _defining_function(entry)
-    if r is not None:
-        try:
-            return normalize_to_graph(r, K)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    if not entry.is_real_valued():
-        raise InputError("function must be real-valued")
-    pure, _mixed = entry.pure_mixed_split()
-    if not pure.is_zero():
-        raise InputError(
-            "function must either have a linear part or be mixed-only"
-        )
-    # The entry is g itself: the original variables are those of the frame,
-    # with the graph coordinate w = z_(m+1) set to zero.
-    return GraphForm(entry, K)
-
-
-def _defining_function(entry: CPolynomial) -> DefiningFunction:
-    try:
-        return validate(entry)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _parse_curve_arg(text: str, nvars: int | None = None) -> CurveJet:
-    try:
-        return parse_curve(text, nvars)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _curve_option(options) -> CurveJet:
+    """The parsed --curve option, which only a stored report can lack."""
+    if "curve" not in options:
+        raise InputError("the 'curve' option is required")
+    return _as_input(parse_curve, options["curve"])
 
 
-def _curve_for_entry(text: str, entry: CPolynomial) -> CurveJet:
+def _curve_for_entry(z: CurveJet, entry: CPolynomial) -> CurveJet:
     """A --curve argument may match the entry's variables exactly or carry
     one extra identically-zero last component (the graph coordinate)."""
-    z = _parse_curve_arg(text)
     if z.nvars == entry.nvars:
         return z
     if z.nvars == entry.nvars + 1 and z.components[-1].is_zero():
@@ -165,9 +136,95 @@ def _curve_for_entry(text: str, entry: CPolynomial) -> CurveJet:
     )
 
 
+class GermAnalysis:
+    """What one command derives from its entry (see the module docstring),
+    each piece formed when a section first reads it, so that input errors
+    come in the order in which the command reads its input."""
+
+    def __init__(self, source: str, options: dict):
+        self.entry = _as_input(parse_problem, source).entry
+        self.options = options
+        self._frames, self._certificates, self._searches = {}, {}, []
+
+    @property
+    def budget(self) -> SearchBudget:
+        options = self.options
+        return _as_input(
+            SearchBudget,
+            max_multiplicity=options.get("max_mult", 4),
+            max_degree=options.get("max_deg", 6),
+            coeff_height=options.get("coeff_height", 2),
+            random_trials=options.get("trials", 200),
+            seed=options.get("seed", 0),
+        )
+
+    @property
+    def cap(self) -> int:
+        """The --max cap of the regular-type search.  Every regular type is
+        at least 2, so a smaller cap bounds nothing and is an input error."""
+        N = self.options.get("max", 8)
+        if N < 2:
+            raise InputError(f"--max must be at least 2, got {N}")
+        return N
+
+    @cached_property
+    def df(self) -> DefiningFunction:
+        return _as_input(validate, self.entry)
+
+    @cached_property
+    def r(self) -> DefiningFunction | None:
+        """df, or None for a mixed-only entry, which is g in the frame w = 0."""
+        if not self.entry.homogeneous_slice(1).is_zero():
+            return self.df
+        if not self.entry.is_real_valued():
+            raise InputError("function must be real-valued")
+        if not self.entry.pure_mixed_split()[0].is_zero():
+            raise InputError("function must either have a linear part or be mixed-only")
+        return None
+
+    def frame(self, floor: int) -> GraphForm:
+        """The graph frame through K = max(floor, deg entry)."""
+        K = max(floor, self.entry.total_degree())
+        if K not in self._frames:
+            r = self.r
+            self._frames[K] = (GraphForm(self.entry, K) if r is None
+                               else _as_input(normalize_to_graph, r, K))
+        return self._frames[K]
+
+    def certificate(self, g: CPolynomial):
+        """gram_certificate(g), which reads nvars and the terms of g alone."""
+        formed = self._certificates.setdefault((g.nvars, frozenset(g.terms)), [])
+        for terms, cert in formed:
+            if terms == g.terms:
+                return cert
+        cert = gram_certificate(g)
+        formed.append((g.terms, cert))
+        return cert
+
+    def search(self, gf: GraphForm):
+        """sing_type_search on gf, which reads its g alone."""
+        for g, res in self._searches:
+            if g == gf.g:
+                return res
+        res = sing_type_search(gf, self.budget)
+        self._searches.append((gf.g, res))
+        return res
+
+    @cached_property
+    def germ_ps(self):
+        r = self.df
+        k_min = self.options.get("kmin", 2)
+        k_max = self.options.get("kmax", max(k_min, r.r.total_degree()))
+        return _as_input(germ_ps_check, r, k_min, k_max, self.budget, self.certificate)
+
+    @cached_property
+    def reg_claim(self):
+        return reg_type(self.frame(self.cap), self.cap, self.certificate)
+
+
 # ---------------------------------------------------------------------------
-# Command execution: each command maps (source, options) -> (claims, exit code).
-# `report --all` runs each stage once and reuses the commands' section builders.
+# Command execution: each command maps (source, options) -> (claims, exit
+# code), a projection of its analysis; `report --all` is their union.
 
 
 def _order_section(entry: CPolynomial) -> dict:
@@ -178,13 +235,13 @@ def _order_section(entry: CPolynomial) -> dict:
 
 
 def _cmd_order(source, options):
-    return _order_section(_load_problem(source).entry), 0
+    return _order_section(GermAnalysis(source, options).entry), 0
 
 
 def _cmd_pullback(source, options):
-    problem = _load_problem(source)
-    z = _curve_for_entry(options["curve"], problem.entry)
-    u = pullback(problem.entry, z)
+    entry = GermAnalysis(source, options).entry
+    z = _curve_for_entry(_curve_option(options), entry)
+    u = pullback(entry, z)
     return {
         "curve": format_curve(z),
         "pullback": format_polynomial(u, "t"),
@@ -193,9 +250,9 @@ def _cmd_pullback(source, options):
 
 
 def _cmd_contact(source, options):
-    problem = _load_problem(source)
-    z = _curve_for_entry(options["curve"], problem.entry)
-    order, ratio = contact_order(problem.entry, z)
+    entry = GermAnalysis(source, options).entry
+    z = _curve_for_entry(_curve_option(options), entry)
+    order, ratio = contact_order(entry, z)
     claims = {
         "curve": format_curve(z),
         "multiplicity": z.multiplicity(),
@@ -207,28 +264,6 @@ def _cmd_contact(source, options):
     elif ratio is not None:
         claims["contact"] = _fr(ratio)
     return claims, 0
-
-
-def _make_budget(options) -> SearchBudget:
-    try:
-        return SearchBudget(
-            max_multiplicity=options.get("max_mult", 4),
-            max_degree=options.get("max_deg", 6),
-            coeff_height=options.get("coeff_height", 2),
-            random_trials=options.get("trials", 200),
-            seed=options.get("seed", 0),
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _type_cap(options) -> int:
-    """The --max cap of the regular-type search.  Every regular type is at
-    least 2, so a smaller cap bounds nothing and is an input error."""
-    N = options.get("max", 8)
-    if N < 2:
-        raise InputError(f"--max must be at least 2, got {N}")
-    return N
 
 
 def _cert_claims(cert) -> dict:
@@ -259,27 +294,24 @@ def _cert_section(gf: GraphForm, cert) -> dict:
     return {"g": format_polynomial(gf.g), "certificate": _cert_claims(cert)}
 
 
-def _cmd_ps_check(source, options):
-    gf = _graph_form(_load_problem(source).entry, 4)
-    budget = _make_budget(options)
-    gram = gram_certificate(gf.g)
+def _ps_check_section(an: GermAnalysis, gf: GraphForm) -> tuple[dict, int]:
+    """g's Gram certificate when it is certified, else ps_search's verdict;
+    the budget is checked first."""
+    budget = an.budget
+    gram = an.certificate(gf.g)
     cert = gram if gram.verdict == "certified" else ps_search(gf.g, budget, gram)
     return _cert_section(gf, cert), 1 if cert.is_violation else 0
 
 
+def _cmd_ps_check(source, options):
+    an = GermAnalysis(source, options)
+    return _ps_check_section(an, an.frame(4))
+
+
 def _cmd_gram(source, options):
-    gf = _graph_form(_load_problem(source).entry, 4)
-    return _cert_section(gf, gram_certificate(gf.g)), 0
-
-
-def _germ_ps(r: DefiningFunction, options):
-    k_min = options.get("kmin", 2)
-    k_max = options.get("kmax", max(k_min, r.r.total_degree()))
-    budget = _make_budget(options)
-    try:
-        return germ_ps_check(r, k_min, k_max, budget)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    an = GermAnalysis(source, options)
+    gf = an.frame(4)
+    return _cert_section(gf, an.certificate(gf.g)), 0
 
 
 def _germ_ps_section(rep) -> tuple[dict, int]:
@@ -296,22 +328,22 @@ def _germ_ps_section(rep) -> tuple[dict, int]:
 
 
 def _cmd_germ_ps(source, options):
-    problem = _load_problem(source)
-    return _germ_ps_section(_germ_ps(_defining_function(problem.entry), options))
+    return _germ_ps_section(GermAnalysis(source, options).germ_ps)
 
 
-def _reg_section(gf: GraphForm, claim) -> dict:
-    return {"g": format_polynomial(gf.g), "reg_type": _claim(claim)}
+def _reg_section(an: GermAnalysis) -> dict:
+    gf = an.frame(an.cap)
+    return {"g": format_polynomial(gf.g), "reg_type": _claim(an.reg_claim)}
 
 
 def _cmd_reg_type(source, options):
-    entry = _load_problem(source).entry
-    N = _type_cap(options)
-    gf = _graph_form(entry, N)
-    return _reg_section(gf, reg_type(gf, N, gram_certificate(gf.g))), 0
+    return _reg_section(GermAnalysis(source, options)), 0
 
 
-def _sing_section(gf: GraphForm, res) -> dict:
+def _sing_section(an: GermAnalysis) -> dict:
+    """The search on the frame K = max(8, deg entry)."""
+    gf = an.frame(8)
+    res = an.search(gf)
     claims = {
         "g": format_polynomial(gf.g),
         "result": _claim(res.claim),
@@ -328,17 +360,26 @@ def _sing_section(gf: GraphForm, res) -> dict:
 
 
 def _cmd_sing_search(source, options):
-    gf = _graph_form(_load_problem(source).entry, 8)
-    return _sing_section(gf, sing_type_search(gf, _make_budget(options))), 0
+    return _sing_section(GermAnalysis(source, options)), 0
+
+
+def _inference_section(an: GermAnalysis) -> dict:
+    """infer_type on the frame K = max(--max, deg entry), with germ-ps, or
+    g's Gram certificate for a mixed-only entry, as positivity evidence."""
+    gf = an.frame(an.cap)
+    ps = an.germ_ps if an.r is not None else an.certificate(gf.g)
+    rep = infer_type(an.r, Evidence(reg=an.reg_claim, sing=an.search(gf), ps=ps))
+    return {
+        "reg_type": _claim(rep.reg_type) if rep.reg_type else None,
+        "sing_type": _claim(rep.sing_type),
+        "trail": list(rep.trail),
+        "notes": list(rep.notes),
+    }
 
 
 def _cmd_desingularize(source, options):
-    gf = _graph_form(_load_problem(source).entry, 8)
-    z = _parse_curve_arg(options["curve"])
-    try:
-        res = desingularize(gf, z)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    gf = GermAnalysis(source, options).frame(8)
+    res = _as_input(desingularize, gf, _curve_option(options))
     t = res.transcript
     claims = {
         "eta": format_curve(res.eta),
@@ -409,47 +450,21 @@ def _cmd_fdb_verify(source, options):
 
 
 def _cmd_report_all(source, options):
-    """Every analysis on one input, each stage run once.
-
-    The entry is validated once; its frames and germ-ps share its split.
-    The gram, ps-check, reg-type and inference evidence use the frame
-    K = max(--max, deg); the sing-search section is the one `sing-search`
-    prints, on K = max(8, deg), so it takes a second graph form and search
-    only when the two frames differ.
-    """
-    entry = _load_problem(source).entry
-    N = _type_cap(options)
-    df = None if entry.homogeneous_slice(1).is_zero() else _defining_function(entry)
-    gf = _graph_form(entry, N, df)
-    budget = _make_budget(options)
-    sections = {"order": _order_section(entry)}
-    gram = gram_certificate(gf.g)
-    sections["gram"] = _cert_section(gf, gram)
-    cert = gram if gram.verdict == "certified" else ps_search(gf.g, budget, gram)
-    sections["ps_check"] = _cert_section(gf, cert)
-    worst = 1 if cert.is_violation else 0
-    ps_evidence = None
-    if df is not None:
-        ps_evidence = _germ_ps(df, options)
-        sections["germ_ps"], code = _germ_ps_section(ps_evidence)
+    """Every analysis on one input: the union of the command sections on
+    one GermAnalysis.  The gram, ps-check, reg-type and inference sections
+    read the frame K = max(--max, deg); the sing-search section is the one
+    `sing-search` prints, on K = max(8, deg).  The two share their search
+    when the frames have the same g, as every exact-rule germ's do."""
+    an = GermAnalysis(source, options)
+    gf = an.frame(an.cap)
+    ps_check, worst = _ps_check_section(an, gf)
+    sections = {"order": _order_section(an.entry),
+                "gram": _cert_section(gf, an.certificate(gf.g)), "ps_check": ps_check}
+    if an.r is not None:
+        sections["germ_ps"], code = _germ_ps_section(an.germ_ps)
         worst = max(worst, code)
-    elif cert.verdict == "certified":
-        ps_evidence = cert
-    reg_claim = reg_type(gf, N, gram)
-    sections["reg_type"] = _reg_section(gf, reg_claim)
-    sing_res = sing_type_search(gf, budget)
-    if max(8, entry.total_degree()) == gf.pure_order_bound:
-        sections["sing_search"] = _sing_section(gf, sing_res)
-    else:
-        sing_gf = _graph_form(entry, 8, df)
-        sections["sing_search"] = _sing_section(sing_gf, sing_type_search(sing_gf, budget))
-    rep = infer_type(df, Evidence(reg=reg_claim, sing=sing_res, ps=ps_evidence))
-    sections["inference"] = {
-        "reg_type": _claim(rep.reg_type) if rep.reg_type else None,
-        "sing_type": _claim(rep.sing_type),
-        "trail": list(rep.trail),
-        "notes": list(rep.notes),
-    }
+    sections.update(reg_type=_reg_section(an), sing_search=_sing_section(an),
+                    inference=_inference_section(an))
     return sections, worst
 
 
@@ -590,17 +605,25 @@ def render_report(machine: dict) -> str:
 def verify_report(machine: dict) -> dict:
     """Re-run the embedded command and require bit-identical claims.
 
-    Raises ReportMismatchError on any disagreement; returns a small summary
-    on success.
+    Raises InputError on a report of the wrong shape, ReportMismatchError
+    on any disagreement; returns a small summary on success.
     """
+    if type(machine) is not dict:
+        raise InputError("report is not a JSON object")
     for field in ("format", "command", "options", "input_source", "claims"):
         if field not in machine:
             raise InputError(f"report is missing the {field!r} field")
     if machine["format"] != REPORT_FORMAT:
         raise InputError(f"unsupported report format {machine['format']!r}")
-    recomputed, code = build_report(
-        machine["command"], machine["input_source"], dict(machine["options"])
-    )
+    command, options, source = machine["command"], machine["options"], machine["input_source"]
+    if type(command) is not str or command not in _COMMANDS:
+        raise InputError(f"unknown command {command!r}")
+    if type(options) is not dict or not all(
+            type(value) is (str if name == "curve" else int) for name, value in options.items()):
+        raise InputError("report options must be ints, and curve a string")
+    if type(source) is not str:
+        raise InputError("report input_source must be a string")
+    recomputed, code = build_report(command, source, dict(options))
     stored = json.dumps(machine["claims"], sort_keys=True)
     fresh = json.dumps(recomputed["claims"], sort_keys=True)
     if stored != fresh:

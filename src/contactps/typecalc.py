@@ -36,7 +36,7 @@ on both sides, so P is mixed-only.  If gram_certificate(P) is certified, P
 = sum w_k |f_k|^2 with w_k > 0, and if one f_k is a single term c' z^m,
 that square is > 0 wherever the components in m are nonzero, the others
 >= 0; m uses only components of P, all present.  So P(c) > 0 for every
-candidate of the group (germ.torus_positive), its slice does not cancel,
+candidate of the group (torus_positive), its slice does not cancel,
 and the group scores d/mult unread, as above.
 
 Otherwise slice_vanishes decides whether each candidate's slice cancels, in
@@ -82,7 +82,6 @@ from .germ import (
     PSCertificate,
     StabilizationReport,
     gram_certificate,
-    torus_positive,
 )
 from .search import (
     SearchBudget,
@@ -477,13 +476,13 @@ def _regular_contact_ideal(
 # Regular type
 
 
-def _hermitian_quadratic_definite(g: CPolynomial, gram: PSCertificate) -> bool:
+def _hermitian_quadratic_definite(g: CPolynomial, certify) -> bool:
     """Exact test: the degree-2 Hermitian part q of g has no null direction,
-    i.e. q or -q is a Gram sum of g.nvars independent squares.  gram is
-    gram_certificate(g), formed by the caller.
+    i.e. q or -q is a Gram sum of g.nvars independent squares.  certify(p)
+    gives gram_certificate(p), as in reg_type.
 
     No certificate is formed whose verdict is known beforehand.  An empty q
-    is no sum of g.nvars >= 1 squares, so it forms none.  When gram is
+    is no sum of g.nvars >= 1 squares, so it forms none.  When g is
     certified, -q forms none: then g = sum w |f|^2 with every w > 0,
     checked term by term, and no f has a constant term, since the Gram
     monomials of the mixed-only g all have degree >= 1.  So the degree-2
@@ -493,20 +492,20 @@ def _hermitian_quadratic_definite(g: CPolynomial, gram: PSCertificate) -> bool:
     q = g.homogeneous_slice(2)
     if q.is_zero():
         return False
-    for form in (q,) if gram.verdict == "certified" else (q, -q):
-        cert = gram_certificate(form)
+    for form in (q,) if certify(g).verdict == "certified" else (q, -q):
+        cert = certify(form)
         if cert.verdict == "certified" and len(cert.squares) == g.nvars:
             return True
     return False
 
 
-def reg_type(gf: GraphForm, N: int, gram: PSCertificate) -> TypeClaim:
+def reg_type(gf: GraphForm, N: int, certify) -> TypeClaim:
     """Max order of contact of regular curves in the z_n = 0 frame, capped at N.
 
     Exact values pair an exhibited curve (re-verified by pullback) with a
     jet-extension obstruction transcript; otherwise the best exhibited lower
-    bound is returned.  gram is gram_certificate(gf.g), computed once by
-    the caller.
+    bound is returned.  certify(p) gives gram_certificate(p) for g and its
+    quadratic part, so a caller can share them (report.GermAnalysis).
 
     Infinite type is claimed only when g's pullback along the witness is
     identically zero (Order kind "zero"), which a jet never is.  On a jet g
@@ -529,7 +528,7 @@ def reg_type(gf: GraphForm, N: int, gram: PSCertificate) -> TypeClaim:
         return _undecided_claim(pullback(g, witness).order_of_vanishing(), witness, (
             "g vanishes identically; every curve has infinite contact"
             if g.truncation is None else "g has no term through its truncation",))
-    if _hermitian_quadratic_definite(g, gram):
+    if _hermitian_quadratic_definite(g, certify):
         # q(e1) != 0 for the definite quadratic part q, and the mixed-only g
         # has no terms below degree 2, so the first axis has contact exactly 2.
         witness = _first_axis(g.nvars)
@@ -537,6 +536,7 @@ def reg_type(gf: GraphForm, N: int, gram: PSCertificate) -> TypeClaim:
         return TypeClaim("exact", 2, witness,
                          transcript=("degree-2 Hermitian form is definite: every "
                                      "regular direction meets order exactly 2",))
+    gram = certify(g)
     if gram.verdict == "certified" and g.nvars <= 2:
         fs = [f for _w, f in gram.squares]
         cap_t = max(2, N)
@@ -746,6 +746,21 @@ def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int):
     return d, mult, rows
 
 
+def torus_positive(p: CPolynomial) -> bool:
+    """Whether p > 0 at every point whose coordinates are all nonzero, read
+    off gram_certificate(p): p is a sum of w_k |f_k|^2 with every w_k > 0,
+    so p >= 0 everywhere, and when one f_k is a single term c z^m its square
+    |c|^2 |z^m|^2 is > 0 wherever no coordinate is zero.  False when p is
+    not real-valued and mixed-only (gram_certificate's ValueError), when it
+    is not certified, or when no square is a single term; False proves
+    nothing."""
+    try:
+        cert = gram_certificate(p)
+    except ValueError:
+        return False
+    return cert.verdict == "certified" and any(len(f.terms) == 1 for _w, f in cert.squares)
+
+
 def _balanced_positive(g: CPolynomial, exps: tuple[int, ...], d: int) -> bool:
     """Whether the balanced coefficient of the leading slice, P(c) = sum
     g_{h,a} c^h conj(c)^a over the terms of g with h.mu = a.mu = d/2 and
@@ -896,6 +911,10 @@ def infer_type(r: DefiningFunction | None, evidence: Evidence) -> TypeReport:
             sing_infinite = sc
         elif sc.value is not None:
             sing_lower = sc
+    if sing_infinite is None and reg is not None and reg.kind == "infinite":
+        # A regular curve is a curve, and reg_type claims infinite only on an
+        # identically zero pullback of an exact g.
+        sing_infinite = reg
 
     # Rules (ii)/(iii) force a finite exact value when applicable; decide
     # that first so contradictions with exhibited curves are surfaced.
@@ -931,18 +950,16 @@ def infer_type(r: DefiningFunction | None, evidence: Evidence) -> TypeReport:
             )
 
     if sing_infinite is not None:
-        trail.append("rule (i): exhibited singular curve with identically "
-                     "zero pullback dominates everything")
+        trail.append(f"rule (i): exhibited {'regular' if sing_infinite is reg else 'singular'} "
+                     "curve with identically zero pullback dominates everything")
         sing = sing_infinite
-    elif forced is not None:
+    else:
         if sing_lower is not None:
             trail.append(f"rule (i): exhibited singular curve gives a lower "
                          f"bound of {sing_lower.value}")
-        trail.append(forced_rule)
-        sing = forced
-    elif sing_lower is not None:
-        trail.append(f"rule (i): exhibited singular curve gives a lower "
-                     f"bound of {sing_lower.value}")
+        if forced is not None:
+            trail.append(forced_rule)
+            sing = forced
 
     if sing is None:
         candidates = [c for c in (sing_lower,) if c is not None]

@@ -88,7 +88,7 @@ def test_criterion_4_cubic_square_types():
     """reg type exactly 6 and an infinite singular certificate, under 10s."""
     start = time.monotonic()
     gf = _graph("2*Re(z3) + abs2(z1^2 - z2^3)")
-    reg = reg_type(gf, 8, gram_certificate(gf.g))
+    reg = reg_type(gf, 8, gram_certificate)
     assert reg.kind == "exact" and reg.value == 6
     order = pullback(gf.g, reg.witness).order_of_vanishing()
     assert order.kind == "exact" and order.value == 6
@@ -113,7 +113,7 @@ def test_criterion_5_stabilization():
     for m in (2, 3):
         r = validate(parse_expression(f"2*Re(z3) + abs2(z1 + z2^{m})", 3))
         rep = germ_ps_check(r, 2, 2 * m + 2,
-                            SearchBudget(max_degree=max(4, m), random_trials=10))
+                            SearchBudget(max_degree=max(4, m), random_trials=10), gram_certificate)
         assert rep.k0 == 2 * m, (m, rep.k0)
         for entry in rep.entries:
             cert = entry.certificate
@@ -170,7 +170,7 @@ def test_criterion_7_falsification_harness():
     for text in _CORPUS_TYPE4:
         gf = _graph(text)
         assert gram_certificate(gf.g).verdict == "certified", text
-        claim = reg_type(gf, 8, gram_certificate(gf.g))
+        claim = reg_type(gf, 8, gram_certificate)
         assert claim.kind == "exact" and claim.value == 4, (text, claim)
         res = sing_type_search(gf, budget)
         assert res.candidates_tested >= 10_000, (text, res.candidates_tested)

@@ -28,6 +28,8 @@ GRAM_SEED_ONLY = "n = 2\nr = 24*abs2(z2) - 5*z2*conj(z1) - 5*z1*conj(z2) + abs2(
 SERIES_TWO_SQUARES = "n = 3\nr = 2*Re(z3 + z3^2 - z1^2) + abs2(z2 - z1^2) + abs2(z3 - z1^2)\n"
 SERIES_ONE_SQUARE = "n = 3\nr = 2*Re(z3 + z3^2 - z1^2) + abs2(z3 - z1^2)\n"
 SERIES_TYPE_24 = "n = 3\nr = 2*Re(z3 - z3^2) + abs2(-z2^3) + abs2(i*z2 + z1^4)\n"
+# crit5_m2 after z1 -> z1 + z2 (ROADMAP item 11, Gap A).
+GAP_A = "n = 3\nr = 2*Re(z3) + abs2((z1 + z2) + z2^2)\n"
 
 
 @pytest.fixture
@@ -518,6 +520,184 @@ def test_each_frame_and_certificate_is_formed_once(runner, monkeypatch, args, co
     argv = [args[0], str(CORPUS_DIR / f"{args[1]}.txt"), *args[2:]]
     calls = _count_frame_work(runner, monkeypatch, argv)
     assert {key: calls[key] for key in counts} == counts
+
+
+# The entries of the benchmark's report_all workload, and its search budget.
+_REPORT_ALL_ENTRIES = (
+    "crit4_cubic_square", "crit4_mirror", "crit4_plus", "crit4_mirror_plus",
+    "crit5_m2", "crit5_m3", "crit5_m3_mirror", "crit6_type4", "type4_quartic",
+    "mixed_sq2", "mixed_sq3", "mixed_indef_quartic", "mixed_certified",
+    "mixed_indef_hermitian",
+)
+_REPORT_BUDGET = ["--max-deg", "4", "--trials", "50"]
+
+
+def _spy_certificates(monkeypatch):
+    """The (inside _balanced_positive, nvars, term set) of every Gram
+    certificate formed from now on, through report, typecalc or germ."""
+    import contactps.germ as germ
+    import contactps.report as report
+    import contactps.typecalc as typecalc
+
+    formed, depth = [], [0]
+    for module in (germ, report, typecalc):
+        def recorded(g, _fn=module.gram_certificate):
+            formed.append((depth[0] > 0, g.nvars, frozenset(g.terms.items())))
+            return _fn(g)
+        monkeypatch.setattr(module, "gram_certificate", recorded)
+
+    def balanced(*args, _fn=typecalc._balanced_positive):
+        depth[0] += 1
+        try:
+            return _fn(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(typecalc, "_balanced_positive", balanced)
+    return formed
+
+
+@pytest.mark.parametrize("name", _REPORT_ALL_ENTRIES)
+def test_report_all_certifies_each_term_set_once(runner, monkeypatch, name):
+    """On the report_all entries, report --all forms one Gram certificate
+    per term set for its gram and ps-check stage, germ-ps jets and
+    reg-type's g and quadratic part (GermAnalysis.certificate); only the
+    balanced coefficients of the type searches (typecalc._balanced_positive)
+    form theirs anew."""
+    formed = _spy_certificates(monkeypatch)
+    res = runner.invoke(main, ["report", str(CORPUS_DIR / f"{name}.txt"), "--all",
+                               *_REPORT_BUDGET, "--json"])
+    assert res.exit_code in (0, 1), res.output
+    outside = [key for inside, *key in formed if not inside]
+    assert outside and len(outside) == len(set(map(tuple, outside)))
+
+
+def test_report_all_round_forms_59_certificates(runner, monkeypatch):
+    """One report --all on each report_all entry forms 59 Gram certificates
+    in all, 21 of them balanced coefficients; 14 more repeated a term set
+    when each command wired its own stages."""
+    formed = _spy_certificates(monkeypatch)
+    for name in _REPORT_ALL_ENTRIES:
+        res = runner.invoke(main, ["report", str(CORPUS_DIR / f"{name}.txt"), "--all",
+                                   *_REPORT_BUDGET, "--json"])
+        assert res.exit_code in (0, 1), res.output
+    assert (len(formed), sum(inside for inside, *_key in formed)) == (59, 21)
+
+
+def test_no_certificate_is_kept_across_commands(runner, monkeypatch, tmp_path):
+    """Two report --all runs in one process and a verify-report of the
+    output each form every certificate anew: an analysis lives for one
+    command."""
+    formed = _spy_certificates(monkeypatch)
+    argv = ["report", str(CORPUS_DIR / "crit6_type4.txt"), "--all", *_REPORT_BUDGET, "--json"]
+    counts = []
+    for _ in range(2):
+        before = len(formed)
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 0, res.output
+        counts.append(len(formed) - before)
+    path = tmp_path / "report.json"
+    path.write_text(res.output)
+    before = len(formed)
+    check = runner.invoke(main, ["verify-report", str(path)])
+    assert check.exit_code == 0, check.output
+    counts.append(len(formed) - before)
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+@pytest.mark.parametrize("cap", ["4", "12"])
+@pytest.mark.parametrize("source, searches", [
+    ((CORPUS_DIR / "crit6_type4.txt").read_text(), 1),
+    (SERIES_TWO_SQUARES, 2),
+], ids=["exact_rule", "series_rule"])
+def test_report_all_searches_once_per_distinct_g(runner, monkeypatch, tmp_path, cap, source,
+                                                 searches):
+    """The sing-search section (K = max(8, deg)) and the inference (K =
+    max(--max, deg)) share one search when their frames have the same g:
+    always under the exact rule (crit6_type4), and not on a series frame
+    whose jets at K = --max and K = 8 differ."""
+    import contactps.report as report
+
+    calls = []
+    monkeypatch.setattr(report, "sing_type_search",
+                        lambda gf, budget, _fn=report.sing_type_search:
+                        calls.append(gf.g) or _fn(gf, budget))
+    res = _invoke(runner, tmp_path, source,
+                  ["report", "--all", "--max", cap, *_REPORT_BUDGET, "--json"])
+    assert res.exit_code in (0, 1), res.output
+    assert len(calls) == len(set(calls)) == searches
+
+
+@pytest.mark.parametrize("args", [
+    ["gram"], ["reg-type", "--max", "4"], ["report", "--all", "--max", "4", *_REPORT_BUDGET],
+])
+@pytest.mark.parametrize("source", [CANCEL_QUARTIC, SERIES_TWO_SQUARES], ids=["rigid", "series"])
+def test_a_framed_command_reads_the_linear_slice_twice(runner, monkeypatch, tmp_path, args,
+                                                       source):
+    """A command that frames a defining function reads the linear slice of
+    its entry twice: once to tell it from a mixed-only entry, once in
+    validate; the linear frame reads the slice that validate checked."""
+    from contactps.algebra import CPolynomial
+    from contactps.expr import parse_problem
+
+    entry = parse_problem(source).entry
+    reads = []
+    monkeypatch.setattr(CPolynomial, "homogeneous_slice",
+                        lambda p, d, _fn=CPolynomial.homogeneous_slice:
+                        reads.append(d == 1 and p == entry) or _fn(p, d))
+    res = _invoke(runner, tmp_path, source, [*args, "--json"])
+    assert res.exit_code in (0, 1), res.output
+    assert sum(reads) == 2
+
+
+def test_an_infinite_regular_type_gives_infinite_singular_type(runner, tmp_path):
+    """GAP_A is crit5_m2 after z1 -> z1 + z2.  Its regular type is infinite
+    along (-t - t^2, t), a curve the bounded search does not reach; the
+    regular curve is a curve, so the inference claims infinite singular
+    type with it, and verify-report accepts the report."""
+    res = _invoke(runner, tmp_path, GAP_A, ["report", "--all", *_REPORT_BUDGET, "--json"])
+    assert res.exit_code == 0, res.output
+    claims = _machine(res)["claims"]
+    assert claims["sing_search"]["result"]["kind"] == "at_least"
+    assert claims["inference"]["reg_type"]["kind"] == "infinite"
+    sing = claims["inference"]["sing_type"]
+    assert (sing["kind"], sing["witness"]) == ("infinite", "(-t - t^2, t)")
+    path = tmp_path / "report.json"
+    path.write_text(res.output)
+    check = runner.invoke(main, ["verify-report", str(path)])
+    assert check.exit_code == 0, check.output
+
+
+@pytest.mark.parametrize("command, args, mutate, message", [
+    ("reg-type", [], lambda m: m.update(command="nope"), "unknown command 'nope'"),
+    ("reg-type", [], lambda m: m.update(options=[8]), "report options must be ints"),
+    ("reg-type", [], lambda m: m["options"].update(max="x"), "report options must be ints"),
+    ("pullback", ["--curve", "(t, t, 0)"], lambda m: m["options"].pop("curve"),
+     "the 'curve' option is required"),
+    ("reg-type", [], lambda m: m.update(input_source=3), "input_source must be a string"),
+], ids=["command", "options", "option_type", "missing_curve", "input_source"])
+def test_verify_report_rejects_a_malformed_report(runner, tmp_path, command, args, mutate,
+                                                  message):
+    """A stored report whose command, options or input source has the wrong
+    shape is an input error: exit 2 with one line, no traceback."""
+    res = _invoke(runner, tmp_path, CUBIC_SQUARE, [command, *args, "--json"])
+    assert res.exit_code == 0, res.output
+    machine = _machine(res)
+    mutate(machine)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(machine))
+    check = runner.invoke(main, ["verify-report", str(path)])
+    assert check.exit_code == 2 and isinstance(check.exception, SystemExit)
+    assert check.stderr.startswith("verification failure: ") and message in check.stderr
+    assert check.stderr.count("\n") == 1 and "Traceback" not in check.stderr
+
+
+def test_verify_report_rejects_json_that_is_not_an_object(runner, tmp_path):
+    path = tmp_path / "number.json"
+    path.write_text("5")
+    check = runner.invoke(main, ["verify-report", str(path)])
+    assert check.exit_code == 2 and isinstance(check.exception, SystemExit)
+    assert check.stderr == "verification failure: report is not a JSON object\n"
 
 
 def test_a_germ_with_a_series_graph_takes_the_exact_frame(runner, monkeypatch, tmp_path):

@@ -397,7 +397,8 @@ class TestPSSearch:
 class TestGermPSCheck:
     def test_stabilization_for_cancelling_square(self):
         r = _germ("2*Re(z3) + abs2(z1 + z2^2)")
-        rep = germ_ps_check(r, 2, 6, SearchBudget(max_degree=4, random_trials=10))
+        rep = germ_ps_check(r, 2, 6, SearchBudget(max_degree=4, random_trials=10),
+                            gram_certificate)
         assert rep.k0 == 4
         verdicts = {e.k: e.certificate.verdict for e in rep.entries}
         assert verdicts[3] == "violation"
@@ -406,14 +407,14 @@ class TestGermPSCheck:
 
     def test_note_labels_empirical_scope(self):
         r = _germ("2*Re(z3) + abs2(z1)^2")
-        rep = germ_ps_check(r, 2, 4, SearchBudget(max_degree=3, random_trials=5))
+        rep = germ_ps_check(r, 2, 4, SearchBudget(max_degree=3, random_trials=5), gram_certificate)
         assert "empirical" in rep.note
         assert rep.k0 == 2
 
     def test_bad_range(self):
         r = _germ("2*Re(z3) + abs2(z1)^2")
         with pytest.raises(ValueError):
-            germ_ps_check(r, 5, 4, SearchBudget())
+            germ_ps_check(r, 5, 4, SearchBudget(), gram_certificate)
 
 
 # The germ-ps ranges k_min..k_max of the certify and report_all benchmark
@@ -431,7 +432,7 @@ _PS_BRANCHES = {"odd d", "above truncation", "no row, exact g", "no row, jet g",
 def _restricted_jets():
     for name, k_max in sorted(_GERM_PS_RANGES.items()):
         r = validate(parse_problem((_CORPUS_DIR / f"{name}.txt").read_text()).entry)
-        rep = germ_ps_check(r, 2, k_max, SearchBudget(max_degree=1))
+        rep = germ_ps_check(r, 2, k_max, SearchBudget(max_degree=1), gram_certificate)
         yield from (e.restricted for e in rep.entries)
 
 
@@ -539,7 +540,7 @@ def test_ps_search_tests_only_the_winner_on_crit5_m3(monkeypatch):
     monkeypatch.setattr(germ, "ps_search",
                         lambda *args: searches.append(args) or ps_search(*args))
     r = validate(parse_problem((_CORPUS_DIR / "crit5_m3.txt").read_text()).entry)
-    rep = germ_ps_check(r, 2, 7, SearchBudget(max_degree=4, random_trials=10))
+    rep = germ_ps_check(r, 2, 7, SearchBudget(max_degree=4, random_trials=10), gram_certificate)
     assert rep.k0 == 6
     assert searches and len(calls) == 2 * len(searches)
 
@@ -557,7 +558,7 @@ def test_germ_ps_reads_few_balanced_coefficients(monkeypatch, name, k_max, reads
     monkeypatch.setattr(germ, "slice_positive_at",
                         lambda *args: calls.append(args) or read(*args))
     r = validate(parse_problem((_CORPUS_DIR / f"{name}.txt").read_text()).entry)
-    germ_ps_check(r, 2, k_max, SearchBudget(max_degree=4, random_trials=10))
+    germ_ps_check(r, 2, k_max, SearchBudget(max_degree=4, random_trials=10), gram_certificate)
     assert len(calls) == reads
 
 
@@ -582,7 +583,7 @@ def test_germ_ps_check_matches_the_per_jet_split(monkeypatch):
     for name, k_max in sorted(_GERM_PS_RANGES.items()):
         r = validate(parse_problem((_CORPUS_DIR / f"{name}.txt").read_text()).entry)
         for budget in budgets:
-            assert _stabilization_fields(germ_ps_check(r, 2, k_max, budget)) == \
+            assert _stabilization_fields(germ_ps_check(r, 2, k_max, budget, gram_certificate)) == \
                 _stabilization_fields(germ_ps_check_reference(r, 2, k_max, budget))
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -591,7 +592,7 @@ def test_germ_ps_check_matches_the_per_jet_split(monkeypatch):
         r, _K = germ
         budget = SearchBudget(max_degree=3, random_trials=5)
         k_max = k_min + width
-        assert _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)) == \
+        assert _stabilization_fields(germ_ps_check(r, k_min, k_max, budget, gram_certificate)) == \
             _stabilization_fields(germ_ps_check_reference(r, k_min, k_max, budget))
 
     random_germs()
@@ -605,7 +606,8 @@ def test_germ_ps_check_matches_the_per_jet_split(monkeypatch):
         budget = SearchBudget(max_degree=3, random_trials=5)
         k_max = k_min + width
         before = len(solves)
-        got = _outcome(lambda: _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)))
+        got = _outcome(lambda: _stabilization_fields(
+            germ_ps_check(r, k_min, k_max, budget, gram_certificate)))
         paths.add(_path(solves, before))
         assert got == _outcome(
             lambda: _stabilization_fields(germ_ps_check_reference(r, k_min, k_max, budget)))
@@ -675,7 +677,8 @@ def _check_frame_reuse(r, K, k_min, k_max, budget, solves):
     frame = gf if isinstance(gf, tuple) else _outcome(lambda: _graph_form_fields(gf))
     assert frame == _outcome(lambda: _reference_frame_fields(r, K))
     before = len(solves)
-    stab = _outcome(lambda: _stabilization_fields(germ_ps_check(r, k_min, k_max, budget)))
+    stab = _outcome(lambda: _stabilization_fields(
+        germ_ps_check(r, k_min, k_max, budget, gram_certificate)))
     check_path = _path(solves, before)
     assert stab == _outcome(lambda: _stabilization_fields(
         germ_ps_check_per_order_reference(r, k_min, k_max, budget)))
@@ -686,8 +689,8 @@ def test_frames_formed_once_match_the_per_order_pipeline(monkeypatch):
     """Splitting r once per defining function, taking g under the exact
     rule off the mixed part and restricting only the mixed part otherwise,
     returning r for an identity linear frame, forming the graph of the
-    exact rule and the lift on first read, and keeping phi, the untruncated
-    restriction and the Gram certificate across jet orders change nothing
+    exact rule and the lift on first read, and keeping phi and the
+    untruncated restriction across jet orders change nothing
     that the frame decides: normalize_to_graph gives the terms of g through
     K of the pipeline that restricts all of r anew, with g exact exactly
     when r is exact and the exact rule applies or phi is exact, and the
@@ -705,7 +708,7 @@ def test_frames_formed_once_match_the_per_order_pipeline(monkeypatch):
         K = max(8, entry.total_degree())
         if entry.homogeneous_slice(1).is_zero():
             m = entry.nvars
-            assert report._graph_form(entry, K).lift == tuple(
+            assert report.GermAnalysis(path.read_text(), {}).frame(K).lift == tuple(
                 CPolynomial.variable(m, i) for i in range(m)) + (CPolynomial.zero(m),)
             continue
         _check_frame_reuse(validate(entry), K, 2, min(max(2, entry.total_degree()), 8), budget,

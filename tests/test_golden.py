@@ -6,9 +6,12 @@ the release before the report pipeline was restructured, e.g.
     contactps report FILE --all --max-deg 4 --trials 50 --seed 0 --json
 
 over the criterion 4-9 germs, plus `gram`, `reg-type --max 16`, `germ-ps` and
-`sing-search` on two of them, and two `report --all --max 12` runs whose
+`sing-search` on two of them, two `report --all --max 12` runs whose
 graph forms at K = 8 (the sing-search section) and K = 12 (the reg-type and
-inference evidence) differ.  A machine section embeds its command, options
+inference evidence) differ, and one `report --all --max 4` run on a germ
+with a series frame (report_max4_series_frame), which pins that pairing
+below 8: its inference says at_least 5 from the K = 4 frame, and its
+sing-search section at_least 8 from the K = 8 frame.  A machine section embeds its command, options
 and input source, so the test re-runs exactly that and compares the bytes.
 Regenerate a golden only for a deliberate change of a claim or the format.
 """
@@ -25,7 +28,7 @@ GOLDENS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", "*.
 
 
 def test_goldens_are_present():
-    assert len(GOLDENS) == 24
+    assert len(GOLDENS) == 25
 
 
 @pytest.mark.parametrize("path", GOLDENS, ids=os.path.basename)

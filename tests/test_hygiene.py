@@ -40,6 +40,10 @@ than an external linter.
   use sympy, as a reference.
 - The third-party modules that `src/contactps` imports are exactly the
   `dependencies` of `pyproject.toml`: none is missing and none is unused.
+- In `report.py`, `validate`, `normalize_to_graph` and `gram_certificate`
+  are called (or passed on) only inside `GermAnalysis`: every command reads
+  its frames and certificates off its analysis, so none wires its own
+  again.
 """
 
 import ast
@@ -351,3 +355,28 @@ def test_third_party_imports_are_the_declared_dependencies():
         deps = tomllib.load(f)["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_") for d in deps}
     assert set(_third_party_imports()) == declared
+
+
+ANALYSIS_ONLY = {"validate", "normalize_to_graph", "gram_certificate"}
+
+
+def _uses_outside_class(tree: ast.Module, names: set[str], owner: str) -> list[str]:
+    """Reads of names (calls, or passing the function on) outside the class
+    owner; imports are not reads."""
+    found = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if not inside and (isinstance(child, ast.Name) and child.id in names
+                               or isinstance(child, ast.Attribute) and child.attr in names):
+                found.append(f"{ast.unparse(child)} (line {child.lineno})")
+            visit(child, inside or isinstance(child, ast.ClassDef) and child.name == owner)
+
+    visit(tree, False)
+    return found
+
+
+def test_report_frames_and_certifies_only_in_its_analysis():
+    tree = ast.parse((SRC / "report.py").read_text(encoding="utf-8"))
+    assert "GermAnalysis" in {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert _uses_outside_class(tree, ANALYSIS_ONLY, "GermAnalysis") == []

@@ -50,7 +50,7 @@ def test_regular_type_claims_agree_across_caps():
         claims = []
         for cap in (4, 8, 12):
             gf = normalize_to_graph(r, max(cap, r.r.total_degree()))
-            claim = reg_type(gf, cap, gram_certificate(gf.g))
+            claim = reg_type(gf, cap, gram_certificate)
             if claim.kind == "infinite":
                 assert pullback(gf.g, claim.witness).order_of_vanishing().kind == "zero", text
             claims.append(claim)

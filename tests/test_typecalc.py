@@ -13,7 +13,7 @@ from contactps.algebra import CPolynomial
 from contactps.curve import CurveJet, contact_order, leading_rows, pullback, pullback_lowest
 from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
 from contactps.germ import germ_ps_check, gram_certificate, normalize_to_graph, validate
-from contactps.report import _graph_form
+from contactps.report import GermAnalysis
 from contactps.search import (
     SearchBudget,
     cancellation_scan_choices,
@@ -344,7 +344,7 @@ def test_hermitian_quadratic_definite(text, n, definite):
     an indefinite form, a variable missing from the quadratic part or a
     zero diagonal all fail.  Terms of other degrees are ignored."""
     g = parse_expression(text, n)
-    assert _hermitian_quadratic_definite(g, gram_certificate(g)) is definite
+    assert _hermitian_quadratic_definite(g, gram_certificate) is definite
 
 
 _FORM_COEFFS = [gr(1), gr(-1), gr(2), gr(0, 1), gr(1, -1)]
@@ -384,14 +384,14 @@ def test_definiteness_rule_matches_both_certificates():
 
     def check(g):
         gram = gram_certificate(g)
-        got = _hermitian_quadratic_definite(g, gram)
+        got = _hermitian_quadratic_definite(g, gram_certificate)
         assert got is hermitian_quadratic_definite_reference(g)
         reached.add((g.homogeneous_slice(2).is_zero(), gram.verdict, got))
 
     for text, n, _definite in _DEFINITE_CASES:
         check(parse_expression(text, n))
     for path in CORPUS:
-        check(_graph_form(parse_problem(path.read_text()).entry, 8).g)
+        check(GermAnalysis(path.read_text(), {}).frame(8).g)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(g=_hermitian_sums())
@@ -407,12 +407,12 @@ def test_definiteness_rule_matches_both_certificates():
 class TestRegType:
     def test_definite_quadratic_gives_two(self):
         gf = _graph("2*Re(z2) + abs2(z1)", 8, 2)
-        claim = reg_type(gf, 8, gram_certificate(gf.g))
+        claim = reg_type(gf, 8, gram_certificate)
         assert claim.kind == "exact" and claim.value == 2
 
     def test_cubic_square_difference_gives_six(self):
         gf = _graph("2*Re(z3) + abs2(z1^2 - z2^3)")
-        claim = reg_type(gf, 8, gram_certificate(gf.g))
+        claim = reg_type(gf, 8, gram_certificate)
         assert claim.kind == "exact" and claim.value == 6
         assert claim.witness is not None
         g = _graph("2*Re(z3) + abs2(z1^2 - z2^3)").g
@@ -421,12 +421,12 @@ class TestRegType:
 
     def test_cancelling_square_gives_four(self):
         gf = _graph("2*Re(z3) + abs2(z1 + z2^2) + abs2(z2)^2")
-        claim = reg_type(gf, 8, gram_certificate(gf.g))
+        claim = reg_type(gf, 8, gram_certificate)
         assert claim.kind == "exact" and claim.value == 4
 
     def test_fourth_powers_give_four(self):
         gf = _graph("2*Re(z3) + abs2(z1)^2 + abs2(z2)^2")
-        claim = reg_type(gf, 8, gram_certificate(gf.g))
+        claim = reg_type(gf, 8, gram_certificate)
         assert claim.kind == "exact" and claim.value == 4
 
     def test_witness_always_reverifies(self):
@@ -435,14 +435,14 @@ class TestRegType:
             "2*Re(z3) + abs2(z1^2 + z2^2) + abs2(z1*z2)",
         ):
             gf = _graph(text)
-            claim = reg_type(gf, 8, gram_certificate(gf.g))
+            claim = reg_type(gf, 8, gram_certificate)
             order = pullback(gf.g, claim.witness).order_of_vanishing()
             assert order.kind == "exact" and order.value == claim.value
 
     def test_cap_enforced_by_normalization_bound(self):
         gf = _graph("2*Re(z3) + abs2(z1)^2 + abs2(z2)^2", K=4)
         with pytest.raises(ValueError):
-            reg_type(gf, 8, gram_certificate(gf.g))
+            reg_type(gf, 8, gram_certificate)
 
     @pytest.mark.parametrize("text", [
         "2*Re(z3) + abs2(z1*(z2^2 - 2*z1^4)) + abs2(z2^6)",
@@ -452,7 +452,7 @@ class TestRegType:
         # Along (t, sqrt(2)*t^2) (or its mirror) the first generator vanishes
         # and the pullback is 64|t|^24, so 12 is only a lower bound.
         gf = _graph(text, 16)
-        claim = reg_type(gf, 16, gram_certificate(gf.g))
+        claim = reg_type(gf, 16, gram_certificate)
         assert claim.kind == "at_least" and claim.value == 12
 
 
@@ -481,7 +481,7 @@ def test_exact_reg_type_never_below_planted_branch(swap, q, k, e, m):
     regular type is at least the order along it, so no exact claim may be
     smaller."""
     gf = _graph(_planted_germ(swap, q, k, e, m), 32)
-    claim = reg_type(gf, 32, gram_certificate(gf.g))
+    claim = reg_type(gf, 32, gram_certificate)
     if claim.kind == "exact":
         assert claim.value >= _planted_branch_order(q, k, e, m)
 
@@ -567,9 +567,9 @@ class TestInferType:
         r = validate(parse_expression(text, n))
         gf = normalize_to_graph(r, 8)
         budget = SearchBudget(max_degree=4, random_trials=50)
-        reg = reg_type(gf, 8, gram_certificate(gf.g))
+        reg = reg_type(gf, 8, gram_certificate)
         sing = sing_type_search(gf, budget)
-        ps = germ_ps_check(r, 2, kmax, budget)
+        ps = germ_ps_check(r, 2, kmax, budget, gram_certificate)
         return r, Evidence(reg=reg, sing=sing, ps=ps)
 
     def test_rule_i_infinite_dominates(self):
@@ -604,6 +604,26 @@ class TestInferType:
         ps = PSCertificate("no_violation_up_to_bounds", "search")
         rep = infer_type(None, Evidence(reg=reg, ps=ps))
         assert rep.sing_type.kind == "at_least"
+
+    def test_rule_i_takes_an_infinite_regular_claim(self):
+        """A regular curve is a curve: an infinite regular claim (made only
+        on an identically zero pullback) gives infinite singular type with
+        its witness when the search's claim is a lower bound, and the
+        search's own infinite claim stays when it has one."""
+        reg = TypeClaim("infinite", witness=parse_curve("(-t - t^2, t)"))
+        budget = SearchBudget(max_degree=4, random_trials=10)
+        lower = typecalc.SingSearchResult("lower_bound", Fraction(4), parse_curve("(t, 0)"), 9,
+                                          budget)
+        rep = infer_type(None, Evidence(reg=reg, sing=lower))
+        assert (rep.sing_type.kind, format_curve(rep.sing_type.witness)) == \
+            ("infinite", "(-t - t^2, t)")
+        assert rep.trail == ("rule (i): exhibited regular curve with identically zero "
+                             "pullback dominates everything",)
+        found = typecalc.SingSearchResult("infinite", None, parse_curve("(t^2, -t)"), 9, budget)
+        rep = infer_type(None, Evidence(reg=reg, sing=found))
+        assert rep.sing_type == found.claim
+        assert rep.trail == ("rule (i): exhibited singular curve with identically zero "
+                             "pullback dominates everything",)
 
     def test_contradiction_surfaced(self):
         from contactps.germ import PSCertificate
@@ -660,7 +680,7 @@ _JET = "2*Re(z3) + abs2(z1 + z2^2) + 2*Re(z3*z1^4) + 2*Re(z1^9)"
 # stay in their own frame), two jets whose leading slices cancel, and a jet
 # whose leading slice mostly lies above its truncation.
 _SEARCH_GERMS = {
-    **{path.stem: (lambda path=path: _graph_form(parse_problem(path.read_text()).entry, 8).g)
+    **{path.stem: (lambda path=path: GermAnalysis(path.read_text(), {}).frame(8).g)
        for path in CORPUS},
     "jet_K8": lambda: _graph(_JET, 8).g,
     "jet_K12": lambda: _graph(_JET, 12).g,
@@ -726,7 +746,7 @@ def test_sing_search_forms_each_lead_power_once(monkeypatch):
 
     monkeypatch.setattr(algebra, "_lead_power", spy)
     monkeypatch.setattr(typecalc, "random_draws", spy_draws)
-    res = sing_type_search(_graph_form(parse_problem(_ITEM3.read_text()).entry, 8), _FALSIFY)
+    res = sing_type_search(GermAnalysis(_ITEM3.read_text(), {}).frame(8), _FALSIFY)
     assert len(draws) == 1
     assert 0 < len(calls) == len(set(calls))
     assert (res.candidates_tested, res.ratio, format_curve(res.witness)) == (10296, 12, "(0, t)")
@@ -761,7 +781,7 @@ def test_crit6_type4_search_reads_no_candidate(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(typecalc, name, spy)
-    res = sing_type_search(_graph_form(parse_problem(_CRIT6.read_text()).entry, 8), _FALSIFY)
+    res = sing_type_search(GermAnalysis(_CRIT6.read_text(), {}).frame(8), _FALSIFY)
     assert spied == {"random_draws": 0, "slice_vanishes": 0, "contact_order": 0}
     assert (res.candidates_tested, res.ratio, format_curve(res.witness)) == (10296, 4, "(0, t)")
 
