@@ -1,30 +1,26 @@
-"""Command-line interface.
+"""Command-line interface, dispatched from one table, `COMMANDS`: each
+command's help, whether it reads a FILE, and its options.
 
-Input is a UTF-8 problem file with `n = <int>` and `r = <expression>` lines;
-curves are passed as parenthesized tuples of t-polynomials.  Every command
-prints a report with a machine-parsable JSON section (`--json` emits only
-that section).  Exit codes: 0 success with claims, 1 verified-violation
-findings (still a valid run), 2 input errors.
+Input is a UTF-8 problem file with `n = <int>` and `r = <expression>` lines
+(`-` reads standard input); curves are parenthesized tuples of t-polynomials.
+Options go before or after FILE as `--name value` or `--name=value`; the
+last one given wins.  Every command prints a report with a machine-parsable
+JSON section (`--json` emits only that section).  Exit codes: 0 success
+with claims, 1 verified-violation findings (still a valid run), 2 input and
+usage errors and failed verification, each one line on standard error.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 import sys
-
-import click
+from typing import NamedTuple
 
 from .expr import ExprSyntaxError
 from .germ import NotRealError, SolveGraphError
-from .report import (
-    InputError,
-    ReportMismatchError,
-    TOOL_VERSION,
-    build_report,
-    machine_json,
-    render_report,
-    verify_report,
-)
+from .report import (InputError, ReportMismatchError, TOOL_VERSION, build_report, machine_json,
+                     render_report, verify_report)
 from .typecalc import VerificationFailedError
 
 _MACHINE_MARKER = "--- machine section (json) ---"
@@ -33,175 +29,179 @@ _INPUT_ERRORS = (InputError, ExprSyntaxError, NotRealError)
 _CHECK_ERRORS = (ReportMismatchError, VerificationFailedError, SolveGraphError)
 
 
-@click.group()
-@click.version_option(TOOL_VERSION, prog_name="contactps")
-def main():
-    """Exact computation of orders of contact, positivity certificates, and
-    constructive desingularization for real hypersurface germs."""
+class Option(NamedTuple):
+    """`--name`: a flag if `type` is bool, else recorded in the report under
+    `name` with `-` read as `_`.  A default of None means required."""
+    name: str
+    type: type
+    default: object
+    help: str = ""
 
 
-def _execute(command: str, file, options: dict, as_json: bool):
-    source = file.read() if file is not None else ""
-    try:
-        machine, code = build_report(command, source, options)
-    except _INPUT_ERRORS as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
-    except _CHECK_ERRORS as exc:
-        click.echo(f"verification failure: {exc}", err=True)
-        sys.exit(2)
-    out = machine_json(machine) if as_json else render_report(machine)
-    click.echo(out, nl=False)
+class Command(NamedTuple):
+    help: str
+    options: tuple[Option, ...]
+    reads_file: bool = True
+
+
+_JSON = Option("json", bool, False, "emit only the machine section")
+_CURVE = Option("curve", str, None, 'curve as a tuple of t-polynomials, e.g. "(t^3, t^2, 0)"')
+_BUDGET = (Option("max-mult", int, 4, "max curve multiplicity searched"),
+           Option("max-deg", int, 6, "max curve degree searched"),
+           Option("coeff-height", int, 2, "height bound for scanned rational coefficients"),
+           Option("trials", int, 200, "number of seeded random candidates"),
+           Option("seed", int, 0))
+_MAX = Option("max", int, 8, "cap for the regular-type computation")
+
+COMMANDS = {
+    "order": Command("Order of vanishing of the problem's defining expression.", (_JSON,)),
+    "pullback": Command("Pull the defining expression back along a curve.", (_CURVE, _JSON)),
+    "contact": Command("Order of contact (pullback order over multiplicity) of a curve.",
+                       (_CURVE, _JSON)),
+    "ps-check": Command("Certify positivity structurally or search for a violating curve.",
+                        (*_BUDGET, _JSON)),
+    "gram": Command("Exact Hermitian sum-of-squares decomposition (or indefinite direction).",
+                    (_JSON,)),
+    "germ-ps": Command("Per-jet-order positivity verdicts and the stabilization order.",
+                       (Option("kmin", int, 2), Option("kmax", int, None), *_BUDGET, _JSON)),
+    "reg-type": Command("Max order of contact of regular curves, with certificate.",
+                        (_MAX, _JSON)),
+    "sing-search": Command("Bounded search for high-contact singular curves.", (*_BUDGET, _JSON)),
+    "desingularize": Command("Construct a regular contact-4 curve from a contact-4m singular one.",
+                             (_CURVE, _JSON)),
+    "fdb-verify": Command("Cross-check the partition expansion against the operator oracle.",
+                          (Option("k", int, 3), Option("trials", int, 20), Option("seed", int, 0),
+                           _JSON), reads_file=False),
+    "report": Command("Full analysis: order, positivity, types, and the inference trail.",
+                      (Option("all", bool, None, "run every analysis on the problem file"),
+                       _MAX, *_BUDGET, _JSON)),
+    "verify-report": Command("Re-run the command embedded in a report and check the claims agree.",
+                             ()),
+}
+
+
+def _option_row(o: Option) -> tuple[str, str]:
+    kind = "" if o.type is bool else f" {o.type.__name__.upper()}"
+    tail = "[required]" if o.default is None else f"[default: {o.default}]" if kind else ""
+    return f"--{o.name}{kind}", f"{o.help}  {tail}".strip()
+
+
+def _help(prog: str, command: str | None) -> str:
+    if command is None:
+        usage, doc = "[OPTIONS] COMMAND [ARGS]...", main.__doc__
+        tables = {"Options": [("--version", "Show the version and exit.")],
+                  "Commands": [(name, spec.help) for name, spec in COMMANDS.items()]}
+    else:
+        spec = COMMANDS[command]
+        usage, doc = f"{command} [OPTIONS]" + " FILE" * spec.reads_file, spec.help
+        tables = {"Options": [_option_row(o) for o in spec.options]}
+    tables["Options"].append(("--help", "Show this message and exit."))
+    text = f"Usage: {prog} {usage}\n\n" + "\n".join(f"  {ln.strip()}" for ln in doc.splitlines())
+    for title, rows in tables.items():
+        width = max(len(left) for left, _ in rows)
+        text += f"\n\n{title}:\n" + "\n".join(f"  {left:<{width}}  {right}".rstrip()
+                                                 for left, right in rows)
+    return text + "\n"
+
+
+def _exit_with(stream, text: str, code: int):
+    print(text, end="", file=stream, flush=True)
     sys.exit(code)
 
 
-_file_arg = click.argument("file", type=click.File("r", encoding="utf-8"))
-_json_flag = click.option("--json", "as_json", is_flag=True,
-                          help="emit only the machine section")
-_curve_opt = click.option("--curve", required=True,
-                          help='curve as a tuple of t-polynomials, e.g. "(t^3, t^2, 0)"')
+def _parse(prog: str, argv: list[str] | None) -> tuple[str, str | None, dict, bool]:
+    """(command, FILE or None, the options to record, --json) of a command
+    line (`sys.argv` if None); --help and --version print and exit here."""
+    args = iter(sys.argv[1:] if argv is None else argv)
+    command = next(args, None)
+    if command in ("--help", "--version"):
+        _exit_with(sys.stdout, _help(prog, None) if command == "--help"
+                   else f"contactps, version {TOOL_VERSION}\n", 0)
+    if command not in COMMANDS:
+        raise InputError(("missing command" if command is None else f"no such command {command!r}")
+                         + f"; see '{prog} --help'")
+    spec = COMMANDS[command]
+    options = {f"--{o.name}": o for o in spec.options}
+    given, positional = {}, []
+    for arg in args:
+        if arg == "--help":
+            _exit_with(sys.stdout, _help(prog, command), 0)
+        if arg == "-" or not arg.startswith("-"):
+            positional.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        opt = options.get(flag)
+        if opt is None or opt.type is bool and eq:
+            raise InputError(f"option {flag!r} does not take a value" if opt else
+                             f"no such option {flag!r}")
+        if not eq and opt.type is not bool and (value := next(args, None)) is None:
+            raise InputError(f"option {flag!r} requires a value")
+        try:
+            given[opt.name] = True if opt.type is bool else opt.type(value)
+        except ValueError:
+            raise InputError(f"{value!r} is not a valid integer for {flag!r}") from None
+    missing = [o.name for o in spec.options if o.default is None and o.name not in given]
+    if missing:
+        raise InputError(f"missing option '--{missing[0]}'")
+    if len(positional) != spec.reads_file:
+        raise InputError(f"unexpected extra argument {positional[spec.reads_file]!r}"
+                         if positional[spec.reads_file:] else "missing argument 'FILE'")
+    stored = {o.name.replace("-", "_"): given.get(o.name, o.default)
+              for o in spec.options if o.type is not bool}
+    return command, positional[0] if positional else None, stored, given.get("json", False)
 
 
-def _budget_options(fn):
-    for deco in (
-        click.option("--max-mult", type=int, default=4, show_default=True,
-                     help="max curve multiplicity searched"),
-        click.option("--max-deg", type=int, default=6, show_default=True,
-                     help="max curve degree searched"),
-        click.option("--coeff-height", type=int, default=2, show_default=True,
-                     help="height bound for scanned rational coefficients"),
-        click.option("--trials", type=int, default=200, show_default=True,
-                     help="number of seeded random candidates"),
-        click.option("--seed", type=int, default=0, show_default=True),
-    ):
-        fn = deco(fn)
-    return fn
+def _read(name: str) -> str:
+    """The text of FILE (`-` is standard input): UTF-8, universal newlines."""
+    try:
+        data = sys.stdin.buffer.read() if name == "-" else pathlib.Path(name).read_bytes()
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except OSError as exc:
+        raise InputError(f"cannot read {name!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name!r} is not UTF-8: {exc}") from None
 
 
-@main.command()
-@_file_arg
-@_json_flag
-def order(file, as_json):
-    """Order of vanishing of the problem's defining expression."""
-    _execute("order", file, {}, as_json)
-
-
-@main.command()
-@_file_arg
-@_curve_opt
-@_json_flag
-def pullback(file, as_json, **options):
-    """Pull the defining expression back along a curve."""
-    _execute("pullback", file, options, as_json)
-
-
-@main.command()
-@_file_arg
-@_curve_opt
-@_json_flag
-def contact(file, as_json, **options):
-    """Order of contact (pullback order over multiplicity) of a curve."""
-    _execute("contact", file, options, as_json)
-
-
-@main.command(name="ps-check")
-@_file_arg
-@_budget_options
-@_json_flag
-def ps_check(file, as_json, **options):
-    """Certify positivity structurally or search for a violating curve."""
-    _execute("ps-check", file, options, as_json)
-
-
-@main.command()
-@_file_arg
-@_json_flag
-def gram(file, as_json):
-    """Exact Hermitian sum-of-squares decomposition (or indefinite direction)."""
-    _execute("gram", file, {}, as_json)
-
-
-@main.command(name="germ-ps")
-@_file_arg
-@click.option("--kmin", type=int, default=2, show_default=True)
-@click.option("--kmax", type=int, required=True)
-@_budget_options
-@_json_flag
-def germ_ps(file, as_json, **options):
-    """Per-jet-order positivity verdicts and the stabilization order."""
-    _execute("germ-ps", file, options, as_json)
-
-
-@main.command(name="reg-type")
-@_file_arg
-@click.option("--max", "max", type=int, default=8, show_default=True,
-              help="cap for the regular-type computation")
-@_json_flag
-def reg_type_cmd(file, as_json, **options):
-    """Max order of contact of regular curves, with certificate."""
-    _execute("reg-type", file, options, as_json)
-
-
-@main.command(name="sing-search")
-@_file_arg
-@_budget_options
-@_json_flag
-def sing_search(file, as_json, **options):
-    """Bounded search for high-contact singular curves."""
-    _execute("sing-search", file, options, as_json)
-
-
-@main.command()
-@_file_arg
-@_curve_opt
-@_json_flag
-def desingularize(file, as_json, **options):
-    """Construct a regular contact-4 curve from a contact-4m singular one."""
-    _execute("desingularize", file, options, as_json)
-
-
-@main.command(name="fdb-verify")
-@click.option("--k", type=int, default=3, show_default=True)
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_json_flag
-def fdb_verify(as_json, **options):
-    """Cross-check the partition expansion against the operator oracle."""
-    _execute("fdb-verify", None, options, as_json)
-
-
-@main.command()
-@_file_arg
-@click.option("--all", "all_", is_flag=True, required=True,
-              help="run every analysis on the problem file")
-@click.option("--max", "max", type=int, default=8, show_default=True)
-@_budget_options
-@_json_flag
-def report(file, all_, as_json, **options):
-    """Full analysis: order, positivity, types, and the inference trail."""
-    _execute("report", file, options, as_json)
-
-
-@main.command(name="verify-report")
-@click.argument("report_file", type=click.File("r", encoding="utf-8"))
-def verify_report_cmd(report_file):
-    """Re-run the command embedded in a report and check the claims agree."""
-    text = report_file.read()
+def _verify(text: str):
     if _MACHINE_MARKER in text:
         text = text.split(_MACHINE_MARKER, 1)[1]
     try:
         machine = json.loads(text)
     except json.JSONDecodeError as exc:
-        click.echo(f"input error: not a report file: {exc}", err=True)
-        sys.exit(2)
+        _exit_with(sys.stderr, f"input error: not a report file: {exc}\n", 2)
     try:
         summary = verify_report(machine)
+        names = sorted(o.name.replace("-", "_") for o in COMMANDS[machine["command"]].options
+                       if o.type is not bool)
+        if sorted(machine["options"]) != names:
+            raise InputError(f"report options of {machine['command']!r} must be exactly {names}")
     except _INPUT_ERRORS + _CHECK_ERRORS as exc:
-        click.echo(f"verification failure: {exc}", err=True)
-        sys.exit(2)
-    click.echo(json.dumps(summary, sort_keys=True))
-    sys.exit(0)
+        _exit_with(sys.stderr, f"verification failure: {exc}\n", 2)
+    _exit_with(sys.stdout, json.dumps(summary, sort_keys=True) + "\n", 0)
 
+
+def main(args=None, prog_name="contactps"):
+    """Exact computation of orders of contact, positivity certificates, and
+    constructive desingularization for real hypersurface germs."""
+    try:
+        command, file, options, as_json = _parse(prog_name, args)
+        source = _read(file) if file is not None else ""
+    except InputError as exc:
+        _exit_with(sys.stderr, f"input error: {exc}\n", 2)
+    if command == "verify-report":
+        _verify(source)
+    try:
+        machine, code = build_report(command, source, options)
+    except _INPUT_ERRORS as exc:
+        _exit_with(sys.stderr, f"input error: {exc}\n", 2)
+    except _CHECK_ERRORS as exc:
+        _exit_with(sys.stderr, f"verification failure: {exc}\n", 2)
+    _exit_with(sys.stdout, machine_json(machine) if as_json else render_report(machine), code)
+
+
+# click.testing.CliRunner, which the tests and the benchmark run the command
+# through, reads `name` and calls `main(args=..., prog_name=...)`.
+main.name, main.main = "contactps", main
 
 if __name__ == "__main__":  # pragma: no cover
     main()

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from contactps.algebra import GaussianRational
-from contactps.cli import main
+from contactps.cli import COMMANDS, main
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus"
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -675,7 +675,12 @@ def test_an_infinite_regular_type_gives_infinite_singular_type(runner, tmp_path)
     ("pullback", ["--curve", "(t, t, 0)"], lambda m: m["options"].pop("curve"),
      "the 'curve' option is required"),
     ("reg-type", [], lambda m: m.update(input_source=3), "input_source must be a string"),
-], ids=["command", "options", "option_type", "missing_curve", "input_source"])
+    ("gram", [], lambda m: m.update(options={"foo": 1, "max": 1}),
+     "report options of 'gram' must be exactly []"),
+    ("reg-type", [], lambda m: m["options"].pop("max"),
+     "report options of 'reg-type' must be exactly ['max']"),
+], ids=["command", "options", "option_type", "missing_curve", "input_source", "option_names",
+        "missing_option"])
 def test_verify_report_rejects_a_malformed_report(runner, tmp_path, command, args, mutate,
                                                   message):
     """A stored report whose command, options or input source has the wrong
@@ -850,3 +855,122 @@ def test_gram_certificate_runs_once_per_frame(runner, tmp_path, monkeypatch, arg
     assert res.exit_code == 0, res.output
     [g] = frames
     assert sum(arg is g for arg in gram_args) == 1
+
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def test_goldens_carry_the_option_names_the_cli_writes(runner):
+    """Every golden verifies, so its option names are exactly those of its
+    command; the jet-frame fixture still fails on its claims alone."""
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        check = runner.invoke(main, ["verify-report", str(path)])
+        assert check.exit_code == 0, (path.name, check.stderr)
+    check = runner.invoke(main, ["verify-report", str(FIXTURES_DIR / "jet_frame_infinite_report.json")])
+    assert check.stderr == "verification failure: recomputed claims differ from the stored report\n"
+
+
+def _assert_one_line_exit_two(res, prefix):
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stdout == "" and res.stderr.startswith(prefix)
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["order", "verify-report"])
+@pytest.mark.parametrize("data", [b"n = 3\nr = 2*Re(z3) + abs2(z1)\xff\n", b"\xff"])
+def test_a_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, command, data):
+    path = tmp_path / "problem.txt"
+    path.write_bytes(data)
+    for args, stdin in (([command, str(path)], None), ([command, "-"], data)):
+        res = runner.invoke(main, args, input=stdin)
+        _assert_one_line_exit_two(res, "input error: ")
+        assert "is not UTF-8: 'utf-8' codec can't decode byte 0xff" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["order", "verify-report"])
+def test_a_file_that_cannot_be_opened_is_an_input_error(runner, tmp_path, command):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        res = runner.invoke(main, [command, str(path)])
+        _assert_one_line_exit_two(res, f"input error: cannot read '{path}': ")
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["nope"],
+    ["order", "{file}", "--bogus"],
+    ["order", "{file}", "--json=1"],
+    ["reg-type", "{file}", "--max"],
+    ["reg-type", "{file}", "--max", "x"],
+    ["germ-ps", "{file}"],
+    ["contact", "{file}"],
+    ["report", "{file}"],
+    ["order"],
+    ["order", "{file}", "{file}"],
+    ["fdb-verify", "{file}"],
+], ids=["no_command", "unknown_command", "unknown_option", "flag_value", "no_value",
+        "not_int", "missing_kmax", "missing_curve", "missing_all", "missing_file",
+        "extra_file", "fdb_verify_file"])
+def test_a_usage_error_exits_two_with_one_line(runner, tmp_path, args):
+    path = tmp_path / "problem.txt"
+    path.write_text(CUBIC_SQUARE)
+    res = runner.invoke(main, [arg.format(file=path) for arg in args])
+    _assert_one_line_exit_two(res, "input error: ")
+
+
+@pytest.mark.parametrize("one, other", [
+    (["reg-type", "{file}", "--max", "6"], ["reg-type", "{file}", "--max=6"]),
+    (["reg-type", "{file}", "--max=6"], ["reg-type", "--max", "9", "{file}", "--max", "6"]),
+    (["report", "{file}", "--all", "--max-deg", "3", "--trials", "5"],
+     ["report", "--trials=5", "--all", "{file}", "--max-deg=3"]),
+])
+def test_option_forms_give_the_same_report(runner, tmp_path, one, other):
+    """`--opt value` and `--opt=value`, before or after FILE, and the last
+    of a repeated option wins."""
+    path = tmp_path / "problem.txt"
+    path.write_text(CANCEL_QUARTIC)
+    first, second = (runner.invoke(main, [arg.format(file=path) for arg in [*argv, "--json"]])
+                     for argv in (one, other))
+    assert first.exit_code == second.exit_code == 0, first.output
+    assert first.stdout == second.stdout
+
+
+def test_version_and_help(runner):
+    res = runner.invoke(main, ["--version"])
+    assert (res.exit_code, res.stdout) == (0, "contactps, version 1.0.0\n")
+    group = runner.invoke(main, ["--help"])
+    assert group.exit_code == 0 and group.stdout.startswith("Usage: contactps [OPTIONS] COMMAND")
+    for command, spec in COMMANDS.items():
+        assert f"  {command} " in group.stdout
+        res = runner.invoke(main, [command, "--help"])
+        assert res.exit_code == 0 and res.stderr == "", command
+        assert res.stdout.startswith(f"Usage: contactps {command} [OPTIONS]")
+        assert spec.help in res.stdout
+        for option in spec.options:
+            assert f"--{option.name}" in res.stdout
+            if option.default not in (None, False):
+                assert f"[default: {option.default}]" in res.stdout
+    assert "--kmax INT" in runner.invoke(main, ["germ-ps", "--help"]).stdout
+
+
+_NO_CLICK_SCRIPT = """
+import runpy, sys
+sys.modules["click"] = None
+sys.argv = ["contactps", *sys.argv[1:]]
+if sys.argv[1] == "--version":
+    runpy.run_module("contactps.cli", run_name="__main__")
+from contactps.cli import main
+main()
+"""
+
+
+def test_the_cli_runs_without_click():
+    """In a process where importing click fails, `python -m contactps.cli
+    --version` and `order FILE --json` through `main()` give their output."""
+    env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent.parent / "src")}
+    runs = [subprocess.run([sys.executable, "-c", _NO_CLICK_SCRIPT, *args], capture_output=True,
+                           text=True, env=env, timeout=60)
+            for args in (["--version"], ["order", str(CORPUS_DIR / "crit6_type4.txt"), "--json"])]
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == "contactps, version 1.0.0\n"
+    machine = json.loads(runs[1].stdout)
+    assert machine["command"] == "order" and machine["claims"]["order"]["kind"] == "exact"

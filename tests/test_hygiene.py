@@ -25,9 +25,8 @@ than an external linter.
   `derandomize=True` and `database=None`, and every `@given` test carries
   one, so the suite draws the same examples on every run.
 - Every function parameter is read in the function's body.  Dunder
-  methods, the command handlers in `report._COMMANDS` (they share one
-  `(source, options)` signature) and the click callbacks of `cli.py` (click
-  passes every declared option) are exempt.
+  methods and the command handlers in `report._COMMANDS` (they share one
+  `(source, options)` signature) are exempt.
 - Every `(module, attr)` that the traced benchmark (`bench/spans.py`)
   wraps resolves to a callable, so a refactor that drops one of those
   imports fails here and not only in `bench/run.py --trace 1`.
@@ -258,11 +257,6 @@ def _command_handlers(tree: ast.Module) -> set[str]:
     return set()
 
 
-def _is_click_callback(fn: ast.FunctionDef) -> bool:
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group") for d in fn.decorator_list)
-
-
 def _unread_parameters(tree: ast.Module) -> list[str]:
     exempt = _command_handlers(tree)
     found = []
@@ -273,8 +267,7 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
                 visit(child, f"{owner}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
-                if not (name.startswith("__") and name.endswith("__")
-                        or name in exempt or _is_click_callback(child)):
+                if not (name.startswith("__") and name.endswith("__") or name in exempt):
                     a = child.args
                     params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
                                               a.vararg, a.kwarg) if p is not None]
