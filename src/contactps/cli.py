@@ -1,5 +1,5 @@
-"""Command-line interface, dispatched from one table, `COMMANDS`: each
-command's help, whether it reads a FILE, and its options.
+"""Command-line interface, dispatched from one table, `report.COMMANDS`:
+each command's help, whether it reads a FILE, and its options.
 
 Input is a UTF-8 problem file with `n = <int>` and `r = <expression>` lines
 (`-` reads standard input); curves are parenthesized tuples of t-polynomials.
@@ -15,69 +15,17 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
-from typing import NamedTuple
 
 from .expr import ExprSyntaxError
 from .germ import NotRealError, SolveGraphError
-from .report import (InputError, ReportMismatchError, TOOL_VERSION, build_report, machine_json,
-                     render_report, verify_report)
+from .report import (COMMANDS, TOOL_VERSION, InputError, Option, ReportMismatchError, build_report,
+                     machine_json, render_report, verify_report)
 from .typecalc import VerificationFailedError
 
 _MACHINE_MARKER = "--- machine section (json) ---"
 # The typed errors of a run: bad input, and a check that failed.  Both exit 2.
 _INPUT_ERRORS = (InputError, ExprSyntaxError, NotRealError)
 _CHECK_ERRORS = (ReportMismatchError, VerificationFailedError, SolveGraphError)
-
-
-class Option(NamedTuple):
-    """`--name`: a flag if `type` is bool, else recorded in the report under
-    `name` with `-` read as `_`.  A default of None means required."""
-    name: str
-    type: type
-    default: object
-    help: str = ""
-
-
-class Command(NamedTuple):
-    help: str
-    options: tuple[Option, ...]
-    reads_file: bool = True
-
-
-_JSON = Option("json", bool, False, "emit only the machine section")
-_CURVE = Option("curve", str, None, 'curve as a tuple of t-polynomials, e.g. "(t^3, t^2, 0)"')
-_BUDGET = (Option("max-mult", int, 4, "max curve multiplicity searched"),
-           Option("max-deg", int, 6, "max curve degree searched"),
-           Option("coeff-height", int, 2, "height bound for scanned rational coefficients"),
-           Option("trials", int, 200, "number of seeded random candidates"),
-           Option("seed", int, 0))
-_MAX = Option("max", int, 8, "cap for the regular-type computation")
-
-COMMANDS = {
-    "order": Command("Order of vanishing of the problem's defining expression.", (_JSON,)),
-    "pullback": Command("Pull the defining expression back along a curve.", (_CURVE, _JSON)),
-    "contact": Command("Order of contact (pullback order over multiplicity) of a curve.",
-                       (_CURVE, _JSON)),
-    "ps-check": Command("Certify positivity structurally or search for a violating curve.",
-                        (*_BUDGET, _JSON)),
-    "gram": Command("Exact Hermitian sum-of-squares decomposition (or indefinite direction).",
-                    (_JSON,)),
-    "germ-ps": Command("Per-jet-order positivity verdicts and the stabilization order.",
-                       (Option("kmin", int, 2), Option("kmax", int, None), *_BUDGET, _JSON)),
-    "reg-type": Command("Max order of contact of regular curves, with certificate.",
-                        (_MAX, _JSON)),
-    "sing-search": Command("Bounded search for high-contact singular curves.", (*_BUDGET, _JSON)),
-    "desingularize": Command("Construct a regular contact-4 curve from a contact-4m singular one.",
-                             (_CURVE, _JSON)),
-    "fdb-verify": Command("Cross-check the partition expansion against the operator oracle.",
-                          (Option("k", int, 3), Option("trials", int, 20), Option("seed", int, 0),
-                           _JSON), reads_file=False),
-    "report": Command("Full analysis: order, positivity, types, and the inference trail.",
-                      (Option("all", bool, None, "run every analysis on the problem file"),
-                       _MAX, *_BUDGET, _JSON)),
-    "verify-report": Command("Re-run the command embedded in a report and check the claims agree.",
-                             ()),
-}
 
 
 def _option_row(o: Option) -> tuple[str, str]:
@@ -146,7 +94,7 @@ def _parse(prog: str, argv: list[str] | None) -> tuple[str, str | None, dict, bo
     if len(positional) != spec.reads_file:
         raise InputError(f"unexpected extra argument {positional[spec.reads_file]!r}"
                          if positional[spec.reads_file:] else "missing argument 'FILE'")
-    stored = {o.name.replace("-", "_"): given.get(o.name, o.default)
+    stored = {o.key: given.get(o.name, o.default)
               for o in spec.options if o.type is not bool}
     return command, positional[0] if positional else None, stored, given.get("json", False)
 
@@ -171,10 +119,6 @@ def _verify(text: str):
         _exit_with(sys.stderr, f"input error: not a report file: {exc}\n", 2)
     try:
         summary = verify_report(machine)
-        names = sorted(o.name.replace("-", "_") for o in COMMANDS[machine["command"]].options
-                       if o.type is not bool)
-        if sorted(machine["options"]) != names:
-            raise InputError(f"report options of {machine['command']!r} must be exactly {names}")
     except _INPUT_ERRORS + _CHECK_ERRORS as exc:
         _exit_with(sys.stderr, f"verification failure: {exc}\n", 2)
     _exit_with(sys.stdout, json.dumps(summary, sort_keys=True) + "\n", 0)

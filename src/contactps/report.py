@@ -1,33 +1,46 @@
 """Structured, versioned reports for the command-line interface.
 
 A report has a human-readable header plus a machine-parsable JSON section.
-The JSON section embeds the full input source, the options, and every
-certificate, so a verify pass can re-run the command from the report alone
-and must reproduce the claims bit-for-bit.  Rational values are serialized
-as numerator/denominator decimal strings, never floats.  The timestamp
-lives only in the human header: machine sections of identical runs are
-byte-identical.
+The JSON section embeds the full input source and its SHA-256
+(input_sha256), the options, and every certificate, so a verify pass can
+re-run the command from the report alone and must reproduce the claims
+bit-for-bit.  It also checks the hash against the source, and the options
+against the command table COMMANDS, which the command line is parsed from
+too.  Rational values are serialized as numerator/denominator decimal
+strings, never floats.  The timestamp lives only in the human header:
+machine sections of identical runs are byte-identical.
 
 Each command projects one GermAnalysis of its input into its section, and
 `report --all` is the union of the sections.  The analysis forms each
 piece once: the validated defining function (or the mixed-only decision),
 one graph frame per K, one Gram certificate per term set (the gram and
-ps-check stage, the germ-ps jets and reg-type's g and quadratic part share
-it) and one sing-search per g.  It lives for one command: verify-report
-re-derives everything.  Frames: K = max(4, deg) for gram and ps-check,
-max(--max, deg) for reg-type, the inference and, in `report --all`, gram
-and ps-check too, and max(8, deg) for sing-search and desingularize.
+ps-check stage, the germ-ps jets, reg-type's g and quadratic part and the
+balanced coefficients of both type searches share it) and one sing-search
+per g.  It lives for one command: verify-report re-derives everything.
+Frames: K = max(4, deg) for gram and ps-check, max(--max, deg) for
+reg-type, the inference and, in `report --all`, gram and ps-check too, and
+max(8, deg) for sing-search and desingularize.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
+
+# CPython's built-in SHA-256, as random.py imports its SHA-512: hashlib
+# loads OpenSSL's libcrypto, a few MB of every process, for the same digest.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # an interpreter built without them
 
 from .algebra import CPolynomial, GaussianRational, Order
 from .curve import CurveJet, contact_order, laplacian_power, pullback
@@ -206,7 +219,7 @@ class GermAnalysis:
         for g, res in self._searches:
             if g == gf.g:
                 return res
-        res = sing_type_search(gf, self.budget)
+        res = sing_type_search(gf, self.budget, self.certificate)
         self._searches.append((gf.g, res))
         return res
 
@@ -483,8 +496,70 @@ _COMMANDS = {
 }
 
 
+class Option(NamedTuple):
+    """`--name`: a flag if `type` is bool, else recorded in the report under
+    `key`.  A default of None means required."""
+    name: str
+    type: type
+    default: object
+    help: str = ""
+
+    @property
+    def key(self) -> str:
+        """The option's name in a report's options: `name` with `-` read as `_`."""
+        return self.name.replace("-", "_")
+
+
+class Command(NamedTuple):
+    help: str
+    options: tuple[Option, ...]
+    reads_file: bool = True
+
+
+_JSON = Option("json", bool, False, "emit only the machine section")
+_CURVE = Option("curve", str, None, 'curve as a tuple of t-polynomials, e.g. "(t^3, t^2, 0)"')
+_BUDGET = (Option("max-mult", int, 4, "max curve multiplicity searched"),
+           Option("max-deg", int, 6, "max curve degree searched"),
+           Option("coeff-height", int, 2, "height bound for scanned rational coefficients"),
+           Option("trials", int, 200, "number of seeded random candidates"),
+           Option("seed", int, 0))
+_MAX = Option("max", int, 8, "cap for the regular-type computation")
+
+# Every CLI command: its help, its options and whether it reads a FILE.  A
+# report records exactly the non-flag options of its command.
+COMMANDS = {
+    "order": Command("Order of vanishing of the problem's defining expression.", (_JSON,)),
+    "pullback": Command("Pull the defining expression back along a curve.", (_CURVE, _JSON)),
+    "contact": Command("Order of contact (pullback order over multiplicity) of a curve.",
+                       (_CURVE, _JSON)),
+    "ps-check": Command("Certify positivity structurally or search for a violating curve.",
+                        (*_BUDGET, _JSON)),
+    "gram": Command("Exact Hermitian sum-of-squares decomposition (or indefinite direction).",
+                    (_JSON,)),
+    "germ-ps": Command("Per-jet-order positivity verdicts and the stabilization order.",
+                       (Option("kmin", int, 2), Option("kmax", int, None), *_BUDGET, _JSON)),
+    "reg-type": Command("Max order of contact of regular curves, with certificate.",
+                        (_MAX, _JSON)),
+    "sing-search": Command("Bounded search for high-contact singular curves.", (*_BUDGET, _JSON)),
+    "desingularize": Command("Construct a regular contact-4 curve from a contact-4m singular one.",
+                             (_CURVE, _JSON)),
+    "fdb-verify": Command("Cross-check the partition expansion against the operator oracle.",
+                          (Option("k", int, 3), Option("trials", int, 20), Option("seed", int, 0),
+                           _JSON), reads_file=False),
+    "report": Command("Full analysis: order, positivity, types, and the inference trail.",
+                      (Option("all", bool, None, "run every analysis on the problem file"),
+                       _MAX, *_BUDGET, _JSON)),
+    "verify-report": Command("Re-run the command embedded in a report and check the claims agree.",
+                             ()),
+}
+
+
 # ---------------------------------------------------------------------------
 # Assembly
+
+
+def _input_sha256(source: str) -> str:
+    return sha256(source.encode()).hexdigest()
 
 
 def build_report(command: str, source: str, options: dict) -> tuple[dict, int]:
@@ -499,7 +574,7 @@ def build_report(command: str, source: str, options: dict) -> tuple[dict, int]:
         "version": TOOL_VERSION,
         "command": command,
         "options": {k: v for k, v in sorted(options.items())},
-        "input_sha256": hashlib.sha256(source.encode()).hexdigest(),
+        "input_sha256": _input_sha256(source),
         "input_source": source,
         "claims": claims,
         "exit_code": code,
@@ -605,8 +680,10 @@ def render_report(machine: dict) -> str:
 def verify_report(machine: dict) -> dict:
     """Re-run the embedded command and require bit-identical claims.
 
-    Raises InputError on a report of the wrong shape, ReportMismatchError
-    on any disagreement; returns a small summary on success.
+    Raises InputError on a report of the wrong shape, including options
+    that its command (COMMANDS) does not record, and ReportMismatchError on
+    any disagreement, an input_sha256 that is not the input source's
+    included; returns a small summary on success.
     """
     if type(machine) is not dict:
         raise InputError("report is not a JSON object")
@@ -618,11 +695,15 @@ def verify_report(machine: dict) -> dict:
     command, options, source = machine["command"], machine["options"], machine["input_source"]
     if type(command) is not str or command not in _COMMANDS:
         raise InputError(f"unknown command {command!r}")
+    declared = {o.key: o.type for o in COMMANDS[command].options if o.type is not bool}
     if type(options) is not dict or not all(
-            type(value) is (str if name == "curve" else int) for name, value in options.items()):
+            name not in declared or type(value) is declared[name]
+            for name, value in options.items()):
         raise InputError("report options must be ints, and curve a string")
     if type(source) is not str:
         raise InputError("report input_source must be a string")
+    if machine.get("input_sha256") != _input_sha256(source):
+        raise ReportMismatchError("the stored input_sha256 is not the SHA-256 of input_source")
     recomputed, code = build_report(command, source, dict(options))
     stored = json.dumps(machine["claims"], sort_keys=True)
     fresh = json.dumps(recomputed["claims"], sort_keys=True)
@@ -632,4 +713,8 @@ def verify_report(machine: dict) -> dict:
         )
     if machine.get("exit_code") != code:
         raise ReportMismatchError("recomputed exit code differs")
+    # After the recomputation, so that a missing required option reads as
+    # the command's own input error.
+    if options.keys() != declared.keys():
+        raise InputError(f"report options of {command!r} must be exactly {sorted(declared)}")
     return {"verified": True, "command": machine["command"], "exit_code": code}

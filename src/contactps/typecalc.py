@@ -504,8 +504,9 @@ def reg_type(gf: GraphForm, N: int, certify) -> TypeClaim:
 
     Exact values pair an exhibited curve (re-verified by pullback) with a
     jet-extension obstruction transcript; otherwise the best exhibited lower
-    bound is returned.  certify(p) gives gram_certificate(p) for g and its
-    quadratic part, so a caller can share them (report.GermAnalysis).
+    bound is returned.  certify(p) gives gram_certificate(p) for g, its
+    quadratic part and the balanced coefficients of its search, so a caller
+    can share them (report.GermAnalysis).
 
     Infinite type is claimed only when g's pullback along the witness is
     identically zero (Order kind "zero"), which a jet never is.  On a jet g
@@ -553,7 +554,7 @@ def reg_type(gf: GraphForm, N: int, certify) -> TypeClaim:
         kind = "exact" if res.exact and res.value < cap_t else "at_least"
         return TypeClaim(kind, value, witness, transcript=transcript)
     # Indefinite or high-dimensional: bounded lower-bound search only.
-    found = _best_contact(g, SearchBudget(max_degree=max(4, N), random_trials=200), 1)
+    found = _best_contact(g, SearchBudget(max_degree=max(4, N), random_trials=200), 1, certify)
     if found.kind == "infinite":
         return TypeClaim("infinite", witness=found.witness,
                          transcript=("search found a regular curve with "
@@ -654,10 +655,12 @@ class SingSearchResult:
                          transcript=("bounded singular search",))
 
 
-def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSearchResult:
+def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int,
+                  certify) -> SingSearchResult:
     """The best exact ratio ord/mult over the candidates of multiplicity at
     most max_mult; the first best wins a tie, and the first identically zero
-    pullback certifies infinite contact.
+    pullback certifies infinite contact.  certify(p) gives
+    gram_certificate(p) for the balanced coefficients (torus_positive).
 
     The candidates are scored one exponent group at a time (the module
     docstring gives the argument), and each exponent tuple's multiplicity
@@ -690,7 +693,8 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
         for exps, count, choices, curve in groups:
             if exps not in scores:
                 mult = min(e for e in exps if e)
-                scores[exps] = _leading_score(g, exps, mult) if mult <= max_mult else None
+                scores[exps] = (_leading_score(g, exps, mult, certify) if mult <= max_mult
+                                else None)
             score = scores[exps]
             if score is None:
                 continue
@@ -727,7 +731,7 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int) -> SingSe
     return SingSearchResult("lower_bound", best_ratio, witness, tested, budget)
 
 
-def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int):
+def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int, certify):
     """(d, mult, rows) for the candidates with leading exponents exps.  The
     ratio d/mult, d the weighted degree of the leading slice, is the score of
     every candidate whose slice does not cancel; d is None when the slice
@@ -736,32 +740,34 @@ def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int):
     can: when some bidegree holds a single row, or (rule 1 of the module
     docstring) when d is even and the balanced coefficient, the polynomial
     P in the leads of the terms of g at bidegree (d/2, d/2), is
-    torus_positive."""
+    torus_positive under certify."""
     found = leading_rows(g, exps)
     if found is None:
         return None, mult, None
     d, rows = found
-    if any(len(group) == 1 for group in rows.values()) or _balanced_positive(g, exps, d):
+    if (any(len(group) == 1 for group in rows.values())
+            or _balanced_positive(g, exps, d, certify)):
         rows = None
     return d, mult, rows
 
 
-def torus_positive(p: CPolynomial) -> bool:
+def torus_positive(p: CPolynomial, certify) -> bool:
     """Whether p > 0 at every point whose coordinates are all nonzero, read
-    off gram_certificate(p): p is a sum of w_k |f_k|^2 with every w_k > 0,
-    so p >= 0 everywhere, and when one f_k is a single term c z^m its square
-    |c|^2 |z^m|^2 is > 0 wherever no coordinate is zero.  False when p is
+    off certify(p), which gives gram_certificate(p): p is a sum of w_k
+    |f_k|^2 with every w_k > 0, so p >= 0 everywhere, and when one f_k is a
+    single term c z^m its square |c|^2 |z^m|^2 is > 0 wherever no
+    coordinate is zero.  False when p is
     not real-valued and mixed-only (gram_certificate's ValueError), when it
     is not certified, or when no square is a single term; False proves
     nothing."""
     try:
-        cert = gram_certificate(p)
+        cert = certify(p)
     except ValueError:
         return False
     return cert.verdict == "certified" and any(len(f.terms) == 1 for _w, f in cert.squares)
 
 
-def _balanced_positive(g: CPolynomial, exps: tuple[int, ...], d: int) -> bool:
+def _balanced_positive(g: CPolynomial, exps: tuple[int, ...], d: int, certify) -> bool:
     """Whether the balanced coefficient of the leading slice, P(c) = sum
     g_{h,a} c^h conj(c)^a over the terms of g with h.mu = a.mu = d/2 and
     no exponent on a zero component, is > 0 at every c with no zero entry
@@ -774,13 +780,15 @@ def _balanced_positive(g: CPolynomial, exps: tuple[int, ...], d: int) -> bool:
              if not any(h[i] or a[i] for i in dead)
              and sum(e * m for e, m in zip(h, exps)) == half
              and sum(e * m for e, m in zip(a, exps)) == half}
-    return torus_positive(CPolynomial(g.nvars, terms))
+    return torus_positive(CPolynomial(g.nvars, terms), certify)
 
 
-def sing_type_search(gf: GraphForm, budget: SearchBudget) -> SingSearchResult:
+def sing_type_search(gf: GraphForm, budget: SearchBudget,
+                     certify=gram_certificate) -> SingSearchResult:
     """Enumerate singular candidates in the z_n = 0 frame and keep the best
-    exact ratio; an identically zero exact pullback certifies infinite type."""
-    return _best_contact(gf.g, budget, budget.max_multiplicity)
+    exact ratio; an identically zero exact pullback certifies infinite type.
+    certify(p) gives gram_certificate(p), as in reg_type."""
+    return _best_contact(gf.g, budget, budget.max_multiplicity, certify)
 
 
 # ---------------------------------------------------------------------------

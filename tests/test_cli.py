@@ -533,55 +533,45 @@ _REPORT_BUDGET = ["--max-deg", "4", "--trials", "50"]
 
 
 def _spy_certificates(monkeypatch):
-    """The (inside _balanced_positive, nvars, term set) of every Gram
-    certificate formed from now on, through report, typecalc or germ."""
+    """The (nvars, term set) of every Gram certificate formed from now on,
+    through report, typecalc or germ."""
     import contactps.germ as germ
     import contactps.report as report
     import contactps.typecalc as typecalc
 
-    formed, depth = [], [0]
+    formed = []
     for module in (germ, report, typecalc):
         def recorded(g, _fn=module.gram_certificate):
-            formed.append((depth[0] > 0, g.nvars, frozenset(g.terms.items())))
+            formed.append((g.nvars, frozenset(g.terms.items())))
             return _fn(g)
         monkeypatch.setattr(module, "gram_certificate", recorded)
-
-    def balanced(*args, _fn=typecalc._balanced_positive):
-        depth[0] += 1
-        try:
-            return _fn(*args)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(typecalc, "_balanced_positive", balanced)
     return formed
 
 
 @pytest.mark.parametrize("name", _REPORT_ALL_ENTRIES)
 def test_report_all_certifies_each_term_set_once(runner, monkeypatch, name):
     """On the report_all entries, report --all forms one Gram certificate
-    per term set for its gram and ps-check stage, germ-ps jets and
-    reg-type's g and quadratic part (GermAnalysis.certificate); only the
-    balanced coefficients of the type searches (typecalc._balanced_positive)
-    form theirs anew."""
+    per term set for its gram and ps-check stage, germ-ps jets, reg-type's
+    g and quadratic part and the balanced coefficients of both type
+    searches (GermAnalysis.certificate): no term set is certified twice."""
     formed = _spy_certificates(monkeypatch)
     res = runner.invoke(main, ["report", str(CORPUS_DIR / f"{name}.txt"), "--all",
                                *_REPORT_BUDGET, "--json"])
     assert res.exit_code in (0, 1), res.output
-    outside = [key for inside, *key in formed if not inside]
-    assert outside and len(outside) == len(set(map(tuple, outside)))
+    assert formed and len(formed) == len(set(formed))
 
 
-def test_report_all_round_forms_59_certificates(runner, monkeypatch):
-    """One report --all on each report_all entry forms 59 Gram certificates
-    in all, 21 of them balanced coefficients; 14 more repeated a term set
-    when each command wired its own stages."""
+def test_report_all_round_forms_38_certificates(runner, monkeypatch):
+    """One report --all on each report_all entry forms 38 Gram certificates
+    in all; 21 more repeated a term set when the type searches certified
+    their balanced coefficients anew, and 14 more again when each command
+    wired its own stages."""
     formed = _spy_certificates(monkeypatch)
     for name in _REPORT_ALL_ENTRIES:
         res = runner.invoke(main, ["report", str(CORPUS_DIR / f"{name}.txt"), "--all",
                                    *_REPORT_BUDGET, "--json"])
         assert res.exit_code in (0, 1), res.output
-    assert (len(formed), sum(inside for inside, *_key in formed)) == (59, 21)
+    assert len(formed) == 38
 
 
 def test_no_certificate_is_kept_across_commands(runner, monkeypatch, tmp_path):
@@ -620,8 +610,8 @@ def test_report_all_searches_once_per_distinct_g(runner, monkeypatch, tmp_path, 
 
     calls = []
     monkeypatch.setattr(report, "sing_type_search",
-                        lambda gf, budget, _fn=report.sing_type_search:
-                        calls.append(gf.g) or _fn(gf, budget))
+                        lambda gf, budget, certify, _fn=report.sing_type_search:
+                        calls.append(gf.g) or _fn(gf, budget, certify))
     res = _invoke(runner, tmp_path, source,
                   ["report", "--all", "--max", cap, *_REPORT_BUDGET, "--json"])
     assert res.exit_code in (0, 1), res.output
@@ -679,12 +669,18 @@ def test_an_infinite_regular_type_gives_infinite_singular_type(runner, tmp_path)
      "report options of 'gram' must be exactly []"),
     ("reg-type", [], lambda m: m["options"].pop("max"),
      "report options of 'reg-type' must be exactly ['max']"),
+    ("reg-type", [], lambda m: m.update(input_sha256="0" * 64),
+     "the stored input_sha256 is not the SHA-256 of input_source"),
+    ("reg-type", [], lambda m: m.pop("input_sha256"),
+     "the stored input_sha256 is not the SHA-256 of input_source"),
 ], ids=["command", "options", "option_type", "missing_curve", "input_source", "option_names",
-        "missing_option"])
+        "missing_option", "tampered_hash", "missing_hash"])
 def test_verify_report_rejects_a_malformed_report(runner, tmp_path, command, args, mutate,
                                                   message):
     """A stored report whose command, options or input source has the wrong
-    shape is an input error: exit 2 with one line, no traceback."""
+    shape is an input error, and one whose input_sha256 is missing or is not
+    its input source's fails its check: exit 2 with one line, no
+    traceback."""
     res = _invoke(runner, tmp_path, CUBIC_SQUARE, [command, *args, "--json"])
     assert res.exit_code == 0, res.output
     machine = _machine(res)
@@ -695,6 +691,34 @@ def test_verify_report_rejects_a_malformed_report(runner, tmp_path, command, arg
     assert check.exit_code == 2 and isinstance(check.exception, SystemExit)
     assert check.stderr.startswith("verification failure: ") and message in check.stderr
     assert check.stderr.count("\n") == 1 and "Traceback" not in check.stderr
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS_DIR.glob("*.txt")))
+def test_input_sha256_is_the_sha256_of_the_corpus_source(runner, name):
+    import hashlib
+
+    path = CORPUS_DIR / f"{name}.txt"
+    res = runner.invoke(main, ["order", str(path), "--json"])
+    assert res.exit_code == 0, res.output
+    source = path.read_text(encoding="utf-8")
+    assert _machine(res)["input_sha256"] == hashlib.sha256(source.encode()).hexdigest()
+
+
+def test_input_sha256_hashes_the_utf8_of_the_read_source(runner, tmp_path):
+    """A non-ASCII source hashes as its UTF-8 bytes; a CRLF file read from
+    standard input hashes as the LF text that the report embeds."""
+    import hashlib
+
+    source = "# Zürich, ∂ und ∂̄ 😀\nn = 3\nr = 2*Re(z3) + abs2(z1^2 - z2^3)\n"
+    path = tmp_path / "problem.txt"
+    path.write_bytes(source.encode("utf-8"))
+    lf = runner.invoke(main, ["order", str(path), "--json"])
+    crlf = runner.invoke(main, ["order", "-", "--json"],
+                         input=source.replace("\n", "\r\n").encode("utf-8"))
+    assert lf.exit_code == crlf.exit_code == 0, lf.output
+    assert _machine(lf)["input_source"] == _machine(crlf)["input_source"] == source
+    expected = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    assert _machine(lf)["input_sha256"] == _machine(crlf)["input_sha256"] == expected
 
 
 def test_verify_report_rejects_json_that_is_not_an_object(runner, tmp_path):
@@ -961,6 +985,28 @@ if sys.argv[1] == "--version":
 from contactps.cli import main
 main()
 """
+
+
+_NO_OPENSSL_SCRIPT = """
+import sys
+from contactps.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(sorted({"_hashlib", "hashlib"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+def test_a_cli_run_does_not_load_openssl(tmp_path):
+    """report --all hashes its input with CPython's built-in SHA-256, so a
+    CLI process never imports hashlib, which loads OpenSSL's libcrypto."""
+    env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent.parent / "src")}
+    argv = ["report", str(CORPUS_DIR / "crit6_type4.txt"), "--all", *_REPORT_BUDGET, "--json"]
+    run = subprocess.run([sys.executable, "-c", _NO_OPENSSL_SCRIPT, *argv], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "[]\n")
+    assert json.loads(run.stdout)["command"] == "report"
 
 
 def test_the_cli_runs_without_click():

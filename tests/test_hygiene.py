@@ -39,6 +39,7 @@ than an external linter.
   use sympy, as a reference.
 - The third-party modules that `src/contactps` imports are exactly the
   `dependencies` of `pyproject.toml`: none is missing and none is unused.
+  CPython's built-in SHA-2 modules count as stdlib on every version.
 - In `report.py`, `validate`, `normalize_to_graph` and `gram_certificate`
   are called (or passed on) only inside `GermAnalysis`: every command reads
   its frames and certificates off its analysis, so none wires its own
@@ -329,11 +330,18 @@ def _imported_packages(tree: ast.Module) -> dict[str, int]:
     return found
 
 
+# CPython's built-in SHA-2 modules: `_sha2` from 3.12 on, `_sha256` before.
+# sys.stdlib_module_names lists only the running interpreter's modules, so
+# each is missing from it on the other versions, yet both are stdlib.
+BUILTIN_SHA2 = {"_sha2", "_sha256"}
+
+
 def _third_party_imports() -> dict[str, list[str]]:
     found = {}
+    stdlib = sys.stdlib_module_names | BUILTIN_SHA2
     for path in sorted(SRC.rglob("*.py")):
         for name, line in _imported_packages(ast.parse(path.read_text(encoding="utf-8"))).items():
-            if name not in sys.stdlib_module_names and name != "contactps":
+            if name not in stdlib and name != "contactps":
                 found.setdefault(name, []).append(f"{path.name}:{line}")
     return found
 

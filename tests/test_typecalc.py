@@ -719,7 +719,7 @@ def test_best_contact_matches_the_candidate_loop(name):
     for max_mult, seed, trials in ((1, 0, 20), (2, 0, 20), (4, 0, 20), (4, 1, 20), (2, 1, 60)):
         budget = SearchBudget(max_multiplicity=4, max_degree=3, coeff_height=1,
                               random_trials=trials, seed=seed)
-        found = _best_contact(g, budget, max_mult)
+        found = _best_contact(g, budget, max_mult, gram_certificate)
         assert (found.kind, found.ratio, found.witness, found.candidates_tested) == \
             _reference_best_contact(g, budget, max_mult)
 
@@ -763,7 +763,7 @@ def test_best_contact_matches_the_candidate_loop_at_the_falsify_budget(name, see
     theirs."""
     g = _SEARCH_GERMS[name]()
     budget = SearchBudget(4, 8, 2, 3000, seed)
-    found = _best_contact(g, budget, 4)
+    found = _best_contact(g, budget, 4, gram_certificate)
     assert (found.kind, found.ratio, found.witness, found.candidates_tested) == \
         _reference_best_contact(g, budget, 4)
 
@@ -818,10 +818,11 @@ def test_rule_1_decides_no_class_with_a_cancelling_candidate(squares, negative):
     groups = itertools.chain(monomial_choices(2, 4), cancellation_scan_choices(2, 4, 1))
     for exps, _count, vectors in groups:
         found = leading_rows(g, exps)
-        if found is None or not typecalc._balanced_positive(g, exps, found[0]):
+        if found is None or not typecalc._balanced_positive(g, exps, found[0], gram_certificate):
             continue
         d, rows = found
-        assert typecalc._leading_score(g, exps, min(e for e in exps if e))[2] is None
+        mult = min(e for e in exps if e)
+        assert typecalc._leading_score(g, exps, mult, gram_certificate)[2] is None
         for j, v in enumerate(vectors):
             assert not algebra.slice_vanishes(rows, v, powers)
             if j % 7 == 0:
@@ -834,9 +835,9 @@ def test_rule_1_keeps_the_cancelling_class_of_crit5_m2():
     |c1 + c2^2|^2, which cancels: rule 1 leaves it undecided, and the search
     still finds a curve of that class with zero pullback."""
     g = _SEARCH_GERMS["crit5_m2"]()
-    d, _mult, rows = typecalc._leading_score(g, (2, 1), 1)
+    d, _mult, rows = typecalc._leading_score(g, (2, 1), 1, gram_certificate)
     assert d == 4 and rows is not None
-    assert not typecalc._balanced_positive(g, (2, 1), 4)
-    res = _best_contact(g, _FALSIFY, 4)
+    assert not typecalc._balanced_positive(g, (2, 1), 4, gram_certificate)
+    res = _best_contact(g, _FALSIFY, 4, gram_certificate)
     assert res.kind == "infinite" and format_curve(res.witness) == "(t^2, i*t)"
     assert pullback(g, res.witness).is_zero()
