@@ -94,8 +94,7 @@ def _parse(prog: str, argv: list[str] | None) -> tuple[str, str | None, dict, bo
     if len(positional) != spec.reads_file:
         raise InputError(f"unexpected extra argument {positional[spec.reads_file]!r}"
                          if positional[spec.reads_file:] else "missing argument 'FILE'")
-    stored = {o.key: given.get(o.name, o.default)
-              for o in spec.options if o.type is not bool}
+    stored = {o.key: given.get(o.name, o.default) for o in spec.recorded}
     return command, positional[0] if positional else None, stored, given.get("json", False)
 
 

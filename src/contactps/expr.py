@@ -326,7 +326,9 @@ class ProblemFile:
     """A UTF-8 input file with `n = <int>` and `r = <expression>` lines.
 
     Intermediate `name = <expression>` lines bind reusable definitions; the
-    entry is always the defining-function expression bound to r.
+    entry is always the defining-function expression bound to r.  `n` comes
+    first, each name is bound once, and a name is an identifier that the
+    grammar does not reserve (z1..zN, t, i, conj, Re, abs2).
     """
 
     nvars: int
@@ -335,10 +337,12 @@ class ProblemFile:
     source: str = ""
 
 
+_RESERVED = frozenset({"t", "i", "conj", "Re", "abs2"})
+
+
 def parse_problem(text: str) -> ProblemFile:
     nvars = None
     definitions: dict[str, CPolynomial] = {}
-    entry = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -348,7 +352,9 @@ def parse_problem(text: str) -> ProblemFile:
         name, rhs = line.split("=", 1)
         name = name.strip()
         rhs = rhs.strip()
-        if name == "n":
+        if nvars is None:
+            if name != "n":
+                raise ExprSyntaxError(f"line {lineno}: n = <int> must come first")
             try:
                 nvars = int(rhs)
             except ValueError:
@@ -356,17 +362,19 @@ def parse_problem(text: str) -> ProblemFile:
             if nvars < 1:
                 raise ExprSyntaxError(f"line {lineno}: n must be positive")
             continue
-        if nvars is None:
-            raise ExprSyntaxError(f"line {lineno}: n = <int> must come first")
+        if name == "n" or name in definitions:
+            raise ExprSyntaxError(f"line {lineno}: {name} is bound twice")
+        token = _TOKEN_RE.fullmatch(name)
+        if token is None or token.lastgroup != "ident":
+            raise ExprSyntaxError(f"line {lineno}: {name!r} is not a name")
+        if name in _RESERVED or _VARIABLE_RE.fullmatch(name):
+            raise ExprSyntaxError(f"line {lineno}: {name} is reserved by the grammar")
         try:
-            value = parse_expression(rhs, nvars, definitions)
+            definitions[name] = parse_expression(rhs, nvars, definitions)
         except ExprSyntaxError as exc:
             raise ExprSyntaxError(f"line {lineno}: {exc}") from exc
-        if name == "r":
-            entry = value
-        definitions[name] = value
     if nvars is None:
         raise ExprSyntaxError("problem file is missing the n = <int> line")
-    if entry is None:
+    if "r" not in definitions:
         raise ExprSyntaxError("problem file is missing the r = <expression> line")
-    return ProblemFile(nvars=nvars, definitions=definitions, entry=entry, source=text)
+    return ProblemFile(nvars=nvars, definitions=definitions, entry=definitions["r"], source=text)

@@ -4,14 +4,18 @@ A report has a human-readable header plus a machine-parsable JSON section.
 The JSON section embeds the full input source and its SHA-256
 (input_sha256), the options, and every certificate, so a verify pass can
 re-run the command from the report alone and must reproduce the claims
-bit-for-bit.  It also checks the hash against the source, and the options
-against the command table COMMANDS, which the command line is parsed from
-too.  Rational values are serialized as numerator/denominator decimal
-strings, never floats.  The timestamp lives only in the human header:
-machine sections of identical runs are byte-identical.
+bit-for-bit.  It also checks the hash against the source, and the command
+and options against COMMANDS.  Rational values are serialized as
+numerator/denominator decimal strings, never floats.  The timestamp lives
+only in the human header: machine sections of identical runs are
+byte-identical.
 
-Each command projects one GermAnalysis of its input into its section, and
-`report --all` is the union of the sections.  The analysis forms each
+Each command is declared once, in COMMANDS: its help, its options and their
+defaults, its handler, and whether it reads a FILE.  The command line is
+parsed from that table.  build_report forms one GermAnalysis of the input
+and the command's recorded options, defaults filled in, and the handler
+projects it into the command's section; `report --all` is the union of the
+sections.  The analysis forms each
 piece once: the validated defining function (or the mixed-only decision),
 one graph frame per K, one Gram certificate per term set (the gram and
 ps-check stage, the germ-ps jets, reg-type's g and quadratic part and the
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property
@@ -132,7 +137,7 @@ def _as_input(fn, *args, **kwargs):
 
 def _curve_option(options) -> CurveJet:
     """The parsed --curve option, which only a stored report can lack."""
-    if "curve" not in options:
+    if options["curve"] is None:
         raise InputError("the 'curve' option is required")
     return _as_input(parse_curve, options["curve"])
 
@@ -150,12 +155,14 @@ def _curve_for_entry(z: CurveJet, entry: CPolynomial) -> CurveJet:
 
 
 class GermAnalysis:
-    """What one command derives from its entry (see the module docstring),
-    each piece formed when a section first reads it, so that input errors
+    """What one command derives from its entry and its options (see the
+    module docstring).  The source (None when the command reads no FILE) is
+    parsed first, so a syntax error comes before any option error; every
+    other piece is formed when a handler first reads it, so input errors
     come in the order in which the command reads its input."""
 
-    def __init__(self, source: str, options: dict):
-        self.entry = _as_input(parse_problem, source).entry
+    def __init__(self, source: str | None, options: dict):
+        self.entry = None if source is None else _as_input(parse_problem, source).entry
         self.options = options
         self._frames, self._certificates, self._searches = {}, {}, []
 
@@ -164,21 +171,27 @@ class GermAnalysis:
         options = self.options
         return _as_input(
             SearchBudget,
-            max_multiplicity=options.get("max_mult", 4),
-            max_degree=options.get("max_deg", 6),
-            coeff_height=options.get("coeff_height", 2),
-            random_trials=options.get("trials", 200),
-            seed=options.get("seed", 0),
+            max_multiplicity=options["max_mult"],
+            max_degree=options["max_deg"],
+            coeff_height=options["coeff_height"],
+            random_trials=options["trials"],
+            seed=options["seed"],
         )
 
     @property
     def cap(self) -> int:
         """The --max cap of the regular-type search.  Every regular type is
         at least 2, so a smaller cap bounds nothing and is an input error."""
-        N = self.options.get("max", 8)
+        N = self.options["max"]
         if N < 2:
             raise InputError(f"--max must be at least 2, got {N}")
         return N
+
+    @property
+    def positivity_frame(self) -> GraphForm:
+        """The gram and ps-check frame: K = max(--max, deg) in `report
+        --all`, which has --max, else max(4, deg)."""
+        return self.frame(self.cap if "max" in self.options else 4)
 
     @cached_property
     def df(self) -> DefiningFunction:
@@ -225,9 +238,13 @@ class GermAnalysis:
 
     @cached_property
     def germ_ps(self):
+        """germ_ps_check on k_min..k_max, by default 2..max(k_min, deg r):
+        `report --all` has neither option, and a stored report can lack --kmax."""
         r = self.df
         k_min = self.options.get("kmin", 2)
-        k_max = self.options.get("kmax", max(k_min, r.r.total_degree()))
+        k_max = self.options.get("kmax")
+        if k_max is None:
+            k_max = max(k_min, r.r.total_degree())
         return _as_input(germ_ps_check, r, k_min, k_max, self.budget, self.certificate)
 
     @cached_property
@@ -236,25 +253,21 @@ class GermAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# Command execution: each command maps (source, options) -> (claims, exit
-# code), a projection of its analysis; `report --all` is their union.
+# Command handlers: each maps its command's GermAnalysis to (claims, exit
+# code), a projection of the analysis; `report --all` is the union of the
+# command sections.
 
 
-def _order_section(entry: CPolynomial) -> dict:
+def _order_section(an: GermAnalysis) -> tuple[dict, int]:
     return {
-        "expression": format_polynomial(entry),
-        "order": _order(entry.order_of_vanishing()),
-    }
+        "expression": format_polynomial(an.entry),
+        "order": _order(an.entry.order_of_vanishing()),
+    }, 0
 
 
-def _cmd_order(source, options):
-    return _order_section(GermAnalysis(source, options).entry), 0
-
-
-def _cmd_pullback(source, options):
-    entry = GermAnalysis(source, options).entry
-    z = _curve_for_entry(_curve_option(options), entry)
-    u = pullback(entry, z)
+def _cmd_pullback(an: GermAnalysis):
+    z = _curve_for_entry(_curve_option(an.options), an.entry)
+    u = pullback(an.entry, z)
     return {
         "curve": format_curve(z),
         "pullback": format_polynomial(u, "t"),
@@ -262,10 +275,9 @@ def _cmd_pullback(source, options):
     }, 0
 
 
-def _cmd_contact(source, options):
-    entry = GermAnalysis(source, options).entry
-    z = _curve_for_entry(_curve_option(options), entry)
-    order, ratio = contact_order(entry, z)
+def _cmd_contact(an: GermAnalysis):
+    z = _curve_for_entry(_curve_option(an.options), an.entry)
+    order, ratio = contact_order(an.entry, z)
     claims = {
         "curve": format_curve(z),
         "multiplicity": z.multiplicity(),
@@ -307,27 +319,23 @@ def _cert_section(gf: GraphForm, cert) -> dict:
     return {"g": format_polynomial(gf.g), "certificate": _cert_claims(cert)}
 
 
-def _ps_check_section(an: GermAnalysis, gf: GraphForm) -> tuple[dict, int]:
+def _gram_section(an: GermAnalysis) -> tuple[dict, int]:
+    gf = an.positivity_frame
+    return _cert_section(gf, an.certificate(gf.g)), 0
+
+
+def _ps_check_section(an: GermAnalysis) -> tuple[dict, int]:
     """g's Gram certificate when it is certified, else ps_search's verdict;
-    the budget is checked first."""
+    the budget is checked after the frame, before either."""
+    gf = an.positivity_frame
     budget = an.budget
     gram = an.certificate(gf.g)
     cert = gram if gram.verdict == "certified" else ps_search(gf.g, budget, gram)
     return _cert_section(gf, cert), 1 if cert.is_violation else 0
 
 
-def _cmd_ps_check(source, options):
-    an = GermAnalysis(source, options)
-    return _ps_check_section(an, an.frame(4))
-
-
-def _cmd_gram(source, options):
-    an = GermAnalysis(source, options)
-    gf = an.frame(4)
-    return _cert_section(gf, an.certificate(gf.g)), 0
-
-
-def _germ_ps_section(rep) -> tuple[dict, int]:
+def _germ_ps_section(an: GermAnalysis) -> tuple[dict, int]:
+    rep = an.germ_ps
     claims = {
         "k_min": rep.k_min,
         "k_max": rep.k_max,
@@ -340,20 +348,12 @@ def _germ_ps_section(rep) -> tuple[dict, int]:
     return claims, 1 if rep.k0 is None else 0
 
 
-def _cmd_germ_ps(source, options):
-    return _germ_ps_section(GermAnalysis(source, options).germ_ps)
-
-
-def _reg_section(an: GermAnalysis) -> dict:
+def _reg_section(an: GermAnalysis) -> tuple[dict, int]:
     gf = an.frame(an.cap)
-    return {"g": format_polynomial(gf.g), "reg_type": _claim(an.reg_claim)}
+    return {"g": format_polynomial(gf.g), "reg_type": _claim(an.reg_claim)}, 0
 
 
-def _cmd_reg_type(source, options):
-    return _reg_section(GermAnalysis(source, options)), 0
-
-
-def _sing_section(an: GermAnalysis) -> dict:
+def _sing_section(an: GermAnalysis) -> tuple[dict, int]:
     """The search on the frame K = max(8, deg entry)."""
     gf = an.frame(8)
     res = an.search(gf)
@@ -369,11 +369,7 @@ def _sing_section(an: GermAnalysis) -> dict:
         lifted = gf.lift_curve(res.witness)
         if res.kind != "infinite" or all(x.truncation is None for x in lifted.components):
             claims["witness_in_original_frame"] = format_curve(lifted)
-    return claims
-
-
-def _cmd_sing_search(source, options):
-    return _sing_section(GermAnalysis(source, options)), 0
+    return claims, 0
 
 
 def _inference_section(an: GermAnalysis) -> dict:
@@ -390,9 +386,9 @@ def _inference_section(an: GermAnalysis) -> dict:
     }
 
 
-def _cmd_desingularize(source, options):
-    gf = GermAnalysis(source, options).frame(8)
-    res = _as_input(desingularize, gf, _curve_option(options))
+def _cmd_desingularize(an: GermAnalysis):
+    gf = an.frame(8)
+    res = _as_input(desingularize, gf, _curve_option(an.options))
     t = res.transcript
     claims = {
         "eta": format_curve(res.eta),
@@ -408,10 +404,8 @@ def _cmd_desingularize(source, options):
     return claims, 0
 
 
-def _cmd_fdb_verify(source, options):
-    k = options.get("k", 3)
-    trials = options.get("trials", 20)
-    seed = options.get("seed", 0)
+def _cmd_fdb_verify(an: GermAnalysis):
+    k, trials, seed = an.options["k"], an.options["trials"], an.options["seed"]
     if k < 1:
         raise InputError(f"--k must be at least 1, got {k}")
     if trials < 1:
@@ -462,38 +456,20 @@ def _cmd_fdb_verify(source, options):
     }, 0
 
 
-def _cmd_report_all(source, options):
-    """Every analysis on one input: the union of the command sections on
-    one GermAnalysis.  The gram, ps-check, reg-type and inference sections
-    read the frame K = max(--max, deg); the sing-search section is the one
-    `sing-search` prints, on K = max(8, deg).  The two share their search
-    when the frames have the same g, as every exact-rule germ's do."""
-    an = GermAnalysis(source, options)
-    gf = an.frame(an.cap)
-    ps_check, worst = _ps_check_section(an, gf)
-    sections = {"order": _order_section(an.entry),
-                "gram": _cert_section(gf, an.certificate(gf.g)), "ps_check": ps_check}
-    if an.r is not None:
-        sections["germ_ps"], code = _germ_ps_section(an.germ_ps)
-        worst = max(worst, code)
-    sections.update(reg_type=_reg_section(an), sing_search=_sing_section(an),
-                    inference=_inference_section(an))
-    return sections, worst
-
-
-_COMMANDS = {
-    "order": _cmd_order,
-    "pullback": _cmd_pullback,
-    "contact": _cmd_contact,
-    "ps-check": _cmd_ps_check,
-    "gram": _cmd_gram,
-    "germ-ps": _cmd_germ_ps,
-    "reg-type": _cmd_reg_type,
-    "sing-search": _cmd_sing_search,
-    "desingularize": _cmd_desingularize,
-    "fdb-verify": _cmd_fdb_verify,
-    "report": _cmd_report_all,
-}
+def _cmd_report_all(an: GermAnalysis):
+    """Every analysis on one input: the sections of the commands below on
+    one GermAnalysis, in this order, then the inference; a mixed-only entry
+    has no germ-ps section.  The gram, ps-check, reg-type and inference
+    sections read the frame K = max(--max, deg); the sing-search section is
+    the one `sing-search` prints, on K = max(8, deg).  The two share their
+    search when the frames have the same g, as every exact-rule germ's do."""
+    claims, worst = {}, 0
+    for name in ("order", "gram", "ps-check", "germ-ps", "reg-type", "sing-search"):
+        if name != "germ-ps" or an.r is not None:
+            claims[name.replace("-", "_")], code = COMMANDS[name].handler(an)
+            worst = max(worst, code)
+    claims["inference"] = _inference_section(an)
+    return claims, worst
 
 
 class Option(NamedTuple):
@@ -513,7 +489,13 @@ class Option(NamedTuple):
 class Command(NamedTuple):
     help: str
     options: tuple[Option, ...]
+    handler: Callable[[GermAnalysis], tuple[dict, int]] | None = None
     reads_file: bool = True
+
+    @property
+    def recorded(self) -> tuple[Option, ...]:
+        """The options that a report of the command records: all but the flags."""
+        return tuple(o for o in self.options if o.type is not bool)
 
 
 _JSON = Option("json", bool, False, "emit only the machine section")
@@ -525,30 +507,36 @@ _BUDGET = (Option("max-mult", int, 4, "max curve multiplicity searched"),
            Option("seed", int, 0))
 _MAX = Option("max", int, 8, "cap for the regular-type computation")
 
-# Every CLI command: its help, its options and whether it reads a FILE.  A
-# report records exactly the non-flag options of its command.
+# Every CLI command, declared once: its help, its options, its handler (none
+# for verify-report, which re-runs a stored report's command) and whether it
+# reads a FILE.  The command line is parsed from this table, build_report
+# runs the handler, and verify_report checks a stored report against it.
 COMMANDS = {
-    "order": Command("Order of vanishing of the problem's defining expression.", (_JSON,)),
-    "pullback": Command("Pull the defining expression back along a curve.", (_CURVE, _JSON)),
+    "order": Command("Order of vanishing of the problem's defining expression.", (_JSON,),
+                     _order_section),
+    "pullback": Command("Pull the defining expression back along a curve.", (_CURVE, _JSON),
+                        _cmd_pullback),
     "contact": Command("Order of contact (pullback order over multiplicity) of a curve.",
-                       (_CURVE, _JSON)),
+                       (_CURVE, _JSON), _cmd_contact),
     "ps-check": Command("Certify positivity structurally or search for a violating curve.",
-                        (*_BUDGET, _JSON)),
+                        (*_BUDGET, _JSON), _ps_check_section),
     "gram": Command("Exact Hermitian sum-of-squares decomposition (or indefinite direction).",
-                    (_JSON,)),
+                    (_JSON,), _gram_section),
     "germ-ps": Command("Per-jet-order positivity verdicts and the stabilization order.",
-                       (Option("kmin", int, 2), Option("kmax", int, None), *_BUDGET, _JSON)),
+                       (Option("kmin", int, 2), Option("kmax", int, None), *_BUDGET, _JSON),
+                       _germ_ps_section),
     "reg-type": Command("Max order of contact of regular curves, with certificate.",
-                        (_MAX, _JSON)),
-    "sing-search": Command("Bounded search for high-contact singular curves.", (*_BUDGET, _JSON)),
+                        (_MAX, _JSON), _reg_section),
+    "sing-search": Command("Bounded search for high-contact singular curves.", (*_BUDGET, _JSON),
+                           _sing_section),
     "desingularize": Command("Construct a regular contact-4 curve from a contact-4m singular one.",
-                             (_CURVE, _JSON)),
+                             (_CURVE, _JSON), _cmd_desingularize),
     "fdb-verify": Command("Cross-check the partition expansion against the operator oracle.",
                           (Option("k", int, 3), Option("trials", int, 20), Option("seed", int, 0),
-                           _JSON), reads_file=False),
+                           _JSON), _cmd_fdb_verify, reads_file=False),
     "report": Command("Full analysis: order, positivity, types, and the inference trail.",
                       (Option("all", bool, None, "run every analysis on the problem file"),
-                       _MAX, *_BUDGET, _JSON)),
+                       _MAX, *_BUDGET, _JSON), _cmd_report_all),
     "verify-report": Command("Re-run the command embedded in a report and check the claims agree.",
                              ()),
 }
@@ -565,10 +553,16 @@ def _input_sha256(source: str) -> str:
 def build_report(command: str, source: str, options: dict) -> tuple[dict, int]:
     """Execute a command and wrap its claims in the versioned report format.
 
-    The returned dict is the machine section: deterministic, timestamp-free,
-    and self-contained (it embeds the input source and options).
+    The command's handler reads one GermAnalysis, formed from the source
+    (when the command reads a FILE) and the command's recorded options,
+    each given value or its default.  The returned dict is the machine
+    section: deterministic, timestamp-free, and self-contained (it embeds
+    the input source and the options as given).
     """
-    claims, code = _COMMANDS[command](source, options)
+    spec = COMMANDS[command]
+    an = GermAnalysis(source if spec.reads_file else None,
+                      {o.key: options.get(o.key, o.default) for o in spec.recorded})
+    claims, code = spec.handler(an)
     machine = {
         "format": REPORT_FORMAT,
         "version": TOOL_VERSION,
@@ -693,9 +687,10 @@ def verify_report(machine: dict) -> dict:
     if machine["format"] != REPORT_FORMAT:
         raise InputError(f"unsupported report format {machine['format']!r}")
     command, options, source = machine["command"], machine["options"], machine["input_source"]
-    if type(command) is not str or command not in _COMMANDS:
+    spec = COMMANDS.get(command) if type(command) is str else None
+    if spec is None or spec.handler is None:
         raise InputError(f"unknown command {command!r}")
-    declared = {o.key: o.type for o in COMMANDS[command].options if o.type is not bool}
+    declared = {o.key: o.type for o in spec.recorded}
     if type(options) is not dict or not all(
             name not in declared or type(value) is declared[name]
             for name, value in options.items()):

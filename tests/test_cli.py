@@ -329,6 +329,24 @@ def test_syntax_error_exits_two(runner, tmp_path):
     assert "input error" in res.output
 
 
+def test_rebound_name_exits_two(runner, tmp_path):
+    """A problem file that binds r twice is an input error naming the
+    line, not a run on whichever binding came last."""
+    res = _invoke(runner, tmp_path, CUBIC_SQUARE + "r = 2*Re(z3) + abs2(z1)\n",
+                  ["reg-type", "--json"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stderr == "input error: line 3: r is bound twice\n"
+
+
+@pytest.mark.parametrize("args", [["reg-type", "--max", "1"],
+                                  ["report", "--all", "--max", "1", "--max-deg", "0"]])
+def test_syntax_error_comes_before_option_errors(runner, tmp_path, args):
+    """A command that reads a FILE parses it before it reads an option."""
+    res = _invoke(runner, tmp_path, "n = 3\nr = 2*Re(z3) +\n", args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stderr == "input error: line 2: unexpected end of input\n"
+
+
 def test_machine_section_is_deterministic(runner, tmp_path):
     args = ["report", "--all", "--max-deg", "4", "--trials", "30", "--seed", "1",
             "--json"]
@@ -660,6 +678,8 @@ def test_an_infinite_regular_type_gives_infinite_singular_type(runner, tmp_path)
 
 @pytest.mark.parametrize("command, args, mutate, message", [
     ("reg-type", [], lambda m: m.update(command="nope"), "unknown command 'nope'"),
+    ("reg-type", [], lambda m: m.update(command="verify-report"),
+     "unknown command 'verify-report'"),
     ("reg-type", [], lambda m: m.update(options=[8]), "report options must be ints"),
     ("reg-type", [], lambda m: m["options"].update(max="x"), "report options must be ints"),
     ("pullback", ["--curve", "(t, t, 0)"], lambda m: m["options"].pop("curve"),
@@ -673,8 +693,8 @@ def test_an_infinite_regular_type_gives_infinite_singular_type(runner, tmp_path)
      "the stored input_sha256 is not the SHA-256 of input_source"),
     ("reg-type", [], lambda m: m.pop("input_sha256"),
      "the stored input_sha256 is not the SHA-256 of input_source"),
-], ids=["command", "options", "option_type", "missing_curve", "input_source", "option_names",
-        "missing_option", "tampered_hash", "missing_hash"])
+], ids=["command", "verify_report_command", "options", "option_type", "missing_curve",
+        "input_source", "option_names", "missing_option", "tampered_hash", "missing_hash"])
 def test_verify_report_rejects_a_malformed_report(runner, tmp_path, command, args, mutate,
                                                   message):
     """A stored report whose command, options or input source has the wrong

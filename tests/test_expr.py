@@ -164,6 +164,24 @@ def test_problem_files():
         parse_problem("n = 2")  # missing r
     with pytest.raises(ExprSyntaxError):
         parse_problem("n = 2\nr = z3")
+    # n comes once and first, every other name is bound once, and a bound
+    # name is an identifier that the grammar does not reserve: a file that
+    # breaks a rule is an error naming its line, never a silent choice.
+    for text, message in [
+        ("n = 2\nr = abs2(z1)\nr = abs2(z2)", "line 3: r is bound twice"),
+        ("n = 2\nn = 2\nr = abs2(z1)", "line 2: n is bound twice"),
+        ("n = 2\nf = z1\nr = abs2(f)\nf = z1^2", "line 4: f is bound twice"),
+        ("n = 2\nz1 = z2\nr = abs2(z1)", "line 2: z1 is reserved by the grammar"),
+        ("n = 2\nz9 = z2\nr = abs2(z1)", "line 2: z9 is reserved by the grammar"),
+        ("n = 2\nRe = z1\nr = abs2(z1)", "line 2: Re is reserved by the grammar"),
+        ("n = 2\nt = z1\nr = abs2(z1)", "line 2: t is reserved by the grammar"),
+        ("n = 2\n2x y = z1\nr = abs2(z1)", "line 2: '2x y' is not a name"),
+        ("n = 2\n = z1\nr = abs2(z1)", "line 2: '' is not a name"),
+        ("r = z1\nn = 2", "line 1: n = <int> must come first"),
+    ]:
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_problem(text)
+        assert str(info.value) == message
 
 
 def test_t_polynomials():

@@ -25,11 +25,13 @@ than an external linter.
   `derandomize=True` and `database=None`, and every `@given` test carries
   one, so the suite draws the same examples on every run.
 - Every function parameter is read in the function's body.  Dunder
-  methods and the command handlers in `report._COMMANDS` (they share one
-  `(source, options)` signature) are exempt.
+  methods are exempt.
 - Every `(module, attr)` that the traced benchmark (`bench/spans.py`)
-  wraps resolves to a callable, so a refactor that drops one of those
-  imports fails here and not only in `bench/run.py --trace 1`.
+  wraps resolves to a callable, every name that a `bench/*.py` file imports
+  from `contactps` exists, and every method that `bench/micro.py` records
+  (`_record(cls, name, ...)` reads `cls.__dict__[name]`) is defined in its
+  class itself, so a refactor that drops or moves one of them fails here
+  and not only in `bench/run.py --trace 1`.
 - No function, class or method is defined twice in one scope (a module,
   class or function body), under `src/`, `tests/` or `bench/`: Python keeps
   only the last definition, so the earlier one is dead code that can
@@ -249,17 +251,44 @@ def test_traced_benchmark_sites_resolve():
     assert missing == []
 
 
-def _command_handlers(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "_COMMANDS" for t in node.targets
-        ):
-            return {v.id for v in node.value.values}
-    return set()
+def _bench_imports() -> list[tuple[str, str]]:
+    """(module, name) of every `from contactps... import name` in bench/*.py,
+    nested imports included."""
+    found = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and not node.level
+                    and node.module.split(".")[0] == "contactps"):
+                found += [(node.module, alias.name) for alias in node.names]
+    return found
+
+
+def _micro_recorded_methods() -> list[tuple[str, str]]:
+    """(class, method) of every `_record(cls, "name", ...)` in bench/micro.py."""
+    tree = ast.parse((ROOT / "bench" / "micro.py").read_text(encoding="utf-8"))
+    return [(node.args[0].id, node.args[1].value) for node in ast.walk(tree)
+            if _is_call_to(node, "_record") and isinstance(node.args[1], ast.Constant)]
+
+
+def test_benchmark_imports_and_recorded_methods_resolve():
+    """The traced run imports bench/micro.py, which records operands by
+    swapping methods in their class's __dict__: a name it imports or a
+    method it swaps that is gone fails here, not as an exit 1 of
+    `bench/run.py --trace 1`."""
+    imports = _bench_imports()
+    assert ("contactps.cli", "main") in imports
+    missing = [f"{mod}.{name}" for mod, name in imports
+               if not hasattr(importlib.import_module(mod), name)]
+    assert missing == []
+    recorded = _micro_recorded_methods()
+    assert {("GaussianRational", "__mul__"), ("GaussianRational", "__add__"),
+            ("GaussianRational", "__truediv__"), ("CPolynomial", "__mul__")} <= set(recorded)
+    owner = {name: mod for mod, name in imports}
+    assert [f"{cls}.{name}" for cls, name in recorded if not callable(
+        vars(getattr(importlib.import_module(owner[cls]), cls)).get(name))] == []
 
 
 def _unread_parameters(tree: ast.Module) -> list[str]:
-    exempt = _command_handlers(tree)
     found = []
 
     def visit(node, owner):
@@ -268,7 +297,7 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
                 visit(child, f"{owner}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
-                if not (name.startswith("__") and name.endswith("__") or name in exempt):
+                if not (name.startswith("__") and name.endswith("__")):
                     a = child.args
                     params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
                                               a.vararg, a.kwarg) if p is not None]
