@@ -1,106 +1,2 @@
 """Exact-arithmetic contact orders, positivity certificates, and
 desingularization for real hypersurface germs."""
-
-from .algebra import (
-    CPolynomial,
-    DimensionError,
-    GaussianRational,
-    Order,
-    TruncationError,
-)
-from .curve import (
-    CurveJet,
-    PSTestResult,
-    contact_order,
-    laplacian_power,
-    lowest_term_profile,
-    ps_test_single,
-    pullback,
-    pullback_lowest,
-)
-from .expr import (
-    ExprSyntaxError,
-    format_curve,
-    format_polynomial,
-    parse_curve,
-    parse_expression,
-    parse_problem,
-    parse_t_polynomial,
-)
-from .fdb import (
-    MultilinearForm,
-    expansion_table,
-    filtered_expansion,
-    laplacian_power_forms,
-    partition_count,
-)
-from .germ import (
-    DefiningFunction,
-    GraphForm,
-    PSCertificate,
-    StabilizationReport,
-    germ_ps_check,
-    gram_certificate,
-    normalize_to_graph,
-    ps_search,
-    validate,
-)
-from .report import TOOL_VERSION as __version__
-from .search import SearchBudget
-from .typecalc import (
-    ContradictoryEvidenceError,
-    Evidence,
-    TypeClaim,
-    TypeReport,
-    desingularize,
-    infer_type,
-    reg_type,
-    sing_type_search,
-)
-
-__all__ = [
-    "CPolynomial",
-    "ContradictoryEvidenceError",
-    "CurveJet",
-    "DefiningFunction",
-    "DimensionError",
-    "Evidence",
-    "ExprSyntaxError",
-    "GaussianRational",
-    "GraphForm",
-    "MultilinearForm",
-    "Order",
-    "PSCertificate",
-    "PSTestResult",
-    "SearchBudget",
-    "StabilizationReport",
-    "TruncationError",
-    "TypeClaim",
-    "TypeReport",
-    "__version__",
-    "contact_order",
-    "desingularize",
-    "expansion_table",
-    "filtered_expansion",
-    "format_curve",
-    "format_polynomial",
-    "germ_ps_check",
-    "gram_certificate",
-    "infer_type",
-    "laplacian_power",
-    "laplacian_power_forms",
-    "lowest_term_profile",
-    "normalize_to_graph",
-    "parse_curve",
-    "parse_expression",
-    "parse_problem",
-    "parse_t_polynomial",
-    "partition_count",
-    "ps_search",
-    "ps_test_single",
-    "pullback",
-    "pullback_lowest",
-    "reg_type",
-    "sing_type_search",
-    "validate",
-]

@@ -76,11 +76,10 @@ all of it for exact images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class DimensionError(ValueError):
@@ -259,8 +258,7 @@ def key_sort(key: ExponentKey):
     return (key_degree(key), key[0], key[1])
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(NamedTuple):
     """Order of vanishing: exact value, sound lower bound, or identically zero."""
 
     kind: str  # "exact" | "at_least" | "zero"

@@ -20,11 +20,12 @@ from .expr import ExprSyntaxError
 from .germ import NotRealError, SolveGraphError
 from .report import (COMMANDS, TOOL_VERSION, InputError, Option, ReportMismatchError, build_report,
                      machine_json, render_report, verify_report)
+from .search import SearchTooLargeError
 from .typecalc import VerificationFailedError
 
 _MACHINE_MARKER = "--- machine section (json) ---"
 # The typed errors of a run: bad input, and a check that failed.  Both exit 2.
-_INPUT_ERRORS = (InputError, ExprSyntaxError, NotRealError)
+_INPUT_ERRORS = (InputError, ExprSyntaxError, NotRealError, SearchTooLargeError)
 _CHECK_ERRORS = (ReportMismatchError, VerificationFailedError, SolveGraphError)
 
 

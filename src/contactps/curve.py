@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     CPolynomial,
@@ -246,8 +246,7 @@ def contact_order(
     return order, ratio
 
 
-@dataclass(frozen=True)
-class LowestTermProfile:
+class LowestTermProfile(NamedTuple):
     """The minimal-degree homogeneous slice of a real-valued (t, tbar) polynomial.
 
     coefficients[j] is the coefficient of t^j tbar^(order-j); when the order
@@ -283,8 +282,7 @@ def lowest_term_profile(u: CPolynomial) -> LowestTermProfile:
     return LowestTermProfile(d, coeffs, is_even, ck)
 
 
-@dataclass(frozen=True)
-class PSTestResult:
+class PSTestResult(NamedTuple):
     """Outcome of the positivity test for one curve.
 
     status is one of "pass", "fail_odd", "fail_nonpositive", "infinite",

@@ -25,8 +25,8 @@ printed form reproduces the polynomial exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     CPolynomial,
@@ -321,8 +321,7 @@ def format_curve(z: CurveJet) -> str:
 # Problem files
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(NamedTuple):
     """A UTF-8 input file with `n = <int>` and `r = <expression>` lines.
 
     Intermediate `name = <expression>` lines bind reusable definitions; the
@@ -332,9 +331,9 @@ class ProblemFile:
     """
 
     nvars: int
-    definitions: dict[str, CPolynomial] = field(default_factory=dict)
-    entry: CPolynomial | None = None
-    source: str = ""
+    definitions: dict[str, CPolynomial]
+    entry: CPolynomial
+    source: str
 
 
 _RESERVED = frozenset({"t", "i", "conj", "Re", "abs2"})

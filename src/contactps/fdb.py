@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
+from typing import NamedTuple
 
 from .algebra import ONE, ZERO, CPolynomial, GaussianRational, key_conjugate
 from .curve import CurveJet, InsufficientJetError, laplacian_power, pullback
@@ -191,8 +192,7 @@ def set_partitions(items: tuple) -> list[list[tuple]]:
     return out
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     """One grouped term of the expansion: a pair of block-size multisets with
     its multiplicative set-partition count."""
 
@@ -315,8 +315,7 @@ def random_real_polynomial(rng, nvars: int, max_degree: int, nterms: int = 4) ->
     )
 
 
-@dataclass(frozen=True)
-class FilteredExpansion:
+class FilteredExpansion(NamedTuple):
     """The four terms surviving for a curve of multiplicity m at power 2m.
 
     Blocks smaller than m contribute nothing (the corresponding curve

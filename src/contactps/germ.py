@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .algebra import (
     ONE,
@@ -46,6 +47,7 @@ from .search import (
     canonicalize_curve,
     cancellation_scan_choices,
     cancellation_scan_curves,
+    check_search_size,
     monomial_choices,
     monomial_curves,
 )
@@ -289,8 +291,7 @@ def normalize_to_graph(r: DefiningFunction, K: int) -> GraphForm:
 # Positivity certificates
 
 
-@dataclass(frozen=True)
-class PSCertificate:
+class PSCertificate(NamedTuple):
     """Outcome of a positivity check on a mixed-only real-valued polynomial.
 
     verdict: "certified" (structural sum-of-squares proof),
@@ -539,6 +540,7 @@ def ps_search(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate) -> PSCe
     coefficient that is not real.  The stream order is kept, so the first
     violation is the same as along _ps_candidates.
     """
+    check_search_size(g.nvars, bounds)
     for z in _ps_suspects(g, bounds, gram):
         result = ps_test_single(g, z)
         if result.is_violation:
@@ -560,15 +562,13 @@ def ps_search(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate) -> PSCe
 # Germ-level stabilization check
 
 
-@dataclass(frozen=True)
-class StabilizationEntry:
+class StabilizationEntry(NamedTuple):
     k: int
     restricted: CPolynomial
     certificate: PSCertificate
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """Per-jet-order positivity verdicts and the observed stabilization order.
 
     The verdict is empirical: sound only up to k_max and the search bounds,

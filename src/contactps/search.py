@@ -2,7 +2,10 @@
 
 All enumerations are deterministic: exponent tuples in graded-lex order,
 coefficients in a fixed seed order, randomized candidates driven by an
-explicit seed.
+explicit seed.  A search first checks the size of what it would enumerate
+(check_search_size): more than MAX_EXPONENT_TUPLES exponent tuples or
+MAX_GRID_POINTS scan grid points is refused with a SearchTooLargeError
+before anything is built.
 
 Each stage has one definition, a light stream without curves:
 monomial_choices and cancellation_scan_choices yield, per exponent tuple,
@@ -59,6 +62,39 @@ class SearchBudget:
                 raise ValueError(f"{name} must be positive")
 
 
+# The largest enumerations a search builds; at either limit the structure
+# builds in about a second and well under 200 MB.
+MAX_EXPONENT_TUPLES = 1_000_000
+MAX_GRID_POINTS = 100_000
+
+
+class SearchTooLargeError(ValueError):
+    """A budget whose enumeration is above MAX_EXPONENT_TUPLES or
+    MAX_GRID_POINTS over the variables searched."""
+
+
+def search_sizes(nvars: int, budget: SearchBudget) -> tuple[int, int]:
+    """(exponent tuples, grid points) that the monomial and scan stages
+    enumerate over nvars variables under budget, computed without building
+    either: (max_degree + 1)^nvars - 1 tuples (exponent_tuples) and
+    coeff_height * (2 * coeff_height + 1)^2 points (grid_coefficients)."""
+    h = budget.coeff_height
+    return (budget.max_degree + 1) ** nvars - 1, h * (2 * h + 1) ** 2
+
+
+def check_search_size(nvars: int, budget: SearchBudget) -> None:
+    """Raise SearchTooLargeError when search_sizes is above either limit."""
+    tuples, points = search_sizes(nvars, budget)
+    if tuples > MAX_EXPONENT_TUPLES:
+        raise SearchTooLargeError(
+            f"search too large: {nvars} variables up to degree {budget.max_degree} give more "
+            f"than {MAX_EXPONENT_TUPLES} exponent tuples")
+    if points > MAX_GRID_POINTS:
+        raise SearchTooLargeError(
+            f"search too large: coefficient height {budget.coeff_height} gives more than "
+            f"{MAX_GRID_POINTS} grid points")
+
+
 # Seed coefficients for exact searches, in canonical order.
 SEED_COEFFS: tuple[GaussianRational, ...] = (
     GaussianRational(1),
@@ -95,16 +131,13 @@ def grid_coefficients(height: int) -> tuple[GaussianRational, ...]:
 @cache
 def exponent_tuples(nvars: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
     """Tuples in {0..max_degree}^nvars, graded-lex, skipping the zero tuple;
-    formed once per (nvars, max_degree) in a process.
+    formed once per (nvars, max_degree) in a process.  product yields them
+    in lex order, so a stable sort by degree alone makes them graded-lex.
 
     A zero entry means the corresponding component is absent (identically 0).
     """
-    tuples = [
-        t
-        for t in itertools.product(range(max_degree + 1), repeat=nvars)
-        if any(t)
-    ]
-    tuples.sort(key=lambda t: (sum(t), t))
+    tuples = [t for t in itertools.product(range(max_degree + 1), repeat=nvars) if any(t)]
+    tuples.sort(key=sum)
     return tuple(tuples)
 
 

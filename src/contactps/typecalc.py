@@ -73,6 +73,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import count
 from math import lcm
+from typing import NamedTuple
 
 from .algebra import ONE, ZERO, CPolynomial, GaussianRational, Order, slice_vanishes
 from .curve import CurveJet, contact_order, leading_rows, pullback, ps_test_single
@@ -87,6 +88,7 @@ from .search import (
     SearchBudget,
     cancellation_scan_choices,
     cancellation_scan_curves,
+    check_search_size,
     monomial_choices,
     monomial_curves,
     random_curves,
@@ -114,8 +116,7 @@ class ContradictoryEvidenceError(RuntimeError):
     """Inference rules produced incompatible claims; surfaced, never suppressed."""
 
 
-@dataclass(frozen=True)
-class TypeClaim:
+class TypeClaim(NamedTuple):
     """A contact-type claim: exact value, sound lower bound, or infinite.
 
     value is an int for regular type and a Fraction for singular type.
@@ -499,6 +500,11 @@ def _hermitian_quadratic_definite(g: CPolynomial, certify) -> bool:
     return False
 
 
+def reg_budget(N: int) -> SearchBudget:
+    """The budget of reg_type's bounded search under the cap N."""
+    return SearchBudget(max_degree=max(4, N), random_trials=200)
+
+
 def reg_type(gf: GraphForm, N: int, certify) -> TypeClaim:
     """Max order of contact of regular curves in the z_n = 0 frame, capped at N.
 
@@ -554,7 +560,7 @@ def reg_type(gf: GraphForm, N: int, certify) -> TypeClaim:
         kind = "exact" if res.exact and res.value < cap_t else "at_least"
         return TypeClaim(kind, value, witness, transcript=transcript)
     # Indefinite or high-dimensional: bounded lower-bound search only.
-    found = _best_contact(g, SearchBudget(max_degree=max(4, N), random_trials=200), 1, certify)
+    found = _best_contact(g, reg_budget(N), 1, certify)
     if found.kind == "infinite":
         return TypeClaim("infinite", witness=found.witness,
                          transcript=("search found a regular curve with "
@@ -636,8 +642,7 @@ def _drawn_groups(nvars: int, budget: SearchBudget):
         yield exps, 1, ((lead, coeffs),), CurveJet.from_coeffs
 
 
-@dataclass(frozen=True)
-class SingSearchResult:
+class SingSearchResult(NamedTuple):
     """Best contact ratio found by a bounded singular-curve search."""
 
     kind: str  # "infinite" | "lower_bound"
@@ -678,6 +683,7 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int,
     drawn at all and its budget.random_trials candidates are counted as
     tested (rule 2 of the module docstring).
     """
+    check_search_size(g.nvars, budget)
     scores: dict = {}  # exps -> _leading_score, or None above max_mult
     powers: dict = {}  # the lead powers of slice_vanishes, for the whole search
     # The best ratio as the ints num/den, compared by cross-multiplying.
@@ -795,8 +801,7 @@ def sing_type_search(gf: GraphForm, budget: SearchBudget,
 # Desingularization
 
 
-@dataclass(frozen=True)
-class DesingularizationResult:
+class DesingularizationResult(NamedTuple):
     eta: CurveJet
     transcript: dict
 
@@ -871,15 +876,13 @@ def desingularize(gf: GraphForm, z: CurveJet) -> DesingularizationResult:
 # Inference
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     reg: TypeClaim | None = None
     sing: SingSearchResult | None = None
     ps: PSCertificate | StabilizationReport | None = None
 
 
-@dataclass(frozen=True)
-class TypeReport:
+class TypeReport(NamedTuple):
     reg_type: TypeClaim | None
     sing_type: TypeClaim
     trail: tuple[str, ...]
@@ -893,11 +896,14 @@ def _ps_proof(r: DefiningFunction | None, ev: Evidence) -> str | None:
         return "structural sum-of-squares certificate"
     if isinstance(ps, StabilizationReport) and ps.k0 is not None:
         tail = [e for e in ps.entries if e.k >= ps.k0]
-        # For a polynomial r the truncations repeat once k reaches deg r, so
-        # structural certificates from k0 through k_max >= deg r cover every
-        # higher order too.
+        # Under the exact rule (r.frame.g is not None) each restricted jet is
+        # a degree filter of one exact g, so the truncations repeat once k
+        # reaches deg r, and structural certificates from k0 through k_max
+        # >= deg r cover every higher order too.  On a series graph the
+        # restricted jets change with k, and no such argument is written.
         if (all(e.certificate.verdict == "certified" for e in tail)
-                and r is not None and ps.k_max >= r.r.total_degree()):
+                and r is not None and r.frame.g is not None
+                and ps.k_max >= r.r.total_degree()):
             return ("structural certificates from the stabilization order "
                     "through the degree of r; higher truncations repeat the last")
     return None

@@ -1018,6 +1018,43 @@ print(sorted({"_hashlib", "hashlib"} & set(sys.modules)), file=sys.stderr)
 """
 
 
+# Runs the CLI on argv under a 1 GiB address-space limit, so that a search
+# that builds what it was asked to ends in a MemoryError instead of taking
+# the machine's memory.
+_CAPPED_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from contactps.cli import main
+main(sys.argv[1:])
+"""
+
+_FORTY_VARIABLES = "n = 40\nr = 2*Re(z40) + abs2(z1)\n"
+
+
+@pytest.mark.parametrize("source, args", [
+    (_FORTY_VARIABLES, ["sing-search"]),
+    (_FORTY_VARIABLES, ["reg-type"]),
+    (_FORTY_VARIABLES, ["report", "--all"]),
+    (FOURTH_POWERS, ["sing-search", "--coeff-height", "100000"]),
+    (INDEFINITE, ["ps-check", "--coeff-height", "100000"]),
+    ("n = 3\nr = 2*Re(z3) + abs2(z1)^2 - abs2(z2)^2\n",
+     ["germ-ps", "--kmax", "4", "--coeff-height", "100000"]),
+], ids=["n40_sing_search", "n40_reg_type", "n40_report_all", "height_sing_search",
+        "height_ps_check", "height_germ_ps"])
+def test_a_search_too_large_to_enumerate_is_an_input_error(tmp_path, source, args):
+    """A search whose exponent tuples or scan grid exceed search.py's
+    limits exits 2 with one line before building either, within a memory
+    limit and a timeout that building them would break."""
+    path = tmp_path / "problem.txt"
+    path.write_text(source)
+    env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", _CAPPED_SCRIPT, args[0], str(path), *args[1:]],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("input error: search too large: ")
+    assert run.stderr.count("\n") == 1
+
+
 def test_a_cli_run_does_not_load_openssl(tmp_path):
     """report --all hashes its input with CPython's built-in SHA-256, so a
     CLI process never imports hashlib, which loads OpenSSL's libcrypto."""

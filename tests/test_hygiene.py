@@ -1,9 +1,11 @@
 """Source hygiene for src/contactps, checked with the stdlib `ast` rather
 than an external linter.
 
-- No module imports a name it never uses.  A name counts as used when the
-  module reads it anywhere or lists it in `__all__` (the re-exports of
-  `__init__.py`).
+- No module imports a name it never uses: a name counts as used when the
+  module reads it anywhere.
+- The package's `__init__.py` imports nothing, so importing one module
+  loads only that module and what it imports itself: a process that
+  imports `contactps.algebra` holds no other `contactps` module.
 - No module imports a leading-underscore name from another `contactps`
   module, nested imports included: a module reaches another only through
   its public API.
@@ -50,8 +52,10 @@ than an external linter.
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -72,10 +76,6 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -86,6 +86,23 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+def test_the_package_root_imports_nothing():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def test_importing_one_module_loads_no_other():
+    """algebra imports no other contactps module, and neither does the
+    package root, so importing it loads only the package and itself."""
+    script = ("import sys, contactps.algebra; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'contactps'))")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "['contactps', 'contactps.algebra']\n"
 
 
 def _private_imports(tree: ast.Module) -> list[str]:

@@ -625,6 +625,33 @@ class TestInferType:
         assert rep.trail == ("rule (i): exhibited singular curve with identically zero "
                              "pullback dominates everything",)
 
+    @pytest.mark.parametrize("text, exact_rule", [
+        ("2*Re(z2) + abs2(z1)^2", True),
+        ("2*Re(z2) + abs2(z1)^2 + 2*Re(z2)*abs2(z1)^2", False),
+    ])
+    def test_rule_iii_takes_stabilization_only_under_the_exact_rule(self, text, exact_rule):
+        """Certificates from k0 through k_max >= deg r prove positivity only
+        when every restricted jet is a degree filter of one exact g (the
+        exact rule); when a mixed term carries z_n, the series rule's jets
+        change with k and rule (iii) is not applied."""
+        r = validate(parse_expression(text, 2))
+        assert (r.frame.g is not None) is exact_rule
+        from contactps.germ import PSCertificate, StabilizationEntry, StabilizationReport
+        k_max = r.r.total_degree()
+        jet = parse_expression("abs2(z1)^2", 1)
+        entries = tuple(StabilizationEntry(k, jet, PSCertificate("certified", "gram"))
+                        for k in range(2, k_max + 1))
+        ps = StabilizationReport(2, k_max, entries, 2, SearchBudget())
+        rep = infer_type(r, Evidence(reg=TypeClaim("exact", 4), ps=ps))
+        if exact_rule:
+            assert (rep.sing_type.kind, rep.sing_type.value) == ("exact", 4)
+            assert rep.notes == ("positivity evidence: structural certificates from the "
+                                 "stabilization order through the degree of r; higher "
+                                 "truncations repeat the last",)
+        else:
+            assert (rep.sing_type.kind, rep.sing_type.value) == ("at_least", 4)
+            assert rep.trail[0].startswith("rule (iii) not applied")
+
     def test_contradiction_surfaced(self):
         from contactps.germ import PSCertificate
         reg = TypeClaim("exact", 4)
