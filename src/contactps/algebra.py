@@ -59,8 +59,10 @@ the truncation of the composite from one helper, ``_substitution_limit``.
 
 The lowest-slice rule has two public steps, which the type searches share
 with ``leading_substitution``: ``initial_rows`` picks the terms of least
-weighted degree under the images' leading bidegrees and groups them by the
-bidegree they land on (``group_rows``), and depends on nothing else; one
+weighted degree under the leading exponents of holomorphic images and
+groups their rows by the bidegree they land on, reading a ``term_table``
+of the polynomial, which a search forms once and ``leading_substitution``
+once per call; one
 helper, ``_key_sum``, sums the leading products of one group for given
 leading coefficients, in Python-int Gaussian arithmetic over a common
 denominator, into an unreduced (x, y, den).  It takes each power of a
@@ -630,11 +632,11 @@ class CPolynomial:
     ) -> "CPolynomial | None":
         """The lowest homogeneous slice of self.substitute(images, 1), read
         off the leading terms of one-variable images, or None when that
-        reading is not exact.
+        reading is not exact or not made.
 
-        Let image i have the single lowest term c_i * t^j_i * conj(t)^k_i.
-        ``initial_rows`` collects the terms of self of least weighted degree
-        d under those bidegrees, grouped by bidegree, and
+        Let image i have the single lowest term c_i * t^mu_i, holomorphic,
+        as every curve component is.  ``initial_rows`` collects the terms of
+        self of least weighted degree d under mu, grouped by bidegree, and
         ``initial_coefficients`` sums their leading products, on raw ints
         with a scalar only per nonzero bidegree, into the degree-d slice S
         of the substitution; nothing lies below d.  So when S is nonzero
@@ -642,8 +644,9 @@ class CPolynomial:
         (``_substitution_limit``), S is its exact lowest slice, and the
         result is S as a jet of order d.  None is returned when S cancels,
         when d lies above that truncation, when self has no term left, or
-        when an image's lowest slice has more than one term.  The powers of
-        the leading coefficients are memoised for this one call.
+        when an image's lowest slice has more than one term or involves
+        conj(t).  The powers of the leading coefficients are memoised for
+        this one call.
         """
         if len(images) != self.nvars:
             raise DimensionError(
@@ -651,24 +654,24 @@ class CPolynomial:
             )
         if any(im.nvars != 1 for im in images):
             raise DimensionError("leading substitution takes one-variable images")
-        # The lowest term of image i is cs[i] * t^js[i] * conj(t)^ks[i];
-        # images with no term are listed in dead.
-        js, ks, cs, dead = [], [], [], []
+        # The lowest term of image i is cs[i] * t^mu[i]; images with no term
+        # have their bit set in dead.
+        mu, cs, dead = [], [], 0
         for i, im in enumerate(images):
-            low = None
+            low, anti, lead = None, 0, ZERO
             for (h, a), c in im.terms.items():
                 deg = h[0] + a[0]
                 if low is None or deg < low:
-                    low, lead = deg, (h[0], a[0], c)
+                    low, anti, lead = deg, a[0], c
                 elif deg == low:
                     return None
+            if anti:
+                return None
             if low is None:
-                dead.append(i)
-                lead = (0, 0, ZERO)
-            js.append(lead[0])
-            ks.append(lead[1])
-            cs.append(lead[2])
-        found = self.initial_rows(js, ks, dead)
+                dead |= 1 << i
+            mu.append(low or 0)
+            cs.append(lead)
+        found = initial_rows(term_table(self), mu, dead)
         if found is None:
             return None
         best, rows = found
@@ -679,44 +682,6 @@ class CPolynomial:
         if not out:
             return None
         return _from_terms(1, out, best)
-
-    def initial_rows(
-        self, js: Sequence[int], ks: Sequence[int], dead: Sequence[int]
-    ) -> "tuple[int, dict] | None":
-        """The terms of self that make up the lowest slice of a substitution
-        by one-variable images whose lowest terms have bidegrees (j_i, k_i)
-        = (js[i], ks[i]); dead lists the images with no term, whose entries
-        in js and ks do not matter.
-
-        With mu_i = j_i + k_i, a term coeff * z^h * conj(z)^a substitutes to
-        coeff * prod c_i^h_i * conj(c_i)^a_i * t^(h.j + a.k) * conj(t)^(h.k
-        + a.j) plus terms of higher degree, where c_i is the lowest
-        coefficient of image i; its weighted degree is (h + a).mu.  A term
-        that involves an image with no term is skipped: an exact zero
-        contributes nothing, and a jet zero contributes only above its
-        truncation.  The result is (d, rows): d is the least weighted
-        degree, and rows holds the terms of that degree grouped by the
-        bidegree key = ((hol,), (anti,)) they land on, in first-seen order,
-        in the layout of ``group_rows`` that the slice readers sum.  It is
-        None when no term is left.  It depends on the images only through
-        the bidegrees, so a search over coefficients computes it once per
-        exponent tuple.
-        """
-        best: int | None = None
-        rows: list = []
-        for (h, a), coeff in self.terms.items():
-            if dead and any(h[i] or a[i] for i in dead):
-                continue
-            hj, hk = sum(map(mul, h, js)), sum(map(mul, h, ks))
-            aj, ak = sum(map(mul, a, js)), sum(map(mul, a, ks))
-            deg = hj + hk + aj + ak
-            if best is None or deg < best:
-                best, rows = deg, [(((hj + ak,), (hk + aj,)), h, a, coeff)]
-            elif deg == best:
-                rows.append((((hj + ak,), (hk + aj,)), h, a, coeff))
-        if best is None:
-            return None
-        return best, group_rows(rows)
 
     def composite_truncation(self, order: int | None) -> int | None:
         """The truncation that self alone gives a substitution whose nonzero
@@ -734,22 +699,65 @@ class CPolynomial:
         return (self.truncation + 1) * order - 1
 
 
-def group_rows(terms) -> dict:
-    """The layout that the slice readers sum: the terms (key, h, a, coeff)
-    of a leading slice grouped by bidegree key, in first-seen order.  Each
-    term becomes a row (x, y, den, slots): coeff = (x + y*i)/den in its raw
-    fields, and slots lists (i, h_i, a_i) for the indices with h_i or a_i
-    nonzero, the only factors its leading product has."""
+def term_table(p: CPolynomial) -> tuple:
+    """The terms of p as ``initial_rows`` reads them, formed once for a
+    polynomial that is read under many weights, such as one search: per
+    term coeff * z^h * conj(z)^a, (s, mask, h, row), where s = h + a is
+    its support, mask has bit i set when s_i > 0, and row is (x, y, den,
+    slots): coeff = (x + y*i)/den in its raw fields, and slots lists (i, h_i,
+    a_i) for the indices with h_i or a_i nonzero, the only factors its
+    leading product has.  The rows are in the layout that the slice readers
+    sum."""
+    table = []
+    for (h, a), coeff in p.terms.items():
+        s = tuple(map(add, h, a))
+        slots, mask = [], 0
+        for i, x in enumerate(s):
+            if x:
+                slots.append((i, h[i], a[i]))
+                mask |= 1 << i
+        table.append((s, mask, h, (coeff._a, coeff._b, coeff._d, tuple(slots))))
+    return tuple(table)
+
+
+def initial_rows(table: tuple, mu: Sequence[int], dead: int) -> "tuple[int, dict] | None":
+    """The terms of a polynomial, given by its ``term_table``, that make up
+    the lowest slice of a substitution by one-variable holomorphic images
+    whose lowest terms are c_i * t^mu_i; dead has bit i set for each image
+    with no term, whose entry in mu does not matter.
+
+    A term coeff * z^h * conj(z)^a substitutes to coeff * prod c_i^h_i *
+    conj(c_i)^a_i * t^(h.mu) * conj(t)^(a.mu) plus terms of higher degree;
+    its weighted degree is (h + a).mu, one dot product with its support.  A
+    term that involves an image with no term is skipped: an exact zero
+    contributes nothing, and a jet zero contributes only above its
+    truncation.  The result is (d, rows): d is the least weighted degree,
+    and rows holds the rows of the terms of that degree grouped by the
+    bidegree key = ((h.mu,), (a.mu,)) they land on, in first-seen order.
+    It is None when no term is left.  It depends on the images only through
+    mu, so a search over coefficients reads it once per exponent tuple.
+    """
+    best = None
+    for s, mask, h, row in table:
+        if mask & dead:
+            continue
+        deg = sum(map(mul, s, mu))
+        if best is None or deg < best:
+            best, least = deg, [(h, row)]
+        elif deg == best:
+            least.append((h, row))
+    if best is None:
+        return None
     rows: dict = {}
-    for key, h, a, coeff in terms:
-        row = (coeff._a, coeff._b, coeff._d,
-               tuple((i, e, f) for i, (e, f) in enumerate(zip(h, a)) if e or f))
+    for h, row in least:
+        hol = sum(map(mul, h, mu))
+        key = ((hol,), (best - hol,))
         group = rows.get(key)
         if group is None:
             rows[key] = [row]
         else:
             group.append(row)
-    return rows
+    return best, rows
 
 
 def _key_sum(group: list, coeffs: Sequence[GaussianRational], powers: dict):
@@ -781,8 +789,8 @@ def _key_sum(group: list, coeffs: Sequence[GaussianRational], powers: dict):
 def initial_coefficients(rows: dict, coeffs: Sequence[GaussianRational],
                          powers: dict) -> dict:
     """The nonzero coefficients of the lowest slice that the rows of
-    ``CPolynomial.initial_rows`` give for images with lowest coefficients
-    coeffs, by bidegree key: the sum of coeff * prod coeffs[i]^h_i *
+    ``initial_rows`` give for images with lowest coefficients coeffs, by
+    bidegree key: the sum of coeff * prod coeffs[i]^h_i *
     conj(coeffs[i])^a_i over the rows at that key.  Empty when the slice
     cancels.  Only a nonzero sum is reduced to a GaussianRational; powers is
     the caller's memo of ``_key_sum``."""

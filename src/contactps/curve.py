@@ -17,6 +17,7 @@ from .algebra import (
     DimensionError,
     GaussianRational,
     Order,
+    initial_rows,
 )
 
 
@@ -167,29 +168,39 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
     the later terms of the components, which only a substitution carries;
     when d > L, pullback(p, z) knows no term at degree d.  Both cases take
     this path.  Let z' be z with every component marked as a jet of order
-    C = 4*mult(z) + 1.  A term of degree > C that z' drops from a component
-    only reaches terms of degree > C of the pullback, and substitute records
-    a truncation T <= C for pullback(p, z') when p involves a variable (and
+    C.  A term of degree > C that z' drops from a component only reaches
+    terms of degree > C of the pullback, and substitute records a
+    truncation T <= C for pullback(p, z') when p involves a variable (and
     none for a constant p); z(0) = 0 keeps that sound when p is itself a
     jet.  So every term of pullback(p, z') of degree <= T is the term of
     pullback(p, z).  Hence if pullback(p, z') has a term, its lowest one is
-    the lowest term of pullback(p, z).  If it has none, the exact pullback
-    vanishes to order > T and this returns pullback(p, z) itself, so "zero"
-    and "at_least" orders come out as that call gives them.
+    the lowest term of pullback(p, z), whatever C is.  The cap starts at C
+    = 4*mult(z) + 1 and, while pullback(p, z') has no term, grows to 2C + 1
+    as long as that stays below half the reach of pullback(p, z): the
+    degree deg(p)*deg(z) above which it has no term, lowered to
+    p.composite_truncation(mult(z)) when p is a jet and to the truncation
+    of z when z is one.  A cap nearer the reach costs much of what
+    pullback(p, z) costs, so then this returns pullback(p, z) itself, and
+    "zero" and "at_least" orders come out as that call gives them.
 
     Cost.  The leading slice costs integer work per term of p and per term
     of weighted degree d, and one scalar per nonzero coefficient of S.
-    The searches read the same rows once per exponent tuple (leading_rows,
-    in typecalc._best_contact and germ.ps_search), decide each candidate
-    from the unreduced sums with one memo of lead powers per search, and
-    skip a group whose d lies above L, or that has no row, without
-    building a curve, except where an exact p's first such curve pulls back
-    to zero and ends a type search.  So their candidates come here when the
-    slice cancels, and in ps_search also when it does not prove a pass (odd
-    d, or a middle coefficient that is not positive).  The cap sits just
-    above order 4*mult(z), contact ratio 4, which the type searches probe,
-    so a cancelling candidate that meets it below the cap skips the terms
-    up to degree deg(p)*deg(z) of the exact pullback.
+    The searches read the same rows once per exponent tuple (leading_rows
+    on one term_table of p per search, in typecalc._best_contact and
+    germ.ps_search), decide each candidate from the unreduced sums with one
+    memo of lead powers per search, and skip a tuple whose d lies above L,
+    or that has no row, without building a curve, except where an exact
+    p's first such curve pulls back to zero and ends a type search.  So
+    their candidates come here when the slice cancels, and in ps_search
+    also when it does not prove a pass (odd d, or a middle coefficient that
+    is not positive).  The first cap sits just above order 4*mult(z),
+    contact ratio 4, which the type searches probe, so a cancelling
+    candidate that meets it below the cap skips the terms up to degree
+    deg(p)*deg(z) of the exact pullback.  A higher order costs one capped
+    pullback per doubling, each bounded by its cap, and the geometric sum
+    stays within a small factor of the last one; an exact pullback of a
+    high-order jet p, which forms every term up to its truncation, is
+    formed only when no cap below half the reach finds a term.
     """
     if p.nvars != z.nvars:
         raise DimensionError(
@@ -202,18 +213,29 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
     u = pullback(p, z.truncate(cap))
     if u.terms:
         return u
+    reach = p.total_degree() * max(c.total_degree() for c in z.components)
+    for limit in (p.composite_truncation(z.multiplicity()), z.truncation):
+        if limit is not None:
+            reach = min(reach, limit)
+    cap = 2 * cap + 1
+    while 2 * cap < reach:
+        u = pullback(p, z.truncate(cap))
+        if u.terms:
+            return u
+        cap = 2 * cap + 1
     return pullback(p, z)
 
 
-def leading_rows(p: CPolynomial, exps: Sequence[int]) -> tuple[int, dict] | None:
+def leading_rows(p: CPolynomial, table: tuple, exps: Sequence[int]) -> tuple[int, dict] | None:
     """The leading-slice rule of pullback_lowest for every exact curve whose
     component i starts with c_i * t^exps[i] (exps[i] = 0: component i is
-    zero), computed once for all of them: (d, rows) from
-    CPolynomial.initial_rows, rows grouped by bidegree, so that
-    initial_coefficients(rows, c, powers) is the degree-d slice S of a
-    curve with leading coefficients c, and slice_vanishes and
-    slice_positive_at read it without reducing a sum.  When S is nonzero
-    it is the lowest slice of the pullback and d its order.
+    zero), computed once for all of them from table = term_table(p), which
+    a search forms once: (d, rows) from algebra.initial_rows, rows grouped
+    by bidegree, so that initial_coefficients(rows, c, powers) is the
+    degree-d slice S of a curve with leading coefficients c, and
+    slice_vanishes and slice_positive_at read it without reducing a sum.
+    When S is nonzero it is the lowest slice of the pullback and d its
+    order.
 
     None when the rule decides no such curve: when no term of p survives
     the zero components, or when d lies above the truncation L =
@@ -222,11 +244,14 @@ def leading_rows(p: CPolynomial, exps: Sequence[int]) -> tuple[int, dict] | None
     (order "zero") when p is exact, and of order "at_least" when p is a
     jet.
     """
-    found = p.initial_rows(exps, [0] * len(exps), [i for i, e in enumerate(exps) if not e])
-    if found is None:
-        return None
-    limit = p.composite_truncation(min(e for e in exps if e))
-    if limit is not None and found[0] > limit:
+    dead = 0
+    for i, e in enumerate(exps):
+        if not e:
+            dead |= 1 << i
+    found = initial_rows(table, exps, dead)
+    if found is None or p.truncation is None:
+        return found
+    if found[0] > p.composite_truncation(min(filter(None, exps))):
         return None
     return found
 

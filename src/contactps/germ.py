@@ -38,6 +38,7 @@ from .algebra import (
     key_is_pure,
     slice_positive_at,
     slice_torus_positive,
+    term_table,
     weighted_square_terms,
 )
 from .curve import CurveJet, PSTestResult, leading_rows, ps_test_single
@@ -50,6 +51,8 @@ from .search import (
     check_search_size,
     monomial_choices,
     monomial_curves,
+    monomial_vectors,
+    scan_vectors,
 )
 
 
@@ -467,8 +470,8 @@ def _gram_seed_curves(g: CPolynomial, direction) -> list[CurveJet]:
 def _ps_candidates(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate):
     """The candidate stream of ps_search, curve by curve: monomial curves
     over the seed coefficients, seeds from the indefinite direction of gram,
-    then one-unknown coefficient scans.  ps_search walks it in exponent
-    groups (_ps_suspects)."""
+    then one-unknown coefficient scans.  ps_search walks it tuple by tuple
+    (_ps_suspects)."""
     yield from monomial_curves(g.nvars, bounds.max_degree)
     yield from _gram_seed_curves(g, gram.indefinite_direction)
     yield from cancellation_scan_curves(g.nvars, bounds.max_degree, bounds.coeff_height)
@@ -477,30 +480,42 @@ def _ps_candidates(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate):
 def _ps_suspects(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate):
     """The curves of _ps_candidates, in stream order, less those whose
     leading slice proves that they pass (ps_search gives the argument).
-    One memo of lead powers serves both grouped stages."""
-    powers: dict = {}
-    yield from _group_suspects(g, monomial_choices(g.nvars, bounds.max_degree), powers)
+    One term_table of g, one memo of each tuple's rows and one memo of lead
+    powers serve both grouped stages."""
+    shared = term_table(g), {}, {}
+    yield from _stage_suspects(g, bounds, False, *shared)
     yield from _gram_seed_curves(g, gram.indefinite_direction)
-    yield from _group_suspects(
-        g, cancellation_scan_choices(g.nvars, bounds.max_degree, bounds.coeff_height),
-        powers)
+    yield from _stage_suspects(g, bounds, True, *shared)
 
 
-def _group_suspects(g: CPolynomial, groups, powers: dict):
-    for exps, _count, vectors in groups:
-        found = leading_rows(g, exps)
+def _stage_suspects(g: CPolynomial, bounds: SearchBudget, scan: bool, table: tuple,
+                    memo: dict, powers: dict):
+    """The suspects of the monomial stage, or of the scan stage if scan."""
+    for exps, _count in (cancellation_scan_choices(g.nvars, bounds.max_degree,
+                                                   bounds.coeff_height) if scan
+                         else monomial_choices(g.nvars, bounds.max_degree)):
+        if exps not in memo:
+            memo[exps] = _suspect_rows(g, table, exps)
+        found = memo[exps]
         if found is None:
             continue
-        d, rows = found
-        # A pass is read off the balanced coefficient alone; for odd d no
-        # row lands on mid, which has degree d - 1.
-        mid = ((d // 2,), (d // 2,))
-        if slice_torus_positive(rows, mid):
-            continue
-        for v in vectors:
-            if slice_positive_at(rows, mid, v, powers):
-                continue
-            yield CurveJet.monomial(exps, v)
+        rows, mid = found
+        for v in scan_vectors(exps, bounds.coeff_height) if scan else monomial_vectors(exps):
+            if not slice_positive_at(rows, mid, v, powers):
+                yield CurveJet.monomial(exps, v)
+
+
+def _suspect_rows(g: CPolynomial, table: tuple, exps: tuple[int, ...]):
+    """(rows, mid) of the tuple exps, mid its balanced bidegree, or None
+    when every candidate of the tuple passes unread."""
+    found = leading_rows(g, table, exps)
+    if found is None:
+        return None
+    d, rows = found
+    # A pass is read off the balanced coefficient alone; for odd d no row
+    # lands on mid, which has degree d - 1.
+    mid = ((d // 2,), (d // 2,))
+    return None if slice_torus_positive(rows, mid) else (rows, mid)
 
 
 def ps_search(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate) -> PSCertificate:
@@ -512,19 +527,20 @@ def ps_search(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate) -> PSCe
     The first violation wins; its witness is canonicalized by
     reparametrization and re-verified.
 
-    The monomial curves and the scans are read one exponent group at a time
-    through curve.leading_rows, which gives once per group the rows whose
-    sum over a curve's leading coefficients is the degree-d slice S of its
-    pullback.  Three kinds of candidate cannot be violations and are skipped
-    without building a curve:
-    - every candidate of a group that leading_rows leaves undecided (no
+    The monomial curves and the scans are read one exponent tuple at a time
+    through curve.leading_rows, which gives, from one term_table of g, the
+    rows whose sum over a curve's leading coefficients is the degree-d
+    slice S of its pullback; a memo keeps them for both stages, so each
+    tuple's rows are formed once per search.  Three kinds of candidate
+    cannot be violations and are skipped without building a curve:
+    - every candidate of a tuple that leading_rows leaves undecided (no
       row, or d above the truncation): its pullback has no term of degree
       <= its truncation, so ps_test_single finds it "infinite" or
       "indeterminate";
     - a candidate whose S is nonzero with d even and a real positive
       coefficient at t^(d/2) conj(t)^(d/2): S is the lowest slice of its
       pullback, so ps_test_single finds it a "pass";
-    - every candidate of a group whose balanced key holds a single row
+    - every candidate of a tuple whose balanced key holds a single row
       coeff * z^h * conj(z)^a with coeff real and > 0 and h_i = a_i in each
       of its slots (algebra.slice_torus_positive), unread.  A slot is an
       index with h_i or a_i nonzero, so exps[i] is nonzero there, and every
@@ -533,7 +549,7 @@ def ps_search(g: CPolynomial, bounds: SearchBudget, gram: PSCertificate) -> PSCe
       zero, and a scan fixes its other present components to 1.  So the
       coefficient at t^(d/2) conj(t)^(d/2) is coeff * prod |c_i|^(2 h_i),
       real and > 0, S is nonzero, and the candidate passes as above.  The
-      rule reads one group of rows once per exponent tuple.
+      rule reads the rows of a tuple once per search.
     Every other candidate (S cancels, d is odd, or the middle coefficient
     is missing, not real or <= 0) and every Gram seed goes through
     ps_test_single, which alone decides a violation or raises on a middle

@@ -9,29 +9,36 @@ before anything is built.
 
 Each stage has one definition, a light stream without curves:
 monomial_choices and cancellation_scan_choices yield, per exponent tuple,
-the tuple, its number of candidates and a lazy iterator over their
-coefficient vectors; random_draws yields, per seeded random curve, its
-leading exponents, its leading coefficient vector and its coefficient dicts,
-drawn straight from one generator's getrandbits by a rejection rule this
-module owns.  monomial_curves, cancellation_scan_curves and random_curves
-are the CurveJet expansions of these streams, so the order and the random
-sequence each have one definition.  The streams give every present
-component a nonzero coefficient; only absent components get ZERO.
+the tuple and its number of candidates, and monomial_vectors and
+scan_vectors yield a tuple's coefficient vectors, in stream order, only
+when a search asks for them; random_draws yields, per seeded random
+curve, its leading exponents, its leading coefficient vector and its
+coefficient dicts, drawn straight from one generator's getrandbits by a
+rejection rule this module owns.  monomial_curves, cancellation_scan_curves
+and random_curves are the CurveJet expansions of these streams, so the
+order and the random sequence each have one definition.  The streams give
+every present component a nonzero coefficient; only absent components get
+ZERO.
 
 The regular and singular type searches read one stream (monomial curves,
 then cancellation scans, then random curves; see typecalc._candidates),
 filtered by multiplicity: 1 for the regular type, up to max_multiplicity
-for the singular type.  Their loop (typecalc._best_contact) reads the light
-streams one exponent group at a time, a random draw being a group keyed by
-its leading exponents, and builds a curve only where the leading terms do
-not decide the order; it skips the random stream altogether when the
-other two stages leave it nothing to decide.  germ.ps_search keeps its own
-order, with Gram-derived seeds between the monomial curves and the scans
-and no random part (germ._ps_candidates); it reads the monomial and scan
-streams one exponent group at a time as well, and builds a curve only for
-a candidate whose leading terms leave it able to fail, and for each Gram
-seed.  Every search keeps the first witness its order reaches, so
-witnesses are reproducible.
+for the singular type.  Their loop (typecalc._best_contact) walks the
+exponent tuples of the monomial stream, scoring each tuple once from one
+term table of the searched polynomial, then those of the scan stream,
+where a tuple that the leading terms decide only adds its count, in
+stream order; it asks for a tuple's vectors only when some candidate's
+leading slice may cancel, and builds a curve only where the leading terms
+do not decide the order.  A random draw is read through the score of its
+leading exponents, and the loop skips the random stream altogether when
+the other two stages leave it nothing to decide.  germ.ps_search keeps
+its own order, with Gram-derived seeds between the monomial curves and the
+scans and no random part (germ._ps_candidates); it reads the monomial and
+scan streams tuple by tuple as well, with one term table and one memo of
+each tuple's rows for both, and builds a curve only for a candidate whose
+leading terms leave it able to fail, and for each Gram seed.  Every
+search keeps the first witness its order reaches, so witnesses are
+reproducible.
 """
 
 from __future__ import annotations
@@ -143,45 +150,49 @@ def exponent_tuples(nvars: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
 
 def monomial_choices(nvars: int, max_degree: int):
     """The monomial curves over the seed coefficients, one exponent tuple at
-    a time: (exps, count, vectors) per tuple of exponent_tuples, where
-    vectors lazily yields the count coefficient vectors (ZERO in the absent
-    components) in product order."""
+    a time: (exps, count) per tuple of exponent_tuples, where count is the
+    number of coefficient vectors that monomial_vectors(exps) yields."""
     for exps in exponent_tuples(nvars, max_degree):
-        slots = [i for i, e in enumerate(exps) if e]
-        yield exps, len(SEED_COEFFS) ** len(slots), _monomial_vectors(nvars, slots)
+        yield exps, len(SEED_COEFFS) ** (nvars - exps.count(0))
 
 
-def _monomial_vectors(nvars: int, slots: list[int]):
+def monomial_vectors(exps: tuple[int, ...]):
+    """The coefficient vectors of the monomial curves with exponents exps, in
+    product order: the seed coefficients in the present components, ZERO in
+    the absent ones."""
+    slots = [i for i, e in enumerate(exps) if e]
     for choice in itertools.product(SEED_COEFFS, repeat=len(slots)):
-        full = [ZERO] * nvars
+        full = [ZERO] * len(exps)
         for i, c in zip(slots, choice):
             full[i] = c
         yield full
 
 
 def cancellation_scan_choices(nvars: int, max_degree: int, coeff_height: int):
-    """The cancellation scans, one exponent tuple at a time: (exps, count,
-    vectors) per tuple of exponent_tuples, where vectors lazily yields the
-    count coefficient vectors: one component scanned over the grid, the
-    other present components 1, the absent ones ZERO."""
-    grid = grid_coefficients(coeff_height)
+    """The cancellation scans, one exponent tuple at a time: (exps, count)
+    per tuple of exponent_tuples, where count is the number of coefficient
+    vectors that scan_vectors(exps, coeff_height) yields."""
+    grid = len(grid_coefficients(coeff_height))
     for exps in exponent_tuples(nvars, max_degree):
-        slots = [i for i, e in enumerate(exps) if e]
-        yield exps, len(slots) * len(grid), _scan_vectors(nvars, slots, grid)
+        yield exps, (nvars - exps.count(0)) * grid
 
 
-def _scan_vectors(nvars: int, slots: list[int], grid):
+def scan_vectors(exps: tuple[int, ...], coeff_height: int):
+    """The coefficient vectors of the cancellation scans with exponents exps:
+    one present component scanned over the grid, the other present
+    components 1, the absent ones ZERO."""
+    slots = [i for i, e in enumerate(exps) if e]
     for unknown in slots:
-        for value in grid:
-            coeffs = [ONE if i in slots else ZERO for i in range(nvars)]
+        for value in grid_coefficients(coeff_height):
+            coeffs = [ONE if e else ZERO for e in exps]
             coeffs[unknown] = value
             yield coeffs
 
 
 def monomial_curves(nvars: int, max_degree: int):
     """All curves with single-monomial components over the seed coefficients."""
-    for exps, _count, vectors in monomial_choices(nvars, max_degree):
-        for v in vectors:
+    for exps, _count in monomial_choices(nvars, max_degree):
+        for v in monomial_vectors(exps):
             yield CurveJet.monomial(exps, v)
 
 
@@ -189,8 +200,8 @@ def cancellation_scan_curves(nvars: int, max_degree: int, coeff_height: int):
     """Monomial curves with one coefficient scanned over a bounded rational
     grid (solving one-unknown leading-term cancellations by exhaustion) and
     the remaining coefficients fixed to 1."""
-    for exps, _count, vectors in cancellation_scan_choices(nvars, max_degree, coeff_height):
-        for v in vectors:
+    for exps, _count in cancellation_scan_choices(nvars, max_degree, coeff_height):
+        for v in scan_vectors(exps, coeff_height):
             yield CurveJet.monomial(exps, v)
 
 

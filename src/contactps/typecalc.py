@@ -9,21 +9,22 @@ Bounded searches only ever produce lower bounds, never wrong exact values.
 Both types take their bounded lower bound from one contact search,
 _best_contact.  It keeps the candidates of the stream _candidates of
 multiplicity 1 (regular type) or up to max_multiplicity (singular), and
-walks that stream one exponent group at a time (_candidate_groups).  The
-candidates of a group share the leading exponents mu of their components,
-hence their multiplicity min(mu) and the initial rows of g under mu
-(CPolynomial.initial_rows): the terms of least weighted degree d, grouped
-by the bidegree they land on.  The sum of a candidate's leading products
-over the rows is the degree-d slice of its pullback, D'Angelo's weighted
-order of contact (Ann. Math. 115, 1982).  When that slice is nonzero and d
-is at most the pullback's truncation, the order is d and the ratio d/mult.
+walks the light streams of that stream exponent tuple by exponent tuple.
+The candidates of a tuple share the leading exponents mu of their
+components, hence their multiplicity min(mu) and the initial rows of g
+under mu (curve.leading_rows, read off one algebra.term_table of g per
+search): the terms of least weighted degree d, grouped by the bidegree
+they land on.  The sum of a candidate's leading products over the rows is
+the degree-d slice of its pullback, D'Angelo's weighted order of contact
+(Ann. Math. 115, 1982).  When that slice is nonzero and d is at most the
+pullback's truncation, the order is d and the ratio d/mult.
 
 No-collision argument.  The stream gives every present component a nonzero
 coefficient, and a row involves present components only, so each row's
 leading product is a product of nonzero scalars, and rows at different
 bidegrees cannot cancel each other.  So when some bidegree collects a
-single row, no candidate of the group can cancel its slice, and the whole
-group scores d/mult without reading a coefficient; a group above the
+single row, no candidate of the tuple can cancel its slice, and they all
+score d/mult without reading a coefficient; a tuple above the
 multiplicity filter is skipped unread.
 
 Rule 1 (a positive balanced coefficient).  When no bidegree holds a single
@@ -36,31 +37,43 @@ on both sides, so P is mixed-only.  If gram_certificate(P) is certified, P
 = sum w_k |f_k|^2 with w_k > 0, and if one f_k is a single term c' z^m,
 that square is > 0 wherever the components in m are nonzero, the others
 >= 0; m uses only components of P, all present.  So P(c) > 0 for every
-candidate of the group (torus_positive), its slice does not cancel,
-and the group scores d/mult unread, as above.
+candidate of the tuple (torus_positive), its slice does not cancel,
+and the tuple scores d/mult unread, as above.
 
 Otherwise slice_vanishes decides whether each candidate's slice cancels, in
 Python-int Gaussian arithmetic with no scalar object at all, taking the
-powers of the leads from one memo for the whole search.  A group that
+powers of the leads from one memo for the whole search.  A tuple that
 curve.leading_rows leaves undecided (no row, or d above the truncation)
 gives no exact order when g is a jet, so it is counted and skipped unread;
-when g is exact it has no row, and its first candidate pulls back to zero.  Only a candidate whose slice cancels, or
-that first candidate, is built as a CurveJet and pulled back
-(curve.contact_order), and the winner is built only once.  The stream order
-is kept, so the first best still wins a tie and the first identically zero
-pullback returns with the same tested count.
+when g is exact it has no row, and its first candidate pulls back to zero.
+Only a candidate whose slice cancels, or that first candidate, is built as
+a CurveJet and pulled back (curve.contact_order), and the winner is built
+only once.  The stream order is kept, so the first best still wins a tie
+and the first identically zero pullback returns with the same tested count.
+
+The scan pass (the cancellation scans, after every monomial curve).  Every
+tuple is scored in the monomial pass, whose first candidate of a tuple
+decided as above scores d/mult.  The scan candidates of a decided tuple
+have the same leading exponents, so their score is the same d/mult (or
+none, for a jet's undecided tuple), and the comparison is strict, so none
+of them replaces the best, which is already at least d/mult; none pulls
+back to zero either.  So a decided tuple only adds its count to the tested
+count, and so does a random draw in it; only an undecided tuple expands
+its scan vectors.  The counts are added in stream order, tuple by tuple,
+so that an early return at a zero pullback in a later tuple counts the
+decided tuples before it and none after it, as the candidate loop does.
 
 Rule 2 (a random stage that cannot change the result).  A random draw has
 multiplicity mult <= budget.max_multiplicity and leading exponents in
 0..max_degree, so its exponent tuple is one of search.exponent_tuples,
 every one of which the monomial and scan stages have scored before the
-random stage starts.  Suppose every scored group is decided (above the
+random stage starts.  Suppose every scored tuple is decided (above the
 filter, or rows None) and max_mult >= budget.max_multiplicity.  Then no
-draw is filtered out, and each one lands in a group that is decided: one
+draw is filtered out, and each one lands in a tuple that is decided: one
 with d None of a jet g, counted and skipped, or one that scores d/mult
-unread.  (A group with d None of an exact g would have returned infinite
+unread.  (A tuple with d None of an exact g would have returned infinite
 at its first monomial candidate.)  That score was already reached by the
-group's first monomial candidate, so under strict improvement no draw
+tuple's first monomial candidate, so under strict improvement no draw
 changes the best ratio or its witness, and none pulls back to zero.  The
 random stage then only adds its budget.random_trials candidates to the
 tested count, and _best_contact adds them without drawing.
@@ -70,12 +83,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import count
 from math import lcm
 from typing import NamedTuple
 
-from .algebra import ONE, ZERO, CPolynomial, GaussianRational, Order, slice_vanishes
+from .algebra import ONE, ZERO, CPolynomial, GaussianRational, Order, slice_vanishes, term_table
 from .curve import CurveJet, contact_order, leading_rows, pullback, ps_test_single
 from .germ import (
     DefiningFunction,
@@ -91,8 +103,10 @@ from .search import (
     check_search_size,
     monomial_choices,
     monomial_curves,
+    monomial_vectors,
     random_curves,
     random_draws,
+    scan_vectors,
 )
 
 
@@ -608,38 +622,10 @@ def _candidates(nvars: int, budget: SearchBudget):
     """The candidate stream of the type searches: monomial curves, then
     cancellation scans, then seeded random curves.  Each search filters it by
     multiplicity; the order fixes which witness wins a tie.  _best_contact
-    walks the same stream in exponent groups (_candidate_groups)."""
+    walks the light streams of the same stages, tuple by tuple."""
     yield from monomial_curves(nvars, budget.max_degree)
     yield from cancellation_scan_curves(nvars, budget.max_degree, budget.coeff_height)
     yield from random_curves(nvars, budget)
-
-
-def _candidate_groups(nvars: int, budget: SearchBudget):
-    """The stream of _candidates in its two stages, (exhaustive, drawn),
-    each a generator of exponent groups (exps, count, choices, curve), where
-    choices lazily yields (lead, source) for each of the group's count
-    candidates in stream order: lead is its leading coefficient vector, and
-    curve(source) builds it.  The exhaustive stage holds the monomial groups,
-    then the scan groups, one per exponent tuple of
-    search.exponent_tuples(nvars, budget.max_degree) each, and their
-    curves are built from their leading vectors.  In the drawn stage each
-    random draw is a group of its own, keyed by the leading exponents that
-    search.random_draws yields with it, its lead is the draw's leading
-    vector, and its curve is built from the draw's coefficient dicts;
-    random_draws is called only when that stage is first advanced."""
-    return _exhaustive_groups(nvars, budget), _drawn_groups(nvars, budget)
-
-
-def _exhaustive_groups(nvars: int, budget: SearchBudget):
-    for stage in (monomial_choices(nvars, budget.max_degree),
-                  cancellation_scan_choices(nvars, budget.max_degree, budget.coeff_height)):
-        for exps, count, vectors in stage:
-            yield exps, count, ((v, v) for v in vectors), partial(CurveJet.monomial, exps)
-
-
-def _drawn_groups(nvars: int, budget: SearchBudget):
-    for exps, lead, coeffs in random_draws(nvars, budget):
-        yield exps, 1, ((lead, coeffs),), CurveJet.from_coeffs
 
 
 class SingSearchResult(NamedTuple):
@@ -667,92 +653,102 @@ def _best_contact(g: CPolynomial, budget: SearchBudget, max_mult: int,
     pullback certifies infinite contact.  certify(p) gives
     gram_certificate(p) for the balanced coefficients (torus_positive).
 
-    The candidates are scored one exponent group at a time (the module
-    docstring gives the argument), and each exponent tuple's multiplicity
-    filter and score are computed once: a group above max_mult is skipped
-    unread, and so is a group of a jet g that curve.leading_rows does not
-    decide (no row, or d above the truncation), whose pullbacks are all of
-    order "at_least"; a group whose leading slice cannot cancel is scored
-    at once, and a CurveJet is built only for a candidate whose slice
-    cancels, for a candidate of an exact g's group with no row (the first
-    one pulls back to zero), and for the winner.
-
-    The exhaustive stage scores every exponent tuple a random draw can
-    have.  When it leaves every scored group decided (score None or rows
-    None) and max_mult >= budget.max_multiplicity, the drawn stage is not
-    drawn at all and its budget.random_trials candidates are counted as
-    tested (rule 2 of the module docstring).
+    Each exponent tuple is scored once, in the monomial pass, from one
+    term_table of g; a tuple above max_mult is skipped unread, a decided
+    one only adds its count (and in the monomial pass its score), and an
+    undecided one expands its vectors (the module docstring gives the
+    argument, and rule 2 for the random stage).
     """
     check_search_size(g.nvars, budget)
-    scores: dict = {}  # exps -> _leading_score, or None above max_mult
+    table = term_table(g)
+    scores: dict = {}  # exps -> (d, mult, rows), or None above max_mult
     powers: dict = {}  # the lead powers of slice_vanishes, for the whole search
     # The best ratio as the ints num/den, compared by cross-multiplying.
     best_num, best_den = None, 1
-    best = None  # (curve, source, CurveJet or None) of the first best candidate
+    best = None  # (build, args, CurveJet or None) of the first best candidate
     tested = 0
-    exhaustive, drawn = _candidate_groups(g.nvars, budget)
-    for groups in (exhaustive, drawn):
-        if (groups is drawn and max_mult >= budget.max_multiplicity
-                and all(s is None or s[2] is None for s in scores.values())):
-            tested += budget.random_trials
-            break
-        for exps, count, choices, curve in groups:
-            if exps not in scores:
-                mult = min(e for e in exps if e)
-                scores[exps] = (_leading_score(g, exps, mult, certify) if mult <= max_mult
-                                else None)
+
+    def read(score, candidates, build):
+        """Score the (lead, args) of an undecided tuple in stream order; the
+        curve build(*args) of the first zero pullback, or None."""
+        nonlocal best_num, best_den, best, tested
+        d, mult, rows = score
+        for lead, args in candidates:
+            tested += 1
+            num, den, z = d, mult, None
+            if d is None or slice_vanishes(rows, lead, powers):
+                z = build(*args)
+                order, found = contact_order(g, z)
+                if order.kind == "zero":
+                    return z
+                if found is None:
+                    continue
+                num, den = found.numerator, found.denominator
+            if best_num is None or num * best_den > best_num * den:
+                best_num, best_den, best = num, den, (build, args, z)
+        return None
+
+    # Rule 2: the random stage is drawn when the filter drops draws or a tuple is undecided.
+    undecided = max_mult < budget.max_multiplicity
+    for scan in (False, True):
+        for exps, count in (cancellation_scan_choices(g.nvars, budget.max_degree,
+                                                      budget.coeff_height) if scan
+                            else monomial_choices(g.nvars, budget.max_degree)):
+            if not scan:
+                mult = min(filter(None, exps))
+                scores[exps] = (_leading_score(g, table, exps, mult, certify)
+                                if mult <= max_mult else None)
             score = scores[exps]
             if score is None:
                 continue
             d, mult, rows = score
-            if d is None and g.truncation is not None:
-                # Every pullback of the group is of order "at_least".
+            if rows is None and (d is not None or g.truncation is not None):
+                # Decided: a scan candidate repeats the monomial score.
                 tested += count
-                continue
-            if d is not None and rows is None:
-                tested += count
-                if best_num is None or d * best_den > best_num * mult:
+                if not scan and d is not None and (
+                        best_num is None or d * best_den > best_num * mult):
                     best_num, best_den = d, mult
-                    best = (curve, next(iter(choices))[1], None)
+                    best = (CurveJet.monomial, (exps, next(monomial_vectors(exps))), None)
                 continue
-            for lead, source in choices:
-                tested += 1
-                num, den, z = d, mult, None
-                if d is None or slice_vanishes(rows, lead, powers):
-                    z = curve(source)
-                    order, found = contact_order(g, z)
-                    if order.kind == "zero":
-                        return SingSearchResult("infinite", None, z, tested, budget)
-                    if found is None:
-                        continue
-                    num, den = found.numerator, found.denominator
-                if best_num is None or num * best_den > best_num * den:
-                    best_num, best_den, best = num, den, (curve, source, z)
+            undecided = True
+            vectors = scan_vectors(exps, budget.coeff_height) if scan else monomial_vectors(exps)
+            z = read(score, ((v, (exps, v)) for v in vectors), CurveJet.monomial)
+            if z is not None:
+                return SingSearchResult("infinite", None, z, tested, budget)
+    if not undecided:
+        tested += budget.random_trials
+    for exps, lead, coeffs in random_draws(g.nvars, budget) if undecided else ():
+        score = scores[exps]
+        if score is not None and score[2] is None:
+            tested += 1
+        elif score is not None:
+            z = read(score, ((lead, (coeffs,)),), CurveJet.from_coeffs)
+            if z is not None:
+                return SingSearchResult("infinite", None, z, tested, budget)
     witness = None
     if best is not None:
-        curve, source, witness = best
+        build, args, witness = best
         if witness is None:
-            witness = curve(source)
+            witness = build(*args)
     best_ratio = None if best_num is None else Fraction(best_num, best_den)
     return SingSearchResult("lower_bound", best_ratio, witness, tested, budget)
 
 
-def _leading_score(g: CPolynomial, exps: tuple[int, ...], mult: int, certify):
-    """(d, mult, rows) for the candidates with leading exponents exps.  The
-    ratio d/mult, d the weighted degree of the leading slice, is the score of
-    every candidate whose slice does not cancel; d is None when the slice
-    decides no order (no row, or d above the truncation).  rows are the
-    initial rows when some candidate's slice may cancel, None when none
-    can: when some bidegree holds a single row, or (rule 1 of the module
-    docstring) when d is even and the balanced coefficient, the polynomial
-    P in the leads of the terms of g at bidegree (d/2, d/2), is
-    torus_positive under certify."""
-    found = leading_rows(g, exps)
+def _leading_score(g: CPolynomial, table: tuple, exps: tuple[int, ...], mult: int, certify):
+    """(d, mult, rows) for the candidates with leading exponents exps, read
+    off table = term_table(g).  The ratio d/mult, d the weighted degree of
+    the leading slice, is the score of every candidate whose slice does not
+    cancel; d is None when the slice decides no order (no row, or d above
+    the truncation).  rows are the initial rows when some candidate's slice
+    may cancel, None when none can: when some bidegree holds a single row,
+    or (rule 1 of the module docstring) when d is even and the balanced
+    coefficient, the polynomial P in the leads of the terms of g at
+    bidegree (d/2, d/2), is torus_positive under certify."""
+    found = leading_rows(g, table, exps)
     if found is None:
         return None, mult, None
     d, rows = found
-    if (any(len(group) == 1 for group in rows.values())
-            or _balanced_positive(g, exps, d, certify)):
+    if 1 in map(len, rows.values()) or _balanced_positive(g, exps, d, certify):
         rows = None
     return d, mult, rows
 

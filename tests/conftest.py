@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
-from operator import add
+from operator import add, mul
 
 import pytest
 
@@ -65,6 +65,38 @@ def initial_coefficients_reference(rows, coeffs):
         old = out.get(key)
         out[key] = c if old is None else old + c
     return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def leading_rows_reference(p, exps):
+    """The curve.leading_rows that formed the initial rows of p from its
+    terms anew for every exponent tuple, with no table: per term a dead
+    check and four dot products (ks = 0), the terms of least weighted degree
+    grouped by bidegree in first-seen order, then None when d lies above
+    p.composite_truncation(mult).  A row is (coeff, slots) here, the scalar
+    whose raw fields the production row holds."""
+    js, ks = exps, [0] * len(exps)
+    dead = [i for i, e in enumerate(exps) if not e]
+    best, least = None, []
+    for (h, a), coeff in p.terms.items():
+        if dead and any(h[i] or a[i] for i in dead):
+            continue
+        hj, hk = sum(map(mul, h, js)), sum(map(mul, h, ks))
+        aj, ak = sum(map(mul, a, js)), sum(map(mul, a, ks))
+        deg = hj + hk + aj + ak
+        if best is None or deg < best:
+            best, least = deg, [(((hj + ak,), (hk + aj,)), h, a, coeff)]
+        elif deg == best:
+            least.append((((hj + ak,), (hk + aj,)), h, a, coeff))
+    if best is None:
+        return None
+    rows = {}
+    for key, h, a, coeff in least:
+        slots = tuple((i, e, f) for i, (e, f) in enumerate(zip(h, a)) if e or f)
+        rows.setdefault(key, []).append((coeff, slots))
+    limit = p.composite_truncation(min(e for e in exps if e))
+    if limit is not None and best > limit:
+        return None
+    return best, rows
 
 
 def _mul_terms_reference(out, left, right, limit):

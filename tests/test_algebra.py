@@ -15,13 +15,13 @@ from contactps.algebra import (
     ONE,
     TruncationError,
     ZERO,
-    group_rows,
     initial_coefficients,
     key_conjugate,
     key_is_pure,
     slice_positive_at,
     slice_torus_positive,
     slice_vanishes,
+    term_table,
     weighted_square_terms,
 )
 from contactps.search import _RANDOM_POOL, SEED_COEFFS, grid_coefficients
@@ -519,10 +519,20 @@ def slice_cases(draw):
 _K = ((1,), (1,))
 
 
+def _group_rows(rows):
+    """The terms (key, h, a, coeff) as the slice readers sum them: each
+    one's row from term_table, grouped by key in first-seen order."""
+    grouped = {}
+    for key, h, a, coeff in rows:
+        (*_entry, row), = term_table(CPolynomial(len(h), {(h, a): coeff}))
+        grouped.setdefault(key, []).append(row)
+    return grouped
+
+
 def _check_slice_readers(rows, lead, powers):
     """The three readers of the grouped rows against the scalar-object
     reference."""
-    grouped = group_rows(rows)
+    grouped = _group_rows(rows)
     ref = initial_coefficients_reference(rows, lead)
     out = initial_coefficients(grouped, lead, powers)
     assert list(out.items()) == list(ref.items())

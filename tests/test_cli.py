@@ -468,6 +468,22 @@ def test_a_jet_frame_with_no_term_is_not_zero(runner, tmp_path):
     assert (claim["kind"], claim["value"], claim["witness"]) == ("at_least", "5/1", "(t, 0)")
 
 
+def test_reg_type_on_a_degree_64_jet_frame_grows_its_pullback_caps(runner, tmp_path):
+    """At --max 64 the frame of SERIES_TWO_SQUARES is a jet of order 64,
+    and the bounded search pulls back the candidates whose leading slice
+    cancels under caps that double until one finds a term
+    (curve.pullback_lowest).  When each of them fell back from the first
+    cap to the full pullback of the jet, the command took over 190 s of
+    process time; now it takes well under a second."""
+    start = time.process_time()
+    res = _invoke(runner, tmp_path, SERIES_TWO_SQUARES, ["reg-type", "--max", "64", "--json"])
+    elapsed = time.process_time() - start
+    assert res.exit_code == 0
+    claim = _machine(res)["claims"]["reg_type"]
+    assert (claim["kind"], claim["value"], claim["witness"]) == ("at_least", "8/1", "(t, t^2)")
+    assert elapsed < 10.0
+
+
 @pytest.mark.parametrize("cap, claimed", [
     (4, ("at_least", "8/1")), (8, ("at_least", "16/1")), (12, ("at_least", "24/1")),
     (24, ("exact", "24/1")),

@@ -8,21 +8,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactps import curve
-from contactps.algebra import CPolynomial, GaussianRational, ONE
+from contactps.algebra import CPolynomial, GaussianRational, ONE, term_table
 from contactps.curve import (
     ConstantCurveError,
     CurveJet,
     InsufficientJetError,
     contact_order,
     laplacian_power,
+    leading_rows,
     lowest_term_profile,
     ps_test_single,
     pullback,
     pullback_lowest,
 )
 from contactps.expr import parse_curve, parse_expression, parse_problem
+from contactps.search import exponent_tuples
 
-from conftest import gr, random_poly
+from conftest import gr, leading_rows_reference, random_poly
 
 
 def test_constant_curve_rejected():
@@ -237,14 +239,19 @@ class TestPullbackLowest:
 
     def test_order_beyond_the_cap_takes_the_fallback(self, monkeypatch):
         # The weight-4 slice cancels, and the exact order 18 lies above the
-        # cap 4*1 + 1: the capped pullback finds nothing.
+        # first cap 4*1 + 1 and the next, 11.  With a t^20 term the reach
+        # of the exact pullback is 4*20, so the caps grow to 23, which has
+        # the lowest term; with deg z = 9 the reach is 36, below twice 23,
+        # so the exact pullback comes after the cap 11.
         g = parse_expression("abs2(z1 + z2^2)", 2)
-        z = parse_curve("(-t^2 + t^9, t)")
-        assert g.leading_substitution(z.components) is None
-        calls = _count_pullbacks(monkeypatch)
-        u = pullback_lowest(g, z)
-        assert len(calls) == 2 and calls[-1] is z and u == pullback(g, z)
-        assert str(u.order_of_vanishing()) == "18"
+        for z, caps in (("(-t^2 + t^9 + t^20, t)", [5, 11, 23]), ("(-t^2 + t^9, t)", [5, 11, None])):
+            z = parse_curve(z)
+            assert g.leading_substitution(z.components) is None
+            calls = _count_pullbacks(monkeypatch)
+            u = pullback_lowest(g, z)
+            assert [w.truncation for w in calls] == caps and calls[-1].truncation == u.truncation
+            assert str(u.order_of_vanishing()) == "18"
+            _same_lowest(u, pullback(g, z))
 
     def test_jet_germ_vanishing_below_its_truncation_takes_the_fallback(self, monkeypatch):
         g = parse_expression("abs2(z1)^2", 1).truncate(3)
@@ -293,6 +300,60 @@ class TestPullbackLowest:
         exact = pullback(g, z)
         assert exact.order_of_vanishing().kind == "at_least"
         assert pullback_lowest(g, z).order_of_vanishing() == exact.order_of_vanishing()
+
+
+_TABLE_COEFFS = st.sampled_from([gr(1), gr(-1), gr(2), gr(0, 1), gr(Fraction(1, 2), -1),
+                                 gr(Fraction(-3, 4), Fraction(2, 3))])
+
+
+@st.composite
+def table_polys(draw):
+    """A polynomial in 1-3 variables with up to 6 terms of exponents 0-3 on
+    each side, exact or a jet truncated at 1, 2, 3 or 5."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = draw(st.dictionaries(st.tuples(exps, exps), _TABLE_COEFFS, max_size=6))
+    return CPolynomial(nvars, terms, draw(st.sampled_from([None, 1, 2, 3, 5])))
+
+
+def _as_reference_rows(found):
+    """(d, rows) of leading_rows with each raw row (x, y, den, slots) read
+    back as the (coeff, slots) of leading_rows_reference."""
+    if found is None:
+        return None
+    d, rows = found
+    return d, [(key, [(GaussianRational(Fraction(x, den), Fraction(y, den)), slots)
+                      for x, y, den, slots in group]) for key, group in rows.items()]
+
+
+def test_table_rows_match_the_reference():
+    """The leading rows read off one term_table equal the reference body,
+    which forms them from the terms anew for every tuple: the same d, the
+    same keys and rows in the same order, and None in the same places.
+    Every exponent tuple up to degree 4 is read, so dead components occur,
+    and the inputs reach no row, d above a jet's truncation and a row."""
+    reached = set()
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(p=table_polys())
+    def every_tuple(p):
+        table = term_table(p)
+        for exps in exponent_tuples(p.nvars, 4):
+            ref = leading_rows_reference(p, exps)
+            if ref is not None:
+                ref = ref[0], list(ref[1].items())
+            assert _as_reference_rows(leading_rows(p, table, exps)) == ref
+            if ref is not None:
+                reached.add("row")
+            elif leading_rows_reference(CPolynomial(p.nvars, p.terms), exps) is None:
+                reached.add("no row")
+            else:
+                reached.add("above truncation")
+            if 0 in exps and ref is not None:
+                reached.add("dead component")
+
+    every_tuple()
+    assert reached == {"row", "no row", "above truncation", "dead component"}
 
 
 @st.composite

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactps import germ, report
-from contactps.algebra import CPolynomial, slice_torus_positive, slice_vanishes
-from contactps.curve import CurveJet, ps_test_single, pullback
+from contactps.algebra import CPolynomial, slice_torus_positive, slice_vanishes, term_table
+from contactps.curve import CurveJet, leading_rows, ps_test_single, pullback
 from contactps.expr import format_curve, parse_curve, parse_expression, parse_problem
 from contactps.germ import (
     DegenerateLinearPartError,
@@ -438,9 +438,10 @@ def _restricted_jets():
 
 def _branch(g, z):
     """The branch of the grouped search that a monomial curve z takes,
-    read off the initial rows of g directly."""
+    read off the initial rows of g (of its terms as an exact polynomial, so
+    that no row and d above the truncation differ)."""
     exps = [next(iter(c.terms))[0][0] if c.terms else 0 for c in z.components]
-    found = g.initial_rows(exps, [0] * len(exps), [i for i, e in enumerate(exps) if not e])
+    found = leading_rows(CPolynomial(g.nvars, g.terms), term_table(g), exps)
     if found is None:
         return "no row, jet g" if g.truncation is not None else "no row, exact g"
     limit = g.composite_truncation(min(e for e in exps if e))
@@ -457,7 +458,7 @@ def _branch(g, z):
 def _reference_ps_search(g, bounds, gram, reached):
     """ps_search as the plain loop of ps_test_single over the CurveJet
     stream _ps_candidates; adds the branches its walk reaches to reached."""
-    n_mono = sum(count for _e, count, _v in monomial_choices(g.nvars, bounds.max_degree))
+    n_mono = sum(count for _e, count in monomial_choices(g.nvars, bounds.max_degree))
     seeds = range(n_mono, n_mono + len(germ._gram_seed_curves(g, gram.indefinite_direction)))
     for i, z in enumerate(germ._ps_candidates(g, bounds, gram)):
         if i not in seeds:
@@ -499,6 +500,31 @@ def _mixed_germs(draw):
 
 _PS_BUDGETS = st.builds(SearchBudget, max_degree=st.integers(3, 5),
                         coeff_height=st.integers(1, 2))
+
+
+def test_ps_search_reads_each_tuple_once(monkeypatch):
+    """ps_search forms one term table of g and the leading rows of each
+    exponent tuple once, for its monomial and scan stages together: a
+    search with no violation runs both stages in full over the 15 tuples
+    of two variables up to degree 3."""
+    tables, read = [], []
+    term_table_, leading_rows_ = germ.term_table, germ.leading_rows
+
+    def spy_table(g):
+        tables.append(g)
+        return term_table_(g)
+
+    def spy_rows(g, table, exps):
+        read.append(exps)
+        return leading_rows_(g, table, exps)
+
+    monkeypatch.setattr(germ, "term_table", spy_table)
+    monkeypatch.setattr(germ, "leading_rows", spy_rows)
+    g = parse_expression("abs2(z1)^2 + abs2(z1 - z2^2)", 2)
+    cert = ps_search(g, SearchBudget(max_degree=3), gram_certificate(g))
+    assert cert.verdict == "no_violation_up_to_bounds"
+    assert len(tables) == 1
+    assert len(read) == len(set(read)) == 15
 
 
 def test_ps_search_matches_the_candidate_loop():

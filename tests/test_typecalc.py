@@ -18,7 +18,9 @@ from contactps.search import (
     SearchBudget,
     cancellation_scan_choices,
     monomial_choices,
+    monomial_vectors,
     random_draws,
+    scan_vectors,
 )
 from contactps.typecalc import (
     ContactNotFourMError,
@@ -43,6 +45,7 @@ from conftest import (
     gaussian_common_roots_reference,
     gr,
     hermitian_quadratic_definite_reference,
+    leading_rows_reference,
 )
 
 
@@ -704,14 +707,18 @@ _CRIT6 = pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus" / "
 _ITEM3 = _CRIT6.with_name("item3_repro.txt")
 _JET = "2*Re(z3) + abs2(z1 + z2^2) + 2*Re(z3*z1^4) + 2*Re(z1^9)"
 # The corpus germs as the report's sing-search reads them (mixed-only germs
-# stay in their own frame), two jets whose leading slices cancel, and a jet
-# whose leading slice mostly lies above its truncation.
+# stay in their own frame), two jets whose leading slices cancel, a jet
+# whose leading slice mostly lies above its truncation, and a mixed-only
+# germ whose witness ((1+i)*t^2, t) lies in the scan stage, after decided
+# scan tuples, so its early return counts them in stream order.
+_SCAN_RETURN = "abs2(z1 - (1+i)*z2^2)"
 _SEARCH_GERMS = {
     **{path.stem: (lambda path=path: GermAnalysis(path.read_text(), {}).frame(8).g)
        for path in CORPUS},
     "jet_K8": lambda: _graph(_JET, 8).g,
     "jet_K12": lambda: _graph(_JET, 12).g,
     "jet_above_truncation": lambda: _graph("2*Re(z3) + abs2(z1*z2) + 2*Re(z3*z1^2)", 6).g,
+    "scan_return": lambda: parse_expression(_SCAN_RETURN, 2),
 }
 
 
@@ -749,6 +756,19 @@ def test_best_contact_matches_the_candidate_loop(name):
         found = _best_contact(g, budget, max_mult, gram_certificate)
         assert (found.kind, found.ratio, found.witness, found.candidates_tested) == \
             _reference_best_contact(g, budget, max_mult)
+
+
+def test_a_scan_stage_return_counts_in_stream_order():
+    """The witness of abs2(z1 - (1+i)*z2^2) pulls back to zero in the scan
+    stage.  Its tested count holds the decided scan tuples before it and
+    none after it: 1,466 at this budget, where adding the count of every
+    decided scan tuple before the scan stage gives 2,546."""
+    budget = SearchBudget(4, 4, 2, 50, 0)
+    found = _best_contact(_SEARCH_GERMS["scan_return"](), budget, 4, gram_certificate)
+    assert (found.kind, format_curve(found.witness), found.candidates_tested) == \
+        ("infinite", "((1+i)*t^2, t)", 1466)
+    assert found.candidates_tested == _reference_best_contact(
+        _SEARCH_GERMS["scan_return"](), budget, 4)[3]
 
 
 _FALSIFY = SearchBudget(4, 8, 2, 3000, 0)
@@ -813,6 +833,31 @@ def test_crit6_type4_search_reads_no_candidate(monkeypatch):
     assert (res.candidates_tested, res.ratio, format_curve(res.witness)) == (10296, 4, "(0, t)")
 
 
+def test_crit6_type4_search_scores_each_tuple_once(monkeypatch):
+    """The falsify-budget sing-search on crit6_type4 forms one term table
+    of g and reads the leading rows of each of its 56 exponent tuples within
+    the multiplicity filter once, for the monomial, scan and random stages
+    together."""
+    tables, read = [], []
+    term_table_, leading_rows_ = typecalc.term_table, typecalc.leading_rows
+
+    def spy_table(g):
+        tables.append(g)
+        return term_table_(g)
+
+    def spy_rows(g, table, exps):
+        read.append(exps)
+        return leading_rows_(g, table, exps)
+
+    monkeypatch.setattr(typecalc, "term_table", spy_table)
+    monkeypatch.setattr(typecalc, "leading_rows", spy_rows)
+    res = sing_type_search(GermAnalysis(_CRIT6.read_text(), {}).frame(8), _FALSIFY)
+    assert len(tables) == 1
+    assert len(read) == len(set(read)) == 56
+    assert {min(e for e in exps if e) for exps in read} == {1, 2, 3, 4}
+    assert res.candidates_tested == 10296
+
+
 _SQUARE_TERMS = st.lists(
     st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
               st.sampled_from([(1, 0), (-1, 0), (2, 0), (-2, 0), (0, 1), (0, -1), (1, 1)])),
@@ -842,14 +887,17 @@ def test_rule_1_decides_no_class_with_a_cancelling_candidate(squares, negative):
     g = _sum_of_squares(squares, negative)
     assume(not g.is_zero())
     powers: dict = {}
-    groups = itertools.chain(monomial_choices(2, 4), cancellation_scan_choices(2, 4, 1))
-    for exps, _count, vectors in groups:
-        found = leading_rows(g, exps)
+    table = algebra.term_table(g)
+    groups = itertools.chain(
+        ((exps, monomial_vectors(exps)) for exps, _count in monomial_choices(2, 4)),
+        ((exps, scan_vectors(exps, 1)) for exps, _count in cancellation_scan_choices(2, 4, 1)))
+    for exps, vectors in groups:
+        found = leading_rows(g, table, exps)
         if found is None or not typecalc._balanced_positive(g, exps, found[0], gram_certificate):
             continue
         d, rows = found
         mult = min(e for e in exps if e)
-        assert typecalc._leading_score(g, exps, mult, gram_certificate)[2] is None
+        assert typecalc._leading_score(g, table, exps, mult, gram_certificate)[2] is None
         for j, v in enumerate(vectors):
             assert not algebra.slice_vanishes(rows, v, powers)
             if j % 7 == 0:
@@ -862,7 +910,8 @@ def test_rule_1_keeps_the_cancelling_class_of_crit5_m2():
     |c1 + c2^2|^2, which cancels: rule 1 leaves it undecided, and the search
     still finds a curve of that class with zero pullback."""
     g = _SEARCH_GERMS["crit5_m2"]()
-    d, _mult, rows = typecalc._leading_score(g, (2, 1), 1, gram_certificate)
+    d, _mult, rows = typecalc._leading_score(g, algebra.term_table(g), (2, 1), 1,
+                                             gram_certificate)
     assert d == 4 and rows is not None
     assert not typecalc._balanced_positive(g, (2, 1), 4, gram_certificate)
     res = _best_contact(g, _FALSIFY, 4, gram_certificate)
