@@ -923,7 +923,7 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 def test_goldens_carry_the_option_names_the_cli_writes(runner):
     """Every golden verifies, so its option names are exactly those of its
     command; the jet-frame fixture still fails on its claims alone."""
-    for path in sorted(GOLDEN_DIR.glob("*.json")):
+    for path in sorted(p for p in GOLDEN_DIR.glob("*.json") if p.name != "digests.json"):
         check = runner.invoke(main, ["verify-report", str(path)])
         assert check.exit_code == 0, (path.name, check.stderr)
     check = runner.invoke(main, ["verify-report", str(FIXTURES_DIR / "jet_frame_infinite_report.json")])

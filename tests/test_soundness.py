@@ -83,7 +83,8 @@ def test_printed_infinite_witnesses_pull_r_back_to_zero():
     the golden inputs and germs with series graphs.  The series graph of
     report_max12_truncation's germ is a jet, so its infinite claim prints
     none."""
-    goldens = {json.loads(p.read_text())["input_source"] for p in _GOLDEN_DIR.glob("*.json")}
+    goldens = {json.loads(p.read_text())["input_source"] for p in _GOLDEN_DIR.glob("*.json")
+               if p.name != "digests.json"}
     sources = [p.read_text() for p in sorted(_CORPUS_DIR.glob("*.txt"))]
     printed, unprinted = 0, []
     for source in sources + sorted(goldens) + _SOURCES:
