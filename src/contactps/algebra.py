@@ -51,29 +51,30 @@ coefficient, with no product formed.  Only the images with two or more
 terms are raised to powers and multiplied out (``_multi_products``), as
 plain term dicts.  The keys come in the order in which multiplying out
 every image power as a polynomial, term by term, first forms them, which
-``initial_rows``, the jet-extension DFS and the printers rely on.
-``leading_substitution`` reads only the lowest slice of that composite off
-the leading terms of one-variable images, from the terms of least weighted
-degree alone, and returns None where that reading is not exact.  Both take
-the truncation of the composite from one helper, ``_substitution_limit``.
+``initial_rows``, the jet-extension DFS and the printers rely on.  Its
+truncation comes from ``_substitution_limit``.
 
-The lowest-slice rule has two public steps, which the type searches share
-with ``leading_substitution``: ``initial_rows`` picks the terms of least
-weighted degree under the leading exponents of holomorphic images and
-groups their rows by the bidegree they land on, reading a ``term_table``
-of the polynomial, which a search forms once and ``leading_substitution``
-once per call; one
-helper, ``_key_sum``, sums the leading products of one group for given
-leading coefficients, in Python-int Gaussian arithmetic over a common
-denominator, into an unreduced (x, y, den).  It takes each power of a
-leading coefficient from a memo that the caller owns, keyed by the lead's
-fields and exponents, so a search forms each power once.  Three readers
-share it: ``initial_coefficients`` (the reduced slice, for
-``leading_substitution``), ``slice_vanishes`` (for the type searches) and
-``slice_positive_at`` (for the positivity search); the last two decide
-from the unreduced sums and build no scalar.  ``composite_truncation`` is
-the part of ``_substitution_limit`` that comes from the polynomial alone,
-all of it for exact images.
+The lowest slice of a substitution by one-variable holomorphic images is
+read off their leading terms alone, in two public steps, which every
+reader of a leading slice shares (curve.leading_rows): ``initial_rows``
+picks the terms of least weighted degree under the leading exponents of
+the images and groups their rows by the bidegree they land on, reading a
+``term_table`` of the polynomial, which a search forms once and
+curve.pullback_lowest once per call; one helper, ``_key_sum``, sums the
+leading products of one group for given leading coefficients, in
+Python-int Gaussian arithmetic over a common denominator, into an
+unreduced (x, y, den).  It takes each power of a leading coefficient from
+a memo that the caller owns, keyed by the lead's fields and exponents, so
+a search forms each power once.  Three readers share it:
+``initial_coefficients`` (the reduced slice, for pullback_lowest),
+``slice_vanishes`` (for the type searches) and ``slice_positive_at`` (for
+the positivity search); the last two decide from the unreduced sums and
+build no scalar.  ``initial_form`` gives the terms grouped at one
+bidegree as the polynomial in the leading coefficients that they form,
+such as the balanced coefficient at ``balanced_key(d)``, which the type
+searches certify.  ``composite_truncation`` is the part of
+``_substitution_limit`` that comes from the polynomial alone, all of it
+for exact images.
 """
 
 from __future__ import annotations
@@ -185,10 +186,6 @@ class GaussianRational:
 
     def conjugate(self) -> "GaussianRational":
         return _make(self._a, -self._b, self._d)
-
-    def norm2(self) -> Fraction:
-        """|q|^2 as an exact non-negative rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_zero(self) -> bool:
         return not self._a and not self._b
@@ -627,62 +624,6 @@ class CPolynomial:
         return _from_terms(nvars_out, {k: _normal(x, y, den) for k, (x, y, den)
                                        in out.items() if x or y}, limit)
 
-    def leading_substitution(
-        self, images: Sequence["CPolynomial"]
-    ) -> "CPolynomial | None":
-        """The lowest homogeneous slice of self.substitute(images, 1), read
-        off the leading terms of one-variable images, or None when that
-        reading is not exact or not made.
-
-        Let image i have the single lowest term c_i * t^mu_i, holomorphic,
-        as every curve component is.  ``initial_rows`` collects the terms of
-        self of least weighted degree d under mu, grouped by bidegree, and
-        ``initial_coefficients`` sums their leading products, on raw ints
-        with a scalar only per nonzero bidegree, into the degree-d slice S
-        of the substitution; nothing lies below d.  So when S is nonzero
-        and d is at most the substitution's truncation
-        (``_substitution_limit``), S is its exact lowest slice, and the
-        result is S as a jet of order d.  None is returned when S cancels,
-        when d lies above that truncation, when self has no term left, or
-        when an image's lowest slice has more than one term or involves
-        conj(t).  The powers of the leading coefficients are memoised for
-        this one call.
-        """
-        if len(images) != self.nvars:
-            raise DimensionError(
-                f"expected {self.nvars} images, got {len(images)}"
-            )
-        if any(im.nvars != 1 for im in images):
-            raise DimensionError("leading substitution takes one-variable images")
-        # The lowest term of image i is cs[i] * t^mu[i]; images with no term
-        # have their bit set in dead.
-        mu, cs, dead = [], [], 0
-        for i, im in enumerate(images):
-            low, anti, lead = None, 0, ZERO
-            for (h, a), c in im.terms.items():
-                deg = h[0] + a[0]
-                if low is None or deg < low:
-                    low, anti, lead = deg, a[0], c
-                elif deg == low:
-                    return None
-            if anti:
-                return None
-            if low is None:
-                dead |= 1 << i
-            mu.append(low or 0)
-            cs.append(lead)
-        found = initial_rows(term_table(self), mu, dead)
-        if found is None:
-            return None
-        best, rows = found
-        limit = _substitution_limit(self, images)
-        if limit is not None and best > limit:
-            return None
-        out = initial_coefficients(rows, cs, {})
-        if not out:
-            return None
-        return _from_terms(1, out, best)
-
     def composite_truncation(self, order: int | None) -> int | None:
         """The truncation that self alone gives a substitution whose nonzero
         images vanish to least order ``order`` (None when every image is
@@ -758,6 +699,32 @@ def initial_rows(table: tuple, mu: Sequence[int], dead: int) -> "tuple[int, dict
         else:
             group.append(row)
     return best, rows
+
+
+def balanced_key(d: int):
+    """The balanced bidegree ((d/2,), (d/2,)) of a slice of degree d, where
+    the coefficient of |t|^d sits; for odd d, ((d-1)/2,) twice, a key of
+    degree d - 1 on which no row of ``initial_rows`` lands."""
+    return ((d // 2,), (d // 2,))
+
+
+def initial_form(rows: dict, key, nvars: int) -> "CPolynomial | None":
+    """The terms of the polynomial that ``initial_rows`` grouped at key, as
+    the exact polynomial in nvars variables that they form: the same terms,
+    in the same order, with the same coefficients.  Its value at the
+    leading coefficients c, each z^h * conj(z)^a read as c^h * conj(c)^a,
+    is the coefficient of the slice at key.  None when no row lands on
+    key."""
+    group = rows.get(key)
+    if group is None:
+        return None
+    terms = {}
+    for x, y, den, slots in group:
+        h, a = [0] * nvars, [0] * nvars
+        for i, e, f in slots:
+            h[i], a[i] = e, f
+        terms[(tuple(h), tuple(a))] = _make(x, y, den)
+    return _from_terms(nvars, terms, None)
 
 
 def _key_sum(group: list, coeffs: Sequence[GaussianRational], powers: dict):

@@ -17,6 +17,7 @@ import pathlib
 import sys
 
 from .expr import ExprSyntaxError
+from .fdb import ExpansionTooLargeError
 from .germ import NotRealError, SolveGraphError
 from .report import (COMMANDS, TOOL_VERSION, InputError, Option, ReportMismatchError, build_report,
                      machine_json, render_report, verify_report)
@@ -25,7 +26,8 @@ from .typecalc import VerificationFailedError
 
 _MACHINE_MARKER = "--- machine section (json) ---"
 # The typed errors of a run: bad input, and a check that failed.  Both exit 2.
-_INPUT_ERRORS = (InputError, ExprSyntaxError, NotRealError, SearchTooLargeError)
+_INPUT_ERRORS = (InputError, ExprSyntaxError, NotRealError, SearchTooLargeError,
+                 ExpansionTooLargeError)
 _CHECK_ERRORS = (ReportMismatchError, VerificationFailedError, SolveGraphError)
 
 

@@ -13,11 +13,14 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .algebra import (
+    ZERO,
     CPolynomial,
     DimensionError,
     GaussianRational,
     Order,
+    initial_coefficients,
     initial_rows,
+    term_table,
 )
 
 
@@ -33,35 +36,35 @@ class InsufficientJetError(ValueError):
     """The jet order is too low for the requested derivative."""
 
 
-def _as_component(p: CPolynomial) -> CPolynomial:
-    if p.nvars != 1:
-        raise DimensionError("curve components must be one-variable polynomials")
-    for (h, a) in p.terms:
-        if a[0] != 0:
-            raise ValueError("curve components must be holomorphic")
-        if h[0] == 0:
-            raise ValueError("curve components must vanish at t = 0")
-    return p
-
-
 @dataclass(frozen=True)
 class CurveJet:
     """A nonconstant holomorphic map germ (C,0) -> (C^n,0)."""
 
     components: tuple[CPolynomial, ...]
     _multiplicity: int = field(init=False, repr=False, compare=False)
+    _leading: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
             raise ConstantCurveError("curve must have at least one component")
-        orders = []
+        exps, lead = [], []
         for c in self.components:
-            _as_component(c)
-            if c.terms:
-                orders.append(min(h[0] for (h, _a) in c.terms))
-        if not orders:
+            if c.nvars != 1:
+                raise DimensionError("curve components must be one-variable polynomials")
+            low, first = 0, ZERO
+            for (h, a), coeff in c.terms.items():
+                if a[0] != 0:
+                    raise ValueError("curve components must be holomorphic")
+                if h[0] == 0:
+                    raise ValueError("curve components must vanish at t = 0")
+                if not low or h[0] < low:
+                    low, first = h[0], coeff
+            exps.append(low)
+            lead.append(first)
+        if not any(exps):
             raise ConstantCurveError("curve is identically zero")
-        object.__setattr__(self, "_multiplicity", min(orders))
+        object.__setattr__(self, "_multiplicity", min(filter(None, exps)))
+        object.__setattr__(self, "_leading", (tuple(exps), tuple(lead)))
 
     @staticmethod
     def from_coeffs(
@@ -98,8 +101,11 @@ class CurveJet:
         """Min order of vanishing across components; 1 means regular."""
         return self._multiplicity
 
-    def is_regular(self) -> bool:
-        return self.multiplicity() == 1
+    def leading_terms(self) -> tuple[tuple[int, ...], tuple[GaussianRational, ...]]:
+        """(exps, lead): component i starts with lead[i] * t^exps[i], and a
+        zero component has exps[i] = 0 and lead[i] = ZERO, as in the
+        search streams."""
+        return self._leading
 
     def truncate(self, order: int) -> "CurveJet":
         """The curve with every component truncated at order; order must be
@@ -161,18 +167,21 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
     holds only up to the truncation L that substitute gives pullback(p, z),
     since terms of p above its truncation, and terms of a jet component
     above its own, reach only degrees above L.  So S is accepted only when
-    d <= L (L is None when p and z are exact), and it is returned as a jet
-    of order d (CPolynomial.leading_substitution).
+    d <= L (L is None when p and z are exact).  For an exact z, whose
+    leading exponents and coefficients CurveJet forms once, leading_rows
+    and initial_coefficients give d and S, and S is returned as a jet of
+    order d; a jet z goes straight to the capped pullbacks below, which are
+    sound for any cap.
 
     Capped pullback.  When S cancels, the lowest surviving terms come from
     the later terms of the components, which only a substitution carries;
-    when d > L, pullback(p, z) knows no term at degree d.  Both cases take
-    this path.  Let z' be z with every component marked as a jet of order
-    C.  A term of degree > C that z' drops from a component only reaches
-    terms of degree > C of the pullback, and substitute records a
-    truncation T <= C for pullback(p, z') when p involves a variable (and
-    none for a constant p); z(0) = 0 keeps that sound when p is itself a
-    jet.  So every term of pullback(p, z') of degree <= T is the term of
+    when d > L, pullback(p, z) knows no term at degree d.  Both cases, and
+    every jet z, take this path.  Let z' be z with every component marked
+    as a jet of order C.  A term of degree > C that z' drops from a
+    component only reaches terms of degree > C of the pullback, and
+    substitute records a truncation T <= C for pullback(p, z') when p
+    involves a variable (and none for a constant p); z(0) = 0 keeps that
+    sound when p is itself a jet.  So every term of pullback(p, z') of degree <= T is the term of
     pullback(p, z).  Hence if pullback(p, z') has a term, its lowest one is
     the lowest term of pullback(p, z), whatever C is.  The cap starts at C
     = 4*mult(z) + 1 and, while pullback(p, z') has no term, grows to 2C + 1
@@ -206,9 +215,14 @@ def pullback_lowest(p: CPolynomial, z: CurveJet) -> CPolynomial:
         raise DimensionError(
             f"polynomial has {p.nvars} variables, curve has {z.nvars}"
         )
-    u = p.leading_substitution(z.components)
-    if u is not None:
-        return u
+    if z.truncation is None:
+        exps, lead = z.leading_terms()
+        found = leading_rows(p, term_table(p), exps)
+        if found is not None:
+            d, rows = found
+            s = initial_coefficients(rows, lead, {})
+            if s:
+                return CPolynomial(1, s, d)
     cap = 4 * z.multiplicity() + 1
     u = pullback(p, z.truncate(cap))
     if u.terms:
@@ -230,12 +244,15 @@ def leading_rows(p: CPolynomial, table: tuple, exps: Sequence[int]) -> tuple[int
     """The leading-slice rule of pullback_lowest for every exact curve whose
     component i starts with c_i * t^exps[i] (exps[i] = 0: component i is
     zero), computed once for all of them from table = term_table(p), which
-    a search forms once: (d, rows) from algebra.initial_rows, rows grouped
-    by bidegree, so that initial_coefficients(rows, c, powers) is the
-    degree-d slice S of a curve with leading coefficients c, and
-    slice_vanishes and slice_positive_at read it without reducing a sum.
-    When S is nonzero it is the lowest slice of the pullback and d its
-    order.
+    a search forms once and pullback_lowest once per curve: (d, rows) from
+    algebra.initial_rows, rows grouped by bidegree, so that
+    initial_coefficients(rows, c, powers) is the degree-d slice S of a
+    curve with leading coefficients c, slice_vanishes and
+    slice_positive_at read it without reducing a sum, and initial_form
+    gives the polynomial in c at one bidegree.  When S is nonzero it is
+    the lowest slice of the pullback and d its order.  This is the one
+    reader of the leading slice of p; CurveJet.leading_terms gives a
+    curve's exps and c.
 
     None when the rule decides no such curve: when no term of p survives
     the zero components, or when d lies above the truncation L =

@@ -222,15 +222,6 @@ def parse_expression(
     return out
 
 
-def parse_t_polynomial(text: str) -> CPolynomial:
-    """Parse a one-variable polynomial in t."""
-    parser = _Parser(_tokenize(text), 1, "t")
-    out = parser.expr()
-    if not parser.at_end():
-        raise ExprSyntaxError("trailing input", parser.peek()[2])
-    return out
-
-
 def parse_curve(text: str, nvars: int | None = None) -> CurveJet:
     """Parse a parenthesized tuple of t-polynomials like "(t^3, t^2, 0)"."""
     tokens = _tokenize(text)

@@ -5,8 +5,10 @@ operator d/dt d/dtbar applied to g(z(t)) at 0 expands over pairs of set
 partitions of the k holomorphic and k antiholomorphic derivative strokes.
 Each pair contributes a symmetric multilinear derivative form of g evaluated
 on curve derivative vectors, one per block.  Terms are grouped by block-size
-multisets with multiplicative counts, which keeps moderate k tractable; an
-explicit set-partition enumerator doubles as a test oracle for small k.
+multisets with multiplicative counts, which keeps moderate k tractable: the
+table of order k holds P(k)^2 terms, P(k) the number of partitions of k, and
+check_expansion_size refuses a k whose table would hold more than
+MAX_EXPANSION_TERMS before anything is built.
 """
 
 from __future__ import annotations
@@ -163,6 +165,28 @@ def integer_partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+# The largest expansion table fdb-verify builds: k = 17 gives 297^2 =
+# 88,209 terms, formed in about a second; k = 18 gives 148,225.
+MAX_EXPANSION_TERMS = 100_000
+
+
+class ExpansionTooLargeError(ValueError):
+    """An order k whose expansion table is above MAX_EXPANSION_TERMS."""
+
+
+def check_expansion_size(k: int) -> None:
+    """Raise ExpansionTooLargeError when expansion_table(k) would hold more
+    than MAX_EXPANSION_TERMS terms.  It counts the P(n)^2 terms of each
+    order n = 1, 2, ..., k in turn from the partitions of n, and stops at
+    the first order above the limit: P grows with n, so the partitions of
+    a large k are never formed."""
+    for n in range(1, k + 1):
+        if len(integer_partitions(n)) ** 2 > MAX_EXPANSION_TERMS:
+            raise ExpansionTooLargeError(
+                f"expansion too large: --k {k} gives more than {MAX_EXPANSION_TERMS} "
+                f"expansion terms")
+
+
 def partition_count(k: int, sizes) -> int:
     """Number of set partitions of {1..k} with the given block-size multiset:
     k! / (prod sizes! * prod multiplicity!)."""
@@ -177,19 +201,6 @@ def partition_count(k: int, sizes) -> int:
     count, rem = divmod(factorial(k), denom)
     assert rem == 0
     return count
-
-
-def set_partitions(items: tuple) -> list[list[tuple]]:
-    """Explicit enumeration of set partitions; test oracle for small sets."""
-    if not items:
-        return [[]]
-    first, rest = items[0], items[1:]
-    out = []
-    for sub in set_partitions(rest):
-        for i in range(len(sub)):
-            out.append(sub[:i] + [(first,) + sub[i]] + sub[i + 1 :])
-        out.append([(first,)] + sub)
-    return out
 
 
 class ExpansionTerm(NamedTuple):
@@ -248,26 +259,6 @@ def laplacian_power_forms(g: CPolynomial, z: CurveJet, k: int,
         if value.is_zero():
             continue
         total = total + value * GaussianRational(term.count)
-    return total
-
-
-def laplacian_power_forms_enumerated(g: CPolynomial, z: CurveJet, k: int) -> GaussianRational:
-    """Same value by brute-force enumeration of individual set partitions;
-    independent oracle, practical for k <= 6."""
-    _check_jets(g, z, k)
-    forms = derive_forms(g, 2 * k)
-    dvec = {j: z.derivative_vector(j) for j in range(1, k + 1)}
-    strokes = tuple(range(k))
-    total = ZERO
-    all_parts = set_partitions(strokes)
-    for pi in all_parts:
-        for sigma in all_parts:
-            form = forms.get((len(pi), len(sigma)))
-            if form is None:
-                continue
-            holo_vecs = [dvec[len(block)] for block in pi]
-            anti_vecs = [dvec[len(block)] for block in sigma]
-            total = total + form.apply(holo_vecs, anti_vecs)
     return total
 
 

@@ -33,6 +33,7 @@ from .algebra import (
     ZERO,
     CPolynomial,
     GaussianRational,
+    balanced_key,
     key_conjugate,
     key_degree,
     key_is_pure,
@@ -107,14 +108,6 @@ def validate(r: CPolynomial) -> DefiningFunction:
     if df.linear.is_zero():
         raise NoLinearPartError("defining function must have dr(0) != 0")
     return df
-
-
-def decompose_pure_mixed(jk: CPolynomial) -> tuple[CPolynomial, CPolynomial]:
-    """Write jk = 2Re(h) + g with h holomorphic (dh(0) != 0) and g mixed-only."""
-    pure, mixed = jk.pure_mixed_split()
-    h = pure.holomorphic_part()
-    _check_holomorphic_half(pure, h)
-    return h, mixed
 
 
 def _check_holomorphic_half(pure: CPolynomial, h: CPolynomial) -> None:
@@ -513,8 +506,8 @@ def _suspect_rows(g: CPolynomial, table: tuple, exps: tuple[int, ...]):
         return None
     d, rows = found
     # A pass is read off the balanced coefficient alone; for odd d no row
-    # lands on mid, which has degree d - 1.
-    mid = ((d // 2,), (d // 2,))
+    # lands on mid.
+    mid = balanced_key(d)
     return None if slice_torus_positive(rows, mid) else (rows, mid)
 
 
@@ -644,7 +637,7 @@ def _restricted_jets(r: DefiningFunction, k_min: int, k_max: int):
     commutes with the pure/mixed split and with taking the holomorphic
     part, which keep or drop each term by its key alone, so the k-jet's h
     and mixed part are the degree-<= k filters of the frame's, and the
-    checks of decompose_pure_mixed on the whole hold for every such jet.
+    checks of _check_holomorphic_half on the whole hold for every such jet.
     Under the exact rule the restricted k-jet is thus the degree-<= k
     filter of the frame's g.
 

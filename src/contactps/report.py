@@ -51,6 +51,7 @@ from .algebra import CPolynomial, GaussianRational, Order
 from .curve import CurveJet, contact_order, laplacian_power, pullback
 from .expr import format_curve, format_polynomial, parse_curve, parse_problem
 from .fdb import (
+    check_expansion_size,
     derive_forms,
     expansion_table,
     laplacian_power_forms,
@@ -410,6 +411,7 @@ def _cmd_fdb_verify(an: GermAnalysis):
         raise InputError(f"--k must be at least 1, got {k}")
     if trials < 1:
         raise InputError(f"--trials must be at least 1, got {trials}")
+    check_expansion_size(k)
     rng = random.Random(seed)
     matched = 0
     for _ in range(trials):

@@ -282,19 +282,14 @@ _CANON_SCALES = SEED_COEFFS + tuple(GaussianRational(a, b) for a in (1, -1) for 
 def canonicalize_curve(z: CurveJet) -> CurveJet:
     """Normalize a witness modulo reparametrization t -> lam*t.
 
-    Picks the lowest (degree, component) nonzero coefficient and rescales t,
-    when a suitable Gaussian-rational lam exists, to make it 1.  Positivity
-    verdicts are invariant under this rescaling.
+    Picks the leading coefficient of the first component of least order
+    (CurveJet.leading_terms) and rescales t, when a suitable
+    Gaussian-rational lam exists, to make it 1.  Positivity verdicts are
+    invariant under this rescaling.
     """
-    best = None
-    for i, comp in enumerate(z.components):
-        for (h, _a), c in comp.terms.items():
-            key = (h[0], i)
-            if best is None or key < best[0]:
-                best = (key, c)
-    if best is None:
-        return z
-    (deg, _i), coeff = best
+    exps, lead = z.leading_terms()
+    deg = z.multiplicity()
+    coeff = lead[exps.index(deg)]
     if coeff == ONE:
         return z
     for lam in _CANON_SCALES:

@@ -29,16 +29,19 @@ multiplicity filter is skipped unread.
 
 Rule 1 (a positive balanced coefficient).  When no bidegree holds a single
 row but d is even, the coefficient of the slice at the balanced bidegree
-(d/2, d/2) is P(c) = sum g_{h,a} c^h conj(c)^a over the terms of g with
-h.mu = a.mu = d/2 and no exponent on a zero component, c the leading
-coefficients.  g is real, g_{a,h} = conj(g_{h,a}), and the condition is
-symmetric in h and a, so P is real; h.mu = a.mu = d/2 > 0 puts an exponent
-on both sides, so P is mixed-only.  If gram_certificate(P) is certified, P
-= sum w_k |f_k|^2 with w_k > 0, and if one f_k is a single term c' z^m,
-that square is > 0 wherever the components in m are nonzero, the others
->= 0; m uses only components of P, all present.  So P(c) > 0 for every
-candidate of the tuple (torus_positive), its slice does not cancel,
-and the tuple scores d/mult unread, as above.
+(d/2, d/2) (algebra.balanced_key) is P(c) = sum g_{h,a} c^h conj(c)^a over
+the terms of g with h.mu = a.mu = d/2 and no exponent on a zero component,
+c the leading coefficients: the rows at that key, read back as a
+polynomial by algebra.initial_form.  g is real, g_{a,h} = conj(g_{h,a}),
+and the condition is symmetric in h and a, so P is real; h.mu = a.mu =
+d/2 > 0 puts an exponent on both sides, so P is mixed-only.  If
+gram_certificate(P) is certified, P = sum w_k |f_k|^2 with w_k > 0, and
+if one f_k is a single term c' z^m, that square is > 0 wherever the
+components in m are nonzero, the others >= 0; m uses only components of
+P, all present.  So P(c) > 0 for every candidate of the tuple
+(torus_positive), its slice does not cancel, and the tuple scores d/mult
+unread, as above.  For odd d no row lands on the balanced key, and rule
+1 decides nothing.
 
 Otherwise slice_vanishes decides whether each candidate's slice cancels, in
 Python-int Gaussian arithmetic with no scalar object at all, taking the
@@ -87,7 +90,8 @@ from itertools import count
 from math import lcm
 from typing import NamedTuple
 
-from .algebra import ONE, ZERO, CPolynomial, GaussianRational, Order, slice_vanishes, term_table
+from .algebra import (ONE, ZERO, CPolynomial, GaussianRational, Order, balanced_key, initial_form,
+                      slice_vanishes, term_table)
 from .curve import CurveJet, contact_order, leading_rows, pullback, ps_test_single
 from .germ import (
     DefiningFunction,
@@ -748,7 +752,7 @@ def _leading_score(g: CPolynomial, table: tuple, exps: tuple[int, ...], mult: in
     if found is None:
         return None, mult, None
     d, rows = found
-    if 1 in map(len, rows.values()) or _balanced_positive(g, exps, d, certify):
+    if 1 in map(len, rows.values()) or _balanced_positive(rows, d, g.nvars, certify):
         rows = None
     return d, mult, rows
 
@@ -769,20 +773,12 @@ def torus_positive(p: CPolynomial, certify) -> bool:
     return cert.verdict == "certified" and any(len(f.terms) == 1 for _w, f in cert.squares)
 
 
-def _balanced_positive(g: CPolynomial, exps: tuple[int, ...], d: int, certify) -> bool:
-    """Whether the balanced coefficient of the leading slice, P(c) = sum
-    g_{h,a} c^h conj(c)^a over the terms of g with h.mu = a.mu = d/2 and
-    no exponent on a zero component, is > 0 at every c with no zero entry
-    among the present components."""
-    if d % 2:
-        return False
-    half = d // 2
-    dead = [i for i, e in enumerate(exps) if not e]
-    terms = {(h, a): c for (h, a), c in g.terms.items()
-             if not any(h[i] or a[i] for i in dead)
-             and sum(e * m for e, m in zip(h, exps)) == half
-             and sum(e * m for e, m in zip(a, exps)) == half}
-    return torus_positive(CPolynomial(g.nvars, terms), certify)
+def _balanced_positive(rows: dict, d: int, nvars: int, certify) -> bool:
+    """Whether the balanced coefficient of the leading slice with rows,
+    P = algebra.initial_form at balanced_key(d), is torus_positive under
+    certify (rule 1); for odd d no row lands on that key."""
+    p = initial_form(rows, balanced_key(d), nvars)
+    return p is not None and torus_positive(p, certify)
 
 
 def sing_type_search(gf: GraphForm, budget: SearchBudget,

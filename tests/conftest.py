@@ -7,7 +7,7 @@ from operator import add, mul
 
 import pytest
 
-from contactps import germ
+from contactps import fdb, germ
 from contactps.algebra import (
     ONE,
     ZERO,
@@ -97,6 +97,21 @@ def leading_rows_reference(p, exps):
     if limit is not None and best > limit:
         return None
     return best, rows
+
+
+def initial_form_reference(p, exps, key):
+    """The typecalc._balanced_positive that formed the balanced coefficient
+    from all of p's terms, generalized to any key ((hd,), (ad,)): the terms
+    of p with h.mu = hd, a.mu = ad and no exponent on a zero component
+    (exps[i] = 0), in p's order, as an exact polynomial; None when no term
+    is left."""
+    (hd,), (ad,) = key
+    dead = [i for i, e in enumerate(exps) if not e]
+    terms = {(h, a): c for (h, a), c in p.terms.items()
+             if not any(h[i] or a[i] for i in dead)
+             and sum(e * m for e, m in zip(h, exps)) == hd
+             and sum(e * m for e, m in zip(a, exps)) == ad}
+    return CPolynomial(p.nvars, terms) if terms else None
 
 
 def _mul_terms_reference(out, left, right, limit):
@@ -320,6 +335,16 @@ def gram_certificate_reference(g):
     return germ.PSCertificate("inconclusive", "gram", indefinite_direction=direction)
 
 
+def decompose_pure_mixed(jk):
+    """Write jk = 2Re(h) + g with h holomorphic (dh(0) != 0) and g
+    mixed-only: the split that germ.py forms once per frame, checked by
+    germ._check_holomorphic_half."""
+    pure, mixed = jk.pure_mixed_split()
+    h = pure.holomorphic_part()
+    germ._check_holomorphic_half(pure, h)
+    return h, mixed
+
+
 def _per_order_reference(k_min, k_max, bounds, split):
     """Solve, restrict and certify every jet order k anew, on the (h, g)
     that split(k) gives, and combine the verdicts."""
@@ -347,7 +372,7 @@ def germ_ps_check_reference(r, k_min, k_max, bounds):
     order k, read the jet as an exact polynomial and split it into (h, g)
     anew for every k."""
     normalized = r.r.substitute(germ._linear_images(r), r.nvars)
-    return _per_order_reference(k_min, k_max, bounds, lambda k: germ.decompose_pure_mixed(
+    return _per_order_reference(k_min, k_max, bounds, lambda k: decompose_pure_mixed(
         CPolynomial(normalized.nvars, normalized.truncate(k).terms)))
 
 
@@ -360,7 +385,7 @@ def germ_ps_check_per_order_reference(r, k_min, k_max, bounds):
     if not (2 <= k_min <= k_max):
         raise ValueError("need 2 <= k_min <= k_max")
     normalized = r.r.substitute(germ._linear_images(r), r.nvars)
-    h, g = germ.decompose_pure_mixed(CPolynomial(normalized.nvars, normalized.terms))
+    h, g = decompose_pure_mixed(CPolynomial(normalized.nvars, normalized.terms))
     return _per_order_reference(k_min, k_max, bounds, lambda k: (
         h.select(lambda key: key_degree(key) <= k), g.select(lambda key: key_degree(key) <= k)))
 
@@ -377,6 +402,38 @@ def normalize_to_graph_reference(r, K):
     graph = tuple(CPolynomial.variable(n - 1, j) for j in range(n - 1)) + (phi,)
     lift = tuple(im.substitute(graph, n - 1) for im in images)
     return normalized.substitute(graph, n - 1), images, graph, lift
+
+
+def set_partitions(items):
+    """Every set partition of items, as a list of blocks."""
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    out = []
+    for sub in set_partitions(rest):
+        for i in range(len(sub)):
+            out.append(sub[:i] + [(first,) + sub[i]] + sub[i + 1:])
+        out.append([(first,)] + sub)
+    return out
+
+
+def laplacian_power_forms_enumerated(g, z, k):
+    """fdb.laplacian_power_forms for exact g and z, by brute-force
+    enumeration of the individual set partitions of the k strokes on each
+    side instead of grouped block-size multisets; practical for k <= 6."""
+    forms = fdb.derive_forms(g, 2 * k)
+    dvec = {j: z.derivative_vector(j) for j in range(1, k + 1)}
+    total = ZERO
+    all_parts = set_partitions(tuple(range(k)))
+    for pi in all_parts:
+        for sigma in all_parts:
+            form = forms.get((len(pi), len(sigma)))
+            if form is None:
+                continue
+            holo_vecs = [dvec[len(block)] for block in pi]
+            anti_vecs = [dvec[len(block)] for block in sigma]
+            total = total + form.apply(holo_vecs, anti_vecs)
+    return total
 
 
 def multilinear_apply_reference(form, holo_vectors, anti_vectors):

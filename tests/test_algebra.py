@@ -47,7 +47,7 @@ class TestGaussianRational:
 
     def test_norm_and_pow(self):
         a = gr(3, 4)
-        assert a.norm2() == 25
+        assert a * a.conjugate() == gr(25)
         assert a ** 0 == ONE
         assert a ** 3 == a * a * a
         assert I_UNIT ** 2 == gr(-1)

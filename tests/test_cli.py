@@ -1071,6 +1071,20 @@ def test_a_search_too_large_to_enumerate_is_an_input_error(tmp_path, source, arg
     assert run.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", ["18", "40", "1000000000"])
+def test_an_expansion_too_large_to_build_is_an_input_error(k):
+    """fdb-verify refuses an order k whose expansion table holds more than
+    fdb.MAX_EXPANSION_TERMS terms (P(k)^2, P(k) the number of partitions
+    of k) with one line and exit 2, before building it, within a memory
+    limit and a timeout that building it would break."""
+    env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", _CAPPED_SCRIPT, "fdb-verify", "--k", k,
+                          "--trials", "1"], capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (f"input error: expansion too large: --k {k} gives more than 100000 "
+                          "expansion terms\n")
+
+
 def test_a_cli_run_does_not_load_openssl(tmp_path):
     """report --all hashes its input with CPython's built-in SHA-256, so a
     CLI process never imports hashlib, which loads OpenSSL's libcrypto."""

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactps import curve
-from contactps.algebra import CPolynomial, GaussianRational, ONE, term_table
+from contactps.algebra import (ONE, ZERO, CPolynomial, GaussianRational, balanced_key,
+                               initial_coefficients, initial_form, term_table)
 from contactps.curve import (
     ConstantCurveError,
     CurveJet,
@@ -24,7 +25,7 @@ from contactps.curve import (
 from contactps.expr import parse_curve, parse_expression, parse_problem
 from contactps.search import exponent_tuples
 
-from conftest import gr, leading_rows_reference, random_poly
+from conftest import gr, initial_form_reference, leading_rows_reference, random_poly
 
 
 def test_constant_curve_rejected():
@@ -50,8 +51,7 @@ def test_components_must_be_holomorphic_and_vanish():
 def test_multiplicity_ignores_zero_components():
     z = parse_curve("(t^3, 0, t^2)")
     assert z.multiplicity() == 2
-    assert not z.is_regular()
-    assert parse_curve("(t, t^5)").is_regular()
+    assert parse_curve("(t, t^5)").multiplicity() == 1
 
 
 def test_derivative_vector_is_factorial_times_coefficient():
@@ -209,6 +209,15 @@ def _same_lowest(fast: CPolynomial, exact: CPolynomial) -> None:
         assert fast.homogeneous_slice(d).terms == exact.homogeneous_slice(d).terms
 
 
+def _leading_slice(g: CPolynomial, z: CurveJet):
+    """The lowest slice that leading_rows and initial_coefficients read off
+    the leading terms of z, or None when they give none: no row, d above
+    the truncation, or a slice that cancels."""
+    exps, lead = z.leading_terms()
+    found = leading_rows(g, term_table(g), exps)
+    return None if found is None else initial_coefficients(found[1], lead, {}) or None
+
+
 def _count_pullbacks(monkeypatch) -> list:
     calls = []
 
@@ -246,7 +255,7 @@ class TestPullbackLowest:
         g = parse_expression("abs2(z1 + z2^2)", 2)
         for z, caps in (("(-t^2 + t^9 + t^20, t)", [5, 11, 23]), ("(-t^2 + t^9, t)", [5, 11, None])):
             z = parse_curve(z)
-            assert g.leading_substitution(z.components) is None
+            assert _leading_slice(g, z) is None
             calls = _count_pullbacks(monkeypatch)
             u = pullback_lowest(g, z)
             assert [w.truncation for w in calls] == caps and calls[-1].truncation == u.truncation
@@ -265,7 +274,7 @@ class TestPullbackLowest:
         # gives the pullback order 5, which the cap 4*1 + 1 reaches.
         g = parse_expression("abs2(z1 + z2^2) + 2*Re(z1*conj(z2)^3)", 2)
         z = parse_curve("(-t^2 + t^9, t)")
-        assert g.leading_substitution(z.components) is None
+        assert _leading_slice(g, z) is None
         calls = _count_pullbacks(monkeypatch)
         u = pullback_lowest(g, z)
         assert len(calls) == 1 and u.truncation == 5
@@ -295,11 +304,16 @@ class TestPullbackLowest:
         (parse_expression("abs2(z1)", 1),
          CurveJet.from_coeffs([{2: ONE}], truncation=2)),
     ])
-    def test_leading_slice_above_the_jet_order_is_not_accepted(self, g, z):
-        assert g.leading_substitution(z.components) is None
+    def test_leading_slice_above_the_jet_order_is_not_accepted(self, monkeypatch, g, z):
+        # A jet curve takes the capped pullbacks without reading its
+        # leading terms; an exact one reads no slice above the truncation.
+        if z.truncation is None:
+            assert _leading_slice(g, z) is None
         exact = pullback(g, z)
         assert exact.order_of_vanishing().kind == "at_least"
+        calls = _count_pullbacks(monkeypatch)
         assert pullback_lowest(g, z).order_of_vanishing() == exact.order_of_vanishing()
+        assert calls
 
 
 _TABLE_COEFFS = st.sampled_from([gr(1), gr(-1), gr(2), gr(0, 1), gr(Fraction(1, 2), -1),
@@ -356,6 +370,49 @@ def test_table_rows_match_the_reference():
     assert reached == {"row", "no row", "above truncation", "dead component"}
 
 
+def test_initial_form_matches_the_reference():
+    """The initial form at every key of the leading rows, and at the
+    balanced key, equals the reference filter over the terms of p: the
+    same terms in the same order, with the same coefficients, and None
+    where no term lands, for every exponent tuple up to degree 4."""
+    reached = set()
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(p=table_polys())
+    def every_tuple(p):
+        table = term_table(p)
+        for exps in exponent_tuples(p.nvars, 4):
+            found = leading_rows(p, table, exps)
+            if found is None:
+                continue
+            d, rows = found
+            for key in [*rows, balanced_key(d)]:
+                form = initial_form(rows, key, p.nvars)
+                ref = initial_form_reference(p, exps, key)
+                if ref is None:
+                    assert form is None
+                    reached.add("none")
+                    continue
+                assert list(form.terms.items()) == list(ref.terms.items())
+                assert form.truncation is None
+                reached.add("form")
+
+    every_tuple()
+    assert reached == {"form", "none"}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_leading_terms_are_the_least_term_of_each_component(data, nvars):
+    z = data.draw(curves(nvars))
+    exps, lead = z.leading_terms()
+    for i, c in enumerate(z.components):
+        low = min((h[0] for (h, _a) in c.terms), default=0)
+        assert exps[i] == low
+        assert lead[i] == (c.coeff(((low,), (0,))) if low else ZERO)
+    assert z.multiplicity() == min(e for e in exps if e)
+
+
 @st.composite
 def cancelling_germs(draw, z):
     """(f * h, f) where f = C_b * z_i^mu_j - C_a * z_j^mu_i for two nonzero
@@ -384,6 +441,6 @@ def test_pullback_lowest_matches_pullback_when_the_leading_slice_cancels(data, n
     z = data.draw(curves(nvars, spread=3))
     assume(sum(1 for c in z.components if c.terms) >= 2)
     g, f = data.draw(cancelling_germs(z))
-    assert f.leading_substitution(z.components) is None
-    assert g.leading_substitution(z.components) is None
+    assert _leading_slice(f, z) is None
+    assert _leading_slice(g, z) is None
     _same_lowest(pullback_lowest(g, z), pullback(g, z))

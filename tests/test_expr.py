@@ -11,7 +11,6 @@ from contactps.expr import (
     parse_curve,
     parse_expression,
     parse_problem,
-    parse_t_polynomial,
 )
 
 from conftest import gr, random_poly
@@ -185,6 +184,6 @@ def test_problem_files():
 
 
 def test_t_polynomials():
-    p = parse_t_polynomial("t^2 - 2*t")
+    p, = parse_curve("(t^2 - 2*t)").components
     assert p.coeff(((2,), (0,))) == gr(1)
     assert p.coeff(((1,), (0,))) == gr(-2)

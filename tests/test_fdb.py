@@ -10,22 +10,29 @@ from hypothesis import strategies as st
 from contactps.curve import laplacian_power, pullback
 from contactps.expr import parse_curve, parse_expression
 from contactps.fdb import (
+    MAX_EXPANSION_TERMS,
+    ExpansionTooLargeError,
     MultilinearForm,
     MultiplicityMismatchError,
     _orderings,
+    check_expansion_size,
     derive_forms,
     expansion_table,
     filtered_expansion,
     integer_partitions,
     laplacian_power_forms,
-    laplacian_power_forms_enumerated,
     partition_count,
     random_real_polynomial,
-    set_partitions,
 )
 from contactps.search import SearchBudget, random_curves
 
-from conftest import gr, multilinear_apply_reference, random_real_polynomial_reference
+from conftest import (
+    gr,
+    laplacian_power_forms_enumerated,
+    multilinear_apply_reference,
+    random_real_polynomial_reference,
+    set_partitions,
+)
 
 
 class TestPartitionCombinatorics:
@@ -185,6 +192,15 @@ class TestFilteredExpansion:
         g = parse_expression("abs2(z1)^2", 2)
         with pytest.raises(MultiplicityMismatchError):
             filtered_expansion(g, parse_curve("(t^2, 0)"), m=3)
+
+
+def test_the_expansion_size_limit_falls_between_17_and_18():
+    """expansion_table(k) holds P(k)^2 terms: 297^2 at k = 17, within
+    MAX_EXPANSION_TERMS, and 385^2 at k = 18, above it."""
+    assert len(integer_partitions(17)) ** 2 <= MAX_EXPANSION_TERMS < len(integer_partitions(18)) ** 2
+    check_expansion_size(17)
+    with pytest.raises(ExpansionTooLargeError):
+        check_expansion_size(18)
 
 
 def test_expansion_table_is_formed_once_per_order():

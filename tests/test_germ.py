@@ -16,7 +16,6 @@ from contactps.germ import (
     NoLinearPartError,
     NonzeroConstantError,
     NotRealError,
-    decompose_pure_mixed,
     germ_ps_check,
     gram_certificate,
     normalize_to_graph,
@@ -28,6 +27,7 @@ from contactps.germ import (
 from contactps.search import SearchBudget, canonicalize_curve, monomial_choices
 
 from conftest import (
+    decompose_pure_mixed,
     germ_ps_check_per_order_reference,
     germ_ps_check_reference,
     gr,

@@ -48,6 +48,11 @@ than an external linter.
   are called (or passed on) only inside `GermAnalysis`: every command reads
   its frames and certificates off its analysis, so none wires its own
   again.
+- Every top-level function and class in `src/contactps`, and every method,
+  is reachable by name from `cli.main` and the code that runs at import
+  (which holds `report.COMMANDS` and its handlers), or is on UNREACHED with
+  its reason; a name looked up by a string would need an entry too.  The
+  walk follows names only, so it over-approximates what runs.
 """
 
 import ast
@@ -427,3 +432,73 @@ def test_report_frames_and_certifies_only_in_its_analysis():
     tree = ast.parse((SRC / "report.py").read_text(encoding="utf-8"))
     assert "GermAnalysis" in {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
     assert _uses_outside_class(tree, ANALYSIS_ONLY, "GermAnalysis") == []
+
+
+# The definitions in src that no command reaches, each with its reason.
+UNREACHED = {
+    "typecalc._candidates": "the type searches' stream curve by curve; tests compare "
+                            "_best_contact with it, and it keeps the imports of the curve "
+                            "streams that bench/spans.py wraps (ROADMAP item 19)",
+    "germ._ps_candidates": "ps_search's stream curve by curve; tests compare ps_search with it, "
+                           "and it keeps the imports that bench/spans.py wraps (item 19)",
+    "search.monomial_curves": "a curve stream that bench/micro.py times and bench/spans.py "
+                              "wraps (item 19)",
+    "search.cancellation_scan_curves": "a curve stream that bench/micro.py times and "
+                                       "bench/spans.py wraps (item 19)",
+    "fdb.filtered_expansion": "the paper's filtered expansion, checked by test_acceptance; "
+                              "fdb-verify is to run it (item 14)",
+    "fdb.FilteredExpansion": "the result of fdb.filtered_expansion (item 14)",
+    "fdb.MultiplicityMismatchError": "raised by fdb.filtered_expansion (item 14)",
+}
+
+
+def _names_read(nodes) -> set[str]:
+    """Every name that nodes read: names, attributes and imported names."""
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def _unreached_definitions() -> set[str]:
+    """The module.name and module.Class.method of src that the names read
+    from cli.main and from the statements that run at import (not the
+    imports) do not reach.  A reached class brings its bases, decorators,
+    class-level statements and dunder methods; any other method is reached
+    when its name is read anywhere reached."""
+    defs, roots = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            qual = f"{path.stem}.{getattr(node, 'name', '')}"
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append((qual, [node]))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                dunders = [m for m in methods if m.name.startswith("__") and m.name.endswith("__")]
+                body = [*node.bases, *node.keywords, *node.decorator_list, *dunders,
+                        *(stmt for stmt in node.body if stmt not in methods)]
+                defs.setdefault(node.name, []).append((qual, body))
+                for m in methods:
+                    if m not in dunders:
+                        defs.setdefault(m.name, []).append((f"{qual}.{m.name}", [m]))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.append(node)
+    reached, seen = set(), set()
+    todo = _names_read(roots) | {"main"}
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for qual, body in defs.get(name, ()):
+            reached.add(qual)
+            todo |= _names_read(body) - seen
+    return {qual for entries in defs.values() for qual, _body in entries} - reached
+
+
+def test_every_definition_is_reached_from_a_command():
+    assert _unreached_definitions() == set(UNREACHED)

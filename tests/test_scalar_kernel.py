@@ -61,8 +61,7 @@ def test_construction_and_unary_ops(p):
     _agrees(x, p)
     _agrees(-x, (-p[0], -p[1]))
     _agrees(x.conjugate(), (p[0], -p[1]))
-    assert x.norm2() == p[0] * p[0] + p[1] * p[1]
-    assert type(x.norm2()) is Fraction
+    _agrees(x * x.conjugate(), (p[0] * p[0] + p[1] * p[1], 0))
     assert x.is_zero() == (p == (0, 0))
     assert x.is_real() == (p[1] == 0)
     assert x.is_positive_real() == (p[1] == 0 and p[0] > 0)

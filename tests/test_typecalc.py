@@ -893,7 +893,8 @@ def test_rule_1_decides_no_class_with_a_cancelling_candidate(squares, negative):
         ((exps, scan_vectors(exps, 1)) for exps, _count in cancellation_scan_choices(2, 4, 1)))
     for exps, vectors in groups:
         found = leading_rows(g, table, exps)
-        if found is None or not typecalc._balanced_positive(g, exps, found[0], gram_certificate):
+        if found is None or not typecalc._balanced_positive(found[1], found[0], g.nvars,
+                                                            gram_certificate):
             continue
         d, rows = found
         mult = min(e for e in exps if e)
@@ -910,10 +911,11 @@ def test_rule_1_keeps_the_cancelling_class_of_crit5_m2():
     |c1 + c2^2|^2, which cancels: rule 1 leaves it undecided, and the search
     still finds a curve of that class with zero pullback."""
     g = _SEARCH_GERMS["crit5_m2"]()
-    d, _mult, rows = typecalc._leading_score(g, algebra.term_table(g), (2, 1), 1,
-                                             gram_certificate)
+    table = algebra.term_table(g)
+    d, _mult, rows = typecalc._leading_score(g, table, (2, 1), 1, gram_certificate)
     assert d == 4 and rows is not None
-    assert not typecalc._balanced_positive(g, (2, 1), 4, gram_certificate)
+    assert not typecalc._balanced_positive(leading_rows(g, table, (2, 1))[1], 4, g.nvars,
+                                           gram_certificate)
     res = _best_contact(g, _FALSIFY, 4, gram_certificate)
     assert res.kind == "infinite" and format_curve(res.witness) == "(t^2, i*t)"
     assert pullback(g, res.witness).is_zero()
