@@ -911,11 +911,10 @@ def test_rule_1_keeps_the_cancelling_class_of_crit5_m2():
     |c1 + c2^2|^2, which cancels: rule 1 leaves it undecided, and the search
     still finds a curve of that class with zero pullback."""
     g = _SEARCH_GERMS["crit5_m2"]()
-    table = algebra.term_table(g)
-    d, _mult, rows = typecalc._leading_score(g, table, (2, 1), 1, gram_certificate)
+    d, _mult, rows = typecalc._leading_score(g, algebra.term_table(g), (2, 1), 1,
+                                             gram_certificate)
     assert d == 4 and rows is not None
-    assert not typecalc._balanced_positive(leading_rows(g, table, (2, 1))[1], 4, g.nvars,
-                                           gram_certificate)
+    assert not typecalc._balanced_positive(rows, d, g.nvars, gram_certificate)
     res = _best_contact(g, _FALSIFY, 4, gram_certificate)
     assert res.kind == "infinite" and format_curve(res.witness) == "(t^2, i*t)"
     assert pullback(g, res.witness).is_zero()
