@@ -7,6 +7,9 @@ command line: the run's exit code and three SHA-256 digests, of its
 runs, the `--json` one first).  The inputs are the 19 corpus files, the
 malformed inputs of tests/test_cli.py and a seeded slice of the series-rule
 germs of tests/test_soundness.py; the command lines are COMMAND_SETS.
+The curve commands (pullback, contact, desingularize) run on every corpus
+file with each curve of CURVES for the file's arity, and fdb-verify, which
+reads no file, runs each line of FDB_VERIFY once.
 tests/test_golden.py re-runs every line and compares.
 
     PYTHONPATH=src python3 tests/golden/make_digests.py
@@ -59,6 +62,26 @@ COMMAND_SETS = (
     ("report", "--all", "--max", "12"),
 )
 
+# The --curve arguments of the curve commands on a corpus file with n
+# variables: curves with n components, with n + 1 (a zero last one, or not),
+# with n - 1 (the graph frame desingularize reads), and malformed ones.
+CURVES = {
+    2: ("(t, t)", "(-t^2, t)", "(t^2, -t^3)", "(0, t)", "(t + i*t^2, 2/3*t^3)",
+        "(-t^2, t, 0)", "(t, t, t)", "(t^2)", "(t^2, t", "(t, z1)"),
+    3: ("(t, t, 0)", "(t^3, t^2, 0)", "(-t^4, t^2, 0)", "(-t^2, t, 0)", "(t^2, -t^3, t)",
+        "(2/3*t + i*t^2, t^3 - t^5, 0)", "(-t^4, t^2)", "(t^3, t^2)", "(-t^2, t)",
+        "(t, t, 0, 0)", "t, t, 0", "(t^1/2, t, 0)"),
+}
+CURVE_COMMANDS = ("pullback", "contact", "desingularize")
+FDB_VERIFY = (
+    ("fdb-verify",),
+    ("fdb-verify", "--k", "1", "--trials", "8", "--seed", "5"),
+    ("fdb-verify", "--k", "2", "--trials", "5", "--seed", "11"),
+    ("fdb-verify", "--k", "3", "--trials", "3", "--seed", "4242"),
+    ("fdb-verify", "--k", "0"),
+    ("fdb-verify", "--trials", "0"),
+)
+
 
 def inputs() -> dict[str, bytes]:
     """Every input by name: corpus/<stem>, malformed/<name> and series/<germ>."""
@@ -97,11 +120,12 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digest(argv: tuple[str, ...], data: bytes) -> dict:
-    """The line of one run: argv[0] FILE argv[1:], FILE read from data."""
-    argv = [argv[0], "-", *argv[1:]]
-    code, machine, err = _run([*argv, "--json"], data)
-    human_code, human, human_err = _run(argv, data)
+def digest(argv: tuple[str, ...], data: bytes | None) -> dict:
+    """The line of one run: argv[0] FILE argv[1:], FILE read from data, or
+    argv alone when data is None."""
+    argv = [*argv] if data is None else [argv[0], "-", *argv[1:]]
+    code, machine, err = _run([*argv, "--json"], data or b"")
+    human_code, human, human_err = _run(argv, data or b"")
     if human_code != code:
         raise AssertionError(f"{argv}: exit {code} with --json, {human_code} without")
     human = "".join(ln for ln in human.splitlines(keepends=True) if not ln.startswith("generated: "))
@@ -109,10 +133,20 @@ def digest(argv: tuple[str, ...], data: bytes) -> dict:
             "stderr": _sha(err + human_err)}
 
 
+def _arity(data: bytes) -> int:
+    """n of a corpus file, whose first line is `n = <int>`."""
+    return int(data.split(b"\n", 1)[0].split(b"=")[1])
+
+
 def compute() -> dict[str, dict]:
-    """Every run's line, keyed '<input> | <command line>'."""
-    return {f"{name} | {' '.join(argv)}": digest(argv, data)
-            for name, data in inputs().items() for argv in COMMAND_SETS}
+    """Every run's line, keyed '<input> | <command line>' (the input of
+    fdb-verify is 'none')."""
+    runs = [(name, data, argv) for name, data in inputs().items() for argv in COMMAND_SETS]
+    runs += [(name, data, (command, "--curve", curve))
+             for name, data in inputs().items() if name.startswith("corpus/")
+             for curve in CURVES[_arity(data)] for command in CURVE_COMMANDS]
+    runs += [("none", None, argv) for argv in FDB_VERIFY]
+    return {f"{name} | {' '.join(argv)}": digest(argv, data) for name, data, argv in runs}
 
 
 def dumps(digests: dict[str, dict]) -> str:
