@@ -32,7 +32,7 @@ private ``_from_terms``, which checks nothing: each operation drops the
 zeros its arithmetic can create and the keys above the result's truncation
 itself, so the invariant holds for them by construction.  So are the
 splits and filters whose terms are a subset of a valid polynomial's
-(``pure_mixed_split``, ``holomorphic_part``, ``select``, ``truncate``),
+(``graph_split``, ``pure_mixed_split``, ``select``, ``truncate``),
 ``wirtinger``, a nonzero ``constant`` and powers.  Term products go
 through one helper, ``_mul_terms``, shared by ``__mul__`` and the
 multi-term images of ``substitute``; a power of a single term is a term
@@ -185,7 +185,8 @@ class GaussianRational:
         return ONE if out is None else out
 
     def conjugate(self) -> "GaussianRational":
-        return _make(self._a, -self._b, self._d)
+        """The conjugate; a real scalar is its own, and is returned as it is."""
+        return _make(self._a, -self._b, self._d) if self._b else self
 
     def is_zero(self) -> bool:
         return not self._a and not self._b
@@ -198,9 +199,21 @@ class GaussianRational:
         return not self._b and self._a > 0
 
     def __str__(self) -> str:
-        from .expr import format_coefficient
-
-        return format_coefficient(self)
+        """The canonical parseable form (expr.format_coefficient), read off
+        the fields: a real value as its reduced fraction, i or -i, q*i for
+        an imaginary value, and (p+q*i) or (p-q*i) otherwise."""
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio(a, d)
+        if not a:
+            if b == d:
+                return "i"
+            if b == -d:
+                return "-i"
+            return _ratio(b, d) + "*i"
+        mag = -b if b < 0 else b
+        imag = "i" if mag == d else _ratio(mag, d) + "*i"
+        return f"({_ratio(a, d)}{'+' if b > 0 else '-'}{imag})"
 
 
 # The slot setters write the fields past the __setattr__ guard.
@@ -226,6 +239,17 @@ def _normal(a: int, b: int, d: int) -> GaussianRational:
         if g != 1:
             a, b, d = a // g, b // g, d // g
     return _make(a, b, d)
+
+
+def _ratio(x: int, d: int) -> str:
+    """str(Fraction(x, d)) for d > 0: x/d in lowest terms, or its integer."""
+    if d != 1:
+        g = gcd(x, d)
+        if g != 1:
+            x, d = x // g, d // g
+        if d != 1:
+            return f"{x}/{d}"
+    return str(x)
 
 
 ZERO = GaussianRational()
@@ -369,7 +393,7 @@ class CPolynomial:
 
     def total_degree(self) -> int:
         """Max total degree of a stored term (0 for the zero polynomial)."""
-        return max((key_degree(k) for k in self.terms), default=0)
+        return max([sum(h) + sum(a) for h, a in self.terms], default=0)
 
     def order_of_vanishing(self) -> Order:
         if self.terms:
@@ -379,9 +403,14 @@ class CPolynomial:
         return Order.at_least(self.truncation + 1)
 
     def is_real_valued(self) -> bool:
-        """True iff conjugation reproduces the same term map."""
-        for key, coeff in self.terms.items():
-            if self.terms.get(key_conjugate(key), ZERO) != coeff.conjugate():
+        """True iff conjugation reproduces the same term map: each term's
+        conjugate key holds its conjugate coefficient, whose canonical
+        fields are (a, -b, d), so the fields are compared and no scalar is
+        formed."""
+        terms = self.terms
+        for (h, a), c in terms.items():
+            other = terms.get((a, h))
+            if other is None or other._a != c._a or other._b != -c._b or other._d != c._d:
                 return False
         return True
 
@@ -394,20 +423,30 @@ class CPolynomial:
 
     # -- ring operations ----------------------------------------------------
 
-    def _check_compatible(self, other: "CPolynomial"):
-        if self.nvars != other.nvars:
-            raise DimensionError(
-                f"operands have nvars {self.nvars} and {other.nvars}"
-            )
-
     def __add__(self, other: "CPolynomial") -> "CPolynomial":
-        self._check_compatible(other)
-        limit = _min_trunc(self.truncation, other.truncation)
-        out = dict(_within(self, limit))
-        for key, coeff in _within(other, limit).items():
+        """Exact operands add their term maps as they are; a jet operand
+        first loses the terms above the weaker truncation.  The keys of
+        self come first, then the new keys of other, in their order, and
+        a key whose sum cancels is dropped."""
+        if self.nvars != other.nvars:
+            raise DimensionError(f"operands have nvars {self.nvars} and {other.nvars}")
+        if self.truncation is None and other.truncation is None:
+            limit = None
+            out = self.terms.copy()
+            right = other.terms
+        else:
+            limit = _min_trunc(self.truncation, other.truncation)
+            out = dict(_within(self, limit))
+            right = _within(other, limit)
+        cancel = False
+        for key, coeff in right.items():
             old = out.get(key)
-            out[key] = coeff if old is None else old + coeff
-        return _from_terms(self.nvars, _nonzero(out), limit)
+            if old is None:
+                out[key] = coeff
+            else:
+                coeff = out[key] = old + coeff
+                cancel = cancel or coeff.is_zero()
+        return _from_terms(self.nvars, _nonzero(out) if cancel else out, limit)
 
     def __sub__(self, other: "CPolynomial") -> "CPolynomial":
         return self + (-other)
@@ -418,11 +457,10 @@ class CPolynomial:
         )
 
     def __mul__(self, other: "CPolynomial") -> "CPolynomial":
-        self._check_compatible(other)
+        if self.nvars != other.nvars:
+            raise DimensionError(f"operands have nvars {self.nvars} and {other.nvars}")
         limit = _min_trunc(self.truncation, other.truncation)
-        out: dict = {}
-        _mul_terms(out, self.terms, other.terms, limit)
-        return _from_terms(self.nvars, _nonzero(out), limit)
+        return _from_terms(self.nvars, _mul_terms(self.terms, other.terms, limit), limit)
 
     def scale(self, c: GaussianRational) -> "CPolynomial":
         terms = {} if c.is_zero() else {k: v * c for k, v in self.terms.items()}
@@ -476,7 +514,7 @@ class CPolynomial:
     def conjugate(self) -> "CPolynomial":
         return _from_terms(
             self.nvars,
-            {key_conjugate(k): c.conjugate() for k, c in self.terms.items()},
+            {(a, h): c.conjugate() for (h, a), c in self.terms.items()},
             self.truncation,
         )
 
@@ -504,23 +542,42 @@ class CPolynomial:
 
     def pure_mixed_split(self) -> tuple["CPolynomial", "CPolynomial"]:
         """Split into (pure, mixed); the constant term goes to the pure part."""
+        return self.graph_split()[:2]
+
+    def graph_split(self) -> tuple["CPolynomial", "CPolynomial", "CPolynomial",
+                                   "CPolynomial | None"]:
+        """(pure, mixed, h, g) in one pass over the terms: the split of
+        ``pure_mixed_split``, h the holomorphic part of pure (its terms of
+        positive degree with no antiholomorphic exponent), and g the mixed
+        terms with the last slot
+        dropped, in nvars - 1 variables, or None when nvars < 2 or a mixed
+        term has an exponent in the last slot.  Each keeps the order of the
+        terms and self's truncation."""
+        n = self.nvars
+        zero = (0,) * n
+        last = n - 1
         pure: dict = {}
         mixed: dict = {}
+        h: dict = {}
+        g: dict | None = {} if n >= 2 else None
         for key, coeff in self.terms.items():
-            (pure if key_is_pure(key) else mixed)[key] = coeff
-        return (
-            _from_terms(self.nvars, pure, self.truncation),
-            _from_terms(self.nvars, mixed, self.truncation),
-        )
-
-    def holomorphic_part(self) -> "CPolynomial":
-        """Terms with no antiholomorphic exponent and positive degree."""
-        out = {
-            k: c
-            for k, c in self.terms.items()
-            if not any(k[1]) and any(k[0])
-        }
-        return _from_terms(self.nvars, out, self.truncation)
+            hol, anti = key
+            if anti == zero:
+                pure[key] = coeff
+                if hol != zero:
+                    h[key] = coeff
+            elif hol == zero:
+                pure[key] = coeff
+            else:
+                mixed[key] = coeff
+                if g is not None:
+                    if hol[last] or anti[last]:
+                        g = None
+                    else:
+                        g[(hol[:last], anti[:last])] = coeff
+        trunc = self.truncation
+        return (_from_terms(n, pure, trunc), _from_terms(n, mixed, trunc), _from_terms(n, h, trunc),
+                None if g is None else _from_terms(last, g, trunc))
 
     def select(self, keep) -> "CPolynomial":
         """The terms whose key keep(key) accepts, with self's truncation; a
@@ -536,7 +593,7 @@ class CPolynomial:
         return _from_terms(self.nvars, out, _min_trunc(self.truncation, k))
 
     def homogeneous_slice(self, d: int) -> "CPolynomial":
-        out = {key: c for key, c in self.terms.items() if key_degree(key) == d}
+        out = {key: c for key, c in self.terms.items() if sum(key[0]) + sum(key[1]) == d}
         return _from_terms(self.nvars, out, self.truncation)
 
     def substitute(
@@ -853,20 +910,37 @@ def _substitution_limit(p: CPolynomial, images: Sequence[CPolynomial]) -> int | 
     return limit
 
 
-def _mul_terms(out: dict, left: Mapping, right: Mapping, limit: int | None) -> None:
-    """Add the product of every left and right term of degree <= limit (all
-    of them if limit is None) into out.  Coefficients that cancel stay in
-    out as zeros for the caller to drop."""
+def _mul_terms(left: Mapping, right: Mapping, limit: int | None) -> dict:
+    """The terms of the product of left and right, cut at limit: the sum of
+    every product of a left and a right term of degree <= limit (all of
+    them if limit is None, with no degree formed), keyed in the order in
+    which the products first form the keys, less the keys that cancel."""
+    out: dict = {}
+    cancel = False
+    if limit is None:
+        rows = right.items()
+        for (h1, a1), c1 in left.items():
+            one = c1 == ONE  # then c1 * c2 is c2, which is immutable
+            for (h2, a2), c2 in rows:
+                key = (tuple(map(add, h1, h2)), tuple(map(add, a1, a2)))
+                prod = c2 if one else c1 * c2
+                old = out.get(key)
+                if old is None:
+                    out[key] = prod
+                else:
+                    prod = out[key] = old + prod
+                    cancel = cancel or prod.is_zero()
+        return _nonzero(out) if cancel else out
     rows = [(h, a, sum(h) + sum(a), c) for (h, a), c in right.items()]
     for (h1, a1), c1 in left.items():
-        room = None if limit is None else limit - sum(h1) - sum(a1)
+        room = limit - sum(h1) - sum(a1)
         for h2, a2, d2, c2 in rows:
-            if room is not None and d2 > room:
+            if d2 > room:
                 continue
             key = (tuple(map(add, h1, h2)), tuple(map(add, a1, a2)))
-            prod = c1 * c2
             old = out.get(key)
-            out[key] = prod if old is None else old + prod
+            out[key] = c1 * c2 if old is None else old + c1 * c2
+    return _nonzero(out)
 
 
 def _multi_products(images: Sequence[CPolynomial], multi: list, limit: int | None):
@@ -902,9 +976,7 @@ def _multi_products(images: Sequence[CPolynomial], multi: list, limit: int | Non
                     if terms is one:
                         terms = power(i, e)
                     else:
-                        out: dict = {}
-                        _mul_terms(out, terms, power(i, e), limit)
-                        terms = _nonzero(out)
+                        terms = _mul_terms(terms, power(i, e), limit)
             products[exps] = terms
         return terms
 

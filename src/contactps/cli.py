@@ -102,10 +102,19 @@ def _parse(prog: str, argv: list[str] | None) -> tuple[str, str | None, dict, bo
 
 
 def _read(name: str) -> str:
-    """The text of FILE (`-` is standard input): UTF-8, universal newlines."""
+    """The text of FILE (`-` is standard input): UTF-8, universal newlines.
+    FILE is opened by its name, unless pathlib reads the name as another
+    path: "" is "." and a trailing "/" or "/." is dropped."""
     try:
-        data = sys.stdin.buffer.read() if name == "-" else pathlib.Path(name).read_bytes()
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        if name == "-":
+            data = sys.stdin.buffer.read()
+        elif name and not name.endswith(("/", "/.")):
+            with open(name, "rb") as fh:
+                data = fh.read()
+        else:
+            data = pathlib.Path(name).read_bytes()
+        text = data.decode("utf-8")
+        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
     except OSError as exc:
         raise InputError(f"cannot read {name!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

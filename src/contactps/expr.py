@@ -28,13 +28,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import (
-    CPolynomial,
-    GaussianRational,
-    I_UNIT,
-    ONE,
-    ZERO,
-)
+from .algebra import CPolynomial, GaussianRational, I_UNIT, ZERO
 from .curve import CurveJet
 
 
@@ -46,94 +40,107 @@ class ExprSyntaxError(ValueError):
         super().__init__(message)
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<space>\s+)|(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^(),])|(?P<bad>.)",
-    re.DOTALL,
-)
-_VARIABLE_RE = re.compile(r"z(\d+)")
-_END = ("end", "", -1)  # the token past the last; its value matches no operator
+# The tokens are one alternation, matched left to right by one findall
+# scan: a number (an integer, or a rational whose slash may have whitespace
+# around it), an identifier, an operator, or any other non-space character,
+# which is an error.  Whitespace separates tokens and is never one.
+_TOKEN_RE = re.compile(r"\d+(?:\s*/\s*\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*^(),]|\S")
+# A character that is none of whitespace, a digit, a letter, `_` or an
+# operator: `/`, which is a token only inside a rational, or an error.
+_SUSPECT_RE = re.compile(r"[^\s\dA-Za-z_+*^(),-]")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_OPERATORS = frozenset("-+*^(),")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_END = ""  # the token past the last; it matches no operator and no token is empty
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, value, position) per token, then _END.  One scan with
-    finditer: every position starts a match, of whitespace, a token, or
-    the single character that starts none (an error at its position)."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        if kind == "bad":
-            pos = m.start()
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        value = m.group()
-        tokens.append((kind, value.replace(" ", "") if kind == "number" else value, m.start()))
+def _positions(text: str) -> list[int]:
+    """The position in text of each token of _tokenize(text), read only
+    for an error message."""
+    return [m.start() for m in _TOKEN_RE.finditer(text)]
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text as strings, then _END.  A text with a suspect
+    character is scanned again for positions: the first token that starts
+    with one is an error at its position, and a rational's whitespace is
+    dropped from its token."""
+    tokens = _TOKEN_RE.findall(text)
+    if _SUSPECT_RE.search(text) is not None:
+        for k, tok in enumerate(tokens):
+            if _SUSPECT_RE.match(tok):
+                raise ExprSyntaxError(f"unexpected character {tok!r}", _positions(text)[k])
+            if "/" in tok:
+                tokens[k] = tok.replace(" ", "")
     tokens.append(_END)
     return tokens
 
 
+def _is_variable(name: str) -> bool:
+    """Whether an identifier is z followed by digits only."""
+    return name[0] == "z" and name[1:].isdigit()
+
+
 _HALF = GaussianRational(Fraction(1, 2))
-_MINUS_ONE = -ONE
 
 
 class _Parser:
-    """Recursive-descent parser producing CPolynomial values directly."""
+    """Recursive-descent parser over the tokens of one text, producing
+    CPolynomial values directly.  A factor reads its signs, its atom and its
+    exponent in one call; a product with an exact constant factor scales
+    the other factor instead of multiplying out."""
 
-    def __init__(self, tokens, nvars: int, var_mode: str, definitions=None):
-        self.tokens = tokens
+    def __init__(self, text: str, nvars: int, var_mode: str, definitions=None):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.idx = 0
         self.nvars = nvars
         self.var_mode = var_mode  # "z" or "t"
         self.definitions = definitions or {}
         self.origin = ((0,) * nvars, (0,) * nvars)
+        # The variables by name, t in a curve and z1..zN in an expression;
+        # ident reads the other spellings, such as z01, and z9 for n < 9.
+        self.variables = ({"t": CPolynomial.variable(1, 0)} if var_mode == "t" else
+                          {f"z{k + 1}": CPolynomial.variable(nvars, k) for k in range(nvars)})
 
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def next(self):
-        tok = self.tokens[self.idx]
-        if tok is _END:
-            raise ExprSyntaxError("unexpected end of input")
-        self.idx += 1
-        return tok
+    def error(self, message: str, index: int) -> ExprSyntaxError:
+        """The error at the position of token index; _END has none."""
+        if self.tokens[index] is _END:
+            return ExprSyntaxError("unexpected end of input")
+        return ExprSyntaxError(message, _positions(self.text)[index])
 
     def expect(self, value: str):
-        tok = self.next()
-        if tok[1] != value:
-            raise ExprSyntaxError(f"expected {value!r}, found {tok[1]!r}", tok[2])
-
-    def at_end(self) -> bool:
-        return self.tokens[self.idx] is _END
+        if self.tokens[self.idx] != value:
+            raise self.error(f"expected {value!r}, found {self.tokens[self.idx]!r}", self.idx)
+        self.idx += 1
 
     def expr(self) -> CPolynomial:
-        left = self.term()
-        op = self.peek()[1]
-        while op in ("+", "-"):
+        """A sum of products, added left to right.  In a product, a factor
+        that is an exact constant c scales the other by c, which gives the
+        same terms in the same order."""
+        tokens = self.tokens
+        factor = self.factor
+        constant_value = self.constant_value
+        total = sign = None
+        while True:
+            left = factor()
+            while tokens[self.idx] == "*":
+                self.idx += 1
+                right = factor()
+                c = constant_value(right)
+                if c is not None:
+                    left = left.scale(c)
+                else:
+                    c = constant_value(left)
+                    left = left * right if c is None else right.scale(c)
+            if sign is None:
+                total = left
+            else:
+                total = total + left if sign == "+" else total - left
+            sign = tokens[self.idx]
+            if sign != "+" and sign != "-":
+                return total
             self.idx += 1
-            right = self.term()
-            left = left + right if op == "+" else left - right
-            op = self.peek()[1]
-        return left
-
-    def term(self) -> CPolynomial:
-        left = self.factor()
-        while self.peek()[1] == "*":
-            self.idx += 1
-            left = self.product(left, self.factor())
-        return left
-
-    def product(self, left: CPolynomial, right: CPolynomial) -> CPolynomial:
-        """left * right; a factor that is an exact constant c scales the
-        other by c, which gives the same terms in the same order."""
-        if left.nvars == right.nvars:
-            c = self.constant_value(right)
-            if c is not None:
-                return left.scale(c)
-            c = self.constant_value(left)
-            if c is not None:
-                return right.scale(c)
-        return left * right
 
     def constant_value(self, p: CPolynomial) -> GaussianRational | None:
         """The value of p when p is an exact constant, else None."""
@@ -145,43 +152,46 @@ class _Parser:
         return terms.get(self.origin)
 
     def factor(self) -> CPolynomial:
-        sign = self.peek()[1]
-        if sign in ("+", "-"):
-            self.idx += 1
-            inner = self.factor()
-            return inner if sign == "+" else -inner
-        return self.power()
-
-    def power(self) -> CPolynomial:
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.idx += 1
-            tok = self.next()
-            if tok[0] != "number" or "/" in tok[1]:
-                raise ExprSyntaxError("exponent must be a non-negative integer", tok[2])
-            base = base ** int(tok[1])
-        return base
-
-    def atom(self) -> CPolynomial:
-        kind, value, pos = self.next()
-        if value == "(":
-            inner = self.expr()
+        """('+'|'-')* atom ('^' NUMBER)?: the signs apply to the power."""
+        tokens = self.tokens
+        i = self.idx
+        tok = tokens[i]
+        negate = False
+        while tok == "-" or tok == "+":
+            negate ^= tok == "-"
+            i += 1
+            tok = tokens[i]
+        self.idx = i + 1
+        base = self.variables.get(tok)
+        if base is not None:
+            pass
+        elif tok == "(":
+            base = self.expr()
             self.expect(")")
-            return inner
-        if kind == "number":
-            if "/" in value:
-                num, den = value.split("/")
-                if int(den) == 0:
-                    raise ExprSyntaxError(f"zero denominator in {value!r}", pos)
-                q = GaussianRational(Fraction(int(num), int(den)))
-            else:
-                q = GaussianRational(int(value))
-            return CPolynomial.constant(self.nvars, q)
-        if kind == "ident":
-            return self.ident(value, pos)
-        raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+        elif tok in _OPERATORS or tok is _END:
+            raise self.error(f"unexpected token {tok!r}", i)
+        elif tok[0] in _NAME_START:
+            base = self.ident(tok, i)
+        else:
+            base = CPolynomial.constant(self.nvars, self.number(tok, i))
+        if tokens[self.idx] == "^":
+            i = self.idx + 1
+            tok = tokens[i]
+            if tok in _OPERATORS or tok is _END or tok[0] in _NAME_START or "/" in tok:
+                raise self.error("exponent must be a non-negative integer", i)
+            self.idx = i + 1
+            base = base ** int(tok)
+        return -base if negate else base
 
-    def ident(self, name: str, pos: int) -> CPolynomial:
+    def number(self, tok: str, i: int) -> GaussianRational:
+        if "/" not in tok:
+            return GaussianRational(int(tok))
+        num, den = tok.split("/")
+        if int(den) == 0:
+            raise self.error(f"zero denominator in {tok!r}", i)
+        return GaussianRational(Fraction(int(num), int(den)))
+
+    def ident(self, name: str, i: int) -> CPolynomial:
         if name in ("conj", "Re", "abs2"):
             self.expect("(")
             arg = self.expr()
@@ -193,20 +203,19 @@ class _Parser:
             return (arg + arg.conjugate()).scale(_HALF)
         if name == "i":
             return CPolynomial.constant(self.nvars, I_UNIT)
-        if name == "t" and self.var_mode == "t":
-            return CPolynomial.variable(1, 0)
-        if self.var_mode == "z":
-            m = _VARIABLE_RE.fullmatch(name)
-            if m:
-                k = int(m.group(1))
-                if not 1 <= k <= self.nvars:
-                    raise ExprSyntaxError(
-                        f"variable {name} out of range for n={self.nvars}", pos
-                    )
-                return CPolynomial.variable(self.nvars, k - 1)
+        if self.var_mode == "z" and _is_variable(name):
+            k = int(name[1:])
+            if not 1 <= k <= self.nvars:
+                raise self.error(f"variable {name} out of range for n={self.nvars}", i)
+            return CPolynomial.variable(self.nvars, k - 1)
         if name in self.definitions:
             return self.definitions[name]
-        raise ExprSyntaxError(f"unknown identifier {name!r}", pos)
+        raise self.error(f"unknown identifier {name!r}", i)
+
+    def finish(self):
+        """Raise unless every token was read."""
+        if self.tokens[self.idx] is not _END:
+            raise self.error("trailing input", self.idx)
 
 
 def parse_expression(
@@ -215,27 +224,24 @@ def parse_expression(
     definitions: dict[str, CPolynomial] | None = None,
 ) -> CPolynomial:
     """Parse an expression in variables z1..zN into a canonical polynomial."""
-    parser = _Parser(_tokenize(text), nvars, "z", definitions)
+    parser = _Parser(text, nvars, "z", definitions)
     out = parser.expr()
-    if not parser.at_end():
-        raise ExprSyntaxError("trailing input", parser.peek()[2])
+    parser.finish()
     return out
 
 
 def parse_curve(text: str, nvars: int | None = None) -> CurveJet:
     """Parse a parenthesized tuple of t-polynomials like "(t^3, t^2, 0)"."""
-    tokens = _tokenize(text)
-    if tokens[0][1] != "(":
+    parser = _Parser(text, 1, "t")
+    if parser.tokens[0] != "(":
         raise ExprSyntaxError("curve must be a parenthesized tuple")
-    parser = _Parser(tokens, 1, "t")
-    parser.expect("(")
+    parser.idx = 1
     comps = [parser.expr()]
-    while parser.peek()[1] == ",":
-        parser.next()
+    while parser.tokens[parser.idx] == ",":
+        parser.idx += 1
         comps.append(parser.expr())
     parser.expect(")")
-    if not parser.at_end():
-        raise ExprSyntaxError("trailing input", parser.peek()[2])
+    parser.finish()
     if nvars is not None and len(comps) != nvars:
         raise ExprSyntaxError(
             f"curve has {len(comps)} components, expected {nvars}"
@@ -248,60 +254,50 @@ def parse_curve(text: str, nvars: int | None = None) -> CurveJet:
 
 
 def format_coefficient(c: GaussianRational) -> str:
-    """Parseable canonical form of a Gaussian rational scalar."""
-    if c.is_real():
-        return str(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    im = c.im
-    sign = "+" if im > 0 else "-"
-    mag = abs(im)
-    imag = "i" if mag == 1 else f"{mag}*i"
-    return f"({c.re}{sign}{imag})"
-
-
-def _format_monomial(key, var_mode: str) -> str:
-    holo, anti = key
-    parts = []
-    for i, e in enumerate(holo):
-        if e:
-            name = "t" if var_mode == "t" else f"z{i + 1}"
-            parts.append(name if e == 1 else f"{name}^{e}")
-    for i, e in enumerate(anti):
-        if e:
-            name = "t" if var_mode == "t" else f"z{i + 1}"
-            base = f"conj({name})"
-            parts.append(base if e == 1 else f"{base}^{e}")
-    return "*".join(parts)
+    """Parseable canonical form of a Gaussian rational scalar: its str,
+    which algebra reads off the scalar's fields."""
+    return str(c)
 
 
 def format_polynomial(p: CPolynomial, var_mode: str = "z") -> str:
-    """Canonical printed form; parsing it reproduces p exactly."""
-    if p.is_zero():
+    """Canonical printed form; parsing it reproduces p exactly.  The terms
+    come in graded-lex order (algebra.key_sort), each as its coefficient
+    times its monomial, a coefficient of 1 or -1 as the monomial or its
+    negation, and a term whose text starts with '-' joins with ' - '."""
+    if not p.terms:
         return "0"
-    pieces = []
-    for key, coeff in p.sorted_terms():
-        mono = _format_monomial(key, var_mode)
+    n = p.nvars
+    names = ("t",) * n if var_mode == "t" else tuple(f"z{i + 1}" for i in range(n))
+    out = []
+    # (degree, holo, anti) differs between terms, so no coefficient is compared.
+    for _deg, holo, anti, coeff in sorted([(sum(h) + sum(a), h, a, c)
+                                           for (h, a), c in p.terms.items()]):
+        mono = ""
+        for i in range(n):
+            e = holo[i]
+            if e:
+                mono += "*" + names[i] if e == 1 else f"*{names[i]}^{e}"
+        for i in range(n):
+            e = anti[i]
+            if e:
+                mono += f"*conj({names[i]})" if e == 1 else f"*conj({names[i]})^{e}"
+        c = format_coefficient(coeff)
         if not mono:
-            s = format_coefficient(coeff)
-        elif coeff == ONE:
-            s = mono
-        elif coeff == _MINUS_ONE:
-            s = "-" + mono
+            s = c
+        elif c == "1":
+            s = mono[1:]
+        elif c == "-1":
+            s = "-" + mono[1:]
         else:
-            s = f"{format_coefficient(coeff)}*{mono}"
-        pieces.append(s)
-    out = pieces[0]
-    for s in pieces[1:]:
-        if s.startswith("-") and not s.startswith("(-"):
-            out += " - " + s[1:]
-        else:
-            out += " + " + s
-    return out
+            s = c + mono
+        if out:
+            if s[0] == "-":
+                out.append(" - ")
+                s = s[1:]
+            else:
+                out.append(" + ")
+        out.append(s)
+    return "".join(out)
 
 
 def format_curve(z: CurveJet) -> str:
@@ -354,10 +350,9 @@ def parse_problem(text: str) -> ProblemFile:
             continue
         if name == "n" or name in definitions:
             raise ExprSyntaxError(f"line {lineno}: {name} is bound twice")
-        token = _TOKEN_RE.fullmatch(name)
-        if token is None or token.lastgroup != "ident":
+        if _NAME_RE.fullmatch(name) is None:
             raise ExprSyntaxError(f"line {lineno}: {name!r} is not a name")
-        if name in _RESERVED or _VARIABLE_RE.fullmatch(name):
+        if name in _RESERVED or _is_variable(name):
             raise ExprSyntaxError(f"line {lineno}: {name} is reserved by the grammar")
         try:
             definitions[name] = parse_expression(rhs, nvars, definitions)

@@ -235,15 +235,17 @@ class GraphForm:
         return CurveJet(tuple(x.substitute(eta.components, 1) for x in self.lift))
 
 
-def _linear_images(r: DefiningFunction) -> list[CPolynomial]:
+def _linear_images(r: DefiningFunction) -> tuple[CPolynomial, ...]:
     """The original variables in new coordinates where the linear part of r
-    is exactly 2Re(z_n)."""
+    is exactly 2Re(z_n): the variables themselves (_zeta(n)) when the
+    holomorphic linear part of r is z_n already."""
     n = r.nvars
-    lin = r.linear
-    a = [
-        lin.coeff((tuple(1 if j == i else 0 for j in range(n)), (0,) * n))
-        for i in range(n)
-    ]
+    a = [ZERO] * n
+    for (h, anti), c in r.linear.terms.items():
+        if not any(anti):
+            a[h.index(1)] = c
+    if a[-1] == ONE and all(c.is_zero() for c in a[:-1]):
+        return _zeta(n)
     pivot = max(i for i in range(n) if not a[i].is_zero())
     others = [i for i in range(n) if i != pivot]
     images: list[CPolynomial | None] = [None] * n
@@ -253,23 +255,19 @@ def _linear_images(r: DefiningFunction) -> list[CPolynomial]:
         if not a[old_idx].is_zero():
             expr = expr - images[old_idx].scale(a[old_idx])
     images[pivot] = expr.scale(ONE / a[pivot])
-    return images
+    return tuple(images)
 
 
 def _linear_frame(r: DefiningFunction) -> LinearFrame:
-    """The linear-frame split of r.  When the linear part of r is 2Re(z_n)
-    already, r is split as it is: substituting the identity images gives
-    the same terms in the same order, with the same truncation."""
+    """The linear-frame split of r, in one pass over the terms of r in the
+    linear frame (CPolynomial.graph_split), which also decides the exact
+    rule and forms its g.  When the linear part of r is 2Re(z_n) already,
+    r is split as it is: substituting the identity images would give the
+    same terms in the same order, with the same truncation."""
     n = r.nvars
-    images = tuple(_linear_images(r))
+    images = _linear_images(r)
     normalized = r.r if images == _zeta(n) else r.r.substitute(images, n)
-    pure, mixed = normalized.pure_mixed_split()
-    g = None
-    last = n - 1
-    if n >= 2 and not any(h[last] or a[last] for h, a in mixed.terms):
-        g = CPolynomial(last, {(h[:last], a[:last]): c for (h, a), c in mixed.terms.items()},
-                        mixed.truncation)
-    return LinearFrame(images, pure, mixed, pure.holomorphic_part(), g)
+    return LinearFrame(images, *normalized.graph_split())
 
 
 def normalize_to_graph(r: DefiningFunction, K: int) -> GraphForm:

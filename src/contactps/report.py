@@ -209,9 +209,13 @@ class GermAnalysis:
             raise InputError("function must either have a linear part or be mixed-only")
         return None
 
+    @cached_property
+    def degree(self) -> int:
+        return self.entry.total_degree()
+
     def frame(self, floor: int) -> GraphForm:
         """The graph frame through K = max(floor, deg entry)."""
-        K = max(floor, self.entry.total_degree())
+        K = max(floor, self.degree)
         if K not in self._frames:
             r = self.r
             self._frames[K] = (GraphForm(self.entry, K) if r is None

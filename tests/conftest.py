@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
@@ -9,6 +10,7 @@ import pytest
 
 from contactps import fdb, germ
 from contactps.algebra import (
+    I_UNIT,
     ONE,
     ZERO,
     CPolynomial,
@@ -17,6 +19,8 @@ from contactps.algebra import (
     key_conjugate,
     key_degree,
 )
+from contactps.curve import CurveJet
+from contactps.expr import ExprSyntaxError
 from contactps.search import _RANDOM_POOL
 
 
@@ -340,7 +344,7 @@ def decompose_pure_mixed(jk):
     mixed-only: the split that germ.py forms once per frame, checked by
     germ._check_holomorphic_half."""
     pure, mixed = jk.pure_mixed_split()
-    h = pure.holomorphic_part()
+    h = pure.graph_split()[2]
     germ._check_holomorphic_half(pure, h)
     return h, mixed
 
@@ -398,7 +402,7 @@ def normalize_to_graph_reference(r, K):
     n = r.nvars
     images = tuple(germ._linear_images(r))
     normalized = r.r.substitute(images, n)
-    phi = germ.solve_graph(normalized.holomorphic_part(), K)
+    phi = germ.solve_graph(normalized.graph_split()[2], K)
     graph = tuple(CPolynomial.variable(n - 1, j) for j in range(n - 1)) + (phi,)
     lift = tuple(im.substitute(graph, n - 1) for im in images)
     return normalized.substitute(graph, n - 1), images, graph, lift
@@ -496,6 +500,189 @@ def random_real_polynomial_reference(rng, nvars, max_degree, nterms=4):
     return p if not p.is_zero() else CPolynomial.monomial(
         nvars, (1,) + (0,) * (nvars - 1), (1,) + (0,) * (nvars - 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# The expression parser that expr.py replaced: one finditer scan into
+# (kind, value, position) tokens, and one method per grammar rule.  The
+# parser reference test compares the terms, their order, the truncation
+# and every error message with it.
+
+_REF_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)|(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*^(),])|(?P<bad>.)",
+    re.DOTALL,
+)
+_REF_VARIABLE_RE = re.compile(r"z(\d+)")
+_REF_END = ("end", "", -1)
+
+
+def _tokenize_reference(text):
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "bad":
+            pos = m.start()
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        value = m.group()
+        tokens.append((kind, value.replace(" ", "") if kind == "number" else value, m.start()))
+    tokens.append(_REF_END)
+    return tokens
+
+
+class _ParserReference:
+    """Recursive-descent parser producing CPolynomial values directly."""
+
+    def __init__(self, tokens, nvars, var_mode, definitions=None):
+        self.tokens = tokens
+        self.idx = 0
+        self.nvars = nvars
+        self.var_mode = var_mode
+        self.definitions = definitions or {}
+        self.origin = ((0,) * nvars, (0,) * nvars)
+
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def next(self):
+        tok = self.tokens[self.idx]
+        if tok is _REF_END:
+            raise ExprSyntaxError("unexpected end of input")
+        self.idx += 1
+        return tok
+
+    def expect(self, value):
+        tok = self.next()
+        if tok[1] != value:
+            raise ExprSyntaxError(f"expected {value!r}, found {tok[1]!r}", tok[2])
+
+    def at_end(self):
+        return self.tokens[self.idx] is _REF_END
+
+    def expr(self):
+        left = self.term()
+        op = self.peek()[1]
+        while op in ("+", "-"):
+            self.idx += 1
+            right = self.term()
+            left = left + right if op == "+" else left - right
+            op = self.peek()[1]
+        return left
+
+    def term(self):
+        left = self.factor()
+        while self.peek()[1] == "*":
+            self.idx += 1
+            left = self.product(left, self.factor())
+        return left
+
+    def product(self, left, right):
+        if left.nvars == right.nvars:
+            c = self.constant_value(right)
+            if c is not None:
+                return left.scale(c)
+            c = self.constant_value(left)
+            if c is not None:
+                return right.scale(c)
+        return left * right
+
+    def constant_value(self, p):
+        terms = p.terms
+        if p.truncation is not None or len(terms) > 1:
+            return None
+        if not terms:
+            return ZERO
+        return terms.get(self.origin)
+
+    def factor(self):
+        sign = self.peek()[1]
+        if sign in ("+", "-"):
+            self.idx += 1
+            inner = self.factor()
+            return inner if sign == "+" else -inner
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[1] == "^":
+            self.idx += 1
+            tok = self.next()
+            if tok[0] != "number" or "/" in tok[1]:
+                raise ExprSyntaxError("exponent must be a non-negative integer", tok[2])
+            base = base ** int(tok[1])
+        return base
+
+    def atom(self):
+        kind, value, pos = self.next()
+        if value == "(":
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if kind == "number":
+            if "/" in value:
+                num, den = value.split("/")
+                if int(den) == 0:
+                    raise ExprSyntaxError(f"zero denominator in {value!r}", pos)
+                q = GaussianRational(Fraction(int(num), int(den)))
+            else:
+                q = GaussianRational(int(value))
+            return CPolynomial.constant(self.nvars, q)
+        if kind == "ident":
+            return self.ident(value, pos)
+        raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+
+    def ident(self, name, pos):
+        if name in ("conj", "Re", "abs2"):
+            self.expect("(")
+            arg = self.expr()
+            self.expect(")")
+            if name == "conj":
+                return arg.conjugate()
+            if name == "abs2":
+                return arg * arg.conjugate()
+            return (arg + arg.conjugate()).scale(GaussianRational(Fraction(1, 2)))
+        if name == "i":
+            return CPolynomial.constant(self.nvars, I_UNIT)
+        if name == "t" and self.var_mode == "t":
+            return CPolynomial.variable(1, 0)
+        if self.var_mode == "z":
+            m = _REF_VARIABLE_RE.fullmatch(name)
+            if m:
+                k = int(m.group(1))
+                if not 1 <= k <= self.nvars:
+                    raise ExprSyntaxError(f"variable {name} out of range for n={self.nvars}", pos)
+                return CPolynomial.variable(self.nvars, k - 1)
+        if name in self.definitions:
+            return self.definitions[name]
+        raise ExprSyntaxError(f"unknown identifier {name!r}", pos)
+
+
+def parse_expression_reference(text, nvars, definitions=None):
+    parser = _ParserReference(_tokenize_reference(text), nvars, "z", definitions)
+    out = parser.expr()
+    if not parser.at_end():
+        raise ExprSyntaxError("trailing input", parser.peek()[2])
+    return out
+
+
+def parse_curve_reference(text, nvars=None):
+    tokens = _tokenize_reference(text)
+    if tokens[0][1] != "(":
+        raise ExprSyntaxError("curve must be a parenthesized tuple")
+    parser = _ParserReference(tokens, 1, "t")
+    parser.expect("(")
+    comps = [parser.expr()]
+    while parser.peek()[1] == ",":
+        parser.next()
+        comps.append(parser.expr())
+    parser.expect(")")
+    if not parser.at_end():
+        raise ExprSyntaxError("trailing input", parser.peek()[2])
+    if nvars is not None and len(comps) != nvars:
+        raise ExprSyntaxError(f"curve has {len(comps)} components, expected {nvars}")
+    return CurveJet(tuple(comps))
 
 
 @pytest.fixture

@@ -207,7 +207,7 @@ def test_criterion_8_algebra_invariants():
         done += 1
     done = 0
     while done < 100:
-        f = random_poly(rng, nvars=2, max_deg=2, nterms=3).holomorphic_part()
+        f = random_poly(rng, nvars=2, max_deg=2, nterms=3).graph_split()[2]
         if f.is_zero():
             continue
         g = f * f.conjugate()

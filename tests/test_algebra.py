@@ -187,7 +187,7 @@ class TestSubstitution:
     def test_purity_preserved_for_mixed_only(self, rng):
         """Pullback of a mixed-only polynomial has no pure terms."""
         for _ in range(100):
-            f = random_poly(rng, nvars=2, max_deg=2, nterms=3).holomorphic_part()
+            f = random_poly(rng, nvars=2, max_deg=2, nterms=3).graph_split()[2]
             if f.is_zero():
                 continue
             g = f * f.conjugate()
@@ -413,7 +413,7 @@ def test_results_hold_the_constructor_invariant(data, nvars, nvars_out):
         p + q, p - q, p - p, p * q, (p + q) * (p - q), p ** (k % 4), -p,
         p.scale(c), p.scale(ZERO), p.conjugate(), p.truncate(k),
         p.homogeneous_slice(k), p.wirtinger(k % nvars, anti=bool(k % 2)),
-        *p.pure_mixed_split(), p.holomorphic_part(), CPolynomial.constant(nvars, c),
+        *(part for part in p.graph_split() if part is not None), CPolynomial.constant(nvars, c),
         p.select(lambda key: sum(key[0]) >= sum(key[1])),
     ]
     try:

@@ -1,8 +1,14 @@
 """Parser and canonical printer round-trips."""
 
+import random
+import re
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contactps.algebra import CPolynomial
+from contactps.curve import CurveJet
 from contactps.expr import (
     ExprSyntaxError,
     format_coefficient,
@@ -13,7 +19,7 @@ from contactps.expr import (
     parse_problem,
 )
 
-from conftest import gr, random_poly
+from conftest import gr, parse_curve_reference, parse_expression_reference, random_poly
 
 
 def test_basic_expressions():
@@ -187,3 +193,106 @@ def test_t_polynomials():
     p, = parse_curve("(t^2 - 2*t)").components
     assert p.coeff(((2,), (0,))) == gr(1)
     assert p.coeff(((1,), (0,))) == gr(-2)
+
+
+# ---------------------------------------------------------------------------
+# The parser against the reference it replaced (conftest._ParserReference)
+
+
+def _expression(rng, names=("z1", "z2", "z3"), depth=3):
+    """Random expression text over the given names: integers, rationals, i,
+    unary signs, sums, differences, products, small powers, parentheses,
+    conj, Re and abs2, with random whitespace around the operators and
+    inside rationals."""
+    def space():
+        return rng.choice(["", "", " ", "  ", "\t"])
+
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(6)
+        if kind < 3:
+            return rng.choice(names)
+        if kind == 3:
+            return "i"
+        if kind == 4:
+            return str(rng.randint(0, 12))
+        return f"{rng.randint(0, 9)}{space()}/{space()}{rng.randint(1, 6)}"
+    text = _expression(rng, names, depth - 1)
+    for _ in range(rng.randrange(3)):
+        text += space() + rng.choice("+-+*") + space() + _expression(rng, names, depth - 1)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.choice(["-", "+", "--", "-+"]) + space() + text
+    if kind == 1:
+        return f"({text})^{rng.randint(0, 2)}"
+    if kind < 6:
+        return f"{('conj', 'Re', 'abs2', '')[kind - 2]}({text})"
+    return text
+
+
+def _parse_outcome(parse, *args):
+    """(terms in order, truncation) of a parse, or the type and text of the
+    ValueError it raises: an ExprSyntaxError, or a curve that CurveJet
+    refuses."""
+    try:
+        p = parse(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(p, CurveJet):
+        return [(list(c.terms.items()), c.truncation) for c in p.components]
+    return list(p.terms.items()), p.truncation
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_parser_matches_the_reference(seed):
+    """The same terms, in the same order, with the same truncation as the
+    parser that the one-scan parser replaced."""
+    text = _expression(random.Random(seed))
+    got = _parse_outcome(parse_expression, text, 3)
+    assert got == _parse_outcome(parse_expression_reference, text, 3)
+    assert type(got[0]) is list
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_definitions_match_the_reference(seed):
+    """Definitions bind names in order: each line reads the names bound
+    above it."""
+    rng = random.Random(seed)
+    first = _expression(rng, depth=2)
+    second = _expression(rng, ("z1", "z2", "w"), depth=2)
+    entry = _expression(rng, ("z3", "w", "u"), depth=2)
+    prob = parse_problem(f"n = 3\nw = {first}\nu = {second}\nr = {entry}\n")
+    definitions = {}
+    for name, text in (("w", first), ("u", second), ("r", entry)):
+        definitions[name] = parse_expression_reference(text, 3, definitions)
+    for name, p in definitions.items():
+        assert list(prob.definitions[name].terms.items()) == list(p.terms.items())
+    assert prob.entry is prob.definitions["r"]
+
+
+# Pieces of malformed text: tokens, tokens that do not fit where they land,
+# characters the grammar does not know, and whitespace.
+_PIECES = ["z1", "z2", "z9", "z01", "w", "t", "i", "2", "3", "0", "1/2", "3 / 0", "(", ")",
+           "+", "-", "*", "^", ",", "conj", "Re", "abs2", " ", "\t", "\n", "z1z2", "_x", "٣"] * 3
+_PIECES += ["/", "@", "é"]
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_PIECES), max_size=10))
+def test_malformed_text_gives_the_reference_error(pieces):
+    """Random token soup gives the same error text, or the same terms, as
+    the reference, as an expression and as a curve."""
+    text = "".join(pieces)
+    assume(re.search(r"\^\s*\d\d", text) is None)  # a power too large to form quickly
+    assert (_parse_outcome(parse_expression, text, 2)
+            == _parse_outcome(parse_expression_reference, text, 2))
+    curve = "(" + text + ")" if pieces[:1] != ["("] else text
+    assert _parse_outcome(parse_curve, curve) == _parse_outcome(parse_curve_reference, curve)
+
+
+@pytest.mark.parametrize("text", ["(t^3, t^2, 0)", "(-t^4, t^2)", "(t + 1/2*t^3, i*t)",
+                                  "((t), --t^2 + 3 / 4, conj(t) - t)", "(t^2", "t, t", "()",
+                                  "(t^1/2, t)", "(t, z1)", "(t,)", "(t) t", ""])
+def test_curves_match_the_reference(text):
+    assert _parse_outcome(parse_curve, text) == _parse_outcome(parse_curve_reference, text)
