@@ -463,20 +463,29 @@ class CPolynomial:
         return _from_terms(self.nvars, _mul_terms(self.terms, other.terms, limit), limit)
 
     def scale(self, c: GaussianRational) -> "CPolynomial":
-        terms = {} if c.is_zero() else {k: v * c for k, v in self.terms.items()}
+        """c * self: each coefficient times c, as GaussianRational.__mul__
+        forms it, on the fields."""
+        if c.is_zero():
+            terms = {}
+        else:
+            p, q, d = c._a, c._b, c._d
+            terms = {k: _normal(v._a * p - v._b * q, v._a * q + v._b * p, v._d * d)
+                     for k, v in self.terms.items()}
         return _from_terms(self.nvars, terms, self.truncation)
 
     def __pow__(self, k: int) -> "CPolynomial":
         """self^k by repeated squaring; a single term c * z^H * conj(z)^A
-        is moved to k*(H, A) with coefficient c^k (``_term_move``), which is
-        what the squarings give, with no product formed."""
+        is moved to k*(H, A) with coefficient c^k (c itself when c is 1),
+        which is what the squarings give, with no product formed."""
         if k < 0:
             raise ValueError("negative polynomial power")
         if k and len(self.terms) == 1:
-            hol, anti, deg, u, v, w = _term_move(self, k, 0)
+            ((h, a), c), = self.terms.items()
             limit = self.truncation
-            terms = {} if limit is not None and deg > limit else {(hol, anti): _make(u, v, w)}
-            return _from_terms(self.nvars, terms, limit)
+            if limit is not None and k * (sum(h) + sum(a)) > limit:
+                return _from_terms(self.nvars, {}, limit)
+            key = (tuple([k * x for x in h]), tuple([k * x for x in a]))
+            return _from_terms(self.nvars, {key: c if c == ONE else c ** k}, limit)
         out = None
         base = self
         while k:

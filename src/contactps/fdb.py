@@ -8,7 +8,8 @@ on curve derivative vectors, one per block.  Terms are grouped by block-size
 multisets with multiplicative counts, which keeps moderate k tractable: the
 table of order k holds P(k)^2 terms, P(k) the number of partitions of k, and
 check_expansion_size refuses a k whose table would hold more than
-MAX_EXPANSION_TERMS before anything is built.
+MAX_EXPANSION_TERMS, or a number of trials whose tables would together hold
+more, before anything is built.
 """
 
 from __future__ import annotations
@@ -166,25 +167,34 @@ def integer_partitions(k: int) -> list[tuple[int, ...]]:
 
 
 # The largest expansion table fdb-verify builds: k = 17 gives 297^2 =
-# 88,209 terms, formed in about a second; k = 18 gives 148,225.
+# 88,209 terms, formed in about a second; k = 18 gives 148,225.  It also
+# bounds the terms that one run checks, trials * P(k)^2: at k = 3, 11,111
+# trials, about 5 s.
 MAX_EXPANSION_TERMS = 100_000
 
 
 class ExpansionTooLargeError(ValueError):
-    """An order k whose expansion table is above MAX_EXPANSION_TERMS."""
+    """An order k whose expansion table is above MAX_EXPANSION_TERMS, or a
+    number of trials that would check more terms than that."""
 
 
-def check_expansion_size(k: int) -> None:
+def check_expansion_size(k: int, trials: int = 1) -> None:
     """Raise ExpansionTooLargeError when expansion_table(k) would hold more
-    than MAX_EXPANSION_TERMS terms.  It counts the P(n)^2 terms of each
-    order n = 1, 2, ..., k in turn from the partitions of n, and stops at
-    the first order above the limit: P grows with n, so the partitions of
-    a large k are never formed."""
+    than MAX_EXPANSION_TERMS terms, or when trials runs of it would check
+    more than that, trials * P(k)^2, for k >= 1.  It counts the P(n)^2
+    terms of each order n = 1, 2, ..., k in turn from the partitions of n,
+    and stops at the first order above the limit: P grows with n, so the
+    partitions of a large k are never formed."""
     for n in range(1, k + 1):
-        if len(integer_partitions(n)) ** 2 > MAX_EXPANSION_TERMS:
+        size = len(integer_partitions(n)) ** 2
+        if size > MAX_EXPANSION_TERMS:
             raise ExpansionTooLargeError(
                 f"expansion too large: --k {k} gives more than {MAX_EXPANSION_TERMS} "
                 f"expansion terms")
+    if trials * size > MAX_EXPANSION_TERMS:
+        raise ExpansionTooLargeError(
+            f"too many trials: --trials {trials} at --k {k} checks {trials * size} "
+            f"expansion terms, more than {MAX_EXPANSION_TERMS}")
 
 
 def partition_count(k: int, sizes) -> int:

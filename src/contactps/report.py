@@ -415,7 +415,7 @@ def _cmd_fdb_verify(an: GermAnalysis):
         raise InputError(f"--k must be at least 1, got {k}")
     if trials < 1:
         raise InputError(f"--trials must be at least 1, got {trials}")
-    check_expansion_size(k)
+    check_expansion_size(k, trials)
     rng = random.Random(seed)
     matched = 0
     for _ in range(trials):

@@ -936,6 +936,21 @@ def _assert_one_line_exit_two(res, prefix):
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command", ["contact", "pullback"])
+def test_a_curve_may_carry_a_zero_graph_coordinate(runner, command):
+    """On mixed_sq2 (n = 2) a --curve with a third, identically zero
+    component reads as the curve without it; a nonzero third component is
+    an input error, one line with exit 2."""
+    path = str(CORPUS_DIR / "mixed_sq2.txt")
+    short = runner.invoke(main, [command, path, "--curve", "(-t^2, t)", "--json"])
+    padded = runner.invoke(main, [command, path, "--curve", "(-t^2, t, 0)", "--json"])
+    assert short.exit_code == padded.exit_code == 0
+    assert _machine(padded)["claims"] == _machine(short)["claims"]
+    assert _machine(short)["claims"]["curve"] == "(-t^2, t)"
+    res = runner.invoke(main, [command, path, "--curve", "(-t^2, t, t)"])
+    _assert_one_line_exit_two(res, "input error: curve has 3 components, function has 2 variables")
+
+
 @pytest.mark.parametrize("command", ["order", "verify-report"])
 @pytest.mark.parametrize("data", [b"n = 3\nr = 2*Re(z3) + abs2(z1)\xff\n", b"\xff"])
 def test_a_file_that_is_not_utf8_is_an_input_error(runner, tmp_path, command, data):
@@ -1083,6 +1098,21 @@ def test_an_expansion_too_large_to_build_is_an_input_error(k):
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr == (f"input error: expansion too large: --k {k} gives more than 100000 "
                           "expansion terms\n")
+
+
+@pytest.mark.parametrize("k, trials, terms", [("3", "100000000", 900000000), ("1", "100001", 100001),
+                                             ("17", "2", 176418)])
+def test_too_many_fdb_verify_trials_is_an_input_error(k, trials, terms):
+    """fdb-verify refuses trials whose expansion tables would together hold
+    more than fdb.MAX_EXPANSION_TERMS terms (trials * P(k)^2) with one line
+    and exit 2, before its first trial, within a timeout that running them
+    would break."""
+    env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", _CAPPED_SCRIPT, "fdb-verify", "--k", k,
+                          "--trials", trials], capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (f"input error: too many trials: --trials {trials} at --k {k} checks "
+                          f"{terms} expansion terms, more than 100000\n")
 
 
 def test_a_cli_run_does_not_load_openssl(tmp_path):

@@ -97,6 +97,27 @@ class TestOracleEquivalence:
                     pullback(g, z), k
                 )
 
+    def test_agreement_on_nonzero_values(self):
+        """A Laplacian power at 0 reads the t^k conj(t)^k coefficient of
+        the pullback, which a curve of multiplicity m > k pushes past 2k, so
+        most random pairs compare zeros.  Along multiplicity-1 curves it
+        reads the mixed terms of g of degree <= 2k: the expansion agrees
+        with the operator oracle on at least 50 nonzero values, k = 1..3."""
+        rng = random.Random(3)
+        nonzero = 0
+        for _ in range(100):
+            nvars = rng.randint(1, 2)
+            g = random_real_polynomial(rng, nvars, 4)
+            budget = SearchBudget(max_multiplicity=1, max_degree=4, random_trials=1,
+                                  seed=rng.randrange(1 << 30))
+            z = next(iter(random_curves(nvars, budget)))
+            assert z.multiplicity() == 1
+            for k in range(1, 4):
+                value = laplacian_power(pullback(g, z), k)
+                assert laplacian_power_forms(g, z, k) == value
+                nonzero += not value.is_zero()
+        assert nonzero >= 50
+
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 1 << 30), nvars=st.integers(1, 2), k=st.integers(1, 4))
     def test_truncated_pullback_gives_every_lower_power(self, seed, nvars, k):
@@ -201,6 +222,18 @@ def test_the_expansion_size_limit_falls_between_17_and_18():
     check_expansion_size(17)
     with pytest.raises(ExpansionTooLargeError):
         check_expansion_size(18)
+
+
+def test_the_trials_limit_bounds_the_terms_of_a_run():
+    """trials * P(k)^2 may reach MAX_EXPANSION_TERMS and not pass it: 11,111
+    trials at k = 3 (P = 3), one at k = 17; the CLI's defaults, the bench's
+    --k 3 --trials 3 and every run of the tests are far below."""
+    check_expansion_size(3, MAX_EXPANSION_TERMS // 9)
+    check_expansion_size(17, 1)
+    check_expansion_size(3, 20)
+    for k, trials in ((3, MAX_EXPANSION_TERMS // 9 + 1), (17, 2), (1, MAX_EXPANSION_TERMS + 1)):
+        with pytest.raises(ExpansionTooLargeError, match="too many trials"):
+            check_expansion_size(k, trials)
 
 
 def test_expansion_table_is_formed_once_per_order():
