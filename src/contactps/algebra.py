@@ -35,8 +35,18 @@ splits and filters whose terms are a subset of a valid polynomial's
 (``graph_split``, ``pure_mixed_split``, ``select``, ``truncate``),
 ``wirtinger``, a nonzero ``constant`` and powers.  Term products go
 through one helper, ``_mul_terms``, shared by ``__mul__`` and the
-multi-term images of ``substitute``; a power of a single term is a term
-move (``_term_move``), with no product formed.
+multi-term images of ``substitute``; a power of a single term moves the
+term to k times its key, with no product formed.
+
+Exact operands take branches of the same operations that skip the jet
+bookkeeping: ``__add__`` adds two exact term maps as they are and
+``_mul_terms`` forms no term degree, and both drop the keys whose sum
+cancels only when a sum did cancel; a left coefficient of 1 skips its
+scalar products; ``scale`` and ``is_real_valued`` read the scalars'
+fields; a real scalar is its own conjugate; and a power of a single term
+keeps its coefficient when it is 1.  A scalar prints (``__str__``,
+expr.format_coefficient) from its fields.  These are the operations that
+parsing and framing run, so they are the fixed cost of every command.
 
 ``weighted_square_terms`` sums w * f * conj(f) over the squares of a
 Gram certificate in the same raw arithmetic as ``substitute``

@@ -13,10 +13,17 @@ z1..zN (the complex variables), t (the curve parameter), i (the imaginary
 unit), conj(e), Re(e) meaning (e + conj(e))/2 with exact halves, abs2(e)
 meaning e*conj(e), plus any names bound in a problem file.
 
-The tokenizer is one finditer scan of a compiled pattern; an error names
-the offending character and its position in the text.  Integer literals
-take the int path of GaussianRational, and a product with an exact
-constant factor scales the other factor instead of multiplying out.
+The tokenizer is one findall scan that returns the tokens as plain
+strings; only a text with a character outside the grammar's alphabet (or
+a slash, which a rational holds) is scanned again, and token positions
+are found only when an error needs one: an error names the offending
+token or character and its position in the text.  The parser reads a
+factor's signs, atom and exponent in one call and a sum of products in
+one loop, and looks variables up in a table of the parse.  Integer
+literals take the int path of GaussianRational, and a product with an
+exact constant factor scales the other factor instead of multiplying out.
+The polynomial operations, and the order of their terms, are those of
+one call per grammar rule.
 
 Printing is canonical (graded-lex term order) and round-trips: parsing the
 printed form reproduces the polynomial exactly.

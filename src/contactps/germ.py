@@ -3,8 +3,13 @@
 Every command reads a germ in one graph frame, decided once per
 DefiningFunction from its linear frame (DefiningFunction.frame): a linear
 change makes the linear part of r exactly 2Re(z_n), and r there is 2Re(h) +
-mixed, h the holomorphic half of its pure part.  On the graph h = 0, 2Re(h)
-vanishes and g is the mixed part restricted to that graph, by one rule:
+mixed, h the holomorphic half of its pure part.  The change is read off
+one pass over the linear slice that validate checked, and is no
+substitution at all when the linear part is 2Re(z_n) already; one pass
+over the terms of r in the frame (CPolynomial.graph_split) then forms the
+pure and mixed parts, h, and the exact rule's g.  On the graph h = 0,
+2Re(h) vanishes and g is the mixed part restricted to that graph, by one
+rule:
 - Exact rule: when no mixed term carries z_n or conj(z_n), g is the mixed
   part with its last slot dropped, exact for every degree bound, and each
   germ-ps jet is a degree filter of it.  Rigid germs (2Re(c*z_n) plus a
