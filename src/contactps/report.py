@@ -596,22 +596,32 @@ def _write_json(value, newline: str, out: list[str]) -> None:
     """Append the sorted indent-2 JSON of value to out, where newline is a
     line break plus the indentation of value's own line.  Strings, ints,
     bools, None, lists, tuples and dicts with string keys are written here,
-    strings with the stdlib's own ASCII escaper; any other value goes
+    strings with the stdlib's own ASCII escaper, and a string or int item
+    of a dict or list in the loop that writes it; any other value goes
     through json.dumps, re-indented (a JSON string holds no raw line break,
-    so every line break of that text starts a line)."""
+    so every line break of that text starts a line).  A dict has string
+    keys only when its least key is a string: sorting keys of mixed types
+    fails."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
-    elif kind is dict and all(type(k) is str for k in value):
-        if not value:
-            out.append("{}")
+    elif kind is dict and value:
+        try:
+            keys = sorted(value)
+        except TypeError:
+            keys = None
+        if keys is None or type(keys[0]) is not str:
+            out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
             return
         inner = newline + "  "
         sep = "{" + inner
-        for key in sorted(value):
+        for key in keys:
             item = value[key]
-            if type(item) is str:
+            kind = type(item)
+            if kind is str:
                 out += (sep, encode_basestring_ascii(key), ": ", encode_basestring_ascii(item))
+            elif kind is int:
+                out += (sep, encode_basestring_ascii(key), ": ", int.__repr__(item))
             else:
                 out += (sep, encode_basestring_ascii(key), ": ")
                 _write_json(item, inner, out)
@@ -624,10 +634,15 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
+            if type(item) is str:
+                out += (sep, encode_basestring_ascii(item))
+            else:
+                out.append(sep)
+                _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
+    elif kind is dict:
+        out.append("{}")
     elif kind is int:
         out.append(int.__repr__(value))
     elif value is None:
@@ -640,41 +655,42 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
-def _human_lines(value, indent=0) -> list[str]:
-    pad = "  " * indent
-    lines = []
+def _human_lines(value, lines: list[str], pad: str = "") -> None:
+    """Append the human-readable lines of value to lines: a dict or list
+    item that is itself a dict or list heads its own block,
+    indented two spaces more than pad."""
     if isinstance(value, dict):
         for k, v in value.items():
             if isinstance(v, (dict, list)):
                 lines.append(f"{pad}{k}:")
-                lines.extend(_human_lines(v, indent + 1))
+                _human_lines(v, lines, pad + "  ")
             else:
                 lines.append(f"{pad}{k}: {v}")
     elif isinstance(value, list):
         for v in value:
             if isinstance(v, (dict, list)):
                 lines.append(f"{pad}-")
-                lines.extend(_human_lines(v, indent + 1))
+                _human_lines(v, lines, pad + "  ")
             else:
                 lines.append(f"{pad}- {v}")
     else:
         lines.append(f"{pad}{value}")
-    return lines
 
 
 def render_report(machine: dict) -> str:
     """Full report text: human header and claims plus the machine section."""
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    head = [
+    lines = [
         f"contactps report {machine['version']} ({machine['format']})",
         f"command: {machine['command']}",
         f"generated: {stamp}",
         f"input sha256: {machine['input_sha256']}",
         "",
     ]
-    body = _human_lines(machine["claims"])
-    tail = ["", "--- machine section (json) ---", machine_json(machine).rstrip("\n")]
-    return "\n".join(head + body + tail) + "\n"
+    _human_lines(machine["claims"], lines)
+    # machine_json ends the text with its one line break.
+    lines += ("", "--- machine section (json) ---", machine_json(machine))
+    return "\n".join(lines)
 
 
 def verify_report(machine: dict) -> dict:
