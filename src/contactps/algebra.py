@@ -568,10 +568,9 @@ class CPolynomial:
         """(pure, mixed, h, g) in one pass over the terms: the split of
         ``pure_mixed_split``, h the holomorphic part of pure (its terms of
         positive degree with no antiholomorphic exponent), and g the mixed
-        terms with the last slot
-        dropped, in nvars - 1 variables, or None when nvars < 2 or a mixed
-        term has an exponent in the last slot.  Each keeps the order of the
-        terms and self's truncation."""
+        terms with the last slot dropped, in nvars - 1 variables, or None
+        when nvars < 2 or a mixed term has an exponent in the last slot.
+        Each keeps the order of the terms and self's truncation."""
         n = self.nvars
         zero = (0,) * n
         last = n - 1

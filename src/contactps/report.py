@@ -211,6 +211,7 @@ class GermAnalysis:
 
     @cached_property
     def degree(self) -> int:
+        """The total degree of the entry, which every frame reads."""
         return self.entry.total_degree()
 
     def frame(self, floor: int) -> GraphForm:
