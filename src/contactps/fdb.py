@@ -8,8 +8,8 @@ on curve derivative vectors, one per block.  Terms are grouped by block-size
 multisets with multiplicative counts, which keeps moderate k tractable: the
 table of order k holds P(k)^2 terms, P(k) the number of partitions of k, and
 check_expansion_size refuses a k whose table would hold more than
-MAX_EXPANSION_TERMS, or a number of trials whose tables would together hold
-more, before anything is built.
+MAX_EXPANSION_TERMS, and a number of trials above MAX_TRIALS or whose tables
+would together hold more than MAX_RUN_TERMS, before anything is built.
 """
 
 from __future__ import annotations
@@ -167,34 +167,46 @@ def integer_partitions(k: int) -> list[tuple[int, ...]]:
 
 
 # The largest expansion table fdb-verify builds: k = 17 gives 297^2 =
-# 88,209 terms, formed in about a second; k = 18 gives 148,225.  It also
-# bounds the terms that one run checks, trials * P(k)^2: at k = 3, 11,111
-# trials, about 5 s.
+# 88,209 terms, formed in about a second; k = 18 gives 148,225.
 MAX_EXPANSION_TERMS = 100_000
+
+# The bounds on one fdb-verify run.  A trial costs about 0.35 ms plus about
+# 2.5 us per term of its table (CPython 3.11): at most MAX_TRIALS trials,
+# about 4 s at k = 3, and at most MAX_RUN_TERMS terms over all trials, which
+# keeps the default 20 trials at every k up to 17 (1,764,180 terms, about
+# 5 s) and bounds a run at any k to seconds.
+MAX_TRIALS = 10_000
+MAX_RUN_TERMS = 2_000_000
 
 
 class ExpansionTooLargeError(ValueError):
     """An order k whose expansion table is above MAX_EXPANSION_TERMS, or a
-    number of trials that would check more terms than that."""
+    number of trials above MAX_TRIALS or checking more than MAX_RUN_TERMS
+    terms."""
 
 
 def check_expansion_size(k: int, trials: int = 1) -> None:
     """Raise ExpansionTooLargeError when expansion_table(k) would hold more
-    than MAX_EXPANSION_TERMS terms, or when trials runs of it would check
-    more than that, trials * P(k)^2, for k >= 1.  It counts the P(n)^2
-    terms of each order n = 1, 2, ..., k in turn from the partitions of n,
-    and stops at the first order above the limit: P grows with n, so the
-    partitions of a large k are never formed."""
+    than MAX_EXPANSION_TERMS terms, when trials is above MAX_TRIALS, or when
+    trials runs of the table would check more than MAX_RUN_TERMS terms,
+    trials * P(k)^2.  It counts the P(n)^2 terms of each order n = 1, 2,
+    ..., k in turn from the partitions of n, and stops at the first order
+    above the limit: P grows with n, so the partitions of a large k are never
+    formed.  The table of an order k < 1 is counted as P(0)^2 = 1 term."""
+    size = 1
     for n in range(1, k + 1):
         size = len(integer_partitions(n)) ** 2
         if size > MAX_EXPANSION_TERMS:
             raise ExpansionTooLargeError(
                 f"expansion too large: --k {k} gives more than {MAX_EXPANSION_TERMS} "
                 f"expansion terms")
-    if trials * size > MAX_EXPANSION_TERMS:
+    if trials > MAX_TRIALS:
+        raise ExpansionTooLargeError(
+            f"too many trials: --trials {trials} is more than {MAX_TRIALS}")
+    if trials * size > MAX_RUN_TERMS:
         raise ExpansionTooLargeError(
             f"too many trials: --trials {trials} at --k {k} checks {trials * size} "
-            f"expansion terms, more than {MAX_EXPANSION_TERMS}")
+            f"expansion terms, more than {MAX_RUN_TERMS}")
 
 
 def partition_count(k: int, sizes) -> int:

@@ -1100,19 +1100,31 @@ def test_an_expansion_too_large_to_build_is_an_input_error(k):
                           "expansion terms\n")
 
 
-@pytest.mark.parametrize("k, trials, terms", [("3", "100000000", 900000000), ("1", "100001", 100001),
-                                             ("17", "2", 176418)])
-def test_too_many_fdb_verify_trials_is_an_input_error(k, trials, terms):
-    """fdb-verify refuses trials whose expansion tables would together hold
-    more than fdb.MAX_EXPANSION_TERMS terms (trials * P(k)^2) with one line
-    and exit 2, before its first trial, within a timeout that running them
-    would break."""
+@pytest.mark.parametrize("k, trials, message", [
+    ("3", "100000000", "--trials 100000000 is more than 10000"),
+    ("1", "10001", "--trials 10001 is more than 10000"),
+    ("17", "23", "--trials 23 at --k 17 checks 2028807 expansion terms, more than 2000000"),
+])
+def test_too_many_fdb_verify_trials_is_an_input_error(k, trials, message):
+    """fdb-verify refuses more than fdb.MAX_TRIALS trials, or trials whose
+    expansion tables would together hold more than fdb.MAX_RUN_TERMS terms
+    (trials * P(k)^2), with one line and exit 2, before its first trial,
+    within a timeout that running them would break."""
     env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent.parent / "src")}
     run = subprocess.run([sys.executable, "-c", _CAPPED_SCRIPT, "fdb-verify", "--k", k,
                           "--trials", trials], capture_output=True, text=True, env=env, timeout=60)
     assert (run.returncode, run.stdout) == (2, "")
-    assert run.stderr == (f"input error: too many trials: --trials {trials} at --k {k} checks "
-                          f"{terms} expansion terms, more than 100000\n")
+    assert run.stderr == f"input error: too many trials: {message}\n"
+
+
+def test_fdb_verify_takes_the_largest_order_with_the_default_trials():
+    """--k 17, the largest order whose table is built, runs with the default
+    20 trials: the trials limits refuse no order that the table limit
+    takes."""
+    result = CliRunner().invoke(main, ["fdb-verify", "--k", "17", "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert (payload["claims"]["trials"], payload["claims"]["matches"]) == (20, 20)
 
 
 def test_a_cli_run_does_not_load_openssl(tmp_path):

@@ -11,6 +11,8 @@ from contactps.curve import laplacian_power, pullback
 from contactps.expr import parse_curve, parse_expression
 from contactps.fdb import (
     MAX_EXPANSION_TERMS,
+    MAX_RUN_TERMS,
+    MAX_TRIALS,
     ExpansionTooLargeError,
     MultilinearForm,
     MultiplicityMismatchError,
@@ -224,14 +226,20 @@ def test_the_expansion_size_limit_falls_between_17_and_18():
         check_expansion_size(18)
 
 
-def test_the_trials_limit_bounds_the_terms_of_a_run():
-    """trials * P(k)^2 may reach MAX_EXPANSION_TERMS and not pass it: 11,111
-    trials at k = 3 (P = 3), one at k = 17; the CLI's defaults, the bench's
-    --k 3 --trials 3 and every run of the tests are far below."""
-    check_expansion_size(3, MAX_EXPANSION_TERMS // 9)
-    check_expansion_size(17, 1)
-    check_expansion_size(3, 20)
-    for k, trials in ((3, MAX_EXPANSION_TERMS // 9 + 1), (17, 2), (1, MAX_EXPANSION_TERMS + 1)):
+def test_the_trials_limits_bound_a_run():
+    """A run takes at most MAX_TRIALS trials and checks at most MAX_RUN_TERMS
+    terms, trials * P(k)^2: the default 20 trials stay within both at every
+    k up to 17, and so do the bench's --k 3 --trials 3 and every run of the
+    tests."""
+    assert 20 * len(integer_partitions(17)) ** 2 <= MAX_RUN_TERMS
+    for k in range(1, 18):
+        check_expansion_size(k, 20)
+    check_expansion_size(3, MAX_TRIALS)
+    check_expansion_size(17, MAX_RUN_TERMS // 297 ** 2)
+    check_expansion_size(0, 1)
+    check_expansion_size(-1, 1)
+    for k, trials in ((3, MAX_TRIALS + 1), (1, MAX_TRIALS + 1),
+                      (17, MAX_RUN_TERMS // 297 ** 2 + 1), (10, MAX_RUN_TERMS // 42 ** 2 + 1)):
         with pytest.raises(ExpansionTooLargeError, match="too many trials"):
             check_expansion_size(k, trials)
 
