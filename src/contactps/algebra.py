@@ -35,16 +35,15 @@ splits and filters whose terms are a subset of a valid polynomial's
 (``graph_split``, ``pure_mixed_split``, ``select``, ``truncate``),
 ``wirtinger``, a nonzero ``constant`` and powers.  Term products go
 through one helper, ``_mul_terms``, shared by ``__mul__`` and the
-multi-term images of ``substitute``; a power of a single term moves the
-term to k times its key, with no product formed.
+multi-term images of ``substitute``; a power of a single term is a term
+move (``_term_move``), with no product formed.
 
-Exact operands take branches of the same operations that skip the jet
-bookkeeping: ``__add__`` adds two exact term maps as they are and
-``_mul_terms`` forms no term degree, and both drop the keys whose sum
-cancels only when a sum did cancel; a left coefficient of 1 skips its
-scalar products; ``scale`` and ``is_real_valued`` read the scalars'
-fields; a real scalar is its own conjugate; and a power of a single term
-keeps its coefficient when it is 1.  A scalar prints (``__str__``,
+Two exact operands take a branch of ``__add__`` that adds their term maps
+as they are, with no truncation bookkeeping.  ``__add__`` and
+``_mul_terms`` drop the keys whose sum cancels only when a sum did cancel,
+and ``_mul_terms`` skips the scalar products of a left coefficient of 1;
+``scale`` and ``is_real_valued`` read the scalars' fields; and a real
+scalar is its own conjugate.  A scalar prints (``__str__``,
 expr.format_coefficient) from its fields.  These are the operations that
 parsing and framing run, so they are the fixed cost of every command.
 
@@ -485,17 +484,15 @@ class CPolynomial:
 
     def __pow__(self, k: int) -> "CPolynomial":
         """self^k by repeated squaring; a single term c * z^H * conj(z)^A
-        is moved to k*(H, A) with coefficient c^k (c itself when c is 1),
-        which is what the squarings give, with no product formed."""
+        is moved to k*(H, A) with coefficient c^k (``_term_move``), which is
+        what the squarings give, with no product formed."""
         if k < 0:
             raise ValueError("negative polynomial power")
         if k and len(self.terms) == 1:
-            ((h, a), c), = self.terms.items()
+            hol, anti, deg, u, v, w = _term_move(self, k, 0)
             limit = self.truncation
-            if limit is not None and k * (sum(h) + sum(a)) > limit:
-                return _from_terms(self.nvars, {}, limit)
-            key = (tuple([k * x for x in h]), tuple([k * x for x in a]))
-            return _from_terms(self.nvars, {key: c if c == ONE else c ** k}, limit)
+            terms = {} if limit is not None and deg > limit else {(hol, anti): _make(u, v, w)}
+            return _from_terms(self.nvars, terms, limit)
         out = None
         base = self
         while k:
@@ -931,34 +928,26 @@ def _substitution_limit(p: CPolynomial, images: Sequence[CPolynomial]) -> int | 
 def _mul_terms(left: Mapping, right: Mapping, limit: int | None) -> dict:
     """The terms of the product of left and right, cut at limit: the sum of
     every product of a left and a right term of degree <= limit (all of
-    them if limit is None, with no degree formed), keyed in the order in
-    which the products first form the keys, less the keys that cancel."""
+    them if limit is None), keyed in the order in which the products first
+    form the keys, less the keys that cancel."""
     out: dict = {}
     cancel = False
-    if limit is None:
-        rows = right.items()
-        for (h1, a1), c1 in left.items():
-            one = c1 == ONE  # then c1 * c2 is c2, which is immutable
-            for (h2, a2), c2 in rows:
-                key = (tuple(map(add, h1, h2)), tuple(map(add, a1, a2)))
-                prod = c2 if one else c1 * c2
-                old = out.get(key)
-                if old is None:
-                    out[key] = prod
-                else:
-                    prod = out[key] = old + prod
-                    cancel = cancel or prod.is_zero()
-        return _nonzero(out) if cancel else out
     rows = [(h, a, sum(h) + sum(a), c) for (h, a), c in right.items()]
     for (h1, a1), c1 in left.items():
-        room = limit - sum(h1) - sum(a1)
+        room = None if limit is None else limit - sum(h1) - sum(a1)
+        one = c1 == ONE  # then c1 * c2 is c2, which is immutable
         for h2, a2, d2, c2 in rows:
-            if d2 > room:
+            if room is not None and d2 > room:
                 continue
             key = (tuple(map(add, h1, h2)), tuple(map(add, a1, a2)))
+            prod = c2 if one else c1 * c2
             old = out.get(key)
-            out[key] = c1 * c2 if old is None else old + c1 * c2
-    return _nonzero(out)
+            if old is None:
+                out[key] = prod
+            else:
+                prod = out[key] = old + prod
+                cancel = cancel or prod.is_zero()
+    return _nonzero(out) if cancel else out
 
 
 def _multi_products(images: Sequence[CPolynomial], multi: list, limit: int | None):

@@ -102,17 +102,9 @@ def _parse(prog: str, argv: list[str] | None) -> tuple[str, str | None, dict, bo
 
 
 def _read(name: str) -> str:
-    """The text of FILE (`-` is standard input): UTF-8, universal newlines.
-    FILE is opened by its name, unless pathlib reads the name as another
-    path: "" is "." and a trailing "/" or "/." is dropped."""
+    """The text of FILE (`-` is standard input): UTF-8, universal newlines."""
     try:
-        if name == "-":
-            data = sys.stdin.buffer.read()
-        elif name and not name.endswith(("/", "/.")):
-            with open(name, "rb") as fh:
-                data = fh.read()
-        else:
-            data = pathlib.Path(name).read_bytes()
+        data = sys.stdin.buffer.read() if name == "-" else pathlib.Path(name).read_bytes()
         text = data.decode("utf-8")
         return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
     except OSError as exc:

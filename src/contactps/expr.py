@@ -19,11 +19,10 @@ a slash, which a rational holds) is scanned again, and token positions
 are found only when an error needs one: an error names the offending
 token or character and its position in the text.  The parser reads a
 factor's signs, atom and exponent in one call and a sum of products in
-one loop, and looks variables up in a table of the parse.  Integer
-literals take the int path of GaussianRational, and a product with an
-exact constant factor scales the other factor instead of multiplying out.
-The polynomial operations, and the order of their terms, are those of
-one call per grammar rule.
+one loop.  Integer literals take the int path of GaussianRational, and a
+product with an exact constant factor scales the other factor instead of
+multiplying out.  The polynomial operations, and the order of their
+terms, are those of one call per grammar rule.
 
 Printing is canonical (graded-lex term order) and round-trips: parsing the
 printed form reproduces the polynomial exactly.
@@ -105,10 +104,6 @@ class _Parser:
         self.var_mode = var_mode  # "z" or "t"
         self.definitions = definitions or {}
         self.origin = ((0,) * nvars, (0,) * nvars)
-        # The variables by name, t in a curve and z1..zN in an expression;
-        # ident reads the other spellings, such as z01, and z9 for n < 9.
-        self.variables = ({"t": CPolynomial.variable(1, 0)} if var_mode == "t" else
-                          {f"z{k + 1}": CPolynomial.variable(nvars, k) for k in range(nvars)})
 
     def error(self, message: str, index: int) -> ExprSyntaxError:
         """The error at the position of token index; _END has none."""
@@ -169,10 +164,7 @@ class _Parser:
             i += 1
             tok = tokens[i]
         self.idx = i + 1
-        base = self.variables.get(tok)
-        if base is not None:
-            pass
-        elif tok == "(":
+        if tok == "(":
             base = self.expr()
             self.expect(")")
         elif tok in _OPERATORS or tok is _END:
@@ -199,6 +191,14 @@ class _Parser:
         return GaussianRational(Fraction(int(num), int(den)))
 
     def ident(self, name: str, i: int) -> CPolynomial:
+        if self.var_mode == "z":
+            if _is_variable(name):
+                k = int(name[1:])
+                if not 1 <= k <= self.nvars:
+                    raise self.error(f"variable {name} out of range for n={self.nvars}", i)
+                return CPolynomial.variable(self.nvars, k - 1)
+        elif name == "t":
+            return CPolynomial.variable(1, 0)
         if name in ("conj", "Re", "abs2"):
             self.expect("(")
             arg = self.expr()
@@ -210,11 +210,6 @@ class _Parser:
             return (arg + arg.conjugate()).scale(_HALF)
         if name == "i":
             return CPolynomial.constant(self.nvars, I_UNIT)
-        if self.var_mode == "z" and _is_variable(name):
-            k = int(name[1:])
-            if not 1 <= k <= self.nvars:
-                raise self.error(f"variable {name} out of range for n={self.nvars}", i)
-            return CPolynomial.variable(self.nvars, k - 1)
         if name in self.definitions:
             return self.definitions[name]
         raise self.error(f"unknown identifier {name!r}", i)
