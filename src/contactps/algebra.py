@@ -1011,7 +1011,7 @@ def _term_move(image: CPolynomial, e: int, f: int) -> tuple:
     hol = tuple([e * x + f * y for x, y in zip(hc, ac)])
     anti = tuple([e * y + f * x for x, y in zip(hc, ac)])
     if c._b or c._a != 1 or c._d != 1:  # c is not 1
-        c = c ** e * c.conjugate() ** f
+        c = c ** e * c.conjugate() ** f if f else c ** e
     return (hol, anti, (e + f) * deg, c._a, c._b, c._d)
 
 
